@@ -202,27 +202,31 @@ FlatClustering extract_clusters(const CondensedTree& tree, const ExtractOptions&
 
   if (options.selection_epsilon > 0.0) {
     // Epsilon filter: lift clusters born below the distance threshold to
-    // their deepest eligible ancestor.  birth distance = 1 / birth_lambda.
+    // their deepest ancestor-or-self born at distance >= epsilon (the root,
+    // born at lambda 0, always qualifies); when that is the root and a
+    // single cluster is not allowed, to the topmost non-root cluster on the
+    // path instead.  birth distance = 1 / birth_lambda.  Clusters are stored
+    // parents-first, so one top-down pass resolves both targets for every
+    // cluster.
     auto birth_distance = [&](index_t c) {
       const double lambda = tree.clusters[static_cast<std::size_t>(c)].birth_lambda;
       return lambda > 0 ? 1.0 / lambda : std::numeric_limits<double>::infinity();
     };
+    std::vector<index_t> eligible(static_cast<std::size_t>(nc), 0);
+    std::vector<index_t> top(static_cast<std::size_t>(nc), 0);
     std::vector<char> lifted(static_cast<std::size_t>(nc), 0);
     for (index_t c = 0; c < nc; ++c) {
-      if (!selected[static_cast<std::size_t>(c)]) continue;
-      if (birth_distance(c) >= options.selection_epsilon) {
-        lifted[static_cast<std::size_t>(c)] = 1;
-        continue;
+      const index_t parent = tree.clusters[static_cast<std::size_t>(c)].parent;
+      const auto ci = static_cast<std::size_t>(c);
+      if (parent != kNone) {
+        eligible[ci] = birth_distance(c) >= options.selection_epsilon
+                           ? c
+                           : eligible[static_cast<std::size_t>(parent)];
+        top[ci] = parent == 0 ? c : top[static_cast<std::size_t>(parent)];
       }
-      index_t cur = c;
-      index_t last_non_root = c;
-      while (tree.clusters[static_cast<std::size_t>(cur)].parent != kNone &&
-             birth_distance(cur) < options.selection_epsilon) {
-        last_non_root = cur;
-        cur = tree.clusters[static_cast<std::size_t>(cur)].parent;
-      }
-      if (cur == 0 && !allow_single_cluster) cur = last_non_root;
-      lifted[static_cast<std::size_t>(cur)] = 1;
+      if (!selected[ci]) continue;
+      const index_t target = eligible[ci] == 0 && !allow_single_cluster ? top[ci] : eligible[ci];
+      lifted[static_cast<std::size_t>(target)] = 1;
     }
     selected.swap(lifted);
     if (!allow_single_cluster) selected[0] = 0;
@@ -246,12 +250,18 @@ FlatClustering extract_clusters(const CondensedTree& tree, const ExtractOptions&
     }
   }
 
-  flat.labels.assign(tree.point_cluster.size(), kNone);
+  // A point's label is that of its cluster's nearest finally-selected
+  // ancestor-or-self: a second top-down pass hands each unselected cluster
+  // its parent's (already resolved) label, so every point is O(1).
+  for (index_t c = 1; c < nc; ++c) {
+    index_t& label = dense[static_cast<std::size_t>(c)];
+    if (label == kNone)
+      label = dense[static_cast<std::size_t>(tree.clusters[static_cast<std::size_t>(c)].parent)];
+  }
+  flat.labels.resize(tree.point_cluster.size());
   for (std::size_t p = 0; p < tree.point_cluster.size(); ++p) {
-    index_t c = tree.point_cluster[p];
-    while (c != kNone && dense[static_cast<std::size_t>(c)] == kNone)
-      c = tree.clusters[static_cast<std::size_t>(c)].parent;
-    if (c != kNone) flat.labels[p] = dense[static_cast<std::size_t>(c)];
+    const index_t c = tree.point_cluster[p];
+    flat.labels[p] = c == kNone ? kNone : dense[static_cast<std::size_t>(c)];
   }
   return flat;
 }

@@ -1,5 +1,8 @@
 #include "pandora/spatial/emst.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -26,6 +29,7 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
   const index_t n = points.size();
   graph::EdgeList mst;
   if (n <= 1) return mst;
+  PANDORA_EXPECT(tree.size() == n, "the kd-tree must index exactly the query points");
 
   constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
   // Sentinel for the atomic-min tie-break slots: must compare larger than
@@ -82,34 +86,64 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
       if (2 * largest_size >= n) passive = largest;
     }
 
-    // Phase 1: every (active) point finds its nearest foreign point;
-    // per-component minimum weight via atomic-min on the order-preserving
-    // distance bits.
+    // Phase 1: per-component minimum weight via atomic-min on the
+    // order-preserving distance bits.  The giant proposes NOTHING — a
+    // partial minimum (e.g. over only its cached members) would not be
+    // minimal across its cut and could hook a wrong edge.  Its slot stays at
+    // the +inf sentinel, so phase 2 cannot match a leftover cached candidate
+    // against it either.
     //
-    // A point's candidate from an earlier round stays *exact* while its
+    // (1a) A point's candidate from an earlier round stays *exact* while its
     // partner is still foreign: components only merge, so the foreign set
     // only shrinks, and a shrinking set that still contains the old
-    // lexicographic minimum keeps it.  Stale candidates (partner absorbed)
-    // re-query; in practice only points near the round's merges do, which
-    // turns the n-queries-per-round cost into roughly n total.
+    // lexicographic minimum keeps it.  Valid candidates seed their
+    // component's minimum; stale ones (partner absorbed) are cleared.
     exec::parallel_for(exec, n, [&](size_type pi) {
       const auto p = static_cast<index_t>(pi);
       const index_t c = component[static_cast<std::size_t>(p)];
-      // The giant proposes NOTHING — a partial minimum (e.g. over only its
-      // cached members) would not be minimal across its cut and could hook
-      // a wrong edge.  Its slot stays at the +inf sentinel, so phase 2
-      // cannot match a leftover cached candidate against it either.
-      if (c == passive) return;
-      Neighbor nb = point_best[static_cast<std::size_t>(p)];
-      if (nb.index == kNone || component[static_cast<std::size_t>(nb.index)] == c) {
-        nb = use_mreach ? tree.nearest_other_component_mreach(p, c, component, core_sq, notes)
-                        : tree.nearest_other_component(p, c, component, notes);
-        point_best[static_cast<std::size_t>(p)] = nb;
+      Neighbor& nb = point_best[static_cast<std::size_t>(p)];
+      if (c == passive || nb.index == kNone) return;
+      if (component[static_cast<std::size_t>(nb.index)] == c) {
+        nb = Neighbor{};
+        return;
       }
-      if (nb.index != kNone)
-        exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
-                               exec::order_preserving_bits(nb.squared_distance));
+      exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
+                             exec::order_preserving_bits(nb.squared_distance));
     });
+    // (1b) Every other point queries, bounded by its component's running
+    // minimum ([39]'s pruning): a candidate heavier than the minimum can
+    // never win phase 2, so the query skips everything beyond it.  Ties at
+    // the radius are still found, so every point attaining the final
+    // minimum holds its exact (weight, id) candidate and phases 2-3 select
+    // the same edges as unbounded queries.  A point finding nothing within
+    // the radius stores kNone and re-queries next round.  Queries walk the
+    // tree order so neighbouring queries tighten each other's radius early.
+    const std::span<const index_t> order = tree.tree_order();
+    constexpr index_t kQueriesPerChunk = 256;
+    const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
+    auto query_chunk = [&](int chunk) {
+      const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
+      const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
+      for (index_t i = lo; i < hi; ++i) {
+        const index_t p = order[static_cast<std::size_t>(i)];
+        const index_t c = component[static_cast<std::size_t>(p)];
+        if (c == passive || point_best[static_cast<std::size_t>(p)].index != kNone) continue;
+        std::uint64_t& slot = best_weight[static_cast<std::size_t>(c)];
+        const std::uint64_t bound =
+            std::atomic_ref<std::uint64_t>(slot).load(std::memory_order_relaxed);
+        // kInf bit-casts to a NaN, not +inf.
+        const double radius_sq =
+            bound == kInf ? std::numeric_limits<double>::infinity() : std::bit_cast<double>(bound);
+        const Neighbor nb =
+            use_mreach
+                ? tree.nearest_other_component_mreach(p, c, component, core_sq, notes, radius_sq)
+                : tree.nearest_other_component(p, c, component, notes, radius_sq);
+        point_best[static_cast<std::size_t>(p)] = nb;
+        if (nb.index != kNone)
+          exec::atomic_fetch_min(slot, exec::order_preserving_bits(nb.squared_distance));
+      }
+    };
+    exec.run_chunks(num_chunks, exec.num_threads(), query_chunk);
     // Phase 2: among weight ties, the smallest point id wins (exact
     // lexicographic (weight, point) minimum without a 128-bit CAS).
     exec::parallel_for(exec, n, [&](size_type pi) {

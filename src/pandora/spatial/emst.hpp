@@ -15,10 +15,17 @@ namespace pandora::spatial {
 
 /// Euclidean minimum spanning tree via parallel Borůvka over the kd-tree —
 /// the stand-in for the single-tree GPU Borůvka of [39] that the paper's
-/// HDBSCAN* pipeline uses.  Each round every point queries its nearest
-/// neighbour outside its own component; per-component winners (exact
-/// (distance, point-id) lexicographic minima) hook the components together.
-/// Deterministic under distance ties.
+/// HDBSCAN* pipeline uses.  Each round finds, per component, the exact
+/// (distance, point-id) lexicographic minimum outgoing edge, and the
+/// winners hook the components together.  A point whose candidate from an
+/// earlier round still points outside its component reuses it; every other
+/// point queries its nearest neighbour outside its component, bounded as in
+/// [39] by the component's running minimum, so subtrees that cannot beat
+/// the best edge found so far are pruned.  Queries walk the kd-tree's leaf
+/// order in dynamically scheduled chunks.  The bound only drops candidates
+/// that cannot win (ties at the bound are kept), so the edges and their
+/// order are those of unbounded queries.  Deterministic under distance ties
+/// and across backends.
 ///
 /// The tree is read-only: per-round component annotations live in
 /// query-local `KdTreeAnnotations`, so one (possibly cached and shared) tree

@@ -290,6 +290,16 @@ struct EuclideanScore {
   double from_sq(index_t /*p*/, double sq) const { return sq; }
 };
 
+/// Starting best of a query bounded by `radius_sq`: every real point id sorts
+/// below the sentinel index, so a candidate tying the radius still beats it.
+constexpr index_t kRadiusSentinel = std::numeric_limits<index_t>::max();
+
+Neighbor within_radius(double radius_sq) { return {radius_sq, kRadiusSentinel}; }
+
+Neighbor found_or_none(const Neighbor& best) {
+  return best.index == kRadiusSentinel ? Neighbor{} : best;
+}
+
 }  // namespace
 
 template <class Score>
@@ -297,9 +307,11 @@ void KdTree::search(const double* query, Neighbor& best, index_t my_component,
                     std::span<const index_t> component, const KdTreeAnnotations& notes,
                     const Score& score) const {
   // Iterative DFS; near child first.  Pruning uses strict '>' so equal-score
-  // candidates are still examined and the smallest index wins ties.
-  std::vector<index_t> stack;
-  stack.reserve(64);
+  // candidates are still examined and the smallest index wins ties.  The
+  // stack is per-thread scratch (searches never nest), so a warm thread's
+  // queries allocate nothing.
+  thread_local std::vector<index_t> stack;
+  stack.clear();
   stack.push_back(0);
   double* leaf_sq = leaf_scratch(max_leaf_count_);
   // my_component == kNone disables the component filter entirely (a node's
@@ -336,12 +348,13 @@ void KdTree::search(const double* query, Neighbor& best, index_t my_component,
 
 Neighbor KdTree::nearest_other_component(index_t q, index_t my_component,
                                          std::span<const index_t> component,
-                                         const KdTreeAnnotations& notes) const {
-  Neighbor best;
+                                         const KdTreeAnnotations& notes,
+                                         double radius_sq) const {
+  Neighbor best = within_radius(radius_sq);
   const double* query = points_->point(q).data();
   EuclideanScore score{};
   search(query, best, my_component, component, notes, score);
-  return best;
+  return found_or_none(best);
 }
 
 Neighbor KdTree::nearest_other_component(std::span<const double> query, index_t my_component,
@@ -381,12 +394,13 @@ struct MreachScoreBound {
 Neighbor KdTree::nearest_other_component_mreach(index_t q, index_t my_component,
                                                 std::span<const index_t> component,
                                                 std::span<const double> core_sq,
-                                                const KdTreeAnnotations& notes) const {
-  Neighbor best;
+                                                const KdTreeAnnotations& notes,
+                                                double radius_sq) const {
+  Neighbor best = within_radius(radius_sq);
   const double* query = points_->point(q).data();
   MreachScoreBound score{q, core_sq, &notes.node_min_core};
   search(query, best, my_component, component, notes, score);
-  return best;
+  return found_or_none(best);
 }
 
 void KdTree::annotate_components(const exec::Executor& exec,

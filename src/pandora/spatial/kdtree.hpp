@@ -98,9 +98,17 @@ class KdTree {
   /// `component[]` differs from `my_component`.  Uses the component
   /// annotation in `notes` (from annotate_components) to skip
   /// single-component subtrees.
-  [[nodiscard]] Neighbor nearest_other_component(index_t q, index_t my_component,
-                                                 std::span<const index_t> component,
-                                                 const KdTreeAnnotations& notes) const;
+  ///
+  /// `radius_sq` bounds the search (Borůvka passes its component's running
+  /// minimum): only candidates with squared score <= radius_sq are
+  /// considered, so subtrees farther out are pruned.  A candidate tying the
+  /// radius is still found (pruning is strict '>'), and within the radius
+  /// the result is the exact (score, index) minimum.  Returns a kNone
+  /// neighbour when nothing lies within the radius.
+  [[nodiscard]] Neighbor nearest_other_component(
+      index_t q, index_t my_component, std::span<const index_t> component,
+      const KdTreeAnnotations& notes,
+      double radius_sq = std::numeric_limits<double>::infinity()) const;
 
   /// As above for an arbitrary coordinate query outside the index: nearest
   /// indexed point whose `component[]` differs from `my_component` (pass
@@ -115,10 +123,13 @@ class KdTree {
   /// As above under the mutual-reachability metric
   /// d_mreach(p,q) = max(core(p), core(q), d(p,q)) with *squared* core
   /// distances in `core_sq` (annotate_min_core must have filled `notes`).
-  [[nodiscard]] Neighbor nearest_other_component_mreach(index_t q, index_t my_component,
-                                                        std::span<const index_t> component,
-                                                        std::span<const double> core_sq,
-                                                        const KdTreeAnnotations& notes) const;
+  /// `radius_sq` bounds the squared mreach score with the same contract as
+  /// the indexed Euclidean overload: ties at the radius are kept, kNone
+  /// when nothing lies within it.
+  [[nodiscard]] Neighbor nearest_other_component_mreach(
+      index_t q, index_t my_component, std::span<const index_t> component,
+      std::span<const double> core_sq, const KdTreeAnnotations& notes,
+      double radius_sq = std::numeric_limits<double>::infinity()) const;
 
   /// Records into `notes`, per node, the component id shared by all points
   /// below it (or kNone if mixed).  Call once per Borůvka round.

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
@@ -117,6 +119,119 @@ TEST(Extraction, SelectedClustersAreAnAntichain) {
           EXPECT_FALSE(sel.contains(cur)) << "cluster " << c << " under selected " << cur;
           cur = result.condensed_tree.clusters[static_cast<std::size_t>(cur)].parent;
         }
+      }
+    }
+  }
+}
+
+/// Parent-walk reference for extract_clusters: per selected cluster, the
+/// epsilon lift walks up to its target; per point, the label walks up to the
+/// nearest finally-selected ancestor.  O(points x depth), so only usable on
+/// test-sized trees.
+hdbscan::FlatClustering reference_extract(const hdbscan::CondensedTree& tree,
+                                          const hdbscan::ExtractOptions& options) {
+  const auto& clusters = tree.clusters;
+  const auto nc = static_cast<index_t>(clusters.size());
+  auto at = [](auto& v, index_t i) -> auto& { return v[static_cast<std::size_t>(i)]; };
+  std::vector<char> selected(clusters.size(), 0);
+  std::vector<double> subtree(clusters.size(), 0.0);
+  for (index_t c = nc - 1; c >= 0; --c) {
+    const auto& cl = at(clusters, c);
+    const bool leaf = cl.child_a == kNone;
+    if (options.method == ClusterSelectionMethod::leaf) {
+      at(selected, c) = leaf;
+      continue;
+    }
+    const double children = leaf ? 0.0 : at(subtree, cl.child_a) + at(subtree, cl.child_b);
+    at(selected, c) = leaf || (cl.stability > children && (c != 0 || options.allow_single_cluster));
+    at(subtree, c) = at(selected, c) ? cl.stability : children;
+  }
+  if (!options.allow_single_cluster) selected[0] = 0;
+  if (options.selection_epsilon > 0.0) {
+    auto birth_distance = [&](index_t c) {
+      const double lambda = at(clusters, c).birth_lambda;
+      return lambda > 0 ? 1.0 / lambda : std::numeric_limits<double>::infinity();
+    };
+    std::vector<char> lifted(clusters.size(), 0);
+    for (index_t c = 0; c < nc; ++c) {
+      if (!at(selected, c)) continue;
+      index_t cur = c;
+      index_t last_non_root = c;
+      while (at(clusters, cur).parent != kNone && birth_distance(cur) < options.selection_epsilon) {
+        last_non_root = cur;
+        cur = at(clusters, cur).parent;
+      }
+      if (cur == 0 && !options.allow_single_cluster) cur = last_non_root;
+      at(lifted, cur) = 1;
+    }
+    selected.swap(lifted);
+    if (!options.allow_single_cluster) selected[0] = 0;
+  }
+  hdbscan::FlatClustering flat;
+  std::vector<index_t> dense(clusters.size(), kNone);
+  std::vector<char> blocked(clusters.size(), 0);
+  for (index_t c = 0; c < nc; ++c) {
+    const index_t parent = at(clusters, c).parent;
+    if (parent != kNone) at(blocked, c) = at(blocked, parent) || at(selected, parent);
+    if (!at(selected, c) || at(blocked, c)) continue;
+    at(dense, c) = flat.num_clusters++;
+    flat.selected_clusters.push_back(c);
+  }
+  for (const index_t pc : tree.point_cluster) {
+    index_t c = pc;
+    while (c != kNone && at(dense, c) == kNone) c = at(clusters, c).parent;
+    flat.labels.push_back(c == kNone ? kNone : at(dense, c));
+  }
+  return flat;
+}
+
+/// A caterpillar condensed tree 10^4 clusters deep: chain cluster k splits
+/// into chain cluster k+1 and a leaf, one point sheds from every cluster,
+/// and stabilities are random so excess-of-mass selects at many depths.
+hdbscan::CondensedTree deep_caterpillar(index_t depth) {
+  hdbscan::CondensedTree tree;
+  Rng rng(91);
+  tree.clusters.push_back({kNone, 0.0, 1.0, 2 * depth + 1, rng.next_double(), kNone, kNone});
+  index_t chain = 0;
+  for (index_t k = 1; k <= depth; ++k) {
+    const double lambda = static_cast<double>(k);
+    const auto next = static_cast<index_t>(tree.clusters.size());
+    auto& parent = tree.clusters[static_cast<std::size_t>(chain)];
+    parent.child_a = next;
+    parent.child_b = next + 1;
+    parent.death_lambda = lambda;
+    tree.clusters.push_back({chain, lambda, lambda + 1, 2 * (depth - k) + 1, rng.next_double(),
+                             kNone, kNone});
+    tree.clusters.push_back({chain, lambda, lambda + 1, 1, 3 * rng.next_double(), kNone, kNone});
+    chain = next;
+  }
+  for (index_t c = 0; c < tree.num_clusters(); ++c) {
+    tree.point_cluster.push_back(c);
+    tree.point_lambda.push_back(tree.clusters[static_cast<std::size_t>(c)].death_lambda);
+  }
+  return tree;
+}
+
+TEST(Extraction, DeepCondensedTreeMatchesParentWalkReference) {
+  const hdbscan::CondensedTree tree = deep_caterpillar(10000);
+  // Birth distance is 1/k at chain depth k: 1/5000 lifts every cluster born
+  // below depth 5000 to its depth-5000 ancestor; 2 lifts everything to the
+  // root, i.e. to the root's child on the path unless a single cluster is
+  // allowed (the last_non_root rule).
+  for (const auto method : {ClusterSelectionMethod::excess_of_mass, ClusterSelectionMethod::leaf}) {
+    for (const double eps : {0.0, 1.0 / 5000, 2.0}) {
+      for (const bool single : {false, true}) {
+        hdbscan::ExtractOptions options;
+        options.method = method;
+        options.selection_epsilon = eps;
+        options.allow_single_cluster = single;
+        const auto expected = reference_extract(tree, options);
+        const auto got = hdbscan::extract_clusters(tree, options);
+        EXPECT_GE(expected.num_clusters, 1);
+        EXPECT_EQ(got.num_clusters, expected.num_clusters);
+        EXPECT_EQ(got.selected_clusters, expected.selected_clusters);
+        EXPECT_EQ(got.labels, expected.labels)
+            << "method " << static_cast<int>(method) << " eps " << eps << " single " << single;
       }
     }
   }

@@ -4,6 +4,7 @@
 
 #include "pandora/common/rng.hpp"
 #include "pandora/data/point_generators.hpp"
+#include "pandora/dendrogram/sorted_edges.hpp"
 #include "pandora/graph/tree.hpp"
 #include "pandora/graph/union_find.hpp"
 #include "pandora/hdbscan/core_distance.hpp"
@@ -146,6 +147,87 @@ TEST(Emst, LargerMinPtsGivesHeavierMst) {
     const double w = weight_of(mst);
     EXPECT_GE(w, previous - 1e-12) << "minPts=" << min_pts;
     previous = w;
+  }
+}
+
+/// A 24x24 integer grid with every fifth point duplicated: the densest case
+/// for equal distances and equal core distances, i.e. for candidates that
+/// tie a Borůvka query's radius.
+PointSet tie_heavy_grid() {
+  constexpr index_t kSide = 24;
+  constexpr index_t kBase = kSide * kSide;
+  constexpr index_t kDuplicates = kBase / 5;
+  PointSet points(2, kBase + kDuplicates);
+  for (index_t i = 0; i < kBase; ++i) {
+    points.at(i, 0) = static_cast<double>(i / kSide);
+    points.at(i, 1) = static_cast<double>(i % kSide);
+  }
+  for (index_t j = 0; j < kDuplicates; ++j)
+    for (int d = 0; d < 2; ++d) points.at(kBase + j, d) = points.at(5 * j, d);
+  return points;
+}
+
+/// Fingerprints (edge order, endpoints, weight bits) of the MSTs the golden
+/// test pins: mutual-reachability MSTs at mpts 2, 5, 9 on a HaccProxy set
+/// and on the tie-heavy grid, then one seeded component join.
+std::vector<std::uint64_t> mst_fingerprints(const exec::Executor& exec) {
+  std::vector<std::uint64_t> out;
+  for (const PointSet& points : {data::make_dataset("HaccProxy", 3000, 17), tie_heavy_grid()}) {
+    const KdTree tree(points);
+    for (const int min_pts : {2, 5, 9}) {
+      const auto core = hdbscan::core_distances(exec, points, tree, min_pts);
+      const EdgeList mst = spatial::mutual_reachability_mst(exec, points, tree, core);
+      out.push_back(dendrogram::mst_fingerprint(exec, mst, points.size()));
+    }
+  }
+  // Seeded join: the EMST minus 40 random edges, re-joined.
+  const PointSet points = data::power_law_blobs(1500, 2, 8, 1.3, 4);
+  const KdTree tree(points);
+  const EdgeList full = spatial::euclidean_mst(exec, points, tree);
+  Rng rng(23);
+  std::vector<char> dropped(full.size(), 0);
+  for (int k = 0; k < 40; ++k) dropped[rng.next_below(full.size())] = 1;
+  graph::ConcurrentUnionFind uf(points.size());
+  for (std::size_t i = 0; i < full.size(); ++i)
+    if (!dropped[i]) uf.unite(full[i].u, full[i].v);
+  const EdgeList joined = spatial::join_components_emst(exec, points, tree, uf);
+  out.push_back(dendrogram::mst_fingerprint(exec, joined, points.size()));
+  return out;
+}
+
+TEST(Emst, BoundedBoruvkaMatchesGoldenFingerprints) {
+  // Recorded from the unbounded Borůvka (every stale point queried with no
+  // radius, in point-id order).  Radius-bounded queries must select the
+  // very same edges, in the same order, with the same weight bits.
+  const std::vector<std::uint64_t> golden = {
+      0xda92bc4ae2fea210ULL, 0x581de19f1dac17f1ULL, 0x99f9ef4c71382c59ULL,  // HaccProxy
+      0x0ee362d94baba353ULL, 0x5d49aa9867535577ULL, 0x1c2070eef0ef71a9ULL,  // tie-heavy grid
+      0xaaceca68e479affdULL,                                                // seeded join
+  };
+  for (const auto& backend : exec::registered_backends()) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const std::vector<std::uint64_t> got = mst_fingerprints(exec::default_executor(backend));
+      ASSERT_EQ(got.size(), golden.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], golden[i]) << "case " << i << " on " << backend->name() << ": 0x"
+                                     << std::hex << got[i];
+    }
+  }
+}
+
+TEST(Emst, TieHeavyGridMreachWeightMatchesBruteForce) {
+  // Ties at a query's radius are densest here: a radius prune that were not
+  // strict, or a sentinel that lost ties, would drop a minimum edge.
+  const PointSet points = tie_heavy_grid();
+  const KdTree tree(points);
+  for (const auto& backend : exec::registered_backends()) {
+    const exec::Executor& executor = exec::default_executor(backend);
+    const auto core = hdbscan::core_distances(executor, points, tree, 9);
+    const EdgeList expected = spatial::brute_force_mreach_mst(points, core);
+    const EdgeList got = spatial::mutual_reachability_mst(executor, points, tree, core);
+    ASSERT_TRUE(graph::is_spanning_tree(got, points.size()));
+    EXPECT_NEAR(weight_of(got), weight_of(expected), 1e-9 * weight_of(expected))
+        << backend->name();
   }
 }
 

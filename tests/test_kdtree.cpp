@@ -90,6 +90,14 @@ TEST(KdTree, NearestOtherComponentHonorsFilterAndAnnotation) {
     }
     ASSERT_EQ(got.index, expected.index) << "q=" << q;
     ASSERT_DOUBLE_EQ(got.squared_distance, expected.squared_distance);
+    // Radius contract: a candidate tying the radius is kept; below it,
+    // nothing is found.
+    const double radius = expected.squared_distance;
+    EXPECT_EQ(tree.nearest_other_component(q, mine, component, notes, radius).index,
+              expected.index);
+    EXPECT_EQ(tree.nearest_other_component(q, mine, component, notes,
+                                           std::nextafter(radius, 0.0)).index,
+              kNone);
   }
 }
 
@@ -124,6 +132,14 @@ TEST(KdTree, NearestOtherComponentMreachMatchesBruteForce) {
     }
     ASSERT_EQ(got.index, expected.index) << "q=" << q;
     ASSERT_DOUBLE_EQ(got.squared_distance, expected.squared_distance);
+    const double radius = expected.squared_distance;
+    EXPECT_EQ(tree.nearest_other_component_mreach(q, mine, component, core_sq, notes, radius)
+                  .index,
+              expected.index);
+    EXPECT_EQ(tree.nearest_other_component_mreach(q, mine, component, core_sq, notes,
+                                                  std::nextafter(radius, 0.0))
+                  .index,
+              kNone);
   }
 }
 
