@@ -131,6 +131,37 @@ Measurement measure(int repeats, F&& f) {
   return m;
 }
 
+/// Wall-clock samples plus each run's phase breakdown (see measure_phases).
+struct PhaseMeasurement {
+  Measurement wall;
+  std::vector<PhaseTimes> runs;  ///< one sink per timed run, in run order
+
+  /// Median over the runs of one phase's per-run total.
+  [[nodiscard]] double median(const std::string& phase) const {
+    Measurement m;
+    for (const PhaseTimes& run : runs) m.samples.push_back(run.get(phase));
+    return m.median();
+  }
+};
+
+/// `measure` after one untimed warm-up call of `f`, with a fresh PhaseTimes
+/// sink installed on `exec` for each timed run (the caller's sink, if any,
+/// is restored afterwards).
+template <class F>
+PhaseMeasurement measure_phases(const exec::Executor& exec, int repeats, F&& f) {
+  f();  // warm-up: arena blocks, thread teams, page faults
+  PhaseMeasurement m;
+  m.runs.resize(static_cast<std::size_t>(repeats));
+  PhaseTimes* const saved = exec.phase_times();
+  std::size_t run = 0;
+  m.wall = measure(repeats, [&] {
+    exec.set_phase_times(&m.runs[run++]);
+    f();
+  });
+  exec.set_phase_times(saved);
+  return m;
+}
+
 /// Machine-readable benchmark emitter.  When the environment variable
 /// PANDORA_BENCH_JSON_DIR names a directory, the report writes
 /// `<dir>/BENCH_<name>.json` on destruction:

@@ -15,25 +15,32 @@ using namespace pandora;
 
 namespace {
 
+constexpr int kRepeats = 3;
+
 struct PhaseSeconds {
   double mst = 0, dendrogram = 0, sort = 0, contraction = 0, expansion = 0;
 };
 
+/// Medians of kRepeats warm runs on `space`: the MR-MST build, the whole
+/// dendrogram build, and the dendrogram's sort / contraction / expansion.
 PhaseSeconds run_pipeline(const std::string& name, index_t n, std::shared_ptr<const exec::Backend> space) {
   PhaseSeconds out;
-  const exec::Executor executor(space);
+  const exec::Executor executor(std::move(space));
+  executor.set_artifact_caching(false);  // every run sorts and contracts for real
+  // prepare_dataset's own MR-MST build doubles as the warm-up.
   const bench::PreparedDataset prepared = bench::prepare_dataset(name, n, 2, executor);
-  out.mst = prepared.mst_seconds;
-  // The profiler hook replaces the old PhaseTimes* out-param plumbing.
-  exec::PhaseTimesProfiler profiler;
-  executor.set_profiler(&profiler);
-  Timer timer;
-  (void)Pipeline::on(executor).build_dendrogram(prepared.mst, prepared.n);
-  out.dendrogram = timer.seconds();
-  executor.set_profiler(nullptr);
-  out.sort = profiler.times().get("sort");
-  out.contraction = profiler.times().get("contraction");
-  out.expansion = profiler.times().get("expansion");
+  out.mst = bench::measure(kRepeats, [&] {
+              (void)spatial::mutual_reachability_mst(executor, *prepared.points, *prepared.tree,
+                                                     prepared.core);
+            }).median();
+  const auto pipeline = Pipeline::on(executor);
+  const bench::PhaseMeasurement dendrogram = bench::measure_phases(executor, kRepeats, [&] {
+    (void)pipeline.build_dendrogram(prepared.mst, prepared.n);
+  });
+  out.dendrogram = dendrogram.wall.median();
+  out.sort = dendrogram.median("sort");
+  out.contraction = dendrogram.median("contraction");
+  out.expansion = dendrogram.median("expansion");
   return out;
 }
 

@@ -21,17 +21,16 @@ int main() {
   for (const auto& name : datasets) {
     const index_t n = bench::scaled(400000);
     const exec::Executor executor(exec::default_backend());
+    executor.set_artifact_caching(false);  // every run sorts for real
     const bench::PreparedDataset prepared = bench::prepare_dataset(name, n, 2, executor);
-    exec::PhaseTimesProfiler profiler;
-    executor.set_profiler(&profiler);
     const auto pipeline = Pipeline::on(executor);
-    for (int repeat = 0; repeat < 5; ++repeat)  // accumulate to smooth noise
+    // One warm-up call, then the median of five runs per phase.
+    const bench::PhaseMeasurement m = bench::measure_phases(executor, 5, [&] {
       (void)pipeline.build_dendrogram(prepared.mst, prepared.n);
-    executor.set_profiler(nullptr);
-    const PhaseTimes& times = profiler.times();
-    const double sort = times.get("sort");
-    const double contraction = times.get("contraction");
-    const double expansion = times.get("expansion");
+    });
+    const double sort = m.median("sort");
+    const double contraction = m.median("contraction");
+    const double expansion = m.median("expansion");
     const double total = sort + contraction + expansion;
     std::printf("%-14s | %10.2f %12.2f %11.2f\n", name.c_str(), sort / total,
                 contraction / total, expansion / total);

@@ -19,7 +19,7 @@ int main() {
   using namespace pandora;
 
   // 0. The execution context: backend choice + reusable scratch arena +
-  //    optional profiler.  Construct one and reuse it for every query.
+  //    optional phase-time sink.  Construct one and reuse it for every query.
   const exec::Executor executor(exec::default_backend());
 
   // 1. Some clustered 2-D data: four Gaussian blobs, 2000 points.
@@ -32,17 +32,16 @@ int main() {
   const graph::EdgeList mst = spatial::euclidean_mst(executor, points, tree);
   std::printf("EMST: %zu edges over %d points\n", mst.size(), points.size());
 
-  // 3. The dendrogram, via PANDORA (recursive tree contraction).  A profiler
-  //    attached to the executor shows where the time goes
+  // 3. The dendrogram, via PANDORA (recursive tree contraction).  A
+  //    PhaseTimes sink installed on the executor shows where the time goes
   //    (sort / contraction / expansion).
-  exec::PhaseTimesProfiler profiler;
-  executor.set_profiler(&profiler);
+  PhaseTimes times;
+  executor.set_phase_times(&times);
   const dendrogram::Dendrogram dendro =
       Pipeline::on(executor)
           .with_validation()                    // we are no hot loop: check the tree
           .build_dendrogram(mst, points.size());
-  executor.set_profiler(nullptr);
-  const PhaseTimes& times = profiler.times();
+  executor.set_phase_times(nullptr);
 
   std::printf("dendrogram: root edge weight %.4f, height %d, skewness %.1f\n",
               dendro.weight[0], dendrogram::height(dendro), dendrogram::skewness(dendro));

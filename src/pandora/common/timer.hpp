@@ -7,7 +7,7 @@
 namespace pandora {
 
 /// Monotonic wall-clock stopwatch used by the benchmark harness and the
-/// phase instrumentation inside the dendrogram driver.
+/// phase guard (exec::ScopedPhase).
 class Timer {
  public:
   Timer() : start_(clock::now()) {}
@@ -26,11 +26,15 @@ class Timer {
 };
 
 /// Accumulates named phase timings (sort, contraction, expansion, ...).
-/// The paper reports per-phase breakdowns in Figures 12 and 13; every
-/// algorithm driver fills one of these so benches can print them directly.
+/// The paper reports per-phase breakdowns in Figures 12 and 13; install one
+/// on an Executor (`set_phase_times`) and every exec::ScopedPhase adds to it.
 class PhaseTimes {
  public:
-  void add(const std::string& phase, double seconds) { seconds_[phase] += seconds; }
+  void add(const std::string& phase, double seconds) { slot(phase) += seconds; }
+
+  /// The running total of `phase`, created at 0 on first use.  The reference
+  /// stays valid for the PhaseTimes' lifetime (std::map nodes never move).
+  [[nodiscard]] double& slot(const std::string& phase) { return seconds_[phase]; }
 
   [[nodiscard]] double get(const std::string& phase) const {
     auto it = seconds_.find(phase);
@@ -48,13 +52,5 @@ class PhaseTimes {
  private:
   std::map<std::string, double> seconds_;
 };
-
-/// Runs `f()` and records its duration under `phase`.
-template <class F>
-void timed_phase(PhaseTimes& times, const std::string& phase, F&& f) {
-  Timer t;
-  f();
-  times.add(phase, t.seconds());
-}
 
 }  // namespace pandora

@@ -51,58 +51,58 @@ void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& h
   const index_t num_levels = hierarchy.num_levels();
   exec::Workspace& workspace = exec.workspace();
 
-  Timer timer;
-  // Chain assignment: one entry per edge present in the hierarchy.
-  // (When expanding a sub-hierarchy — the single-level path — only some
-  // global indices are present; absent ones have contraction_level == kNone.)
-  auto present_lease = workspace.take_uninit<index_t>(n_global);
-  const std::span<index_t> present = present_lease.span();
-  exec::parallel_for(exec, n_global, [&](size_type g) {
-    present[static_cast<std::size_t>(g)] =
-        hierarchy.contraction_level[static_cast<std::size_t>(g)] != kNone ? 1 : 0;
-  });
-  auto slot_lease = workspace.take_uninit<index_t>(n_global);
-  const std::span<index_t> slot = slot_lease.span();
-  const index_t num_present =
-      exec::exclusive_scan<index_t>(exec, std::span<const index_t>(present), slot);
+  exec::Workspace::Lease<std::uint64_t> packed_lease;
+  {
+    const exec::ScopedPhase phase(exec, "expansion");
+    // Chain assignment: one entry per edge present in the hierarchy.
+    // (When expanding a sub-hierarchy — the single-level path — only some
+    // global indices are present; absent ones have contraction_level == kNone.)
+    auto present_lease = workspace.take_uninit<index_t>(n_global);
+    const std::span<index_t> present = present_lease.span();
+    exec::parallel_for(exec, n_global, [&](size_type g) {
+      present[static_cast<std::size_t>(g)] =
+          hierarchy.contraction_level[static_cast<std::size_t>(g)] != kNone ? 1 : 0;
+    });
+    auto slot_lease = workspace.take_uninit<index_t>(n_global);
+    const std::span<index_t> slot = slot_lease.span();
+    const index_t num_present =
+        exec::exclusive_scan<index_t>(exec, std::span<const index_t>(present), slot);
 
-  auto packed_lease = workspace.take_uninit<std::uint64_t>(num_present);
-  const std::span<std::uint64_t> packed = packed_lease.span();
-  exec::parallel_for(exec, n_global, [&](size_type gi) {
-    if (!present[static_cast<std::size_t>(gi)]) return;
-    const auto g = static_cast<index_t>(gi);
-    const index_t k = hierarchy.contraction_level[static_cast<std::size_t>(g)];
-    const index_t sv = hierarchy.supervertex[static_cast<std::size_t>(g)];
+    packed_lease = workspace.take_uninit<std::uint64_t>(num_present);
+    const std::span<std::uint64_t> packed = packed_lease.span();
+    exec::parallel_for(exec, n_global, [&](size_type gi) {
+      if (!present[static_cast<std::size_t>(gi)]) return;
+      const auto g = static_cast<index_t>(gi);
+      const index_t k = hierarchy.contraction_level[static_cast<std::size_t>(g)];
+      const index_t sv = hierarchy.supervertex[static_cast<std::size_t>(g)];
 
-    std::int64_t chain_key = kRootChain;
-    if (sv != kNone) {
-      // Scan levels upward for the first supervertex whose dendrogram parent
-      // is heavier (smaller global index) than g — Section 3.3.2.
-      index_t m = k + 1;
-      index_t vertex = sv;
-      for (;;) {
-        const ContractionLevel& level = hierarchy.levels[static_cast<std::size_t>(m)];
-        const std::int64_t sided = level.sided_parent[static_cast<std::size_t>(vertex)];
-        if (static_cast<index_t>(sided >> 1) < g) {
-          chain_key = sided;
-          break;
+      std::int64_t chain_key = kRootChain;
+      if (sv != kNone) {
+        // Scan levels upward for the first supervertex whose dendrogram
+        // parent is heavier (smaller global index) than g — Section 3.3.2.
+        index_t m = k + 1;
+        index_t vertex = sv;
+        for (;;) {
+          const ContractionLevel& level = hierarchy.levels[static_cast<std::size_t>(m)];
+          const std::int64_t sided = level.sided_parent[static_cast<std::size_t>(vertex)];
+          if (static_cast<index_t>(sided >> 1) < g) {
+            chain_key = sided;
+            break;
+          }
+          if (m + 1 >= num_levels) break;  // exhausted: root chain
+          vertex = level.vertex_map[static_cast<std::size_t>(vertex)];
+          ++m;
         }
-        if (m + 1 >= num_levels) break;  // exhausted: root chain
-        vertex = level.vertex_map[static_cast<std::size_t>(vertex)];
-        ++m;
       }
-    }
-    packed[static_cast<std::size_t>(slot[static_cast<std::size_t>(gi)])] = pack(chain_key, g);
-  });
-  exec.record_phase("expansion", timer.seconds());
-
-  timer.reset();
-  exec::radix_sort_u64(exec, packed);
-  exec.record_phase("sort", timer.seconds());
-
-  timer.reset();
-  stitch_chains(exec, packed, edge_parent);
-  exec.record_phase("expansion", timer.seconds());
+      packed[static_cast<std::size_t>(slot[static_cast<std::size_t>(gi)])] = pack(chain_key, g);
+    });
+  }
+  {
+    const exec::ScopedPhase phase(exec, "sort");
+    exec::radix_sort_u64(exec, packed_lease.span());
+  }
+  const exec::ScopedPhase phase(exec, "expansion");
+  stitch_chains(exec, packed_lease.span(), edge_parent);
 }
 
 void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
@@ -110,15 +110,15 @@ void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
   const index_t n = sorted.num_edges();
   exec::Workspace& workspace = exec.workspace();
 
-  Timer timer;
-  // Empty gid: the base level's edges carry their identity global indices.
-  detail::LevelResult base =
-      detail::contract_one_level(exec, sorted.u, sorted.v, {}, sorted.num_vertices);
-  exec.record_phase("contraction", timer.seconds());
+  detail::LevelResult base = [&] {
+    const exec::ScopedPhase phase(exec, "contraction");
+    // Empty gid: the base level's edges carry their identity global indices.
+    return detail::contract_one_level(exec, sorted.u, sorted.v, {}, sorted.num_vertices);
+  }();
 
   if (base.level.num_alpha == 0) {
     // Chain-only tree: the whole dendrogram is the root chain.
-    timer.reset();
+    const exec::ScopedPhase phase(exec, "expansion");
     auto packed_lease = workspace.take_uninit<std::uint64_t>(n);
     const std::span<std::uint64_t> packed = packed_lease.span();
     exec::parallel_for(exec, n, [&](size_type g) {
@@ -126,17 +126,16 @@ void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
     });
     exec::radix_sort_u64(exec, packed);
     stitch_chains(exec, packed, edge_parent);
-    exec.record_phase("expansion", timer.seconds());
     return;
   }
 
   // Full dendrogram of the α-MST via the multilevel machinery (the paper
   // computes it "recursively applying the same edge contraction strategy").
-  timer.reset();
-  ContractionHierarchy alpha_hierarchy =
-      build_hierarchy(exec, base.next_u, base.next_v, base.next_gid,
-                      base.next_num_vertices, n);
-  exec.record_phase("contraction", timer.seconds());
+  const ContractionHierarchy alpha_hierarchy = [&] {
+    const exec::ScopedPhase phase(exec, "contraction");
+    return build_hierarchy(exec, base.next_u, base.next_v, base.next_gid,
+                           base.next_num_vertices, n);
+  }();
   auto alpha_parent_lease = workspace.take<index_t>(n, kNone);
   const std::span<index_t> alpha_parent = alpha_parent_lease.span();
   expand_multilevel(exec, alpha_hierarchy, alpha_parent);
@@ -146,7 +145,7 @@ void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
   // final position: either an α-edge, or the α-vertex it was contracted into
   // when the walk stops at the very first step.  Encoding: edges as
   // themselves, α-vertex V as n + V.
-  timer.reset();
+  const exec::ScopedPhase phase(exec, "expansion");
   const std::span<const std::int64_t> sided1 = alpha_hierarchy.levels[0].sided_parent;
   const size_type n64 = n;
   auto packed_lease = workspace.take_uninit<std::uint64_t>(n - base.level.num_alpha);
@@ -220,7 +219,6 @@ void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
     if (base.alpha[static_cast<std::size_t>(i)] && !rewritten[static_cast<std::size_t>(i)])
       edge_parent[static_cast<std::size_t>(i)] = alpha_parent[static_cast<std::size_t>(i)];
   });
-  exec.record_phase("expansion", timer.seconds());
 }
 
 }  // namespace pandora::dendrogram

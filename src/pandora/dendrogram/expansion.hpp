@@ -21,8 +21,8 @@ namespace pandora::dendrogram {
 /// all others to their predecessor (the "sorting + stitching" step).
 ///
 /// Writes `edge_parent[g]` for every global edge g present in `hierarchy`;
-/// other entries are left untouched.  Phases recorded with the Executor's
-/// profiler: "expansion" (level scans + stitching), "sort" (the radix sort).
+/// other entries are left untouched.  Phases (exec::ScopedPhase):
+/// "expansion" (level scans + stitching), "sort" (the radix sort).
 void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& hierarchy,
                        std::span<index_t> edge_parent);
 

@@ -52,68 +52,72 @@ Dendrogram mixed_dendrogram(const exec::Executor& exec, const SortedEdges& sorte
   const auto cut = std::min<index_t>(
       n, std::max<index_t>(1, static_cast<index_t>(top_fraction * static_cast<double>(n))));
 
-  Timer timer;
-  // Subtree discovery: components of the light edges [cut, n).
-  graph::ConcurrentUnionFind components(nv);
-  exec::parallel_for(exec, static_cast<size_type>(n) - cut, [&](size_type k) {
-    const auto i = static_cast<index_t>(cut + k);
-    components.unite(sorted.u[static_cast<std::size_t>(i)],
-                     sorted.v[static_cast<std::size_t>(i)]);
-  });
-
-  // Bucket the light edges by component.  Edges are appended in descending
-  // rank order (ascending weight reversed), so each bucket ends up sorted the
-  // way the bottom-up pass consumes it (back() = lightest first).
-  auto component_of_lease = exec.workspace().take<index_t>(n, kNone);
-  const std::span<index_t> component_of = component_of_lease.span();
-  exec::parallel_for(exec, static_cast<size_type>(n) - cut, [&](size_type k) {
-    const auto i = static_cast<index_t>(cut + k);
-    component_of[static_cast<std::size_t>(i)] =
-        components.find(sorted.u[static_cast<std::size_t>(i)]);
-  });
-  std::vector<std::vector<index_t>> buckets(static_cast<std::size_t>(nv));
-  for (index_t i = n - 1; i >= cut; --i)
-    buckets[static_cast<std::size_t>(component_of[static_cast<std::size_t>(i)])].push_back(i);
+  std::vector<std::vector<index_t>> buckets;
   std::vector<index_t> roots;
-  for (index_t v = 0; v < nv; ++v)
-    if (!buckets[static_cast<std::size_t>(v)].empty()) roots.push_back(v);
-  exec.record_phase("split", timer.seconds());
+  {
+    const exec::ScopedPhase phase(exec, "split");
+    // Subtree discovery: components of the light edges [cut, n).
+    graph::ConcurrentUnionFind components(nv);
+    exec::parallel_for(exec, static_cast<size_type>(n) - cut, [&](size_type k) {
+      const auto i = static_cast<index_t>(cut + k);
+      components.unite(sorted.u[static_cast<std::size_t>(i)],
+                       sorted.v[static_cast<std::size_t>(i)]);
+    });
+
+    // Bucket the light edges by component.  Edges are appended in descending
+    // rank order (ascending weight reversed), so each bucket ends up sorted
+    // the way the bottom-up pass consumes it (back() = lightest first).
+    auto component_of_lease = exec.workspace().take<index_t>(n, kNone);
+    const std::span<index_t> component_of = component_of_lease.span();
+    exec::parallel_for(exec, static_cast<size_type>(n) - cut, [&](size_type k) {
+      const auto i = static_cast<index_t>(cut + k);
+      component_of[static_cast<std::size_t>(i)] =
+          components.find(sorted.u[static_cast<std::size_t>(i)]);
+    });
+    buckets.resize(static_cast<std::size_t>(nv));
+    for (index_t i = n - 1; i >= cut; --i)
+      buckets[static_cast<std::size_t>(component_of[static_cast<std::size_t>(i)])].push_back(i);
+    for (index_t v = 0; v < nv; ++v)
+      if (!buckets[static_cast<std::size_t>(v)].empty()) roots.push_back(v);
+  }
 
   // Phase 1: bottom-up per subtree, parallel over subtrees.  Shared state is
   // safe because subtrees are vertex-disjoint (see merge_edge).
-  timer.reset();
-  graph::UnionFind uf(nv);
-  std::vector<index_t> rep_edge(static_cast<std::size_t>(nv), kNone);
-  if (exec.num_threads() > 1) {
-    // One chunk per subtree, dynamically balanced across the backend's
-    // workers (bucket sizes are highly skewed).
-    auto subtree = [&](int b) {
-      const auto& bucket =
-          buckets[static_cast<std::size_t>(roots[static_cast<std::size_t>(b)])];
-      for (const index_t i : bucket) merge_edge(sorted, i, uf, rep_edge, dendrogram);
-    };
-    exec.run_chunks(static_cast<int>(roots.size()), exec.num_threads(), subtree);
-  } else {
-    for (const index_t root : roots)
-      for (const index_t i : buckets[static_cast<std::size_t>(root)])
-        merge_edge(sorted, i, uf, rep_edge, dendrogram);
+  graph::UnionFind uf(0);
+  std::vector<index_t> rep_edge;
+  {
+    const exec::ScopedPhase phase(exec, "subtrees");
+    uf = graph::UnionFind(nv);
+    rep_edge.assign(static_cast<std::size_t>(nv), kNone);
+    if (exec.num_threads() > 1) {
+      // One chunk per subtree, dynamically balanced across the backend's
+      // workers (bucket sizes are highly skewed).
+      auto subtree = [&](int b) {
+        const auto& bucket =
+            buckets[static_cast<std::size_t>(roots[static_cast<std::size_t>(b)])];
+        for (const index_t i : bucket) merge_edge(sorted, i, uf, rep_edge, dendrogram);
+      };
+      exec.run_chunks(static_cast<int>(roots.size()), exec.num_threads(), subtree);
+    } else {
+      for (const index_t root : roots)
+        for (const index_t i : buckets[static_cast<std::size_t>(root)])
+          merge_edge(sorted, i, uf, rep_edge, dendrogram);
+    }
   }
-  exec.record_phase("subtrees", timer.seconds());
 
   // Phase 2: stitch the withheld top edges, lightest first — the same
   // bottom-up recurrence continued over the whole tree.
-  timer.reset();
+  const exec::ScopedPhase phase(exec, "stitch");
   for (index_t i = cut - 1; i >= 0; --i) merge_edge(sorted, i, uf, rep_edge, dendrogram);
-  exec.record_phase("stitch", timer.seconds());
   return dendrogram;
 }
 
 Dendrogram mixed_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
                             index_t num_vertices, double top_fraction) {
-  Timer timer;
-  const std::shared_ptr<const SortedEdges> sorted =
-      sorted_edges_cached(exec, mst, num_vertices);
-  exec.record_phase("sort", timer.seconds());
+  const std::shared_ptr<const SortedEdges> sorted = [&] {
+    const exec::ScopedPhase phase(exec, "sort");
+    return sorted_edges_cached(exec, mst, num_vertices);
+  }();
   return mixed_dendrogram(exec, *sorted, top_fraction);
 }
 

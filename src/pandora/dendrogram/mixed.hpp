@@ -24,8 +24,8 @@ namespace pandora::dendrogram {
 /// parallel phase degenerates to the sequential baseline (the load-imbalance
 /// argument of Section 2.3.3).
 ///
-/// Phases recorded with the Executor's profiler: "split", "subtrees",
-/// "stitch" (and "sort" for the EdgeList overload).
+/// Phases (exec::ScopedPhase): "split", "subtrees", "stitch" (and "sort"
+/// for the EdgeList overload).
 [[nodiscard]] Dendrogram mixed_dendrogram(const exec::Executor& exec,
                                           const SortedEdges& sorted,
                                           double top_fraction = 0.1);
@@ -36,7 +36,7 @@ namespace pandora::dendrogram {
                                           double top_fraction = 0.1);
 
 // The deprecated bare-`Space` shims were removed after their deprecation
-// cycle: pass a `const exec::Executor&` (and a PhaseTimesProfiler for the
-// old `PhaseTimes*` plumbing).
+// cycle: pass a `const exec::Executor&` (and install a PhaseTimes sink with
+// `executor.set_phase_times` for the old `PhaseTimes*` plumbing).
 
 }  // namespace pandora::dendrogram

@@ -46,11 +46,12 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
     return;
   }
 
-  Timer timer;
-  // The base level's global indices are the identity, so no gid iota is ever
-  // materialised (the contraction reads the loop index directly).
-  ContractionHierarchy hierarchy = build_hierarchy(exec, sorted.u, sorted.v, {}, nv, n);
-  exec.record_phase("contraction", timer.seconds());
+  const ContractionHierarchy hierarchy = [&] {
+    const exec::ScopedPhase phase(exec, "contraction");
+    // The base level's global indices are the identity, so no gid iota is
+    // ever materialised (the contraction reads the loop index directly).
+    return build_hierarchy(exec, sorted.u, sorted.v, {}, nv, n);
+  }();
 
   expand_multilevel(exec, hierarchy, edge_parent);
 
@@ -65,10 +66,10 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
 void pandora_dendrogram_into(const exec::Executor& exec, const graph::EdgeList& mst,
                              index_t num_vertices, const PandoraOptions& options,
                              Dendrogram& out) {
-  Timer timer;
-  const std::shared_ptr<const SortedEdges> sorted =
-      sorted_edges_cached(exec, mst, num_vertices, options.validate_input);
-  exec.record_phase("sort", timer.seconds());
+  const std::shared_ptr<const SortedEdges> sorted = [&] {
+    const exec::ScopedPhase phase(exec, "sort");
+    return sorted_edges_cached(exec, mst, num_vertices, options.validate_input);
+  }();
   pandora_dendrogram_into(exec, *sorted, options, out);
 }
 

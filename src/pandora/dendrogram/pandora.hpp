@@ -33,7 +33,7 @@ struct PandoraOptions {
 /// storage — a second identical call on a warm Executor performs no heap
 /// allocation at all.
 ///
-/// Phases recorded with the Executor's profiler: "sort" (initial edge sort +
+/// Phases (exec::ScopedPhase): "sort" (initial edge sort +
 /// chain radix sort), "contraction" (multilevel tree contraction),
 /// "expansion" (chain assignment + stitching).
 [[nodiscard]] Dendrogram pandora_dendrogram(const exec::Executor& exec,
@@ -69,7 +69,7 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
 
 // The deprecated bare-`Space` shims (`pandora_dendrogram(mst, n, options,
 // times)`) were removed after their deprecation cycle: pass a
-// `const exec::Executor&` and, for the old `PhaseTimes*` plumbing, attach a
-// `PhaseTimesProfiler` (see exec::ScopedPhaseTimes).
+// `const exec::Executor&` and, for the old `PhaseTimes*` plumbing, install a
+// sink with `executor.set_phase_times(&times)`.
 
 }  // namespace pandora::dendrogram

@@ -15,7 +15,7 @@ Dendrogram union_find_dendrogram(const exec::Executor& exec, const SortedEdges& 
   dendrogram.edge_order = sorted.order;
   dendrogram.parent.assign(static_cast<std::size_t>(n) + static_cast<std::size_t>(nv), kNone);
 
-  Timer timer;
+  const exec::ScopedPhase phase(exec, "dendrogram");
   graph::UnionFind uf(nv);
   // rep_edge[root]: the most recent (lightest-processed-so-far) edge that
   // merged the component rooted at `root`; it is the component's current
@@ -38,16 +38,15 @@ Dendrogram union_find_dendrogram(const exec::Executor& exec, const SortedEdges& 
     uf.unite(eu, ev);
     rep_edge[static_cast<std::size_t>(uf.find(eu))] = i;
   }
-  exec.record_phase("dendrogram", timer.seconds());
   return dendrogram;
 }
 
 Dendrogram union_find_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
                                  index_t num_vertices, bool validate_input) {
-  Timer timer;
-  const std::shared_ptr<const SortedEdges> sorted =
-      sorted_edges_cached(exec, mst, num_vertices, validate_input);
-  exec.record_phase("sort", timer.seconds());
+  const std::shared_ptr<const SortedEdges> sorted = [&] {
+    const exec::ScopedPhase phase(exec, "sort");
+    return sorted_edges_cached(exec, mst, num_vertices, validate_input);
+  }();
   return union_find_dendrogram(exec, *sorted);
 }
 

@@ -19,8 +19,7 @@ namespace pandora::dendrogram {
 /// which is precisely the parallelisation obstacle PANDORA removes
 /// (Section 2.3.2).
 ///
-/// Phases recorded with the Executor's profiler: "sort" (EdgeList overload),
-/// "dendrogram".
+/// Phases (exec::ScopedPhase): "sort" (EdgeList overload), "dendrogram".
 [[nodiscard]] Dendrogram union_find_dendrogram(const exec::Executor& exec,
                                                const SortedEdges& sorted);
 

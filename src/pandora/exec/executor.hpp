@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -9,6 +10,7 @@
 #include <mutex>
 #include <new>
 #include <span>
+#include <string>
 #include <string_view>
 #include <type_traits>
 #include <typeinfo>
@@ -36,11 +38,11 @@
 /// budget, (c) a reusable `Workspace` arena — allocating through the
 /// backend's `MemoryResource` — that amortises scratch-buffer allocations
 /// across repeated dendrogram / HDBSCAN* calls on same-sized inputs, (d) an
-/// optional `Profiler` hook that subsumes the old `PhaseTimes*`
-/// out-parameters, (e) the edge-sort algorithm selection (key-packed radix
-/// by default, comparison merge as the fallback), and (f) an `ArtifactCache`
-/// that lets upper layers reuse derived artifacts (e.g. the canonical
-/// SortedEdges of an MST) across calls.  Every kernel takes a
+/// optional `PhaseTimes` sink that every `ScopedPhase` adds its seconds to,
+/// (e) the edge-sort algorithm selection (key-packed radix by default,
+/// comparison merge as the fallback), and (f) an `ArtifactCache` that lets
+/// upper layers reuse derived artifacts (e.g. the canonical SortedEdges of an
+/// MST) across calls.  Every kernel takes a
 /// `const Executor&`.  (The old two-value `Space` enum and its bare-`Space`
 /// shims are fully retired; see the README migration table.)
 namespace pandora::exec {
@@ -94,6 +96,28 @@ inline obs::Counter& cache_evictions_metric() {
 inline obs::Gauge& cache_pinned_metric() {
   static obs::Gauge& metric = obs::registry().gauge("pandora_cache_pinned_slots");
   return metric;
+}
+
+/// The phases the library times: the HDBSCAN* stages, the paper's Figs.
+/// 12-13 dendrogram phases, and the baselines' own.
+inline constexpr std::array<std::string_view, 12> kPhaseNames = {
+    "tree_build", "core_distance", "mst",        "sort",  "contraction", "expansion",
+    "condense",   "extract",       "dendrogram", "split", "subtrees",    "stitch"};
+
+/// `pandora_phase_seconds{phase="<phase>"}`; `phase` must be one of
+/// kPhaseNames.  All twelve handles register on first use.
+inline obs::Histogram& phase_seconds_metric(std::string_view phase) {
+  static const std::array<obs::Histogram*, kPhaseNames.size()> metrics = [] {
+    std::array<obs::Histogram*, kPhaseNames.size()> out{};
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = &obs::registry().histogram("pandora_phase_seconds{phase=\"" +
+                                          std::string(kPhaseNames[i]) + "\"}");
+    }
+    return out;
+  }();
+  const auto* it = std::find(kPhaseNames.begin(), kPhaseNames.end(), phase);
+  PANDORA_EXPECT(it != kPhaseNames.end(), "unknown phase name");
+  return *metrics[static_cast<std::size_t>(it - kPhaseNames.begin())];
 }
 
 }  // namespace detail
@@ -585,56 +609,6 @@ class ArtifactCache {
   std::atomic<std::size_t> tenant_quota_{0};
 };
 
-/// Receives per-phase timings from the library's drivers ("sort",
-/// "contraction", "expansion", "mst", ...).  Attach one to an Executor to
-/// observe a pipeline; this subsumes the old `PhaseTimes*` out-parameters.
-class Profiler {
- public:
-  virtual ~Profiler() = default;
-  virtual void on_phase(std::string_view phase, double seconds) = 0;
-};
-
-/// A Profiler accumulating into a PhaseTimes (owned or external), optionally
-/// chaining to another profiler so nested scopes all observe the phases.
-///
-/// Single-thread contract: PhaseTimes is a plain std::map, so `on_phase`
-/// must never run concurrently with itself — attach one PhaseTimesProfiler
-/// to one executor at a time and never share it across batch-slot executors
-/// running in parallel (each slot gets its own, or none).  Sequential use
-/// from different threads (e.g. a batch that runs jobs one after another on
-/// worker threads) is fine.  Violations are detected with a busy flag and
-/// fail loudly (std::invalid_argument) instead of racing the map.
-class PhaseTimesProfiler final : public Profiler {
- public:
-  PhaseTimesProfiler() = default;
-  explicit PhaseTimesProfiler(PhaseTimes* sink, Profiler* next = nullptr)
-      : sink_(sink), next_(next) {}
-
-  void on_phase(std::string_view phase, double seconds) override {
-    PANDORA_EXPECT(!busy_.exchange(true, std::memory_order_acquire),
-                   "PhaseTimesProfiler::on_phase called from two threads at once; "
-                   "PhaseTimes is unsynchronized — give each concurrent executor "
-                   "its own profiler");
-    struct Unbusy {
-      std::atomic<bool>& flag;
-      ~Unbusy() { flag.store(false, std::memory_order_release); }
-    } unbusy{busy_};
-    times().add(std::string(phase), seconds);
-    if (next_ != nullptr) next_->on_phase(phase, seconds);
-  }
-
-  [[nodiscard]] PhaseTimes& times() noexcept { return sink_ != nullptr ? *sink_ : own_; }
-  [[nodiscard]] const PhaseTimes& times() const noexcept {
-    return sink_ != nullptr ? *sink_ : own_;
-  }
-
- private:
-  PhaseTimes own_;
-  PhaseTimes* sink_ = nullptr;
-  Profiler* next_ = nullptr;
-  std::atomic<bool> busy_{false};  ///< concurrent-misuse detector (see above)
-};
-
 /// Which algorithm runs the initial descending-(weight, id) edge sort of
 /// Section 3.1.1.  The key-packed radix path is the default (and is asserted
 /// bit-identical to the comparison sort by the equivalence tests); the merge
@@ -648,7 +622,7 @@ enum class EdgeSortAlgorithm {
 ///
 /// Cheap to construct, but meant to be constructed once and reused: the
 /// workspace arena and artifact cache only pay off across repeated calls.
-/// The workspace, profiler, cache and algorithm selections are logically part
+/// The workspace, phase sink, cache and algorithm selections are logically part
 /// of the execution *context*, not the kernel inputs, so they are mutable
 /// behind the const interface (exactly like Kokkos execution-space instances,
 /// whose scratch arenas are mutable too).
@@ -729,7 +703,7 @@ class Executor {
   /// ArtifactCache::Owner).  Defaults to untagged; the snapshot tier sets the
   /// pin group for the duration of a pinned read, the batch serving layer
   /// sets the tenant for the duration of a job.  Mutable behind const like
-  /// the profiler: it is execution *context*, not kernel input.
+  /// the phase sink: it is execution *context*, not kernel input.
   [[nodiscard]] ArtifactCache::Owner cache_owner() const noexcept { return cache_owner_; }
   void set_cache_owner(ArtifactCache::Owner owner) const noexcept { cache_owner_ = owner; }
 
@@ -748,7 +722,7 @@ class Executor {
   /// The installed cancellation token (nullptr = not cancellable).
   /// Non-owning; the token must outlive its installation.  Installed via
   /// `ScopedCancellation` by the Pipeline / batch layers; mutable behind
-  /// const like the profiler — it is execution context, not kernel input.
+  /// const like the phase sink — it is execution context, not kernel input.
   [[nodiscard]] const CancellationToken* cancellation_token() const noexcept {
     return cancellation_;
   }
@@ -795,38 +769,21 @@ class Executor {
     if (token->cancelled()) throw_cancelled(*token);
   }
 
-  /// The attached profiler, or nullptr.  Non-owning.
-  [[nodiscard]] Profiler* profiler() const noexcept { return profiler_; }
-  void set_profiler(Profiler* profiler) const noexcept { profiler_ = profiler; }
+  /// The installed PhaseTimes sink, or nullptr.  Non-owning.  Every
+  /// `ScopedPhase` on this executor adds its seconds to it.  PhaseTimes is
+  /// unsynchronized, so a sink serves one executor at a time: never install
+  /// one sink on executors that run concurrently (e.g. batch slots).
+  /// `hdbscan()` installs its own `result.times` for the duration of the
+  /// call and restores this sink afterwards.
+  [[nodiscard]] PhaseTimes* phase_times() const noexcept { return phase_times_; }
+  void set_phase_times(PhaseTimes* sink) const noexcept { phase_times_ = sink; }
 
   /// The attached trace recorder, or nullptr (tracing off).  Non-owning;
-  /// installed via `ScopedTrace`, mutable behind const like the profiler.
-  /// When set, `phase` and `run_chunks` record spans into it.
+  /// installed via `ScopedTrace`, mutable behind const like the phase sink.
+  /// When set, `ScopedPhase`, `ScopedSpan` and `run_chunks` record spans
+  /// into it.
   [[nodiscard]] obs::TraceRecorder* trace_recorder() const noexcept { return trace_; }
   void set_trace_recorder(obs::TraceRecorder* recorder) const noexcept { trace_ = recorder; }
-
-  /// Record a phase duration with the attached profiler (no-op when none).
-  void record_phase(std::string_view phase, double seconds) const {
-    if (profiler_ != nullptr) profiler_->on_phase(phase, seconds);
-  }
-
-  /// Run `f()` and record its duration under `phase`: with the attached
-  /// profiler as a phase time, with the attached trace recorder as a span.
-  /// With neither attached this is one branch around `f()`.
-  template <class F>
-  void phase(std::string_view phase_name, F&& f) const {
-    if (profiler_ == nullptr && trace_ == nullptr) {
-      f();
-      return;
-    }
-    obs::TraceRecorder* const recorder = trace_;
-    const std::uint64_t span_start = recorder != nullptr ? recorder->now_ns() : 0;
-    Timer timer;
-    f();
-    const double seconds = timer.seconds();
-    if (recorder != nullptr) recorder->record(phase_name, span_start, recorder->now_ns());
-    if (profiler_ != nullptr) profiler_->on_phase(phase_name, seconds);
-  }
 
  private:
   std::shared_ptr<const Backend> backend_;
@@ -835,7 +792,7 @@ class Executor {
   mutable ArtifactCache artifact_cache_;
   mutable ArtifactCache* shared_cache_ = nullptr;
   mutable ArtifactCache::Owner cache_owner_{};
-  mutable Profiler* profiler_ = nullptr;
+  mutable PhaseTimes* phase_times_ = nullptr;
   mutable obs::TraceRecorder* trace_ = nullptr;
   mutable EdgeSortAlgorithm edge_sort_ = EdgeSortAlgorithm::radix;
   mutable bool artifact_caching_ = true;
@@ -853,10 +810,6 @@ class Executor {
 /// singletons of backend.hpp always do).
 [[nodiscard]] const Executor& default_executor(const std::shared_ptr<const Backend>& backend);
 
-/// Scope guard bridging the old `PhaseTimes*` out-params to the profiler
-/// hook: installs a PhaseTimesProfiler writing to `times` (chained to any
-/// profiler already attached) for the guard's lifetime.  With a null `times`
-/// the guard does nothing.
 /// Scope guard installing a cache-owner tag on an executor for the duration
 /// of a scope (a pinned snapshot read, a tenant's batch job), restoring the
 /// previous tag on exit so nested scopes compose.
@@ -943,20 +896,36 @@ class ScopedSpan {
   std::uint64_t start_ns_;
 };
 
-class ScopedPhaseTimes {
+/// RAII guard over one algorithm phase (`phase` is one of
+/// detail::kPhaseNames).  When it ends — normally or by unwinding — it
+/// records a `ScopedSpan` (only with a recorder installed), observes
+/// `pandora_phase_seconds{phase=...}`, and adds the seconds to the
+/// executor's PhaseTimes sink when one is installed.  Phase scopes never
+/// overlap, so each sink total sums disjoint work.  The constructor resolves
+/// the histogram and the sink's slot (a sink's first use of a phase
+/// allocates its map node), so ending a phase takes no lock, allocates
+/// nothing and cannot throw.
+class ScopedPhase {
  public:
-  ScopedPhaseTimes(const Executor& executor, PhaseTimes* times)
-      : executor_(executor), saved_(executor.profiler()), adapter_(times, executor.profiler()) {
-    if (times != nullptr) executor_.set_profiler(&adapter_);
+  ScopedPhase(const Executor& executor, std::string_view phase)
+      : metric_(detail::phase_seconds_metric(phase)),
+        sink_slot_(executor.phase_times() != nullptr
+                       ? &executor.phase_times()->slot(std::string(phase))
+                       : nullptr),
+        span_(executor, phase) {}
+  ScopedPhase(const ScopedPhase&) = delete;
+  ScopedPhase& operator=(const ScopedPhase&) = delete;
+  ~ScopedPhase() {
+    const double seconds = timer_.seconds();
+    metric_.observe(seconds);
+    if (sink_slot_ != nullptr) *sink_slot_ += seconds;
   }
-  ScopedPhaseTimes(const ScopedPhaseTimes&) = delete;
-  ScopedPhaseTimes& operator=(const ScopedPhaseTimes&) = delete;
-  ~ScopedPhaseTimes() { executor_.set_profiler(saved_); }
 
  private:
-  const Executor& executor_;
-  Profiler* saved_;
-  PhaseTimesProfiler adapter_;
+  obs::Histogram& metric_;
+  double* sink_slot_;
+  ScopedSpan span_;
+  Timer timer_;  ///< last member: the clock starts once the guard is set up
 };
 
 }  // namespace pandora::exec

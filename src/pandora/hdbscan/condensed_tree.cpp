@@ -1,7 +1,5 @@
 #include "pandora/hdbscan/condensed_tree.hpp"
 
-#include "pandora/common/timer.hpp"
-
 #include <algorithm>
 #include <limits>
 #include <vector>
@@ -275,10 +273,8 @@ FlatClustering extract_clusters(const CondensedTree& tree, bool allow_single_clu
 CondensedTree build_condensed_tree(const exec::Executor& exec,
                                    const dendrogram::Dendrogram& dendrogram,
                                    index_t min_cluster_size) {
-  Timer timer;
-  CondensedTree tree = build_condensed_tree(dendrogram, min_cluster_size);
-  exec.record_phase("condense", timer.seconds());
-  return tree;
+  const exec::ScopedPhase phase(exec, "condense");
+  return build_condensed_tree(dendrogram, min_cluster_size);
 }
 
 }  // namespace pandora::hdbscan

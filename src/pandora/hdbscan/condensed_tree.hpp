@@ -45,7 +45,7 @@ struct CondensedTree {
                                                  index_t min_cluster_size);
 
 /// Executor overload for API uniformity; the walk is sequential today, but
-/// the "condense" phase is recorded with the executor's profiler.
+/// the walk is timed as the "condense" phase (exec::ScopedPhase).
 [[nodiscard]] CondensedTree build_condensed_tree(const exec::Executor& exec,
                                                  const dendrogram::Dendrogram& dendrogram,
                                                  index_t min_cluster_size);

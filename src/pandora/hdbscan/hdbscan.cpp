@@ -34,9 +34,14 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
                                        std::optional<std::uint64_t> points_fp) {
   PANDORA_EXPECT(points.size() > 0, "need at least one point");
   HdbscanResult result;
-  // Capture every phase in result.times, chaining to any profiler the caller
-  // attached to the executor (so both observers see the same breakdown).
-  exec::ScopedPhaseTimes scope(exec, &result.times);
+  // Every phase below lands in result.times; the caller's sink (if any)
+  // comes back when the call ends.
+  struct RestoreSink {
+    const exec::Executor& exec;
+    PhaseTimes* saved;
+    ~RestoreSink() { exec.set_phase_times(saved); }
+  } restore{exec, exec.phase_times()};
+  exec.set_phase_times(&result.times);
 
   // The kd-tree and per-mpts core distances go through the Executor's
   // ArtifactCache: repeated queries against one point set (and mpts sweeps,
@@ -46,33 +51,35 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
   if (exec.artifact_caching() && !points_fp)
     points_fp = spatial::point_set_fingerprint(exec, points);
 
-  Timer timer;
-  const std::shared_ptr<const spatial::KdTree> tree =
-      spatial::kdtree_cached(exec, points, 32, points_fp);
-  exec.record_phase("tree_build", timer.seconds());
+  const std::shared_ptr<const spatial::KdTree> tree = [&] {
+    const exec::ScopedPhase phase(exec, "tree_build");
+    return spatial::kdtree_cached(exec, points, 32, points_fp);
+  }();
 
-  timer.reset();
-  if (exec.artifact_caching()) {
-    const std::shared_ptr<const std::vector<double>> core =
-        core_distances_cached(exec, points, *tree, options.min_pts, points_fp);
-    result.core_distances = *core;
-  } else {
-    result.core_distances = core_distances(exec, points, *tree, options.min_pts);
+  {
+    const exec::ScopedPhase phase(exec, "core_distance");
+    if (exec.artifact_caching()) {
+      const std::shared_ptr<const std::vector<double>> core =
+          core_distances_cached(exec, points, *tree, options.min_pts, points_fp);
+      result.core_distances = *core;
+    } else {
+      result.core_distances = core_distances(exec, points, *tree, options.min_pts);
+    }
   }
-  exec.record_phase("core_distance", timer.seconds());
 
-  timer.reset();
-  if (exec.artifact_caching()) {
-    const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-        exec, points, *tree, result.core_distances, options.min_pts, points_fp);
-    // Copy-out is the price of keeping HdbscanResult::mst a plain value: one
-    // O(E) memcpy, well under a millesimal of the Borůvka build it replaces
-    // on a warm hit.
-    result.mst = *mst;
-  } else {
-    result.mst = spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances);
+  {
+    const exec::ScopedPhase phase(exec, "mst");
+    if (exec.artifact_caching()) {
+      const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
+          exec, points, *tree, result.core_distances, options.min_pts, points_fp);
+      // Copy-out is the price of keeping HdbscanResult::mst a plain value: one
+      // O(E) memcpy, well under a millesimal of the Borůvka build it replaces
+      // on a warm hit.
+      result.mst = *mst;
+    } else {
+      result.mst = spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances);
+    }
   }
-  exec.record_phase("mst", timer.seconds());
 
   if (options.dendrogram_algorithm == DendrogramAlgorithm::pandora) {
     result.dendrogram = dendrogram::pandora_dendrogram(exec, result.mst, points.size());
@@ -83,11 +90,12 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
   result.condensed_tree =
       build_condensed_tree(exec, result.dendrogram, options.min_cluster_size);
 
-  timer.reset();
-  FlatClustering flat = extract_with(result.condensed_tree, options);
-  result.labels = std::move(flat.labels);
-  result.num_clusters = flat.num_clusters;
-  exec.record_phase("extract", timer.seconds());
+  {
+    const exec::ScopedPhase phase(exec, "extract");
+    FlatClustering flat = extract_with(result.condensed_tree, options);
+    result.labels = std::move(flat.labels);
+    result.num_clusters = flat.num_clusters;
+  }
   return result;
 }
 

@@ -39,9 +39,10 @@ struct HdbscanResult {
   CondensedTree condensed_tree;
   std::vector<index_t> labels;            ///< per point; kNone = noise
   index_t num_clusters = 0;
-  /// Phases: "core_distance", "mst", "sort"/"contraction"/"expansion" (or
-  /// "dendrogram" for the union-find baseline), "condense", "extract".
-  /// Also forwarded to any Profiler attached to the Executor.
+  /// Phases: "tree_build", "core_distance", "mst", "sort"/"contraction"/
+  /// "expansion" (or "dendrogram" for the union-find baseline), "condense",
+  /// "extract".  hdbscan() installs this as the Executor's PhaseTimes sink
+  /// for the duration of the call; the caller's own sink does not see them.
   PhaseTimes times;
 };
 

@@ -36,7 +36,7 @@ namespace pandora {
 /// terminal call) and plain option values; it is cheap to copy and every
 /// `with_*` returns *this for chaining.  Terminal operations delegate to the
 /// Executor-based free functions, so repeated calls on one executor reuse
-/// its workspace arena and report phases to its profiler.
+/// its workspace arena and report phases to its PhaseTimes sink.
 class Pipeline {
  public:
   [[nodiscard]] static Pipeline on(const exec::Executor& executor) { return Pipeline(executor); }

@@ -103,14 +103,14 @@ TEST(UnionFindDendrogram, PhaseTimesAreRecorded) {
   pandora::Rng rng(5);
   graph::EdgeList tree = data::random_attachment_tree(5000, rng);
   data::assign_random_weights(tree, rng);
-  // The Profiler hook subsumes the old PhaseTimes* out-params.
+  // A PhaseTimes sink on the executor replaces the old PhaseTimes* out-params.
   const exec::Executor executor(exec::default_backend());
-  exec::PhaseTimesProfiler profiler;
-  executor.set_profiler(&profiler);
+  PhaseTimes times;
+  executor.set_phase_times(&times);
   (void)dendrogram::union_find_dendrogram(executor, tree, 5000);
-  executor.set_profiler(nullptr);
-  EXPECT_GT(profiler.times().get("sort"), 0.0);
-  EXPECT_GT(profiler.times().get("dendrogram"), 0.0);
+  executor.set_phase_times(nullptr);
+  EXPECT_GT(times.get("sort"), 0.0);
+  EXPECT_GT(times.get("dendrogram"), 0.0);
 }
 
 }  // namespace

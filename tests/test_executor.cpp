@@ -1,10 +1,11 @@
 // The Executor execution context: workspace arena semantics (lease recycling,
 // allocation stats, determinism of reuse), thread budget resolution, and the
-// Profiler hook that subsumes the old PhaseTimes* out-params.
+// PhaseTimes sink every exec::ScopedPhase adds to.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -168,50 +169,39 @@ TEST(Executor, ParallelizeRespectsGrainBackendAndBudget) {
   EXPECT_TRUE(parallel.parallelize(exec::kParallelForGrain));
 }
 
-TEST(Executor, RecordPhaseWithoutProfilerIsANoop) {
+TEST(Executor, ScopedPhaseAddsToTheInstalledSink) {
   const exec::Executor executor(exec::serial_backend());
-  EXPECT_EQ(executor.profiler(), nullptr);
-  executor.record_phase("anything", 1.0);  // must not crash
+  EXPECT_EQ(executor.phase_times(), nullptr);
+  { const exec::ScopedPhase phase(executor, "sort"); }  // no sink: must not crash
+  PhaseTimes times;
+  executor.set_phase_times(&times);
+  { const exec::ScopedPhase phase(executor, "sort"); }
+  { const exec::ScopedPhase phase(executor, "sort"); }
+  { const exec::ScopedPhase phase(executor, "expansion"); }
+  executor.set_phase_times(nullptr);
+  EXPECT_EQ(times.all().size(), 2u);
+  EXPECT_GE(times.get("sort"), 0.0);
+  EXPECT_EQ(times.all().count("expansion"), 1u);
 }
 
-TEST(Executor, ProfilerReceivesPhases) {
+TEST(Executor, ScopedPhaseRejectsUnknownPhaseNames) {
   const exec::Executor executor(exec::serial_backend());
-  exec::PhaseTimesProfiler profiler;
-  executor.set_profiler(&profiler);
-  executor.record_phase("alpha", 0.25);
-  executor.record_phase("alpha", 0.25);
-  executor.phase("beta", [] {});
-  executor.set_profiler(nullptr);
-  EXPECT_DOUBLE_EQ(profiler.times().get("alpha"), 0.5);
-  EXPECT_GE(profiler.times().get("beta"), 0.0);
-  EXPECT_EQ(profiler.times().all().count("beta"), 1u);
+  EXPECT_THROW(exec::ScopedPhase(executor, "alpha"), std::invalid_argument);
 }
 
-TEST(Executor, ScopedPhaseTimesChainsAndRestores) {
-  const exec::Executor executor(exec::serial_backend());
-  exec::PhaseTimesProfiler outer;
-  executor.set_profiler(&outer);
-  PhaseTimes inner;
-  {
-    exec::ScopedPhaseTimes scope(executor, &inner);
-    executor.record_phase("x", 1.0);
-  }
-  executor.set_profiler(nullptr);
-  // Both the scoped sink and the previously attached profiler observed "x".
-  EXPECT_DOUBLE_EQ(inner.get("x"), 1.0);
-  EXPECT_DOUBLE_EQ(outer.times().get("x"), 1.0);
-}
-
-TEST(Executor, ScopedPhaseTimesWithNullSinkIsTransparent) {
-  const exec::Executor executor(exec::serial_backend());
-  exec::PhaseTimesProfiler outer;
-  executor.set_profiler(&outer);
-  {
-    exec::ScopedPhaseTimes scope(executor, nullptr);
-    executor.record_phase("y", 2.0);
-  }
-  executor.set_profiler(nullptr);
-  EXPECT_DOUBLE_EQ(outer.times().get("y"), 2.0);
+TEST(Executor, PhaseSinkSeesThePandoraPhases) {
+  // The retired pandora_dendrogram(mst, n, options, &times) out-param maps to
+  // a sink installed on the executor; the phases arrive as it delivered them.
+  const graph::EdgeList tree = make_tree(Topology::random_attach, 8000, 7, 0);
+  const exec::Executor executor;
+  PhaseTimes times;
+  executor.set_phase_times(&times);
+  const dendrogram::Dendrogram d = dendrogram::pandora_dendrogram(executor, tree, 8000);
+  executor.set_phase_times(nullptr);
+  EXPECT_GT(times.get("sort"), 0.0);
+  EXPECT_GT(times.get("contraction"), 0.0);
+  EXPECT_GT(times.get("expansion"), 0.0);
+  EXPECT_EQ(d.num_edges, 7999);
 }
 
 TEST(Executor, RepeatedDendrogramsAllocateNothingAfterWarmup) {

@@ -210,4 +210,16 @@ TEST(Hdbscan, PhaseTimesCoverThePipeline) {
             0.0);
 }
 
+TEST(Hdbscan, PhaseTimesRouteToTheResultAndRestoreTheCallersSink) {
+  const PointSet points = data::uniform_points(2000, 3, 16);
+  const exec::Executor executor(exec::serial_backend());
+  PhaseTimes caller;
+  executor.set_phase_times(&caller);
+  const HdbscanResult result = hdbscan::hdbscan(executor, points, {});
+  EXPECT_EQ(executor.phase_times(), &caller);
+  executor.set_phase_times(nullptr);
+  EXPECT_TRUE(caller.all().empty()) << "hdbscan() phases belong to result.times";
+  EXPECT_GT(result.times.get("mst"), 0.0);
+}
+
 }  // namespace

@@ -47,11 +47,10 @@ TEST_P(MixedSweep, MatchesUnionFindExactly) {
 TEST(Mixed, PhaseTimesSplitSubtreesStitch) {
   const graph::EdgeList tree = make_tree(Topology::random_attach, 50000, 1);
   const exec::Executor executor(exec::default_backend());
-  exec::PhaseTimesProfiler profiler;
-  executor.set_profiler(&profiler);
+  PhaseTimes times;
+  executor.set_phase_times(&times);
   (void)dendrogram::mixed_dendrogram(executor, tree, 50000, 0.1);
-  executor.set_profiler(nullptr);
-  const PhaseTimes& times = profiler.times();
+  executor.set_phase_times(nullptr);
   EXPECT_GT(times.get("sort"), 0.0);
   EXPECT_GT(times.get("split"), 0.0);
   EXPECT_GT(times.get("subtrees"), 0.0);

@@ -10,11 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/pandora.hpp"
+#include "pandora/hdbscan/hdbscan.hpp"
 #include "pandora/obs/metrics.hpp"
 #include "pandora/obs/trace.hpp"
 #include "pandora/pipeline.hpp"
@@ -284,9 +289,9 @@ TEST(Observability, WarmSpanRecordingAllocatesNothing) {
 
 TEST(Observability, WarmPipelineWithTracingAndMetricsAllocatesNothing) {
   // The composition gate: a steady-state dendrogram build with the metric
-  // handles live AND a trace recorder installed (phase spans, run_chunks
-  // spans, workspace/cache counters all firing) still never touches the
-  // heap.  This is the claim that lets instrumentation stay always-on.
+  // handles live AND a trace recorder installed (phase spans and phase
+  // histograms, run_chunks spans, workspace/cache counters all firing) still
+  // never touches the heap.  This is the claim that lets instrumentation stay always-on.
   const index_t nv = 20000;
   const graph::EdgeList tree = make_tree(Topology::random_attach, nv, 11, 0);
   const exec::Executor executor(exec::default_backend(), 4);
@@ -299,11 +304,90 @@ TEST(Observability, WarmPipelineWithTracingAndMetricsAllocatesNothing) {
   pipeline.build_dendrogram_into(tree, nv, out);  // warm: arena + ring claims
   pipeline.build_dendrogram_into(tree, nv, out);  // settles OpenMP team state
 
-  const AllocationCounterScope scope;
-  pipeline.build_dendrogram_into(tree, nv, out);
-  EXPECT_EQ(scope.count(), 0u)
-      << "tracing + metrics must not break the zero-heap steady state";
+  recorder.clear();  // keep only the measured call's spans
+  {
+    const AllocationCounterScope scope;
+    pipeline.build_dendrogram_into(tree, nv, out);
+    EXPECT_EQ(scope.count(), 0u)
+        << "tracing + metrics must not break the zero-heap steady state";
+  }
   EXPECT_GT(recorder.events_recorded(), 0u) << "spans were actually recorded";
+  const std::string json = recorder.chrome_trace_json();
+  EXPECT_NE(json.find("\"name\": \"contraction\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\": \"expansion\""), std::string::npos) << json;
+}
+
+// --- phase seam: one guard feeds spans, histograms and PhaseTimes -----------
+
+/// The HDBSCAN* phases a pandora-dendrogram hdbscan() call times.
+constexpr std::array<const char*, 8> kHdbscanPhases = {
+    "tree_build", "core_distance", "mst",      "sort",
+    "contraction", "expansion",    "condense", "extract"};
+
+struct SpanEvent {
+  std::string name;
+  double ts_us = 0;
+  double dur_us = 0;
+};
+
+/// The "X" events of a chrome_trace_json() export, one per line.
+std::vector<SpanEvent> parse_spans(const std::string& json) {
+  std::vector<SpanEvent> spans;
+  std::size_t pos = 0;
+  while ((pos = json.find("{\"name\": ", pos)) != std::string::npos) {
+    char name[32] = {};
+    SpanEvent event;
+    if (std::sscanf(json.c_str() + pos,
+                    "{\"name\": \"%31[^\"]\", \"cat\": \"pandora\", \"ph\": \"X\", "
+                    "\"ts\": %lf, \"dur\": %lf",
+                    name, &event.ts_us, &event.dur_us) == 3) {
+      event.name = name;
+      spans.push_back(event);
+    }
+    ++pos;
+  }
+  return spans;
+}
+
+std::uint64_t phase_count(const char* phase) {
+  const obs::Histogram* h = obs::registry().find_histogram(
+      std::string("pandora_phase_seconds{phase=\"") + phase + "\"}");
+  return h == nullptr ? 0 : h->count();
+}
+
+TEST(Observability, TracedHdbscanNestsEveryPhaseUnderTheQuerySpan) {
+  const spatial::PointSet points = data::uniform_points(3000, 2, 21);
+  const exec::Executor executor(exec::serial_backend());  // one thread, one ring
+  obs::TraceRecorder recorder;
+  {
+    const exec::ScopedTrace trace(executor, &recorder);
+    const exec::ScopedSpan query(executor, "query");
+    (void)hdbscan::hdbscan(executor, points, {});
+  }
+  ASSERT_EQ(recorder.events_dropped(), 0u);
+  const std::vector<SpanEvent> spans = parse_spans(recorder.chrome_trace_json());
+  const auto query = std::find_if(spans.begin(), spans.end(),
+                                  [](const SpanEvent& e) { return e.name == "query"; });
+  ASSERT_NE(query, spans.end());
+  constexpr double kSlackUs = 1e-3;  // the export's %.3f rounding
+  for (const char* phase : kHdbscanPhases) {
+    const auto it = std::find_if(spans.begin(), spans.end(),
+                                 [&](const SpanEvent& e) { return e.name == phase; });
+    ASSERT_NE(it, spans.end()) << "no span for phase " << phase;
+    EXPECT_GE(it->ts_us, query->ts_us - kSlackUs) << phase;
+    EXPECT_LE(it->ts_us + it->dur_us, query->ts_us + query->dur_us + kSlackUs) << phase;
+  }
+}
+
+TEST(Observability, PhaseHistogramsCountEveryHdbscanPhase) {
+  const spatial::PointSet points = data::uniform_points(3000, 2, 22);
+  const exec::Executor executor(exec::serial_backend());
+  std::array<std::uint64_t, kHdbscanPhases.size()> before{};
+  for (std::size_t i = 0; i < kHdbscanPhases.size(); ++i)
+    before[i] = phase_count(kHdbscanPhases[i]);
+  (void)hdbscan::hdbscan(executor, points, {});  // no recorder, no caller sink
+  for (std::size_t i = 0; i < kHdbscanPhases.size(); ++i)
+    EXPECT_GT(phase_count(kHdbscanPhases[i]), before[i]) << kHdbscanPhases[i];
 }
 
 }  // namespace

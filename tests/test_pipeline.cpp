@@ -1,6 +1,6 @@
 // The fluent Pipeline builder: every terminal operation must match the free
 // function it fronts, and the builder must compose with the Executor's
-// workspace and profiler.
+// workspace and PhaseTimes sink.
 
 #include <gtest/gtest.h>
 
@@ -121,16 +121,16 @@ TEST(Pipeline, SelectionOptionsReachExtraction) {
   EXPECT_GE(leaf.num_clusters, eom.num_clusters);
 }
 
-TEST(Pipeline, ProfilerObservesPipelinePhases) {
+TEST(Pipeline, PhaseSinkObservesPipelinePhases) {
   const graph::EdgeList tree = make_tree(Topology::preferential, 5000, 8, 0);
   const exec::Executor executor(exec::default_backend());
-  exec::PhaseTimesProfiler profiler;
-  executor.set_profiler(&profiler);
+  PhaseTimes times;
+  executor.set_phase_times(&times);
   (void)Pipeline::on(executor).build_dendrogram(tree, 5000);
-  executor.set_profiler(nullptr);
-  EXPECT_GT(profiler.times().get("sort"), 0.0);
-  EXPECT_GT(profiler.times().get("contraction"), 0.0);
-  EXPECT_GT(profiler.times().get("expansion"), 0.0);
+  executor.set_phase_times(nullptr);
+  EXPECT_GT(times.get("sort"), 0.0);
+  EXPECT_GT(times.get("contraction"), 0.0);
+  EXPECT_GT(times.get("expansion"), 0.0);
 }
 
 }  // namespace
