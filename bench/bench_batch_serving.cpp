@@ -8,11 +8,9 @@
 //  * small-uniform: N same-sized small queries — the batch packs one query
 //    per slot thread, so the speedup approaches min(N, threads) minus
 //    scheduling overhead.  The CI regression gate checks the N=8 speedup.
-//    This scenario runs once per execution backend (openmp, pinned) at a
-//    FIXED size (not PANDORA_BENCH_SCALE-scaled, so the kernels stay above
-//    the parallel grain on CI): the rows carry a "backend" column, and a
-//    second self-relative gate requires the pinned-pool backend to serve the
-//    batch at >= 1.0x the OpenMP backend's throughput.
+//    This scenario runs on the OpenMP backend at a FIXED size (not
+//    PANDORA_BENCH_SCALE-scaled, so the kernels stay above the parallel grain
+//    on CI).
 //  * mixed: small queries plus large ones that keep intra-query parallelism.
 // A single-threaded host cannot overlap queries; the gates only apply where
 // threads > 1 (the CI host).
@@ -298,19 +296,15 @@ int main() {
   std::printf("%-14s | %4s %18s | %28s | %6s\n", "scenario", "N", "work", "median wall",
               "speedup");
 
-  // The acceptance scenario — N=8 small queries, one machine — once per
-  // execution backend, at a fixed (unscaled) size so the per-kernel dispatch
-  // the backends differ in is actually exercised on CI.  The openmp row
-  // feeds the batched>=1.3x gate; the openmp/pinned pair feeds the
-  // backend-parity gate in check_regression.py.
+  // The acceptance scenario — N=8 small queries, one machine — at a fixed
+  // (unscaled) size so the sequential loop's kernels stay above the parallel
+  // grain on CI.  It feeds the batched>=1.3x gate.
   {
     const index_t fixed_n = 20000;
     const std::vector<graph::EdgeList> trees = make_query_trees(fixed_n, 8, 1);
-    for (const auto& backend : {exec::openmp_backend(), exec::pinned_pool_backend()}) {
-      const exec::Executor backend_executor(backend);
-      run_scenario("small-uniform", backend_executor, trees,
-                   std::vector<index_t>(8, fixed_n), static_cast<size_type>(fixed_n), json);
-    }
+    const exec::Executor uniform_executor(exec::openmp_backend());
+    run_scenario("small-uniform", uniform_executor, trees, std::vector<index_t>(8, fixed_n),
+                 static_cast<size_type>(fixed_n), json);
   }
 
   const index_t small_n = bench::scaled(20000);
@@ -348,10 +342,9 @@ int main() {
   std::printf(
       "\nExpected shape: batched >= 1.3x sequential for small-uniform N=8 on a\n"
       "multi-core host (query-level parallelism without per-query fork/join);\n"
-      "~1x on a single hardware thread, where queries cannot overlap.  The\n"
-      "pinned backend's small-uniform row should match or beat the openmp row\n"
-      "(persistent workers, no per-kernel fork/join).  mixed_rw: reader p90\n"
-      "with a churning writer <= 1.5x the writer-idle p90 (the CI gate where\n"
-      "threads >= 4) — writers publish snapshots, they never block readers.\n");
+      "~1x on a single hardware thread, where queries cannot overlap.\n"
+      "mixed_rw: reader p90 with a churning writer <= 1.5x the writer-idle p90\n"
+      "(the CI gate where threads >= 4) — writers publish snapshots, they never\n"
+      "block readers.\n");
   return 0;
 }

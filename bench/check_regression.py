@@ -25,17 +25,8 @@ Two kinds of checks:
 
 2. Self-relative serving gates (machine-independent):
    * ``--batch-json``: the small-uniform N=8 scenario of bench_batch_serving
-     (the openmp-backend row) must reach ``--min-batch-speedup`` (checked only
-     when the run had >= 4 threads; query-level parallelism cannot show on
-     fewer).
-   * ``--min-backend-speedup``: the same N=8 scenario on the pinned-pool
-     backend must serve the batch at that multiple of the OpenMP backend's
-     median (>= 1.0 = no regression from swapping the execution backend).
-     ``--backend-noise`` is subtracted first: the two rows execute the same
-     scheduler code, so on a shared runner the ratio hovers around its true
-     value with ~10% median-of-a-few-samples jitter; a genuine backend
-     regression is far larger.  Skipped below 4 threads like the batch
-     gate.
+     must reach ``--min-batch-speedup`` (checked only when the run had >= 4
+     threads; query-level parallelism cannot show on fewer).
    * ``--max-reader-degradation``: the mixed_rw scenario of
      bench_batch_serving (8 snapshot readers with vs without a churning
      writer) must keep reader p90 within that ratio of the writer-idle p90
@@ -221,57 +212,23 @@ def compare_to_baseline(current_dir: pathlib.Path, baseline_dir: pathlib.Path,
     return failures
 
 
-def small_uniform_rows(report: dict) -> list[dict]:
-    return [row for row in report.get("rows", [])
-            if row.get("scenario") == "small-uniform" and row.get("num_queries") == 8]
-
-
 def check_batch_gate(path: pathlib.Path, min_speedup: float) -> list[str]:
     report = load(path)
     threads = report.get("threads", 1)
-    # The scenario runs once per backend; the openmp row is the gated one
-    # (rows without a backend column predate the backend sweep).
-    for row in small_uniform_rows(report):
-        if row.get("backend", "openmp") == "openmp":
-            speedup = row.get("batched_speedup", 0.0)
-            if threads < 4:
-                print(f"batch gate: skipped (threads={threads} < 4); "
-                      f"observed speedup {speedup:.2f}x")
-                return []
-            print(f"batch gate: small-uniform N=8 speedup {speedup:.2f}x "
-                  f"(required {min_speedup:.2f}x, threads={threads})")
-            if speedup < min_speedup:
-                return [f"batched N=8 speedup {speedup:.2f}x < required {min_speedup:.2f}x"]
+    for row in report.get("rows", []):
+        if row.get("scenario") != "small-uniform" or row.get("num_queries") != 8:
+            continue
+        speedup = row.get("batched_speedup", 0.0)
+        if threads < 4:
+            print(f"batch gate: skipped (threads={threads} < 4); "
+                  f"observed speedup {speedup:.2f}x")
             return []
-    return [f"{path.name}: no small-uniform N=8 row found"]
-
-
-def check_backend_gate(path: pathlib.Path, min_speedup: float, noise: float) -> list[str]:
-    report = load(path)
-    threads = report.get("threads", 1)
-    by_backend = {row.get("backend"): row for row in small_uniform_rows(report)}
-    openmp = by_backend.get("openmp")
-    pinned = by_backend.get("pinned")
-    if openmp is None or pinned is None:
-        return [f"{path.name}: need small-uniform N=8 rows for both the openmp and "
-                "pinned backends"]
-    openmp_median = openmp.get("batched_median", 0.0)
-    pinned_median = pinned.get("batched_median", 0.0)
-    if pinned_median <= 0:
-        return [f"{path.name}: pinned small-uniform batched_median missing or zero"]
-    speedup = openmp_median / pinned_median
-    if threads < 4:
-        print(f"backend gate: skipped (threads={threads} < 4); "
-              f"observed pinned-vs-openmp {speedup:.2f}x")
+        print(f"batch gate: small-uniform N=8 speedup {speedup:.2f}x "
+              f"(required {min_speedup:.2f}x, threads={threads})")
+        if speedup < min_speedup:
+            return [f"batched N=8 speedup {speedup:.2f}x < required {min_speedup:.2f}x"]
         return []
-    limit = min_speedup - noise
-    print(f"backend gate: pinned batch {pinned_median * 1e3:.2f}ms vs openmp "
-          f"{openmp_median * 1e3:.2f}ms = {speedup:.2f}x "
-          f"(required {min_speedup:.2f}x, noise allowance {noise:.2f})")
-    if speedup < limit:
-        return [f"pinned backend served the N=8 batch at {speedup:.2f}x the openmp "
-                f"backend (< required {min_speedup:.2f}x - {noise:.2f} noise)"]
-    return []
+    return [f"{path.name}: no small-uniform N=8 row found"]
 
 
 def check_reader_gate(path: pathlib.Path, max_degradation: float) -> list[str]:
@@ -382,14 +339,8 @@ def main() -> int:
                              "(default 1); real regressions exceed on many rows at once")
     parser.add_argument("--batch-json", type=pathlib.Path,
                         help="BENCH_batch_serving.json for the batched-speedup and "
-                             "backend-parity gates")
+                             "reader-degradation gates")
     parser.add_argument("--min-batch-speedup", type=float, default=1.3)
-    parser.add_argument("--min-backend-speedup", type=float, default=1.0,
-                        help="required pinned-vs-openmp batched throughput ratio "
-                             "(default 1.0: the pinned backend must not regress)")
-    parser.add_argument("--backend-noise", type=float, default=0.1,
-                        help="measurement-noise allowance subtracted from the "
-                             "backend-parity requirement (default 0.1)")
     parser.add_argument("--max-reader-degradation", type=float, default=1.5,
                         help="allowed mixed_rw reader-p90 ratio with vs without a "
                              "churning writer (default 1.5; snapshot publication "
@@ -412,8 +363,6 @@ def main() -> int:
                                         max_outliers=args.max_outliers)
     if args.batch_json is not None:
         failures += check_batch_gate(args.batch_json, args.min_batch_speedup)
-        failures += check_backend_gate(args.batch_json, args.min_backend_speedup,
-                                       args.backend_noise)
         failures += check_reader_gate(args.batch_json, args.max_reader_degradation)
     if args.fig15_json is not None:
         failures += check_fig15_gate(args.fig15_json)

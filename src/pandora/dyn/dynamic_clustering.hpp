@@ -116,8 +116,9 @@ struct ArtifactBundle {
 /// the LRU.  Repeated `hdbscan()` calls within one epoch replay from the
 /// cache.
 ///
-/// Not thread-safe (one Executor, one writer); the serving integration runs
-/// updates exclusively between query waves (`serve::BatchExecutor::run_waves`).
+/// Not thread-safe (one Executor, one writer); to serve readers while it
+/// mutates, wrap it in `snapshot::PublishedClustering`, which publishes
+/// immutable snapshots of each epoch.
 class DynamicClustering {
  public:
   explicit DynamicClustering(const exec::Executor& exec, DynamicOptions options = {});

@@ -4,13 +4,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "pandora/exec/executor.hpp"
-#include "pandora/exec/pinned_pool.hpp"
 
 namespace pandora::exec {
 
@@ -148,32 +144,10 @@ const std::shared_ptr<const Backend>& openmp_backend() {
   return backend;
 }
 
-const std::shared_ptr<const Backend>& pinned_pool_backend() {
-  static const std::shared_ptr<const Backend> backend = make_pinned_pool_backend();
-  return backend;
-}
-
-const std::shared_ptr<const Backend>& default_backend() {
-  static const std::shared_ptr<const Backend>* chosen = [] {
-    const char* env = std::getenv("PANDORA_BACKEND");
-    const std::string name = env != nullptr ? env : "";
-    if (name.empty() || name == "openmp") return &openmp_backend();
-    if (name == "serial") return &serial_backend();
-    if (name == "pinned") return &pinned_pool_backend();
-    // Fail fast: an explicit-but-unknown override silently falling back to
-    // OpenMP would green-light CI entries that exist to test another
-    // backend.
-    std::fprintf(stderr,
-                 "pandora: unknown PANDORA_BACKEND '%s' (expected serial, "
-                 "openmp, or pinned)\n",
-                 name.c_str());
-    std::exit(64);
-  }();
-  return *chosen;
-}
+const std::shared_ptr<const Backend>& default_backend() { return openmp_backend(); }
 
 std::vector<std::shared_ptr<const Backend>> registered_backends() {
-  return {serial_backend(), openmp_backend(), pinned_pool_backend()};
+  return {serial_backend(), openmp_backend()};
 }
 
 }  // namespace pandora::exec

@@ -24,12 +24,10 @@
 /// device backend substitutes device buffers without touching the arena's
 /// lease/size-class logic.
 ///
-/// Three backends ship:
+/// Two backends ship:
 ///  * `serial_backend()` — one thread, the sequential reference;
-///  * `openmp_backend()` — OpenMP teams, the former `Space::parallel`;
-///  * `pinned_pool_backend()` — a persistent, optionally core-pinned worker
-///    pool (see pinned_pool.hpp) that dispatches kernels without per-kernel
-///    OpenMP fork/join.
+///  * `openmp_backend()` — OpenMP teams, the former `Space::parallel`, and
+///    the default.
 ///
 /// Determinism contract: `run_chunks` may execute chunks in any order on any
 /// worker, so callers make each chunk's effect a pure function of its chunk
@@ -67,7 +65,7 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  /// Short human-readable identifier ("serial", "openmp", "pinned") used in
+  /// Short human-readable identifier ("serial", "openmp") used in
   /// benchmark tables and the BENCH_*.json backend column.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 
@@ -79,7 +77,7 @@ class Backend {
   /// nested executors report truthfully: the answer comes from the backend's
   /// own capacity, never from global runtime state.  The default grants
   /// explicit requests verbatim (the OpenMP runtime oversubscribes happily);
-  /// fixed-size backends (the pinned pool) clamp to their capacity.
+  /// a fixed-size backend would clamp to its capacity.
   [[nodiscard]] virtual int grant_threads(int requested) const noexcept {
     return requested > 0 ? requested : concurrency();
   }
@@ -115,18 +113,10 @@ class Backend {
 /// The OpenMP team backend (the former `Space::parallel`).
 [[nodiscard]] const std::shared_ptr<const Backend>& openmp_backend();
 
-/// The process-wide shared pinned-pool backend (lazily constructed with the
-/// hardware's worker count; see pinned_pool.hpp / make_pinned_pool_backend
-/// for custom sizes and core pinning).
-[[nodiscard]] const std::shared_ptr<const Backend>& pinned_pool_backend();
-
-/// The backend `Executor` uses when none is given.  OpenMP unless the
-/// environment variable PANDORA_BACKEND names another registered backend
-/// ("serial", "openmp", "pinned") — which is how CI runs the whole test
-/// suite with PinnedPoolBackend as the default.
+/// The backend `Executor` uses when none is given: `openmp_backend()`.
 [[nodiscard]] const std::shared_ptr<const Backend>& default_backend();
 
-/// Every registered backend (serial, openmp, pinned), for conformance
+/// Every registered backend (serial, openmp), for conformance
 /// sweeps: `for (const auto& backend : registered_backends()) ...`.
 [[nodiscard]] std::vector<std::shared_ptr<const Backend>> registered_backends();
 

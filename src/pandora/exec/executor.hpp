@@ -33,8 +33,8 @@
 /// The paper's implementation expresses every kernel against Kokkos execution
 /// space *instances* — objects carrying the backend choice, resources and
 /// reusable scratch memory.  This reproduction mirrors that design: an
-/// `Executor` owns (a) the execution `Backend` (serial / OpenMP / pinned
-/// pool, extensible to a device backend — see backend.hpp), (b) a thread
+/// `Executor` owns (a) the execution `Backend` (serial / OpenMP, extensible
+/// to a device backend — see backend.hpp), (b) a thread
 /// budget, (c) a reusable `Workspace` arena — allocating through the
 /// backend's `MemoryResource` — that amortises scratch-buffer allocations
 /// across repeated dendrogram / HDBSCAN* calls on same-sized inputs, (d) an
@@ -639,8 +639,8 @@ class Executor {
         requested_threads_(num_threads),
         workspace_(&backend_->memory_resource()) {}
 
-  /// An executor on the default backend (openmp, or whatever PANDORA_BACKEND
-  /// names) with its default thread budget.
+  /// An executor on the default backend (openmp) with its default thread
+  /// budget.
   Executor() : Executor(std::shared_ptr<const Backend>{}, 0) {}
 
   /// An executor on the default backend with an explicit thread budget.

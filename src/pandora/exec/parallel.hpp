@@ -12,8 +12,8 @@
 /// relaxed atomic read-modify-write helpers GPU kernels rely on.
 ///
 /// Every kernel in the library is written against these (never against raw
-/// threading pragmas) so that every registered backend — serial, OpenMP,
-/// pinned pool, a future device backend — executes the exact same code,
+/// threading pragmas) so that every backend — serial, OpenMP, a future
+/// device backend — executes the exact same code,
 /// mirroring the performance-portability claim of Section 5.  Each primitive
 /// decomposes its index range into `Executor::num_threads()` deterministic
 /// chunks and dispatches them through `Backend::run_chunks`; per-chunk

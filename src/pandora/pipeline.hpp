@@ -42,8 +42,8 @@ class Pipeline {
   [[nodiscard]] static Pipeline on(const exec::Executor& executor) { return Pipeline(executor); }
 
   /// Backend front door: a pipeline over the per-thread default executor of
-  /// `backend` — `Pipeline::on(exec::pinned_pool_backend())` runs the whole
-  /// pipeline on the pinned worker pool without managing an Executor by
+  /// `backend` — `Pipeline::on(exec::serial_backend())` runs the whole
+  /// pipeline on the sequential reference without managing an Executor by
   /// hand.  The shared default executor keeps its warm workspace arena and
   /// artifact cache across pipelines on the same backend.
   [[nodiscard]] static Pipeline on(const std::shared_ptr<const exec::Backend>& backend) {

@@ -58,7 +58,7 @@ obs::Histogram& wait_metric() {
 BatchExecutor::BatchExecutor(const exec::Executor& parent, BatchOptions options)
     : parent_(&parent),
       options_(options),
-      gate_(std::make_unique<GateState>()),
+      batch_mutex_(std::make_unique<std::mutex>()),
       adaptive_(std::make_unique<AdaptiveState>()) {
   int slots = options_.num_slots > 0 ? options_.num_slots : parent.num_threads();
   slots = std::max(slots, 1);
@@ -75,12 +75,8 @@ BatchExecutor::BatchExecutor(const exec::Executor& parent, BatchOptions options)
 }
 
 std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
-  // One batch at a time on these slots (they are single-occupancy), inside
-  // the epoch gate's shared section: a legacy wave update (exclusive
-  // section) either finished before this batch was admitted or waits until
-  // it drains — a batch can never observe a half-applied epoch.
-  const std::lock_guard<std::mutex> batch_lock(gate_->batch_mutex);
-  const auto read_section = gate_->epoch_gate.read_section();
+  // One batch at a time on these slots (they are single-occupancy).
+  const std::lock_guard<std::mutex> batch_lock(*batch_mutex_);
 
   // Policy toggles on the parent propagate to the slots at batch start (the
   // parent may have flipped caching or the sort algorithm since last run).
@@ -217,19 +213,18 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
     for (const std::size_t j : large) run_one(j, *parent_);
   };
 
-  // With overlap (the default) the calling thread drains the large queue
-  // while the slot workers drain the small one, so neither phase waits for
-  // the other; large jobs mutate only the parent executor, small jobs only
-  // their slot, and the shared ArtifactCache locks internally.  Under
-  // pressure, the deprioritise knob turns overlap off for this batch so the
-  // small queries drain first.  Without overlap — or when one of the queues
-  // is empty — the phases run in sequence, and a small-only batch keeps the
-  // old single-worker shortcut (no thread spawn when one worker suffices).
+  // The calling thread drains the large queue while the slot workers drain
+  // the small one, so neither phase waits for the other; large jobs mutate
+  // only the parent executor, small jobs only their slot, and the shared
+  // ArtifactCache locks internally.  Under pressure, the deprioritise knob
+  // turns overlap off for this batch so the small queries drain first.
+  // Without overlap — or when one of the queues is empty — the phases run in
+  // sequence, and a small-only batch keeps the single-worker shortcut (no
+  // thread spawn when one worker suffices).
   const bool deprioritise = qos.deprioritise_large_under_pressure &&
                             jobs.size() > qos.pressure_threshold + 1;
   const int workers = std::min<int>(num_slots(), static_cast<int>(small.size()));
-  const bool overlapped =
-      options_.overlap_phases && !deprioritise && !small.empty() && !large.empty();
+  const bool overlapped = !deprioritise && !small.empty() && !large.empty();
   if (overlapped || workers > 1) {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers));
@@ -248,39 +243,13 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
 void BatchExecutor::run(std::span<Job> jobs) {
   const std::vector<JobResult> results = run_jobs(jobs);
   // First failure in job order wins; a shed job (no exception object to
-  // rethrow) surfaces as Cancelled so legacy callers see one error family
+  // rethrow) surfaces as Cancelled so callers see one error family
   // for "the server gave up on this query".
   for (const JobResult& result : results) {
     if (result.outcome == JobOutcome::ok) continue;
     if (result.error != nullptr) std::rethrow_exception(result.error);
     throw Cancelled("pandora: query shed by QoS policy under load");
   }
-}
-
-void BatchExecutor::run_waves(std::span<Wave> waves) {
-  // Query exceptions are isolated per wave: the wave's update and the
-  // remaining waves still run, and the first query exception is rethrown
-  // after the final wave.  An update exception propagates immediately (the
-  // stream state is no longer trustworthy for the waves that follow) and
-  // supersedes a pending query exception — the caller learns about the
-  // failure that invalidates everything downstream, not the one that was
-  // already contained to its wave.
-  std::exception_ptr first_query_error;
-  for (Wave& wave : waves) {
-    try {
-      run(wave.queries);
-    } catch (...) {
-      if (first_query_error == nullptr) first_query_error = std::current_exception();
-    }
-    // Exclusive update through the epoch gate: every query above has
-    // settled (run joins its workers and released the shared section), no
-    // query batch — from this thread or any other — can be admitted until
-    // the gate is released, and the epoch counter records the publish.
-    if (wave.update) {
-      gate_->epoch_gate.publish([&] { wave.update(*parent_); });
-    }
-  }
-  if (first_query_error != nullptr) std::rethrow_exception(first_query_error);
 }
 
 void BatchExecutor::run_waves(snapshot::PublishedClustering& published,
@@ -305,8 +274,8 @@ void BatchExecutor::run_waves(snapshot::PublishedClustering& published,
     }
 
     // The wave's update runs concurrently with its queries: writers never
-    // block readers.  Its failure aborts the remaining waves (matching the
-    // legacy semantics), but the queries of this wave still settle first.
+    // block readers.  Its failure aborts the remaining waves, but the
+    // queries of this wave still settle first.
     std::exception_ptr update_error;
     std::thread writer;
     if (wave.update) {

@@ -6,6 +6,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "pandora/exec/executor.hpp"
 #include "pandora/graph/edge.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
-#include "pandora/snapshot/epoch_gate.hpp"
 #include "pandora/snapshot/published_clustering.hpp"
 #include "pandora/snapshot/snapshot.hpp"
 #include "pandora/spatial/point_set.hpp"
@@ -142,17 +142,6 @@ struct BatchOptions {
   /// Concurrent slots for small queries; 0 = the parent's thread budget.
   int num_slots = 0;
 
-  /// Overlap the two scheduler phases: the calling thread starts draining
-  /// the large queries on the parent executor while the slot workers are
-  /// still pulling from the small queue, instead of waiting for the small
-  /// phase to finish first.  On imbalanced batches this hides one phase
-  /// behind the other entirely; the cost is transient thread
-  /// oversubscription (the parent's OpenMP team plus the slot workers,
-  /// bounded by 2x the budget).  Safe because large jobs mutate only the
-  /// parent executor and small jobs only their slot; the shared
-  /// ArtifactCache locks internally.
-  bool overlap_phases = true;
-
   /// Per-tenant cap on shared-ArtifactCache slots (0 = unlimited).  Jobs
   /// carry a tenant tag (`Job::tenant`); with a cap set, a tenant at its cap
   /// displaces its own least-recently-used entry on insert, so one tenant's
@@ -192,8 +181,14 @@ class BatchExecutor {
   /// Runs every job to completion.  Small jobs execute concurrently: worker
   /// threads (one per slot) pull them from a shared queue, so slots stay
   /// busy regardless of how job costs vary.  Large jobs execute on the
-  /// calling thread against the parent executor, one at a time —
-  /// overlapping the small drain by default (BatchOptions::overlap_phases).
+  /// calling thread against the parent executor, one at a time, while the
+  /// slot workers drain the small queue: on imbalanced batches one phase
+  /// hides behind the other, at the cost of transient oversubscription (the
+  /// parent's OpenMP team plus the slot workers, bounded by 2x the budget).
+  /// Safe because large jobs mutate only the parent executor and small jobs
+  /// only their slot; the shared ArtifactCache locks internally.  Only
+  /// `QosPolicy::deprioritise_large_under_pressure` runs the phases in
+  /// sequence.
   /// If jobs threw (or were cancelled or shed), the first failure (in job
   /// order) is rethrown after every job has settled; the remaining jobs
   /// still ran.  Prefer `run_jobs` when per-job outcomes matter.
@@ -208,34 +203,6 @@ class BatchExecutor {
   /// One poisoned / slow / oversized query can therefore never abort its
   /// batchmates *or* hide their results.  Never throws for job failures.
   [[nodiscard]] std::vector<JobResult> run_jobs(std::span<Job> jobs);
-
-  /// A wave of a streaming workload: a batch of queries, then an optional
-  /// exclusive update applied before the next wave.  The update runs on the
-  /// calling thread against the parent executor after every query of the
-  /// wave has settled and before any query of the next wave starts, so it
-  /// may mutate state the queries read (e.g. a dyn::DynamicClustering whose
-  /// dendrogram the queries condense) without further synchronisation.
-  struct Wave {
-    std::vector<Job> queries;
-    std::function<void(const exec::Executor&)> update;  ///< may be empty
-  };
-
-  /// Runs waves in order: queries of wave i (concurrently, as `run`), then
-  /// wave i's update (exclusively).  Query exceptions are isolated per
-  /// wave: the wave's update and the remaining waves still run, and the
-  /// first query exception (in wave order) is rethrown after the final
-  /// wave.  An update exception aborts the remaining waves (the stream
-  /// state is no longer trustworthy) and propagates immediately — it
-  /// supersedes any pending query exception, which is then not reported.
-  ///
-  /// Updates run through the executor's `snapshot::EpochGate`: every `run`
-  /// (from any thread) holds the gate's shared section, every wave update
-  /// its exclusive section — so a query batch admitted concurrently with a
-  /// pending update can never observe a half-applied epoch, by construction
-  /// rather than by caller sequencing.  This is the compatibility path; new
-  /// code should prefer the snapshot-backed overload below, where updates
-  /// do not block queries at all.
-  void run_waves(std::span<Wave> waves);
 
   /// A wave of the snapshot-backed streaming workload: queries against
   /// pinned snapshots of `published`, plus an optional update that runs
@@ -256,11 +223,17 @@ class BatchExecutor {
     std::function<void(snapshot::PublishedClustering&)> update;
   };
 
-  /// The snapshot-backed wave driver: wave i's queries run batched (as
-  /// `run`) while wave i's update mutates and publishes concurrently —
-  /// writers never block readers, because every query reads the immutable
-  /// snapshot it acquired at admission.  The next wave starts after both
-  /// settle.  Exception semantics match `run_waves(span<Wave>)`.
+  /// The streaming wave driver: wave i's queries run batched (as `run`)
+  /// while wave i's update mutates and publishes concurrently — writers
+  /// never block readers, because every query reads the immutable snapshot
+  /// it acquired at admission.  The next wave starts after both settle.
+  ///
+  /// Query exceptions are isolated per wave: the wave's update and the
+  /// remaining waves still run, and the first query exception (in wave
+  /// order) is rethrown after the final wave.  An update exception aborts
+  /// the remaining waves (the stream state is no longer trustworthy) and
+  /// propagates once the wave's queries settled — it supersedes any pending
+  /// query exception, which is then not reported.
   ///
   /// The PublishedClustering's writer executor must be distinct from this
   /// batch's parent executor (large jobs run on the parent concurrently
@@ -288,18 +261,9 @@ class BatchExecutor {
   [[nodiscard]] const BatchOptions& options() const noexcept { return options_; }
 
  private:
-  /// Shared synchronisation state, heap-held so the executor stays movable:
-  /// `batch_mutex` serialises whole batches on the slots (two threads may
-  /// submit `run` concurrently; the slots are single-occupancy), and
-  /// `epoch_gate` orders legacy wave updates against query batches.
-  struct GateState {
-    std::mutex batch_mutex;
-    snapshot::EpochGate epoch_gate;
-  };
-
-  /// Rolling latency model behind `QosPolicy::adaptive`, heap-held like
-  /// GateState so the executor stays movable.  Completing ok jobs write it
-  /// (relaxed atomics, from any worker); admission reads it.
+  /// Rolling latency model behind `QosPolicy::adaptive`, heap-held like the
+  /// batch mutex so the executor stays movable.  Completing ok jobs write
+  /// it (relaxed atomics, from any worker); admission reads it.
   struct AdaptiveState {
     obs::Histogram latency;                    ///< completed-job run time
     std::atomic<std::uint64_t> total_size{0};  ///< sum of completed size hints
@@ -311,7 +275,10 @@ class BatchExecutor {
   /// Persistent serial executors, one per slot: their Workspace arenas stay
   /// warm across batches.  unique_ptr keeps them address-stable.
   std::vector<std::unique_ptr<exec::Executor>> slots_;
-  std::unique_ptr<GateState> gate_;
+  /// Serialises whole batches on the slots (two threads may submit `run`
+  /// concurrently; the slots are single-occupancy).  Heap-held so the
+  /// executor stays movable.
+  std::unique_ptr<std::mutex> batch_mutex_;
   std::unique_ptr<AdaptiveState> adaptive_;
 };
 

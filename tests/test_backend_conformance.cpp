@@ -1,26 +1,30 @@
-// Backend conformance: every registered execution backend — and a pinned
-// pool forced to multiple workers, which a 1-core CI host would otherwise
-// degrade to inline execution — must produce BIT-IDENTICAL results for the
-// primitive set the subsystems consume (radix sort, scan, deterministic
-// left-to-right reduce, parallel_for) and for the full dendrogram / HDBSCAN*
-// pipelines, and must uphold the warm-executor zero-steady-state-allocation
-// guarantee.  This is the contract that makes "add a device backend" an
-// implementation of one interface instead of a rewrite.
+// Backend conformance: every registered execution backend — and a
+// test-local backend that runs each launch on freshly spawned threads, so
+// chunks really run concurrently even on a 1-core host or under
+// ThreadSanitizer — must produce BIT-IDENTICAL results for the primitive set
+// the subsystems consume (radix sort, scan, deterministic left-to-right
+// reduce, parallel_for) and for the full dendrogram / HDBSCAN* / dyn::
+// pipelines, and the registered backends must uphold the warm-executor
+// zero-steady-state-allocation guarantee.  This is the contract that makes
+// "add a device backend" an implementation of one interface instead of a
+// rewrite.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "alloc_counter.hpp"
 #include "pandora/common/rng.hpp"
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/pandora.hpp"
+#include "pandora/dyn/dynamic_clustering.hpp"
 #include "pandora/exec/parallel.hpp"
-#include "pandora/exec/pinned_pool.hpp"
 #include "pandora/exec/scan.hpp"
 #include "pandora/exec/sort.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
@@ -34,14 +38,31 @@ using pandora::testing::AllocationCounterScope;
 using pandora::testing::Topology;
 using pandora::testing::make_tree;
 
-/// Every backend under conformance test: the registered singletons plus a
-/// dedicated 4-worker pinned pool (so the pool's cross-thread machinery is
-/// exercised even on a 1-core host, where the shared singleton owns no
-/// workers) — pinned to cores, so the affinity path runs too.
+/// Runs every launch on freshly spawned threads (plus the caller) pulling
+/// chunks from a shared atomic cursor.  libgomp's team is invisible to
+/// ThreadSanitizer, so this is how a TSan build sees chunk bodies race.
+/// Spawning allocates, so it stays out of the zero-allocation test.
+class SpawningBackend final : public exec::Backend {
+ public:
+  [[nodiscard]] const char* name() const noexcept override { return "spawning"; }
+  [[nodiscard]] int concurrency() const noexcept override { return 4; }
+  void run_chunks(int num_chunks, int max_workers, exec::ChunkBody body) const override {
+    std::atomic<int> cursor{0};
+    auto work = [&] {
+      for (int c = cursor.fetch_add(1); c < num_chunks; c = cursor.fetch_add(1)) body(c);
+    };
+    std::vector<std::thread> threads;
+    for (int t = 1; t < std::min(num_chunks, max_workers); ++t) threads.emplace_back(work);
+    work();
+    for (std::thread& thread : threads) thread.join();
+  }
+};
+
+/// Every backend under conformance test: the registered singletons plus
+/// the thread-spawning backend.
 std::vector<std::shared_ptr<const exec::Backend>> conformance_backends() {
   auto backends = exec::registered_backends();
-  backends.push_back(exec::make_pinned_pool_backend(
-      {.num_threads = 4, .pin_threads = true, .spin_iterations = 1024}));
+  backends.push_back(std::make_shared<SpawningBackend>());
   return backends;
 }
 
@@ -53,10 +74,9 @@ exec::Executor executor_on(const std::shared_ptr<const exec::Backend>& backend) 
 
 TEST(BackendConformance, RegisteredBackendsAreDistinctAndNamed) {
   const auto backends = exec::registered_backends();
-  ASSERT_EQ(backends.size(), 3u);
+  ASSERT_EQ(backends.size(), 2u);
   EXPECT_STREQ(backends[0]->name(), "serial");
   EXPECT_STREQ(backends[1]->name(), "openmp");
-  EXPECT_STREQ(backends[2]->name(), "pinned");
   EXPECT_EQ(backends[0]->concurrency(), 1);
   for (const auto& backend : backends) EXPECT_GE(backend->concurrency(), 1);
 }
@@ -157,9 +177,8 @@ TEST(BackendConformance, NonCommutativeReduceIsLeftToRightOnEveryBackend) {
     const Mat2 result = exec::parallel_reduce(executor, n, identity, element, mat_mul);
     EXPECT_EQ(result, reference) << backend->name();
 
-    // Determinism under scheduling jitter: the pinned pool hands chunks to
-    // whichever worker claims them first, which must never show in the
-    // result.
+    // Determinism under scheduling jitter: chunks go to whichever worker
+    // claims them first, which must never show in the result.
     for (int repeat = 0; repeat < 10; ++repeat) {
       ASSERT_EQ(exec::parallel_reduce(executor, n, identity, element, mat_mul), reference)
           << backend->name() << " repeat " << repeat;
@@ -167,10 +186,10 @@ TEST(BackendConformance, NonCommutativeReduceIsLeftToRightOnEveryBackend) {
   }
 }
 
-TEST(BackendConformance, NestedLaunchesRunInlineOnEveryBackend) {
-  // A chunk body that launches again on the same backend must complete (the
-  // nested launch runs inline on whichever worker executes the chunk — pool
-  // worker or caller — never deadlocking on the in-flight outer launch).
+TEST(BackendConformance, NestedLaunchesCompleteOnEveryBackend) {
+  // A chunk body that launches again on the same backend must complete,
+  // never deadlocking on the in-flight outer launch, and run every inner
+  // chunk exactly once.
   for (const auto& backend : conformance_backends()) {
     std::array<std::atomic<int>, 4 * 8> hits{};
     auto outer = [&](int c) {
@@ -221,10 +240,39 @@ TEST(BackendConformance, HdbscanBitIdenticalAcrossBackends) {
   }
 }
 
+TEST(BackendConformance, DynamicClusteringBitIdenticalAcrossBackends) {
+  // Enough points that the kernels behind bulk load, batch insert repair and
+  // erase take their parallel paths.
+  const spatial::PointSet all = data::gaussian_blobs(6400, 2, 5, 0.03, 0.08, 19);
+  const auto run_stream = [&](const exec::Executor& executor) {
+    dyn::DynamicClustering stream(executor);
+    spatial::PointSet bulk(2, 6000);
+    spatial::PointSet batch(2, 400);
+    for (index_t i = 0; i < all.size(); ++i)
+      for (int d = 0; d < 2; ++d)
+        (i < 6000 ? bulk.at(i, d) : batch.at(i - 6000, d)) = all.at(i, d);
+    const std::vector<index_t> ids = stream.insert(bulk);
+    stream.insert(batch);
+    std::vector<index_t> victims;
+    for (std::size_t i = 0; i < ids.size(); i += 23) victims.push_back(ids[i]);
+    stream.erase(victims);
+    return std::pair{stream.emst(), stream.dendrogram().parent};
+  };
+
+  const exec::Executor serial(exec::serial_backend());
+  const auto [reference_edges, reference_parent] = run_stream(serial);
+  for (const auto& backend : conformance_backends()) {
+    const exec::Executor executor = executor_on(backend);
+    const auto [edges, parent] = run_stream(executor);
+    EXPECT_EQ(edges, reference_edges) << backend->name();
+    EXPECT_EQ(parent, reference_parent) << backend->name();
+  }
+}
+
 TEST(BackendConformance, WarmExecutorSteadyStateAllocatesNothingOnEveryBackend) {
   const index_t nv = 30000;
   const graph::EdgeList tree = make_tree(Topology::preferential, nv, 3, 0);
-  for (const auto& backend : conformance_backends()) {
+  for (const auto& backend : exec::registered_backends()) {
     const exec::Executor executor = executor_on(backend);
     const auto pipeline = Pipeline::on(executor);
     dendrogram::Dendrogram out;

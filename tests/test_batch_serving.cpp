@@ -13,6 +13,7 @@
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/pipeline.hpp"
 #include "pandora/serve/batch_executor.hpp"
+#include "pandora/snapshot/published_clustering.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -144,9 +145,9 @@ TEST(BatchExecutor, SlotsShareTheParentArtifactCache) {
 }
 
 TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {
-  // Same mixed batch with the large-drain overlap on (default) and off:
-  // identical results, and with overlap the large jobs must be able to run
-  // while small jobs are still in flight (observed via a latch the small
+  // A mixed batch whose large drain overlaps the small one must match
+  // direct one-at-a-time construction, and the large jobs must be able to
+  // run while small jobs are still in flight (observed via a latch the small
   // jobs only release after a large job ran).
   const exec::Executor parent(exec::default_backend(), 4);
   std::vector<graph::EdgeList> trees;
@@ -159,17 +160,16 @@ TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {
   serve::BatchOptions overlapped_options;
   overlapped_options.num_slots = 2;
   overlapped_options.small_query_threshold = 2000;
-  serve::BatchOptions sequential_options = overlapped_options;
-  sequential_options.overlap_phases = false;
 
   serve::BatchExecutor overlapped(parent, overlapped_options);
-  serve::BatchExecutor sequential(parent, sequential_options);
   const auto via_overlap = overlapped.build_dendrograms(queries);
-  const auto via_sequence = sequential.build_dendrograms(queries);
-  ASSERT_EQ(via_overlap.size(), via_sequence.size());
+  const exec::Executor reference(exec::default_backend(), 4);
+  ASSERT_EQ(via_overlap.size(), queries.size());
   for (std::size_t i = 0; i < via_overlap.size(); ++i) {
-    EXPECT_EQ(via_overlap[i].parent, via_sequence[i].parent) << "query " << i;
-    EXPECT_EQ(via_overlap[i].weight, via_sequence[i].weight) << "query " << i;
+    const dendrogram::Dendrogram expected =
+        dendrogram::pandora_dendrogram(reference, trees[i], sizes[i]);
+    EXPECT_EQ(via_overlap[i].parent, expected.parent) << "query " << i;
+    EXPECT_EQ(via_overlap[i].weight, expected.weight) << "query " << i;
   }
 
   // Concurrency witness: a small job blocks until the large phase has
@@ -205,30 +205,38 @@ TEST(BatchExecutor, ExceptionsAreIsolatedAndRethrown) {
 }
 
 TEST(BatchExecutor, WaveQueryExceptionsAreIsolatedButUpdatesStillApply) {
+  const exec::Executor writer(exec::serial_backend());
+  snapshot::PublishedClustering published(writer);
+  published.insert(data::uniform_points(50, 2, 1));
+  const std::uint64_t epoch_before = published.published_epoch();
+
   const exec::Executor parent(exec::default_backend(), 2);
   serve::BatchExecutor batch(parent, {.num_slots = 2});
 
   std::atomic<int> updates_applied{0};
   std::atomic<int> queries_completed{0};
-  std::vector<serve::BatchExecutor::Wave> waves(3);
+  std::vector<serve::BatchExecutor::SnapshotWave> waves(3);
   for (std::size_t w = 0; w < waves.size(); ++w) {
     for (int q = 0; q < 3; ++q) {
-      waves[w].queries.push_back(serve::BatchExecutor::Job{
-          [w, q, &queries_completed](const exec::Executor&) {
+      waves[w].queries.push_back(serve::BatchExecutor::SnapshotJob{
+          [w, q, &queries_completed](const exec::Executor&, const snapshot::Snapshot&) {
             if (w == 0 && q == 1) throw std::runtime_error("poisoned wave query");
             queries_completed.fetch_add(1);
           },
           /*size_hint=*/16});
     }
-    waves[w].update = [&updates_applied](const exec::Executor&) {
+    waves[w].update = [w, &updates_applied](snapshot::PublishedClustering& stream) {
+      stream.insert(data::uniform_points(5, 2, 10 + w));
       updates_applied.fetch_add(1);
     };
   }
   // The poisoned wave-0 query must not stop wave 0's update nor the later
   // waves; its exception surfaces after the final wave.
-  EXPECT_THROW(batch.run_waves(waves), std::runtime_error);
+  EXPECT_THROW(batch.run_waves(published, waves), std::runtime_error);
   EXPECT_EQ(updates_applied.load(), 3);
   EXPECT_EQ(queries_completed.load(), 8);
+  EXPECT_EQ(published.published_epoch(), epoch_before + 3);
+  EXPECT_EQ(published.acquire()->size(), 65);
 }
 
 TEST(BatchExecutor, TenantQuotaConfinesEvictionToTheOffendingTenant) {
@@ -268,55 +276,6 @@ TEST(BatchExecutor, TenantQuotaConfinesEvictionToTheOffendingTenant) {
   EXPECT_NE(cache.find<Artifact>(2), nullptr);
   EXPECT_NE(cache.find<Artifact>(3), nullptr);
   EXPECT_NE(cache.find<Artifact>(10), nullptr) << "tenant 2 is unaffected";
-}
-
-// The regression test for the old run_waves semantics gap: a query batch
-// submitted from another thread while waves are in flight must never observe
-// a half-applied update.  The update writes a pair that is equal exactly at
-// the epoch boundaries; the epoch gate makes the torn state unobservable by
-// construction (and the pair is gate-protected plain data, so the CI
-// ThreadSanitizer entry also proves the gate's synchronisation, not just its
-// outcome).
-TEST(BatchExecutor, ConcurrentBatchesNeverObserveHalfAppliedWaveUpdates) {
-  const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2});
-
-  std::uint64_t epoch_a = 0;  // gate-protected: shared section reads,
-  std::uint64_t epoch_b = 0;  // exclusive wave updates write
-  std::atomic<bool> done{false};
-  std::atomic<bool> torn{false};
-
-  std::thread prober([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      std::vector<serve::BatchExecutor::Job> jobs;
-      for (int q = 0; q < 4; ++q) {
-        jobs.push_back({[&](const exec::Executor&) {
-                          const std::uint64_t a = epoch_a;
-                          std::this_thread::yield();  // widen any torn window
-                          const std::uint64_t b = epoch_b;
-                          if (a != b) torn.store(true, std::memory_order_relaxed);
-                        },
-                        /*size_hint=*/16});
-      }
-      batch.run(jobs);
-    }
-  });
-
-  std::vector<serve::BatchExecutor::Wave> waves(50);
-  for (auto& wave : waves) {
-    wave.update = [&](const exec::Executor&) {
-      ++epoch_a;
-      std::this_thread::yield();  // a batch admitted here would see a != b
-      ++epoch_b;
-    };
-  }
-  batch.run_waves(waves);
-  done.store(true, std::memory_order_release);
-  prober.join();
-
-  EXPECT_FALSE(torn.load()) << "a query batch observed a half-applied epoch";
-  EXPECT_EQ(epoch_a, 50u);
-  EXPECT_EQ(epoch_b, 50u);
 }
 
 TEST(BatchExecutor, PipelineBatchFrontDoor) {

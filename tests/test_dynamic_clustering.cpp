@@ -322,49 +322,6 @@ TEST(DynamicClustering, EpochFingerprintsRekeyHdbscanArtifacts) {
   EXPECT_EQ(third.num_clusters, expected.num_clusters);
 }
 
-TEST(DynamicClustering, ServingWavesInterleaveQueriesAndUpdates) {
-  // The serve:: integration: waves of concurrent read-only queries against
-  // the stream's current dendrogram, with updates applied exclusively
-  // between waves (race-checked by the CI TSan entry).
-  const exec::Executor parent(exec::default_backend(), 4);
-  dyn::DynamicClustering stream = Pipeline::on(parent).dynamic();
-  stream.insert(data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 21));
-
-  serve::BatchExecutor batch = Pipeline::on(parent).batch({.num_slots = 4});
-
-  constexpr int kWaves = 4;
-  constexpr int kQueriesPerWave = 8;
-  std::vector<std::vector<double>> roots(kWaves);
-  for (auto& r : roots) r.assign(kQueriesPerWave, -1.0);
-
-  std::vector<serve::BatchExecutor::Wave> waves(kWaves);
-  for (int w = 0; w < kWaves; ++w) {
-    for (int q = 0; q < kQueriesPerWave; ++q) {
-      waves[static_cast<std::size_t>(w)].queries.push_back(serve::BatchExecutor::Job{
-          [&stream, &slot = roots[static_cast<std::size_t>(w)][static_cast<std::size_t>(q)]](
-              const exec::Executor&) {
-            // Read-only view of the wave's dendrogram snapshot.
-            slot = stream.dendrogram().weight.empty() ? 0.0 : stream.dendrogram().weight[0];
-          },
-          /*size_hint=*/16});
-    }
-    waves[static_cast<std::size_t>(w)].update = [&stream, w](const exec::Executor&) {
-      stream.insert(data::uniform_points(40, 2, 100 + static_cast<std::uint64_t>(w)));
-    };
-  }
-  batch.run_waves(waves);
-
-  EXPECT_EQ(stream.size(), 300 + kWaves * 40);
-  for (int w = 0; w < kWaves; ++w) {
-    // Every query of a wave saw the same (settled) dendrogram root weight.
-    for (int q = 1; q < kQueriesPerWave; ++q)
-      EXPECT_EQ(roots[static_cast<std::size_t>(w)][static_cast<std::size_t>(q)],
-                roots[static_cast<std::size_t>(w)][0]);
-    EXPECT_GE(roots[static_cast<std::size_t>(w)][0], 0.0);
-  }
-  expect_equivalent_to_rebuild(stream);
-}
-
 TEST(DynamicClustering, UpdateStatsTrackTheIncrementalPath) {
   const exec::Executor executor(exec::default_backend());
   dyn::DynamicClustering stream(executor);

@@ -132,20 +132,15 @@ TEST(Workspace, IdenticalCallSequencesAcquireIdenticalBlocks) {
 
 TEST(Executor, ThreadBudgetResolution) {
   // The budget is answered by the backend, never by global runtime state:
-  // the serial backend grants 1 regardless of the request, OpenMP grants
-  // explicit requests verbatim (its runtime oversubscribes), and the pinned
-  // pool clamps to its fixed capacity.
+  // the serial backend grants 1 regardless of the request, and OpenMP grants
+  // explicit requests verbatim (its runtime oversubscribes).
   EXPECT_EQ(exec::Executor(exec::serial_backend()).num_threads(), 1);
   EXPECT_EQ(exec::Executor(exec::serial_backend(), 8).num_threads(), 1);
   EXPECT_EQ(exec::Executor(exec::openmp_backend(), 3).num_threads(), 3);
   EXPECT_GE(exec::Executor(exec::openmp_backend()).num_threads(), 1);
-  const auto& pinned = exec::pinned_pool_backend();
-  EXPECT_EQ(exec::Executor(pinned, pinned->concurrency() + 7).num_threads(),
-            pinned->concurrency());
   EXPECT_GE(exec::Executor(exec::default_backend()).num_threads(), 1);
   EXPECT_STREQ(exec::Executor(exec::serial_backend()).name(), "serial");
   EXPECT_STREQ(exec::Executor(exec::openmp_backend()).name(), "openmp");
-  EXPECT_STREQ(exec::Executor(pinned).name(), "pinned");
 }
 
 TEST(Executor, NestedExecutorsReportTruthfulBudgets) {
@@ -224,7 +219,7 @@ TEST(Executor, DefaultExecutorsAreDistinctPerBackend) {
   EXPECT_NE(&serial, &openmp);
   EXPECT_EQ(&serial.backend(), exec::serial_backend().get());
   EXPECT_EQ(&openmp.backend(), exec::openmp_backend().get());
-  // The no-argument form resolves to whatever backend PANDORA_BACKEND chose.
+  // The no-argument form resolves to the default (openmp) backend.
   EXPECT_EQ(&exec::default_executor().backend(), exec::default_backend().get());
   // Stable addresses: repeated lookups return the same context (that is what
   // lets executor-less callers amortise allocations too).

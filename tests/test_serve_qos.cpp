@@ -136,7 +136,7 @@ TEST(ServeQos, DeprioritisedLargeJobRunsAfterSmallOnes) {
   const exec::Executor parent;
   BatchOptions options;
   options.small_query_threshold = 100;
-  options.overlap_phases = true;  // deprioritisation must override overlap
+  // Deprioritisation must override the default phase overlap.
   options.qos.deprioritise_large_under_pressure = true;
   options.qos.pressure_threshold = 0;
   BatchExecutor batch(parent, options);

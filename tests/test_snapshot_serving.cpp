@@ -251,8 +251,8 @@ TEST(SnapshotServing, PipelineOnSnapshotFrontDoor) {
 
 // Writers never block readers, witnessed structurally: a reader query that
 // refuses to finish until the wave's own update has published can only
-// complete because the update runs concurrently with the queries (the
-// legacy exclusive-wave driver would deadlock here).
+// complete because the update runs concurrently with the queries (a driver
+// that ran updates exclusively between waves would deadlock here).
 TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);

@@ -31,7 +31,7 @@ TEST_P(ArenaBothSpaces, SecondIdenticalPipelineRunAllocatesNothing) {
   const index_t nv = 30000;
   const graph::EdgeList tree = make_tree(Topology::preferential, nv, 3, 0);
   // A 4-thread budget forces the parallel code path even on small machines
-  // (the serial backend grants 1 regardless; the pinned pool clamps).
+  // (the serial backend grants 1 regardless).
   const exec::Executor executor(GetParam(), 4);
   const auto pipeline = Pipeline::on(executor);
 
