@@ -136,51 +136,6 @@ LevelCounts contract_level_core(const exec::Executor& exec, std::span<const inde
 
 }  // namespace
 
-namespace detail {
-
-LevelResult contract_one_level(const exec::Executor& exec, std::span<const index_t> u,
-                               std::span<const index_t> v, std::span<const index_t> gid,
-                               index_t num_vertices) {
-  exec::Workspace& workspace = exec.workspace();
-  const size_type m = static_cast<size_type>(u.size());
-  const size_type next_capacity = m / 2 + 1;  // num_alpha <= (m - 1) / 2
-
-  LevelResult r;
-  r.sided_store = workspace.take_uninit<std::int64_t>(num_vertices);
-  r.map_store = workspace.take_uninit<index_t>(num_vertices);
-  r.alpha_store = workspace.take_uninit<index_t>(m);
-  r.next_store = workspace.take_uninit<index_t>(3 * next_capacity);
-
-  ContractionScratch scratch(workspace, num_vertices, m);
-  LevelOutput out;
-  out.sided_parent = r.sided_store.span();
-  out.vertex_map = r.map_store.span();
-  out.alpha = r.alpha_store.span();
-  out.next_u = r.next_store.span().first(next_capacity);
-  out.next_v = r.next_store.span().subspan(static_cast<std::size_t>(next_capacity),
-                                           static_cast<std::size_t>(next_capacity));
-  out.next_gid = r.next_store.span().subspan(static_cast<std::size_t>(2 * next_capacity),
-                                             static_cast<std::size_t>(next_capacity));
-
-  const LevelCounts counts = contract_level_core(exec, u, v, gid, num_vertices, out, scratch);
-  r.level.num_vertices = num_vertices;
-  r.level.num_edges = static_cast<index_t>(m);
-  r.level.num_alpha = counts.num_alpha;
-  r.level.sided_parent = out.sided_parent;
-  r.alpha = out.alpha;
-  if (counts.num_alpha > 0) {
-    const auto na = static_cast<std::size_t>(counts.num_alpha);
-    r.level.vertex_map = out.vertex_map;
-    r.next_u = out.next_u.first(na);
-    r.next_v = out.next_v.first(na);
-    r.next_gid = out.next_gid.first(na);
-    r.next_num_vertices = counts.next_num_vertices;
-  }
-  return r;
-}
-
-}  // namespace detail
-
 ContractionHierarchy build_hierarchy(const exec::Executor& exec, std::span<const index_t> u,
                                      std::span<const index_t> v, std::span<const index_t> gid,
                                      index_t num_vertices, index_t num_global_edges) {

@@ -64,38 +64,6 @@ struct ContractionHierarchy {
   exec::Workspace::Lease<index_t> fate_store;
 };
 
-namespace detail {
-
-/// Classifies the edges of one level tree and contracts its non-α edges.
-/// Inputs: endpoints `u`/`v` (level-vertex ids) and global indices `gid` of
-/// the level's edges over `num_vertices` vertices; an empty `gid` means the
-/// identity mapping (edge i has global index i), which is the base level of
-/// the canonical sorted MST.  On return, `level` is fully populated; if
-/// α-edges exist, `next_*` hold the contracted tree and `level.vertex_map`
-/// the vertex relabelling; the fate of each input edge is readable from
-/// `alpha` (flag per edge).  The result owns its storage as Workspace leases
-/// and must not outlive the Executor.
-struct LevelResult {
-  ContractionLevel level;
-  std::span<const index_t> alpha;  ///< 0/1 per input edge
-  std::span<const index_t> next_u, next_v, next_gid;
-  index_t next_num_vertices = 0;
-
-  /// Backing storage for the spans above (leased; do not touch directly).
-  exec::Workspace::Lease<std::int64_t> sided_store;
-  exec::Workspace::Lease<index_t> map_store;
-  exec::Workspace::Lease<index_t> alpha_store;
-  exec::Workspace::Lease<index_t> next_store;
-};
-
-[[nodiscard]] LevelResult contract_one_level(const exec::Executor& exec,
-                                             std::span<const index_t> u,
-                                             std::span<const index_t> v,
-                                             std::span<const index_t> gid,
-                                             index_t num_vertices);
-
-}  // namespace detail
-
 /// Builds the complete contraction hierarchy of the tree given by parallel
 /// arrays (`u[i]`, `v[i]`) with global edge indices `gid[i]` over
 /// `num_vertices` vertices; an empty `gid` means the identity mapping (the

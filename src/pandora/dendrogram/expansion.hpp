@@ -5,12 +5,13 @@
 #include "pandora/common/timer.hpp"
 #include "pandora/common/types.hpp"
 #include "pandora/dendrogram/contraction.hpp"
-#include "pandora/dendrogram/sorted_edges.hpp"
 #include "pandora/exec/executor.hpp"
 
 namespace pandora::dendrogram {
 
-/// Multilevel dendrogram expansion (Sections 3.3.2-3.3.3).
+/// Multilevel dendrogram expansion (Sections 3.3.2-3.3.3), the only
+/// expansion stage: O(n log n) work, where the single-level walk-up of
+/// Section 3.3.1 would cost O(n * h_alpha) on skewed dendrograms.
 ///
 /// For every edge e contracted at level k, scans levels m = k+1, k+2, ... for
 /// the first one whose supervertex containing e has a dendrogram parent
@@ -25,18 +26,5 @@ namespace pandora::dendrogram {
 /// "expansion" (level scans + stitching), "sort" (the radix sort).
 void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& hierarchy,
                        std::span<index_t> edge_parent);
-
-/// Single-level expansion (Section 3.3.1) — the non-work-optimal variant kept
-/// as an ablation and as an independent implementation for cross-validation.
-///
-/// Contracts the MST once, computes the full dendrogram of the α-MST (via the
-/// multilevel machinery), then inserts every non-α edge by walking the
-/// α-dendrogram upwards from its supervertex's parent until an edge heavier
-/// than it is found — O(n · h_α) in the worst case, which is exactly the
-/// behaviour Figure-level ablations quantify.
-///
-/// Writes `edge_parent[g]` for every edge of `sorted`.
-void expand_single_level(const exec::Executor& exec, const SortedEdges& sorted,
-                         std::span<index_t> edge_parent);
 
 }  // namespace pandora::dendrogram

@@ -35,8 +35,4 @@ namespace pandora::dendrogram {
                                           const graph::EdgeList& mst, index_t num_vertices,
                                           double top_fraction = 0.1);
 
-// The deprecated bare-`Space` shims were removed after their deprecation
-// cycle: pass a `const exec::Executor&` (and install a PhaseTimes sink with
-// `executor.set_phase_times` for the old `PhaseTimes*` plumbing).
-
 }  // namespace pandora::dendrogram

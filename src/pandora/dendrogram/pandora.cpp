@@ -11,7 +11,7 @@
 namespace pandora::dendrogram {
 
 void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sorted,
-                             const PandoraOptions& options, Dendrogram& out) {
+                             const PandoraOptions& /*options*/, Dendrogram& out) {
   const index_t n = sorted.num_edges();
   const index_t nv = sorted.num_vertices;
 
@@ -23,28 +23,6 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
   if (n == 0) return;  // single data point: the vertex is the root
 
   std::span<index_t> edge_parent(out.parent.data(), static_cast<std::size_t>(n));
-
-  if (options.expansion == ExpansionPolicy::single_level) {
-    expand_single_level(exec, sorted, edge_parent);
-    // Vertex parents by Eq. (1): recompute maxIncident of the original tree.
-    // (The single-level path does not retain its base level, so one extra
-    // linear pass; negligible next to the walk itself.)
-    auto max_incident_lease = exec.workspace().take<index_t>(nv, kNone);
-    const std::span<index_t> max_incident = max_incident_lease.span();
-    exec::parallel_for(exec, n, [&](size_type i) {
-      exec::atomic_fetch_max(
-          max_incident[static_cast<std::size_t>(sorted.u[static_cast<std::size_t>(i)])],
-          static_cast<index_t>(i));
-      exec::atomic_fetch_max(
-          max_incident[static_cast<std::size_t>(sorted.v[static_cast<std::size_t>(i)])],
-          static_cast<index_t>(i));
-    });
-    exec::parallel_for(exec, nv, [&](size_type x) {
-      out.parent[static_cast<std::size_t>(n + x)] =
-          max_incident[static_cast<std::size_t>(x)];
-    });
-    return;
-  }
 
   const ContractionHierarchy hierarchy = [&] {
     const exec::ScopedPhase phase(exec, "contraction");
@@ -109,10 +87,8 @@ std::shared_ptr<const Dendrogram> pandora_dendrogram_cached(const exec::Executor
     return owned;
   }
 
-  const std::uint64_t key = exec::combine_fingerprint(
-      exec::tagged_fingerprint(exec::ArtifactTag::dendrogram,
-                               mst_fingerprint(exec, mst, num_vertices)),
-      static_cast<std::uint64_t>(options.expansion));
+  const std::uint64_t key = exec::tagged_fingerprint(exec::ArtifactTag::dendrogram,
+                                                     mst_fingerprint(exec, mst, num_vertices));
   std::shared_ptr<CachedDendrogram> entry = exec.artifact_cache().find<CachedDendrogram>(key);
   if (entry == nullptr) {
     entry = std::make_shared<CachedDendrogram>();

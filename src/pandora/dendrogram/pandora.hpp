@@ -9,23 +9,18 @@
 
 namespace pandora::dendrogram {
 
-/// Which expansion stage to run (Section 3.3).
-enum class ExpansionPolicy {
-  multilevel,    ///< Section 3.3.2: O(n log n), the paper's algorithm
-  single_level,  ///< Section 3.3.1: O(n h) walk-up; ablation / cross-check
-};
-
-/// Options for pandora_dendrogram.  (The retired `space` field is gone: the
-/// Executor's backend decides where kernels run.)
+/// Options for pandora_dendrogram.
 struct PandoraOptions {
-  ExpansionPolicy expansion = ExpansionPolicy::multilevel;
-  /// Reject inputs that are not spanning trees with finite weights.
+  /// Reject inputs that are not spanning trees with finite weights.  Read by
+  /// the MST overloads; the SortedEdges overloads take already-sorted input.
   bool validate_input = false;
 };
 
 /// PANDORA: parallel dendrogram construction by recursive tree contraction
-/// (Algorithm 3).  Work-optimal (O(n log n), Section 4) and expressed
-/// entirely in parallel loops, scans and sorts.
+/// (Algorithm 3): sort the edges, build the contraction hierarchy
+/// (build_hierarchy), then expand it level by level (expand_multilevel).
+/// Work-optimal (O(n log n), Section 4) and expressed entirely in parallel
+/// loops, scans and sorts.
 ///
 /// The MST overloads run the initial sort through the cross-call SortedEdges
 /// cache (see sorted_edges_cached), so repeated queries against one MST sort
@@ -56,20 +51,15 @@ void pandora_dendrogram_into(const exec::Executor& exec, const SortedEdges& sort
                              const PandoraOptions& options, Dendrogram& out);
 
 /// The cross-call dendrogram cache: the PANDORA dendrogram of `mst`, replayed
-/// from the Executor's ArtifactCache when the MST fingerprint and expansion
-/// policy match.  This is the artifact a `min_cluster_size` sweep replays:
-/// the contraction-hierarchy construction and expansion run once, and every
+/// from the Executor's ArtifactCache when the MST fingerprint matches.  This
+/// is the artifact a `min_cluster_size` sweep replays: the
+/// contraction-hierarchy construction and expansion run once, and every
 /// sweep value only re-condenses the tree (min_cluster_size does not enter
-/// the key because it does not enter the dendrogram).  A mutated MST or a
-/// different expansion policy derives a different key and misses.  With
-/// `Executor::set_artifact_caching(false)` every call rebuilds.
+/// the key because it does not enter the dendrogram).  A mutated MST derives
+/// a different key and misses.  With `Executor::set_artifact_caching(false)`
+/// every call rebuilds.
 [[nodiscard]] std::shared_ptr<const Dendrogram> pandora_dendrogram_cached(
     const exec::Executor& exec, const graph::EdgeList& mst, index_t num_vertices,
     const PandoraOptions& options = {});
-
-// The deprecated bare-`Space` shims (`pandora_dendrogram(mst, n, options,
-// times)`) were removed after their deprecation cycle: pass a
-// `const exec::Executor&` and, for the old `PhaseTimes*` plumbing, install a
-// sink with `executor.set_phase_times(&times)`.
 
 }  // namespace pandora::dendrogram

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "pandora/exec/executor.hpp"
 #include "pandora/graph/tree.hpp"
 
 namespace pandora::dendrogram {
@@ -99,11 +100,6 @@ Dendrogram top_down_dendrogram(const SortedEdges& sorted) {
 Dendrogram top_down_dendrogram(const graph::EdgeList& mst, index_t num_vertices) {
   return top_down_dendrogram(
       sort_edges(exec::default_executor(exec::serial_backend()), mst, num_vertices));
-}
-
-Dendrogram top_down_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
-                               index_t num_vertices) {
-  return top_down_dendrogram(sort_edges(exec, mst, num_vertices));
 }
 
 }  // namespace pandora::dendrogram

@@ -3,7 +3,6 @@
 #include "pandora/common/types.hpp"
 #include "pandora/dendrogram/dendrogram.hpp"
 #include "pandora/dendrogram/sorted_edges.hpp"
-#include "pandora/exec/executor.hpp"
 #include "pandora/graph/edge.hpp"
 
 namespace pandora::dendrogram {
@@ -19,10 +18,5 @@ namespace pandora::dendrogram {
 
 /// Convenience overload that sorts internally (serially; this is a test oracle).
 [[nodiscard]] Dendrogram top_down_dendrogram(const graph::EdgeList& mst, index_t num_vertices);
-
-/// Executor overload for API uniformity: the executor performs the edge sort;
-/// the divide-and-conquer walk itself is sequential (it is a test oracle).
-[[nodiscard]] Dendrogram top_down_dendrogram(const exec::Executor& exec,
-                                             const graph::EdgeList& mst, index_t num_vertices);
 
 }  // namespace pandora::dendrogram

@@ -7,6 +7,7 @@
 
 #include "pandora/common/expect.hpp"
 #include "pandora/common/timer.hpp"
+#include "pandora/dendrogram/pandora.hpp"
 #include "pandora/exec/failpoint.hpp"
 #include "pandora/exec/fingerprint.hpp"
 #include "pandora/exec/parallel.hpp"
@@ -70,9 +71,7 @@ void DynamicClustering::rebuild_index() {
 }
 
 void DynamicClustering::replay_dendrogram() {
-  dendrogram::PandoraOptions pandora_options;
-  pandora_options.expansion = options_.expansion;
-  dendrogram::pandora_dendrogram_into(*exec_, sorted_, pandora_options, dendrogram_);
+  dendrogram::pandora_dendrogram_into(*exec_, sorted_, {}, dendrogram_);
 }
 
 void DynamicClustering::rebuild_from_scratch() {
@@ -577,7 +576,6 @@ ArtifactBundle DynamicClustering::capture_artifacts() const {
   bundle.emst = std::make_shared<const graph::EdgeList>(edges_);
   bundle.sorted_edges = std::make_shared<const dendrogram::SortedEdges>(sorted_);
   bundle.dendrogram = std::make_shared<const dendrogram::Dendrogram>(dendrogram_);
-  bundle.expansion = options_.expansion;
   return bundle;
 }
 
@@ -593,7 +591,6 @@ void DynamicClustering::restore(const ArtifactBundle& bundle) {
   edges_ = *bundle.emst;
   sorted_ = *bundle.sorted_edges;
   dendrogram_ = *bundle.dendrogram;
-  options_.expansion = bundle.expansion;
 
   // Rebuild the inverse id map.  Ids issued after the bundle was captured
   // stay burned: next_id_ never decreases, so a recovered stream cannot hand

@@ -8,7 +8,6 @@
 #include "pandora/common/expect.hpp"
 #include "pandora/common/types.hpp"
 #include "pandora/dendrogram/dendrogram.hpp"
-#include "pandora/dendrogram/pandora.hpp"
 #include "pandora/dendrogram/sorted_edges.hpp"
 #include "pandora/exec/executor.hpp"
 #include "pandora/exec/fingerprint.hpp"
@@ -41,9 +40,6 @@ struct DynamicOptions {
   /// the kd index is rebuilt (amortised O(log n) per insert).  Erases always
   /// rebuild (compaction moves the indexed coordinates).
   double index_rebuild_fraction = 0.125;
-
-  /// PANDORA expansion policy for the dendrogram replays.
-  dendrogram::ExpansionPolicy expansion = dendrogram::ExpansionPolicy::multilevel;
 };
 
 /// Cumulative counters, exposed so tests and benches can assert the update
@@ -71,7 +67,6 @@ struct ArtifactBundle {
   std::shared_ptr<const graph::EdgeList> emst;
   std::shared_ptr<const dendrogram::SortedEdges> sorted_edges;
   std::shared_ptr<const dendrogram::Dendrogram> dendrogram;
-  dendrogram::ExpansionPolicy expansion = dendrogram::ExpansionPolicy::multilevel;
 };
 
 /// A mutable point set with stable ids, an incrementally maintained exact
@@ -99,8 +94,8 @@ struct ArtifactBundle {
 ///
 /// **Dendrogram replay.**  Updates renumber the surviving edges, merge the
 /// small sorted delta into the maintained `SortedEdges` run
-/// (`merge_sorted_edges_delta` — linear, no re-sort) and replay PANDORA, so
-/// `dendrogram()` is always current.
+/// (`merge_sorted_edges_delta` — linear, no re-sort) and replay PANDORA's
+/// contraction and multilevel expansion, so `dendrogram()` is always current.
 ///
 /// **Slots vs ids.**  Live points occupy dense *slots* [0, size()); erase
 /// compacts slots, so dendrogram leaves and EMST endpoints are slot indices.

@@ -43,8 +43,7 @@
 /// comparison merge as the fallback), and (f) an `ArtifactCache` that lets
 /// upper layers reuse derived artifacts (e.g. the canonical SortedEdges of an
 /// MST) across calls.  Every kernel takes a
-/// `const Executor&`.  (The old two-value `Space` enum and its bare-`Space`
-/// shims are fully retired; see the README migration table.)
+/// `const Executor&`.
 namespace pandora::exec {
 
 /// Below this trip count per-kernel dispatch overhead dominates; kernels run

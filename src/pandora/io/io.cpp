@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -28,6 +29,14 @@ T read_pod(std::istream& in) {
   in.read(reinterpret_cast<char*>(&value), sizeof(T));
   PANDORA_EXPECT(static_cast<bool>(in), "truncated stream");
   return value;
+}
+
+/// Reads a signed 64-bit header size and range-checks it before narrowing.
+index_t read_size(std::istream& in) {
+  const auto value = read_pod<std::int64_t>(in);
+  PANDORA_EXPECT(value >= 0 && value <= std::numeric_limits<index_t>::max(),
+                 "corrupt header: size out of range");
+  return static_cast<index_t>(value);
 }
 
 template <class T>
@@ -64,9 +73,8 @@ dendrogram::Dendrogram load_dendrogram(std::istream& in) {
   PANDORA_EXPECT(read_pod<std::uint64_t>(in) == kDendrogramMagic,
                  "not a pandora dendrogram stream");
   dendrogram::Dendrogram d;
-  d.num_edges = static_cast<index_t>(read_pod<std::int64_t>(in));
-  d.num_vertices = static_cast<index_t>(read_pod<std::int64_t>(in));
-  PANDORA_EXPECT(d.num_edges >= 0 && d.num_vertices >= 0, "corrupt header");
+  d.num_edges = read_size(in);
+  d.num_vertices = read_size(in);
   const std::uint64_t nodes = static_cast<std::uint64_t>(d.num_edges) +
                               static_cast<std::uint64_t>(d.num_vertices);
   d.parent = read_vector<index_t>(in, nodes);
@@ -103,16 +111,18 @@ void save_edges(std::ostream& out, const graph::EdgeList& edges, index_t num_ver
 
 std::pair<graph::EdgeList, index_t> load_edges(std::istream& in) {
   PANDORA_EXPECT(read_pod<std::uint64_t>(in) == kEdgesMagic, "not a pandora edge stream");
-  const auto num_vertices = static_cast<index_t>(read_pod<std::int64_t>(in));
+  const index_t num_vertices = read_size(in);
   const auto count = read_pod<std::uint64_t>(in);
-  PANDORA_EXPECT(num_vertices >= 0, "corrupt header");
+  // The count is untrusted, so it does not size the vector: a bogus one runs
+  // into the end of the stream instead of into the allocator.
   graph::EdgeList edges;
-  edges.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     graph::WeightedEdge e;
     e.u = read_pod<index_t>(in);
     e.v = read_pod<index_t>(in);
     e.weight = read_pod<double>(in);
+    PANDORA_EXPECT(e.u >= 0 && e.u < num_vertices && e.v >= 0 && e.v < num_vertices,
+                   "corrupt stream: edge endpoint out of range");
     edges.push_back(e);
   }
   return {std::move(edges), num_vertices};

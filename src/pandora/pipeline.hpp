@@ -90,12 +90,6 @@ class Pipeline {
     return *this;
   }
 
-  /// PANDORA expansion policy (multilevel by default).
-  Pipeline& with_expansion(dendrogram::ExpansionPolicy policy) {
-    expansion_ = policy;
-    return *this;
-  }
-
   /// Which algorithm runs the Section 3.1.1 edge sort (key-packed radix by
   /// default; merge is the comparison-based reference).  Applies to the
   /// executor, so it persists across pipelines sharing it.
@@ -251,17 +245,9 @@ class Pipeline {
   ///   stream.insert(new_point);                       // incremental repair
   ///   const auto& dendrogram = stream.dendrogram();   // already current
   ///
-  /// The zero-argument form carries the pipeline's expansion policy over;
-  /// passing explicit DynamicOptions takes them verbatim (including their
-  /// own expansion).  HDBSCAN* options apply when calling
-  /// `stream.hdbscan()` (pass them there — the stream outlives this
-  /// builder).
-  [[nodiscard]] dyn::DynamicClustering dynamic() const {
-    dyn::DynamicOptions options;
-    options.expansion = expansion_;
-    return dyn::DynamicClustering(*executor_, options);
-  }
-  [[nodiscard]] dyn::DynamicClustering dynamic(dyn::DynamicOptions options) const {
+  /// HDBSCAN* options apply when calling `stream.hdbscan()` (pass them
+  /// there — the stream outlives this builder).
+  [[nodiscard]] dyn::DynamicClustering dynamic(dyn::DynamicOptions options = {}) const {
     return dyn::DynamicClustering(*executor_, options);
   }
 
@@ -269,14 +255,9 @@ class Pipeline {
   /// side is bound to this pipeline's executor.  Writers mutate and publish;
   /// readers `acquire()` pinned snapshots from their own threads and query
   /// them through `Pipeline::on_snapshot` (writers never block readers —
-  /// see published_clustering.hpp).  The zero-argument form carries the
-  /// pipeline's expansion policy over.
-  [[nodiscard]] snapshot::PublishedClustering published() const {
-    snapshot::PublishedOptions options;
-    options.dynamic.expansion = expansion_;
-    return snapshot::PublishedClustering(*executor_, options);
-  }
-  [[nodiscard]] snapshot::PublishedClustering published(snapshot::PublishedOptions options) const {
+  /// see published_clustering.hpp).
+  [[nodiscard]] snapshot::PublishedClustering published(
+      snapshot::PublishedOptions options = {}) const {
     return snapshot::PublishedClustering(*executor_, options);
   }
 
@@ -287,7 +268,6 @@ class Pipeline {
 
   [[nodiscard]] dendrogram::PandoraOptions pandora_options() const {
     dendrogram::PandoraOptions options;
-    options.expansion = expansion_;
     options.validate_input = validate_input_;
     return options;
   }
@@ -313,7 +293,6 @@ class Pipeline {
   const exec::Executor* executor_;
   const snapshot::Snapshot* snapshot_ = nullptr;
   hdbscan::HdbscanOptions options_;
-  dendrogram::ExpansionPolicy expansion_ = dendrogram::ExpansionPolicy::multilevel;
   bool validate_input_ = false;
   std::chrono::nanoseconds deadline_{0};
   const exec::CancellationToken* cancellation_ = nullptr;

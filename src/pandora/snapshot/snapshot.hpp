@@ -8,7 +8,6 @@
 
 #include "pandora/common/types.hpp"
 #include "pandora/dendrogram/dendrogram.hpp"
-#include "pandora/dendrogram/pandora.hpp"
 #include "pandora/dendrogram/sorted_edges.hpp"
 #include "pandora/dyn/dynamic_clustering.hpp"
 #include "pandora/exec/executor.hpp"
@@ -72,9 +71,6 @@ class Snapshot {
   /// dense slots at capture time).
   [[nodiscard]] const dendrogram::Dendrogram& dendrogram() const noexcept {
     return *bundle_.dendrogram;
-  }
-  [[nodiscard]] dendrogram::ExpansionPolicy expansion() const noexcept {
-    return bundle_.expansion;
   }
 
   /// The kd-tree over the snapshot's points, built lazily by the first

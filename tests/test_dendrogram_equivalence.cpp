@@ -17,8 +17,6 @@ namespace {
 
 using namespace pandora;
 using dendrogram::Dendrogram;
-using dendrogram::ExpansionPolicy;
-using dendrogram::PandoraOptions;
 using pandora::testing::Topology;
 using pandora::testing::all_topologies;
 using pandora::testing::make_tree;
@@ -42,7 +40,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0, 4)),
     case_name);
 
-TEST_P(EquivalenceTest, PandoraMatchesUnionFindAllSpacesAndPolicies) {
+TEST_P(EquivalenceTest, PandoraMatchesUnionFindAllSpaces) {
   const auto& [topo, n, distinct] = GetParam();
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const graph::EdgeList tree = make_tree(topo, n, seed, distinct);
@@ -50,19 +48,13 @@ TEST_P(EquivalenceTest, PandoraMatchesUnionFindAllSpacesAndPolicies) {
     dendrogram::validate_dendrogram(reference);
 
     for (const auto& space : exec::registered_backends()) {
-      for (const ExpansionPolicy policy :
-           {ExpansionPolicy::multilevel, ExpansionPolicy::single_level}) {
-        PandoraOptions options;
-        options.expansion = policy;
-        const Dendrogram ours =
-            dendrogram::pandora_dendrogram(exec::default_executor(space), tree, n, options);
-        ASSERT_EQ(ours.parent, reference.parent)
-            << topology_name(topo) << " n=" << n << " seed=" << seed
-            << " space=" << space->name()
-            << " policy=" << (policy == ExpansionPolicy::multilevel ? "multilevel" : "single");
-        ASSERT_EQ(ours.edge_order, reference.edge_order);
-        ASSERT_EQ(ours.weight, reference.weight);
-      }
+      const Dendrogram ours =
+          dendrogram::pandora_dendrogram(exec::default_executor(space), tree, n);
+      ASSERT_EQ(ours.parent, reference.parent)
+          << topology_name(topo) << " n=" << n << " seed=" << seed
+          << " space=" << space->name();
+      ASSERT_EQ(ours.edge_order, reference.edge_order);
+      ASSERT_EQ(ours.weight, reference.weight);
     }
   }
 }

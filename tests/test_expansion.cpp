@@ -1,7 +1,7 @@
 // Direct behavioural tests of the expansion stage (Section 3.3) on trees
 // whose dendrograms are known by hand, including the paper's inverted-Y
-// chain example (Figure 5), plus cross-validation of the two expansion
-// policies under adversarial tie patterns.
+// chain example (Figure 5), plus cross-validation against the union-find
+// dendrogram (Algorithm 2) under adversarial tie patterns.
 
 #include <gtest/gtest.h>
 
@@ -11,14 +11,13 @@
 #include "pandora/dendrogram/contraction.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/dendrogram/sorted_edges.hpp"
+#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "test_helpers.hpp"
 
 namespace {
 
 using namespace pandora;
 using dendrogram::Dendrogram;
-using dendrogram::ExpansionPolicy;
-using dendrogram::PandoraOptions;
 using pandora::testing::Topology;
 using pandora::testing::make_tree;
 
@@ -30,15 +29,10 @@ using pandora::testing::make_tree;
 //
 // Descending ranks: r0=bridge, r1=(2,3,30), r2=(6,7,20), r3=(1,2,10),
 // r4=(5,6,8), r5=(0,1,3), r6=(4,5,2).
-class InvertedY
-    : public ::testing::TestWithParam<
-          std::tuple<std::shared_ptr<const exec::Backend>, ExpansionPolicy>> {};
+class InvertedY : public ::testing::TestWithParam<std::shared_ptr<const exec::Backend>> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    AllModes, InvertedY,
-    ::testing::Combine(::testing::ValuesIn(exec::registered_backends()),
-                       ::testing::Values(ExpansionPolicy::multilevel,
-                                         ExpansionPolicy::single_level)));
+INSTANTIATE_TEST_SUITE_P(AllBackends, InvertedY,
+                         ::testing::ValuesIn(exec::registered_backends()));
 
 graph::EdgeList inverted_y_tree() {
   return {{0, 1, 3.0}, {1, 2, 10.0}, {2, 3, 30.0}, {3, 7, 100.0},
@@ -46,11 +40,9 @@ graph::EdgeList inverted_y_tree() {
 }
 
 TEST_P(InvertedY, HandComputedParents) {
-  const auto& [space, policy] = GetParam();
-  PandoraOptions options;
-  options.expansion = policy;
-  const Dendrogram d = dendrogram::pandora_dendrogram(exec::default_executor(space),
-                                                      inverted_y_tree(), 8, options);
+  const exec::Executor& executor = exec::default_executor(GetParam());
+  const Dendrogram d = dendrogram::pandora_dendrogram(executor, inverted_y_tree(), 8);
+  EXPECT_EQ(d.parent, dendrogram::union_find_dendrogram(executor, inverted_y_tree(), 8).parent);
 
   // Edge parents: the root chain is {0}; chains {1,3,5} and {2,4,6} hang off
   // its two sides.
@@ -110,29 +102,23 @@ TEST(Expansion, StarIsASingleRootChain) {
   graph::EdgeList tree = data::star_tree(1000);
   pandora::Rng rng(3);
   data::assign_random_weights(tree, rng);
-  for (const auto policy : {ExpansionPolicy::multilevel, ExpansionPolicy::single_level}) {
-    PandoraOptions options;
-    options.expansion = policy;
-    const Dendrogram d = dendrogram::pandora_dendrogram(
-        exec::default_executor(), tree, 1000, options);
-    EXPECT_EQ(d.parent[0], kNone);
-    for (index_t e = 1; e < d.num_edges; ++e)
-      ASSERT_EQ(d.parent[static_cast<std::size_t>(e)], e - 1);
-  }
+  const Dendrogram d = dendrogram::pandora_dendrogram(exec::default_executor(), tree, 1000);
+  EXPECT_EQ(d.parent[0], kNone);
+  for (index_t e = 1; e < d.num_edges; ++e)
+    ASSERT_EQ(d.parent[static_cast<std::size_t>(e)], e - 1);
+  EXPECT_EQ(d.parent, dendrogram::union_find_dendrogram(exec::default_executor(), tree, 1000).parent);
 }
 
-TEST(Expansion, PoliciesAgreeUnderHeavyTies) {
+TEST(Expansion, AgreesWithUnionFindUnderHeavyTies) {
   // Two distinct weight values force long tie runs through every sort and
-  // every chain; the policies must still agree bit-for-bit.
+  // every chain; multilevel expansion must still match the union-find
+  // construction bit-for-bit.
   for (const Topology topo :
        {Topology::preferential, Topology::caterpillar, Topology::broom}) {
     const graph::EdgeList tree = make_tree(topo, 20000, 5, /*distinct=*/2);
-    PandoraOptions multi;
-    PandoraOptions single;
-    single.expansion = ExpansionPolicy::single_level;
     const exec::Executor executor(exec::default_backend());
-    const Dendrogram a = dendrogram::pandora_dendrogram(executor, tree, 20000, multi);
-    const Dendrogram b = dendrogram::pandora_dendrogram(executor, tree, 20000, single);
+    const Dendrogram a = dendrogram::pandora_dendrogram(executor, tree, 20000);
+    const Dendrogram b = dendrogram::union_find_dendrogram(executor, tree, 20000);
     ASSERT_EQ(a.parent, b.parent);
     dendrogram::validate_dendrogram(a);
   }
@@ -152,12 +138,9 @@ TEST(Expansion, DeepChainOfBridgesExercisesManyLevels) {
   EXPECT_GE(h.num_levels(), 3) << "random balanced trees need multiple contraction levels";
 
   const exec::Executor executor(exec::default_backend());
-  const Dendrogram reference =
-      dendrogram::pandora_dendrogram(executor, tree, 4096, PandoraOptions{});
-  PandoraOptions single;
-  single.expansion = ExpansionPolicy::single_level;
-  const Dendrogram b = dendrogram::pandora_dendrogram(executor, tree, 4096, single);
-  EXPECT_EQ(reference.parent, b.parent);
+  const Dendrogram reference = dendrogram::union_find_dendrogram(executor, tree, 4096);
+  const Dendrogram d = dendrogram::pandora_dendrogram(executor, tree, 4096);
+  EXPECT_EQ(reference.parent, d.parent);
 }
 
 }  // namespace

@@ -47,15 +47,8 @@ TEST_P(DatasetSweep, FullPipelineAgreesAcrossAlgorithmsAndSpaces) {
   dendrogram::validate_dendrogram(reference);
 
   for (const auto& space : exec::registered_backends()) {
-    for (const auto policy : {dendrogram::ExpansionPolicy::multilevel,
-                              dendrogram::ExpansionPolicy::single_level}) {
-      dendrogram::PandoraOptions options;
-      options.expansion = policy;
-      const Dendrogram ours =
-          dendrogram::pandora_dendrogram(exec::default_executor(space), mst, n, options);
-      ASSERT_EQ(ours.parent, reference.parent)
-          << GetParam() << " space=" << space->name();
-    }
+    const Dendrogram ours = dendrogram::pandora_dendrogram(exec::default_executor(space), mst, n);
+    ASSERT_EQ(ours.parent, reference.parent) << GetParam() << " space=" << space->name();
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "pandora/data/point_generators.hpp"
@@ -47,6 +48,41 @@ TEST(Io, EdgeListRoundTrip) {
   EXPECT_EQ(nv, 300);
   ASSERT_EQ(loaded.size(), tree.size());
   for (std::size_t i = 0; i < tree.size(); ++i) EXPECT_EQ(loaded[i], tree[i]);
+}
+
+// A hand-written edge stream: magic, num_vertices, edge count, then
+// (u, v, weight) records.
+std::stringstream edge_stream(std::int64_t num_vertices, std::uint64_t count,
+                              const graph::EdgeList& edges) {
+  std::stringstream stream;
+  const auto put = [&](const auto& value) {
+    stream.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(std::uint64_t{0x50414e4544474553ull});  // "PANEDGES"
+  put(num_vertices);
+  put(count);
+  for (const auto& e : edges) {
+    put(e.u);
+    put(e.v);
+    put(e.weight);
+  }
+  return stream;
+}
+
+TEST(Io, EdgeListRejectsImplausibleCountWithoutAllocating) {
+  std::stringstream stream = edge_stream(10, std::uint64_t{1} << 40, {{0, 1, 1.0}});
+  EXPECT_THROW((void)io::load_edges(stream), std::invalid_argument);
+}
+
+TEST(Io, EdgeListRejectsOutOfRangeEndpoint) {
+  std::stringstream stream = edge_stream(3, 2, {{0, 1, 1.0}, {1, 3, 2.0}});
+  EXPECT_THROW((void)io::load_edges(stream), std::invalid_argument);
+}
+
+TEST(Io, EdgeListRejectsVertexCountBeyondIndexRange) {
+  // 2^32 + 2 would narrow to 2 and make the edge below look valid.
+  std::stringstream stream = edge_stream((std::int64_t{1} << 32) + 2, 1, {{0, 1, 1.0}});
+  EXPECT_THROW((void)io::load_edges(stream), std::invalid_argument);
 }
 
 TEST(Io, LinkageCsvHasHeaderAndAllRows) {

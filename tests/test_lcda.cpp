@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <span>
 #include <set>
 
 #include "pandora/dendrogram/contraction.hpp"
@@ -129,21 +129,24 @@ TEST(LineagePreservation, AlphaContractionPreservesAncestry) {
     const SortedEdges sorted = dendrogram::sort_edges(exec::default_executor(exec::serial_backend()), tree, nv);
     const Dendrogram full = dendrogram::pandora_dendrogram(exec::default_executor(), sorted);
 
-    // Build the alpha-MST and its dendrogram (over global indices).
-    std::vector<index_t> gid(static_cast<std::size_t>(sorted.num_edges()));
-    std::iota(gid.begin(), gid.end(), index_t{0});
-    const auto base = dendrogram::detail::contract_one_level(exec::default_executor(exec::serial_backend()), sorted.u,
-                                                             sorted.v, gid, nv);
-    if (base.level.num_alpha == 0) continue;
+    // Build the alpha-MST from level 0 of the contraction hierarchy: the
+    // alpha edges are those that survive past level 0, and their endpoints
+    // map to level-1 supervertices through level 0's vertex map.
+    const auto h = dendrogram::build_hierarchy(exec::default_executor(exec::serial_backend()),
+                                               sorted.u, sorted.v, {}, nv, sorted.num_edges());
+    if (h.levels[0].num_alpha == 0) continue;
+    const std::span<const index_t> vertex_map = h.levels[0].vertex_map;
     graph::EdgeList alpha_tree;
     std::vector<index_t> alpha_gid;
-    for (std::size_t i = 0; i < base.next_gid.size(); ++i) {
-      alpha_tree.push_back({base.next_u[i], base.next_v[i],
-                            sorted.weight[static_cast<std::size_t>(base.next_gid[i])]});
-      alpha_gid.push_back(base.next_gid[i]);
+    for (index_t g = 0; g < sorted.num_edges(); ++g) {
+      const auto gi = static_cast<std::size_t>(g);
+      if (h.contraction_level[gi] < 1) continue;
+      alpha_tree.push_back({vertex_map[static_cast<std::size_t>(sorted.u[gi])],
+                            vertex_map[static_cast<std::size_t>(sorted.v[gi])], sorted.weight[gi]});
+      alpha_gid.push_back(g);
     }
     const Dendrogram alpha_dendro =
-        dendrogram::pandora_dendrogram(exec::default_executor(), alpha_tree, base.next_num_vertices);
+        dendrogram::pandora_dendrogram(exec::default_executor(), alpha_tree, h.levels[1].num_vertices);
 
     // Compare ancestor relations pairwise (alpha dendrogram indices map to
     // global ones through alpha_gid; sort order is preserved, so position i

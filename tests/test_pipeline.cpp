@@ -50,16 +50,6 @@ TEST(Pipeline, SortedEdgesPathSharesOneSort) {
   EXPECT_EQ(from_sorted.parent, from_edges.parent);
 }
 
-TEST(Pipeline, ExpansionPolicySelection) {
-  const graph::EdgeList tree = make_tree(Topology::caterpillar, 5000, 4, 0);
-  const exec::Executor executor(exec::default_backend());
-  const auto multilevel = Pipeline::on(executor).build_dendrogram(tree, 5000);
-  const auto single = Pipeline::on(executor)
-                          .with_expansion(dendrogram::ExpansionPolicy::single_level)
-                          .build_dendrogram(tree, 5000);
-  EXPECT_EQ(multilevel.parent, single.parent);
-}
-
 TEST(Pipeline, ValidationRejectsNonTrees) {
   const graph::EdgeList cycle{{0, 1, 1.0}, {1, 2, 2.0}, {2, 0, 3.0}};
   const exec::Executor executor(exec::serial_backend());

@@ -141,26 +141,19 @@ TEST(EmstCache, MptsValuesNeverAliasAndSweepsSkipBoruvka) {
   EXPECT_EQ(sweep.mst, *at4);
 }
 
-TEST(DendrogramCache, KeyedOnMstAndExpansionPolicy) {
+TEST(DendrogramCache, KeyedOnMst) {
   const exec::Executor executor(exec::serial_backend());
   const graph::EdgeList tree = make_tree(Topology::random_attach, 4000, 5, 0);
 
-  const auto multilevel = dendrogram::pandora_dendrogram_cached(executor, tree, 4000);
+  const auto cached = dendrogram::pandora_dendrogram_cached(executor, tree, 4000);
   const auto again = dendrogram::pandora_dendrogram_cached(executor, tree, 4000);
-  EXPECT_EQ(multilevel.get(), again.get()) << "identical queries replay";
-  EXPECT_EQ(multilevel->parent, dendrogram::pandora_dendrogram(executor, tree, 4000).parent);
-
-  dendrogram::PandoraOptions single;
-  single.expansion = dendrogram::ExpansionPolicy::single_level;
-  const auto single_level = dendrogram::pandora_dendrogram_cached(executor, tree, 4000, single);
-  EXPECT_NE(multilevel.get(), single_level.get()) << "expansion policy is part of the key";
-  EXPECT_EQ(single_level->parent, multilevel->parent)
-      << "both policies build the same dendrogram (different keys, same result)";
+  EXPECT_EQ(cached.get(), again.get()) << "identical queries replay";
+  EXPECT_EQ(cached->parent, dendrogram::pandora_dendrogram(executor, tree, 4000).parent);
 
   graph::EdgeList mutated = tree;
   mutated[2000].weight *= 1.5;
   const auto rebuilt = dendrogram::pandora_dendrogram_cached(executor, mutated, 4000);
-  EXPECT_NE(multilevel.get(), rebuilt.get()) << "mutated MSTs must miss";
+  EXPECT_NE(cached.get(), rebuilt.get()) << "mutated MSTs must miss";
 }
 
 TEST(Sweeps, MinClusterSizeSweepMatchesIndependentRuns) {
