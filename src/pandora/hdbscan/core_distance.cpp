@@ -2,14 +2,14 @@
 
 #include "pandora/common/expect.hpp"
 #include "pandora/exec/fingerprint.hpp"
-#include "pandora/spatial/knn.hpp"
 
 namespace pandora::hdbscan {
 
 std::vector<double> core_distances(const exec::Executor& exec, const spatial::PointSet& points,
-                                   const spatial::KdTree& tree, int min_pts) {
+                                   const spatial::KdTree& tree, int min_pts,
+                                   spatial::NeighborLists* seeds) {
   PANDORA_EXPECT(min_pts >= 1, "minPts must be at least 1");
-  return spatial::kth_neighbor_distances(exec, points, tree, min_pts - 1);
+  return spatial::kth_neighbor_distances(exec, points, tree, min_pts - 1, seeds);
 }
 
 namespace {
@@ -24,10 +24,12 @@ struct CachedCoreDistances {
 
 std::shared_ptr<const std::vector<double>> core_distances_cached(
     const exec::Executor& exec, const spatial::PointSet& points, const spatial::KdTree& tree,
-    int min_pts, std::optional<std::uint64_t> points_fingerprint) {
+    int min_pts, std::optional<std::uint64_t> points_fingerprint,
+    spatial::NeighborLists* seeds) {
+  if (seeds != nullptr) *seeds = spatial::NeighborLists{};
   const auto compute = [&] {
     auto owned = std::make_shared<CachedCoreDistances>();
-    owned->values = core_distances(exec, points, tree, min_pts);
+    owned->values = core_distances(exec, points, tree, min_pts, seeds);
     owned->points = &points;
     return owned;
   };

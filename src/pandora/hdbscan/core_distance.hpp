@@ -7,6 +7,7 @@
 #include "pandora/common/types.hpp"
 #include "pandora/exec/executor.hpp"
 #include "pandora/spatial/kdtree.hpp"
+#include "pandora/spatial/knn.hpp"
 #include "pandora/spatial/point_set.hpp"
 
 namespace pandora::hdbscan {
@@ -16,9 +17,20 @@ namespace pandora::hdbscan {
 /// minPts = 2 is the distance to the nearest other point, matching the
 /// paper's default "mpts = 2").  minPts = 1 yields zeros (plain
 /// single-linkage on Euclidean distance).
+///
+/// With `seeds`, the same pass fetches minPts neighbours instead of
+/// minPts - 1 and keeps, per point p, the ids of the minPts - 1 neighbours
+/// that define core(p) plus the fence F(p): the squared distance of the
+/// minPts-th neighbour, +inf when fewer than minPts other points exist.
+/// Every point outside p's list lies at squared distance >= F(p), so each
+/// of its mutual-reachability scores is >= max(core(p)^2, F(p)) — the
+/// certificate `mutual_reachability_mst` uses to resolve p's first Borůvka
+/// candidate without a tree query.  The distances returned are the same
+/// with or without `seeds`.  minPts = 1 leaves `seeds` empty (no list).
 [[nodiscard]] std::vector<double> core_distances(const exec::Executor& exec,
                                                  const spatial::PointSet& points,
-                                                 const spatial::KdTree& tree, int min_pts);
+                                                 const spatial::KdTree& tree, int min_pts,
+                                                 spatial::NeighborLists* seeds = nullptr);
 
 /// The cross-call core-distance cache: returns the per-point core distances
 /// at `min_pts`, reusing the copy stored in the Executor's ArtifactCache when
@@ -29,9 +41,13 @@ namespace pandora::hdbscan {
 /// mutated or different point sets miss.  With
 /// `Executor::set_artifact_caching(false)` every call recomputes.
 /// `points_fingerprint` shares a precomputed `point_set_fingerprint` pass,
-/// as in `kdtree_cached`.
+/// as in `kdtree_cached`.  `seeds`, when given, receives the seeds of
+/// `core_distances` when this call computes the distances; a cache hit
+/// leaves it empty.  Entries never store seeds: they are consumed by the
+/// MST build that follows, and a cached MST needs none.
 [[nodiscard]] std::shared_ptr<const std::vector<double>> core_distances_cached(
     const exec::Executor& exec, const spatial::PointSet& points, const spatial::KdTree& tree,
-    int min_pts, std::optional<std::uint64_t> points_fingerprint = std::nullopt);
+    int min_pts, std::optional<std::uint64_t> points_fingerprint = std::nullopt,
+    spatial::NeighborLists* seeds = nullptr);
 
 }  // namespace pandora::hdbscan

@@ -57,27 +57,32 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
   }();
 
   {
-    const exec::ScopedPhase phase(exec, "core_distance");
-    if (exec.artifact_caching()) {
-      const std::shared_ptr<const std::vector<double>> core =
-          core_distances_cached(exec, points, *tree, options.min_pts, points_fp);
-      result.core_distances = *core;
-    } else {
-      result.core_distances = core_distances(exec, points, *tree, options.min_pts);
+    // The core pass hands its kNN lists to the MST as seeds for Borůvka's
+    // first round (empty on a core-distance cache hit); they die with this
+    // scope.
+    spatial::NeighborLists seeds;
+    {
+      const exec::ScopedPhase phase(exec, "core_distance");
+      if (exec.artifact_caching()) {
+        const std::shared_ptr<const std::vector<double>> core =
+            core_distances_cached(exec, points, *tree, options.min_pts, points_fp, &seeds);
+        result.core_distances = *core;
+      } else {
+        result.core_distances = core_distances(exec, points, *tree, options.min_pts, &seeds);
+      }
     }
-  }
 
-  {
     const exec::ScopedPhase phase(exec, "mst");
     if (exec.artifact_caching()) {
       const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-          exec, points, *tree, result.core_distances, options.min_pts, points_fp);
+          exec, points, *tree, result.core_distances, options.min_pts, points_fp, &seeds);
       // Copy-out is the price of keeping HdbscanResult::mst a plain value: one
       // O(E) memcpy, well under a millesimal of the Borůvka build it replaces
       // on a warm hit.
       result.mst = *mst;
     } else {
-      result.mst = spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances);
+      result.mst =
+          spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances, &seeds);
     }
   }
 
@@ -124,16 +129,18 @@ MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
     points_fp = spatial::point_set_fingerprint(exec, points);
   const std::shared_ptr<const spatial::KdTree> tree =
       spatial::kdtree_cached(exec, points, 32, points_fp);
+  spatial::NeighborLists seeds;
   if (exec.artifact_caching()) {
     const std::shared_ptr<const std::vector<double>> core =
-        core_distances_cached(exec, points, *tree, base.min_pts, points_fp);
+        core_distances_cached(exec, points, *tree, base.min_pts, points_fp, &seeds);
     sweep.core_distances = *core;
     const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-        exec, points, *tree, sweep.core_distances, base.min_pts, points_fp);
+        exec, points, *tree, sweep.core_distances, base.min_pts, points_fp, &seeds);
     sweep.mst = *mst;
   } else {
-    sweep.core_distances = core_distances(exec, points, *tree, base.min_pts);
-    sweep.mst = spatial::mutual_reachability_mst(exec, points, *tree, sweep.core_distances);
+    sweep.core_distances = core_distances(exec, points, *tree, base.min_pts, &seeds);
+    sweep.mst =
+        spatial::mutual_reachability_mst(exec, points, *tree, sweep.core_distances, &seeds);
   }
 
   if (base.dendrogram_algorithm == DendrogramAlgorithm::pandora) {

@@ -51,9 +51,10 @@ graph::EdgeList Pipeline::build_mst(const spatial::PointSet& points,
                                     const spatial::KdTree& tree) const {
   return cancellable([&] {
     if (options_.min_pts <= 1) return spatial::euclidean_mst(*executor_, points, tree);
+    spatial::NeighborLists seeds;
     const std::vector<double> core =
-        hdbscan::core_distances(*executor_, points, tree, options_.min_pts);
-    return spatial::mutual_reachability_mst(*executor_, points, tree, core);
+        hdbscan::core_distances(*executor_, points, tree, options_.min_pts, &seeds);
+    return spatial::mutual_reachability_mst(*executor_, points, tree, core, &seeds);
   });
 }
 

@@ -13,19 +13,34 @@
 #include "pandora/exec/parallel.hpp"
 #include "pandora/exec/sort.hpp"
 #include "pandora/graph/union_find.hpp"
+#include "pandora/obs/metrics.hpp"
+#include "pandora/spatial/distance.hpp"
 
 namespace pandora::spatial {
 
 namespace {
+
+/// Kd-tree queries issued by Borůvka rounds, recorded once per query chunk;
+/// `round="first"` counts round 0, which kNN seeds can resolve without any.
+obs::Counter& queries_metric(bool first_round) {
+  static obs::Counter& first =
+      obs::registry().counter("pandora_emst_queries_total{round=\"first\"}");
+  static obs::Counter& later =
+      obs::registry().counter("pandora_emst_queries_total{round=\"later\"}");
+  return first_round ? first : later;
+}
 
 /// Shared Borůvka skeleton over the components of a (possibly pre-seeded)
 /// union-find; `use_mreach` selects the metric (core_sq must be the squared
 /// core distances then).  Starting from singletons this is the full EMST;
 /// starting from the components of a partial tree it joins exactly those
 /// components with minimum-weight edges (the dynamic subsystem's erase path).
+/// `knn`, for a mutual-reachability build from singletons only, holds the
+/// core-distance pass's neighbour lists; they certify round-0 candidates.
 graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
                              const KdTree& tree, const std::vector<double>& core_sq,
-                             bool use_mreach, graph::ConcurrentUnionFind& uf) {
+                             bool use_mreach, graph::ConcurrentUnionFind& uf,
+                             const NeighborLists* knn = nullptr) {
   const index_t n = points.size();
   graph::EdgeList mst;
   if (n <= 1) return mst;
@@ -38,7 +53,11 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
   std::vector<index_t> component(static_cast<std::size_t>(n));
   std::vector<std::uint64_t> best_weight(static_cast<std::size_t>(n), kInf);
   std::vector<index_t> best_point(static_cast<std::size_t>(n), kUnset);
-  std::vector<Neighbor> point_best(static_cast<std::size_t>(n));
+  // Per point: its exact (score, id) candidate, or — with index kNone — a
+  // lower bound on every foreign (other-component) score of the point in
+  // the score slot.  Components only merge, so a point's foreign set only
+  // shrinks and the bound stays valid across rounds.
+  std::vector<Neighbor> point_best(static_cast<std::size_t>(n), Neighbor{0.0, kNone});
   std::vector<index_t> roots;
   roots.reserve(static_cast<std::size_t>(n));
   for (index_t p = 0; p < n; ++p)
@@ -50,6 +69,35 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
   // scan entirely, and so keeps its pre-existing behaviour (edge selection
   // included) bit for bit.
   const bool seeded = static_cast<index_t>(roots.size()) < n;
+
+  // Round 0 from the kNN lists (cuSLINK's kNN-graph start, made exact by a
+  // cut certificate).  Every point q outside p's list lies at squared
+  // distance >= fence(p), so its score max(d², core²(p), core²(q)) is
+  // >= max(core²(p), fence(p)).  A list minimum strictly below that bound
+  // is therefore p's exact (score, id) candidate, and (1a) of round 0 seeds
+  // the component minima with it; ties at the bound query the tree.  The
+  // pair kernel's squared distance is bit-identical to the leaf scan's (see
+  // distance.hpp), so the seed equals the candidate a query would return.
+  if (knn != nullptr && !knn->empty()) {
+    PANDORA_EXPECT(use_mreach && !seeded, "kNN seeds need a mutual-reachability build");
+    PANDORA_EXPECT(static_cast<index_t>(knn->fence_sq.size()) == n &&
+                       knn->ids.size() == knn->fence_sq.size() * static_cast<std::size_t>(knn->k),
+                   "one kNN list and fence per point required");
+    const int dim = points.dim();
+    exec::parallel_for(exec, n, [&](size_type pi) {
+      const auto p = static_cast<std::size_t>(pi);
+      const double* at = points.point(static_cast<index_t>(pi)).data();
+      const std::span<const index_t> list(knn->ids.data() + p * static_cast<std::size_t>(knn->k),
+                                          static_cast<std::size_t>(knn->k));
+      Neighbor w;
+      for (const index_t q : list) {
+        const double sq = distance::squared_distance(at, points.point(q).data(), dim);
+        const Neighbor cand{std::max({sq, core_sq[p], core_sq[static_cast<std::size_t>(q)]}), q};
+        if (cand < w) w = cand;
+      }
+      if (w.squared_distance < std::max(core_sq[p], knn->fence_sq[p])) point_best[p] = w;
+    });
+  }
 
   // Query-local annotations: the (possibly cached, shared) tree stays const.
   KdTreeAnnotations notes;
@@ -97,14 +145,16 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     // partner is still foreign: components only merge, so the foreign set
     // only shrinks, and a shrinking set that still contains the old
     // lexicographic minimum keeps it.  Valid candidates seed their
-    // component's minimum; stale ones (partner absorbed) are cleared.
+    // component's minimum.  A stale one (partner absorbed) drops its id and
+    // leaves its score as p's lower bound: it was p's minimum over a
+    // foreign set that has only shrunk since.
     exec::parallel_for(exec, n, [&](size_type pi) {
       const auto p = static_cast<index_t>(pi);
       const index_t c = component[static_cast<std::size_t>(p)];
       Neighbor& nb = point_best[static_cast<std::size_t>(p)];
       if (c == passive || nb.index == kNone) return;
       if (component[static_cast<std::size_t>(nb.index)] == c) {
-        nb = Neighbor{};
+        nb.index = kNone;
         return;
       }
       exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
@@ -115,33 +165,45 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     // never win phase 2, so the query skips everything beyond it.  Ties at
     // the radius are still found, so every point attaining the final
     // minimum holds its exact (weight, id) candidate and phases 2-3 select
-    // the same edges as unbounded queries.  A point finding nothing within
-    // the radius stores kNone and re-queries next round.  Queries walk the
-    // tree order so neighbouring queries tighten each other's radius early.
+    // the same edges as unbounded queries.  A point whose lower bound
+    // already exceeds the radius cannot attain the minimum and skips its
+    // query; a query finding nothing within the radius proves every foreign
+    // score exceeds it, so the radius becomes the point's lower bound.  Both
+    // keep kNone and are reconsidered next round.  Queries walk the tree
+    // order so neighbouring queries tighten each other's radius early.
     const std::span<const index_t> order = tree.tree_order();
     constexpr index_t kQueriesPerChunk = 256;
     const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
+    obs::Counter& queries = queries_metric(mst.empty());
     auto query_chunk = [&](int chunk) {
       const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
       const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
+      std::uint64_t issued = 0;
       for (index_t i = lo; i < hi; ++i) {
         const index_t p = order[static_cast<std::size_t>(i)];
         const index_t c = component[static_cast<std::size_t>(p)];
-        if (c == passive || point_best[static_cast<std::size_t>(p)].index != kNone) continue;
+        Neighbor& best = point_best[static_cast<std::size_t>(p)];
+        if (c == passive || best.index != kNone) continue;
         std::uint64_t& slot = best_weight[static_cast<std::size_t>(c)];
         const std::uint64_t bound =
             std::atomic_ref<std::uint64_t>(slot).load(std::memory_order_relaxed);
         // kInf bit-casts to a NaN, not +inf.
         const double radius_sq =
             bound == kInf ? std::numeric_limits<double>::infinity() : std::bit_cast<double>(bound);
+        if (best.squared_distance > radius_sq) continue;
+        ++issued;
         const Neighbor nb =
             use_mreach
                 ? tree.nearest_other_component_mreach(p, c, component, core_sq, notes, radius_sq)
                 : tree.nearest_other_component(p, c, component, notes, radius_sq);
-        point_best[static_cast<std::size_t>(p)] = nb;
-        if (nb.index != kNone)
-          exec::atomic_fetch_min(slot, exec::order_preserving_bits(nb.squared_distance));
+        if (nb.index == kNone) {
+          best.squared_distance = radius_sq;
+          continue;
+        }
+        best = nb;
+        exec::atomic_fetch_min(slot, exec::order_preserving_bits(nb.squared_distance));
       }
+      if (issued > 0) queries.inc(issued);
     };
     exec.run_chunks(num_chunks, exec.num_threads(), query_chunk);
     // Phase 2: among weight ties, the smallest point id wins (exact
@@ -198,14 +260,15 @@ graph::EdgeList join_components_emst(const exec::Executor& exec, const PointSet&
 
 graph::EdgeList mutual_reachability_mst(const exec::Executor& exec, const PointSet& points,
                                         const KdTree& tree,
-                                        std::span<const double> core_distances) {
+                                        std::span<const double> core_distances,
+                                        const NeighborLists* seeds) {
   PANDORA_EXPECT(static_cast<index_t>(core_distances.size()) == points.size(),
                  "one core distance per point required");
   std::vector<double> core_sq(core_distances.size());
   for (std::size_t i = 0; i < core_sq.size(); ++i)
     core_sq[i] = core_distances[i] * core_distances[i];
   graph::ConcurrentUnionFind uf(points.size());
-  return boruvka_emst(exec, points, tree, core_sq, true, uf);
+  return boruvka_emst(exec, points, tree, core_sq, true, uf, seeds);
 }
 
 namespace {
@@ -223,10 +286,10 @@ struct CachedEmst {
 std::shared_ptr<const graph::EdgeList> mutual_reachability_mst_cached(
     const exec::Executor& exec, const PointSet& points, const KdTree& tree,
     std::span<const double> core_distances, int min_pts,
-    std::optional<std::uint64_t> points_fingerprint) {
+    std::optional<std::uint64_t> points_fingerprint, const NeighborLists* seeds) {
   const auto compute = [&] {
     auto owned = std::make_shared<CachedEmst>();
-    owned->mst = mutual_reachability_mst(exec, points, tree, core_distances);
+    owned->mst = mutual_reachability_mst(exec, points, tree, core_distances, seeds);
     owned->points = &points;
     return owned;
   };

@@ -9,6 +9,7 @@
 #include "pandora/graph/edge.hpp"
 #include "pandora/graph/union_find.hpp"
 #include "pandora/spatial/kdtree.hpp"
+#include "pandora/spatial/knn.hpp"
 #include "pandora/spatial/point_set.hpp"
 
 namespace pandora::spatial {
@@ -26,6 +27,16 @@ namespace pandora::spatial {
 /// that cannot win (ties at the bound are kept), so the edges and their
 /// order are those of unbounded queries.  Deterministic under distance ties
 /// and across backends.
+///
+/// Lower-bound invariant: each point keeps a bound that all of its foreign
+/// (other-component) scores are >= — the score of its last exact candidate
+/// once that candidate's partner joins its component, or the radius of a
+/// query that found nothing.  Components only merge, so the bound stays
+/// valid for the whole build.  A point whose bound exceeds its component's
+/// running minimum cannot attain the minimum and skips its query; every
+/// point that does attain it still holds its exact candidate.
+/// `pandora_emst_queries_total` (obs registry, labelled by round) counts the
+/// queries that do run.
 ///
 /// The tree is read-only: per-round component annotations live in
 /// query-local `KdTreeAnnotations`, so one (possibly cached and shared) tree
@@ -49,10 +60,23 @@ namespace pandora::spatial {
 /// d_mreach(p, q) = max(core(p), core(q), |p - q|), given per-point core
 /// distances (Section 6.5).  This is the "MST construction" phase of the
 /// paper's Figure 1/15 pipeline.
+///
+/// `seeds`, when given, must be the neighbour lists that
+/// `hdbscan::core_distances` filled while computing `core_distances` (the
+/// minPts - 1 nearest ids and the fence F(p), the squared distance of the
+/// minPts-th neighbour).  They resolve round 0 without tree queries — the
+/// kNN-graph start of cuSLINK, kept exact by a cut certificate.  Let w be
+/// the (score, id) minimum of p's list under squared mutual reachability.
+/// Every point outside the list scores >= max(core(p)^2, F(p)), so when
+/// w's score is strictly below that bound (the fence rule), w is p's exact
+/// first candidate; ties at the fence fall back to a tree query.  The edges
+/// and their order are the same with or without seeds.  The lists are read
+/// once, before the first round.
 [[nodiscard]] graph::EdgeList mutual_reachability_mst(const exec::Executor& exec,
                                                       const PointSet& points,
                                                       const KdTree& tree,
-                                                      std::span<const double> core_distances);
+                                                      std::span<const double> core_distances,
+                                                      const NeighborLists* seeds = nullptr);
 
 /// The cross-call EMST cache: the mutual-reachability MST of `points` at
 /// `min_pts`, reusing the copy stored in the Executor's ArtifactCache when
@@ -64,10 +88,12 @@ namespace pandora::spatial {
 /// distances of `points` at `min_pts` (they are part of the computation, not
 /// the key: (points, min_pts) already determines them).
 /// `points_fingerprint` shares a precomputed `point_set_fingerprint` pass.
+/// `seeds` are passed to `mutual_reachability_mst` on a miss.
 /// With `Executor::set_artifact_caching(false)` every call recomputes.
 [[nodiscard]] std::shared_ptr<const graph::EdgeList> mutual_reachability_mst_cached(
     const exec::Executor& exec, const PointSet& points, const KdTree& tree,
     std::span<const double> core_distances, int min_pts,
-    std::optional<std::uint64_t> points_fingerprint = std::nullopt);
+    std::optional<std::uint64_t> points_fingerprint = std::nullopt,
+    const NeighborLists* seeds = nullptr);
 
 }  // namespace pandora::spatial

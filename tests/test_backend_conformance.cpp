@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -219,24 +220,35 @@ TEST(BackendConformance, FullDendrogramBitIdenticalAcrossBackends) {
 }
 
 TEST(BackendConformance, HdbscanBitIdenticalAcrossBackends) {
-  const spatial::PointSet points = data::gaussian_blobs(3000, 2, 4, 0.04, 0.06, 5);
-  hdbscan::HdbscanOptions options;
-  options.min_pts = 4;
-  options.min_cluster_size = 20;
+  // Several mpts values and a tie-heavy grid with duplicates, so the kNN
+  // seeding of Borůvka's first round and the per-point lower bounds run on
+  // the spawning backend's concurrent chunks (the TSan lane races them).
+  const std::array<spatial::PointSet, 2> inputs = {
+      data::gaussian_blobs(3000, 2, 4, 0.04, 0.06, 5), pandora::testing::tie_heavy_grid()};
+  for (const spatial::PointSet& points : inputs) {
+    for (const int min_pts : {2, 4, 9}) {
+      hdbscan::HdbscanOptions options;
+      options.min_pts = min_pts;
+      options.min_cluster_size = 20;
 
-  const exec::Executor serial(exec::serial_backend());
-  const auto reference = hdbscan::hdbscan(serial, points, options);
+      const exec::Executor serial(exec::serial_backend());
+      const auto reference = hdbscan::hdbscan(serial, points, options);
 
-  for (const auto& backend : conformance_backends()) {
-    const exec::Executor executor = executor_on(backend);
-    const auto result = hdbscan::hdbscan(executor, points, options);
-    EXPECT_EQ(result.labels, reference.labels) << backend->name();
-    EXPECT_EQ(result.num_clusters, reference.num_clusters) << backend->name();
-    EXPECT_EQ(result.dendrogram.parent, reference.dendrogram.parent) << backend->name();
-    EXPECT_EQ(result.core_distances, reference.core_distances) << backend->name();
-    ASSERT_EQ(result.mst.size(), reference.mst.size()) << backend->name();
-    for (std::size_t i = 0; i < result.mst.size(); ++i)
-      ASSERT_EQ(result.mst[i], reference.mst[i]) << backend->name() << " edge " << i;
+      for (const auto& backend : conformance_backends()) {
+        const exec::Executor executor = executor_on(backend);
+        const auto result = hdbscan::hdbscan(executor, points, options);
+        const std::string where =
+            std::string(backend->name()) + " n=" + std::to_string(points.size()) +
+            " mpts=" + std::to_string(min_pts);
+        EXPECT_EQ(result.labels, reference.labels) << where;
+        EXPECT_EQ(result.num_clusters, reference.num_clusters) << where;
+        EXPECT_EQ(result.dendrogram.parent, reference.dendrogram.parent) << where;
+        EXPECT_EQ(result.core_distances, reference.core_distances) << where;
+        ASSERT_EQ(result.mst.size(), reference.mst.size()) << where;
+        for (std::size_t i = 0; i < result.mst.size(); ++i)
+          ASSERT_EQ(result.mst[i], reference.mst[i]) << where << " edge " << i;
+      }
+    }
   }
 }
 

@@ -8,8 +8,10 @@
 #include "pandora/graph/tree.hpp"
 #include "pandora/graph/union_find.hpp"
 #include "pandora/hdbscan/core_distance.hpp"
+#include "pandora/obs/metrics.hpp"
 #include "pandora/spatial/brute_force.hpp"
 #include "pandora/spatial/emst.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -17,6 +19,7 @@ using namespace pandora;
 using graph::EdgeList;
 using spatial::KdTree;
 using spatial::PointSet;
+using pandora::testing::tie_heavy_grid;
 
 double weight_of(const EdgeList& edges) { return graph::total_weight(edges); }
 
@@ -42,15 +45,22 @@ TEST_P(EmstSweep, EuclideanMstMatchesBruteForceWeight) {
 }
 
 TEST_P(EmstSweep, MutualReachabilityMstMatchesBruteForce) {
+  // Through the kNN-seeded route; n = 2 leaves fewer than min_pts other
+  // points, so no fence exists there.
   const auto& [dim, n] = GetParam();
-  if (n < 10) GTEST_SKIP() << "core distances need a few points";
+  const int min_pts = static_cast<int>(std::min<index_t>(4, n));
   const PointSet points = data::gaussian_blobs(n, dim, 4, 0.08, 0.1, 77);
   KdTree tree(points);
-  const auto core = hdbscan::core_distances(exec::default_executor(), points, tree, 4);
-  const EdgeList expected = spatial::brute_force_mreach_mst(points, core);
-  const EdgeList got = spatial::mutual_reachability_mst(exec::default_executor(), points, tree, core);
-  ASSERT_TRUE(graph::is_spanning_tree(got, n));
-  EXPECT_NEAR(weight_of(got), weight_of(expected), 1e-9 * std::max(1.0, weight_of(expected)));
+  for (const auto& backend : exec::registered_backends()) {
+    const exec::Executor& executor = exec::default_executor(backend);
+    spatial::NeighborLists seeds;
+    const auto core = hdbscan::core_distances(executor, points, tree, min_pts, &seeds);
+    const EdgeList expected = spatial::brute_force_mreach_mst(points, core);
+    const EdgeList got = spatial::mutual_reachability_mst(executor, points, tree, core, &seeds);
+    ASSERT_TRUE(graph::is_spanning_tree(got, n)) << backend->name();
+    EXPECT_NEAR(weight_of(got), weight_of(expected), 1e-9 * std::max(1.0, weight_of(expected)))
+        << backend->name();
+  }
 }
 
 TEST(Emst, DeterministicAcrossSpacesAndRepeats) {
@@ -150,33 +160,24 @@ TEST(Emst, LargerMinPtsGivesHeavierMst) {
   }
 }
 
-/// A 24x24 integer grid with every fifth point duplicated: the densest case
-/// for equal distances and equal core distances, i.e. for candidates that
-/// tie a Borůvka query's radius.
-PointSet tie_heavy_grid() {
-  constexpr index_t kSide = 24;
-  constexpr index_t kBase = kSide * kSide;
-  constexpr index_t kDuplicates = kBase / 5;
-  PointSet points(2, kBase + kDuplicates);
-  for (index_t i = 0; i < kBase; ++i) {
-    points.at(i, 0) = static_cast<double>(i / kSide);
-    points.at(i, 1) = static_cast<double>(i % kSide);
-  }
-  for (index_t j = 0; j < kDuplicates; ++j)
-    for (int d = 0; d < 2; ++d) points.at(kBase + j, d) = points.at(5 * j, d);
-  return points;
+/// The mutual-reachability MST at `min_pts`, with or without the kNN seeds
+/// the core-distance pass leaves for round 0 (the route hdbscan() takes).
+EdgeList mreach_mst(const exec::Executor& exec, const PointSet& points, const KdTree& tree,
+                    int min_pts, bool seeded) {
+  spatial::NeighborLists seeds;
+  const auto core = hdbscan::core_distances(exec, points, tree, min_pts, seeded ? &seeds : nullptr);
+  return spatial::mutual_reachability_mst(exec, points, tree, core, seeded ? &seeds : nullptr);
 }
 
 /// Fingerprints (edge order, endpoints, weight bits) of the MSTs the golden
 /// test pins: mutual-reachability MSTs at mpts 2, 5, 9 on a HaccProxy set
 /// and on the tie-heavy grid, then one seeded component join.
-std::vector<std::uint64_t> mst_fingerprints(const exec::Executor& exec) {
+std::vector<std::uint64_t> mst_fingerprints(const exec::Executor& exec, bool seeded) {
   std::vector<std::uint64_t> out;
   for (const PointSet& points : {data::make_dataset("HaccProxy", 3000, 17), tie_heavy_grid()}) {
     const KdTree tree(points);
     for (const int min_pts : {2, 5, 9}) {
-      const auto core = hdbscan::core_distances(exec, points, tree, min_pts);
-      const EdgeList mst = spatial::mutual_reachability_mst(exec, points, tree, core);
+      const EdgeList mst = mreach_mst(exec, points, tree, min_pts, seeded);
       out.push_back(dendrogram::mst_fingerprint(exec, mst, points.size()));
     }
   }
@@ -206,11 +207,15 @@ TEST(Emst, BoundedBoruvkaMatchesGoldenFingerprints) {
   };
   for (const auto& backend : exec::registered_backends()) {
     for (int repeat = 0; repeat < 3; ++repeat) {
-      const std::vector<std::uint64_t> got = mst_fingerprints(exec::default_executor(backend));
-      ASSERT_EQ(got.size(), golden.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], golden[i]) << "case " << i << " on " << backend->name() << ": 0x"
-                                     << std::hex << got[i];
+      for (const bool seeded : {false, true}) {
+        const std::vector<std::uint64_t> got =
+            mst_fingerprints(exec::default_executor(backend), seeded);
+        ASSERT_EQ(got.size(), golden.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+          EXPECT_EQ(got[i], golden[i]) << "case " << i << " on " << backend->name()
+                                       << (seeded ? " (kNN-seeded)" : "") << ": 0x" << std::hex
+                                       << got[i];
+      }
     }
   }
 }
@@ -229,6 +234,67 @@ TEST(Emst, TieHeavyGridMreachWeightMatchesBruteForce) {
     EXPECT_NEAR(weight_of(got), weight_of(expected), 1e-9 * weight_of(expected))
         << backend->name();
   }
+}
+
+/// Eight points on which point 3's list minimum ties its fence at mpts 3:
+/// its list is {2, 0}, point 2 scores 4 (its distance 1 lifted by core(3)²
+/// = 4), and point 1 outside the list also scores 4 but has the smaller id.
+/// A fence rule that certified ties would hook 3-2 instead of 3-1.
+PointSet fence_tie_points() {
+  const double xy[8][2] = {{2, 0},  {-2, 0},  {0, 1},   {0, 0},
+                           {-3, 0}, {0, 2.5}, {0.5, 3}, {-3, 0.5}};
+  PointSet points(2, 8);
+  for (index_t i = 0; i < 8; ++i)
+    for (int d = 0; d < 2; ++d) points.at(i, d) = xy[i][d];
+  return points;
+}
+
+TEST(Emst, KnnSeededMreachMstEqualsUnseeded) {
+  // The fence rule may only certify a round-0 candidate a tree query would
+  // also return, so seeding must never change an edge, its order or its
+  // weight bits — on heavy ties (the grid, duplicates included), on a list
+  // minimum tying its fence, on clustered data, and on inputs too small to
+  // have a fence at all.
+  std::vector<PointSet> inputs = {tie_heavy_grid(), fence_tie_points(),
+                                  data::make_dataset("HaccProxy", 3000, 29)};
+  for (const index_t n : {2, 3}) inputs.push_back(data::uniform_points(n, 3, 40 + n));
+  for (const auto& backend : exec::registered_backends()) {
+    const exec::Executor& executor = exec::default_executor(backend);
+    for (const PointSet& points : inputs) {
+      const KdTree tree(points);
+      for (const int min_pts : {1, 2, 3, 5, 9}) {
+        const EdgeList plain = mreach_mst(executor, points, tree, min_pts, false);
+        const EdgeList seeded = mreach_mst(executor, points, tree, min_pts, true);
+        ASSERT_EQ(seeded.size(), plain.size());
+        for (std::size_t i = 0; i < plain.size(); ++i)
+          ASSERT_EQ(seeded[i], plain[i]) << backend->name() << " n=" << points.size()
+                                         << " mpts=" << min_pts << " edge " << i;
+      }
+    }
+  }
+}
+
+TEST(Emst, KnnSeedsAndLowerBoundsCutTreeQueries) {
+  // Tie-free clustered data at mpts 2: every round-0 candidate is certified
+  // by its kNN fence, and per-point lower bounds skip later queries that
+  // cannot win.  Borůvka without seeds or lower bounds issued 17,465
+  // queries here; the bound sits 25% below that.
+  constexpr std::uint64_t kParentQueries = 17465;
+  const exec::Executor executor(exec::serial_backend());
+  const PointSet points = data::make_dataset("HaccProxy", 3000, 17);
+  const KdTree tree(points);
+  const auto count = [](const char* round) {
+    return obs::registry().counter_value(std::string("pandora_emst_queries_total{round=\"") +
+                                         round + "\"}");
+  };
+  const std::uint64_t first_before = count("first");
+  const std::uint64_t later_before = count("later");
+  const EdgeList mst = mreach_mst(executor, points, tree, 2, true);
+  ASSERT_TRUE(graph::is_spanning_tree(mst, points.size()));
+  const std::uint64_t first = count("first") - first_before;
+  const std::uint64_t total = first + count("later") - later_before;
+  EXPECT_EQ(first, 0u) << "round 0 must be fully seeded";
+  EXPECT_LT(total, kParentQueries * 3 / 4) << total << " queries";
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "pandora/common/rng.hpp"
 #include "pandora/data/tree_generators.hpp"
 #include "pandora/graph/edge.hpp"
+#include "pandora/spatial/point_set.hpp"
 
 namespace pandora::testing {
 
@@ -59,6 +60,23 @@ inline graph::EdgeList make_tree(Topology topology, index_t num_vertices, std::u
   }
   data::assign_random_weights(edges, rng, distinct_weights);
   return edges;
+}
+
+/// A 24x24 integer grid with every fifth point duplicated: the densest case
+/// for equal distances and equal core distances, i.e. for candidates that
+/// tie a Borůvka query's radius or a kNN seed's fence.
+inline spatial::PointSet tie_heavy_grid() {
+  constexpr index_t kSide = 24;
+  constexpr index_t kBase = kSide * kSide;
+  constexpr index_t kDuplicates = kBase / 5;
+  spatial::PointSet points(2, kBase + kDuplicates);
+  for (index_t i = 0; i < kBase; ++i) {
+    points.at(i, 0) = static_cast<double>(i / kSide);
+    points.at(i, 1) = static_cast<double>(i % kSide);
+  }
+  for (index_t j = 0; j < kDuplicates; ++j)
+    for (int d = 0; d < 2; ++d) points.at(kBase + j, d) = points.at(5 * j, d);
+  return points;
 }
 
 }  // namespace pandora::testing
