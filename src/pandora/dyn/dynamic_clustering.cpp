@@ -180,9 +180,8 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     // Batched index probe pre-pass: the batch rows are contiguous row-major
     // in the point set, so one knn_batch sweep per chunk probes every new
     // point's two nearest INDEXED neighbours (coordinate queries — the batch
-    // is not indexed yet), amortizing the tree walk across the group.  Slots
-    // stay +inf where the index has fewer than two points; offering +inf
-    // below is a no-op.
+    // is not indexed yet).  Slots stay +inf where the index has fewer than
+    // two points; offering +inf below is a no-op.
     auto knn_lease = workspace.take<double>(static_cast<size_type>(m) * 2,
                                             std::numeric_limits<double>::infinity());
     const std::span<double> knn_sq = knn_lease.span();

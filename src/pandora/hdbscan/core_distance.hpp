@@ -18,15 +18,17 @@ namespace pandora::hdbscan {
 /// paper's default "mpts = 2").  minPts = 1 yields zeros (plain
 /// single-linkage on Euclidean distance).
 ///
-/// With `seeds`, the same pass fetches minPts neighbours instead of
-/// minPts - 1 and keeps, per point p, the ids of the minPts - 1 neighbours
-/// that define core(p) plus the fence F(p): the squared distance of the
-/// minPts-th neighbour, +inf when fewer than minPts other points exist.
+/// With `seeds`, the same pass fetches L + 1 neighbours instead of
+/// minPts - 1, L = max(minPts - 1, spatial::kMinListLength), and keeps, per
+/// point p, the ids of its L nearest neighbours (the first minPts - 1 of
+/// them define core(p)) plus the fence F(p): the squared distance of the
+/// (L+1)-th neighbour, +inf when fewer than L + 1 other points exist.
 /// Every point outside p's list lies at squared distance >= F(p), so each
 /// of its mutual-reachability scores is >= max(core(p)^2, F(p)) — the
-/// certificate `mutual_reachability_mst` uses to resolve p's first Borůvka
-/// candidate without a tree query.  The distances returned are the same
-/// with or without `seeds`.  minPts = 1 leaves `seeds` empty (no list).
+/// certificate `mutual_reachability_mst` uses to resolve p's Borůvka
+/// candidates from the list, in every round, without a tree query.  The
+/// distances returned are the same with or without `seeds`.  minPts = 1
+/// leaves `seeds` empty (no list).
 [[nodiscard]] std::vector<double> core_distances(const exec::Executor& exec,
                                                  const spatial::PointSet& points,
                                                  const spatial::KdTree& tree, int min_pts,

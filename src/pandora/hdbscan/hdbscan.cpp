@@ -58,8 +58,7 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
 
   {
     // The core pass hands its kNN lists to the MST as seeds for Borůvka's
-    // first round (empty on a core-distance cache hit); they die with this
-    // scope.
+    // rounds (empty on a core-distance cache hit); they die with this scope.
     spatial::NeighborLists seeds;
     {
       const exec::ScopedPhase phase(exec, "core_distance");

@@ -36,7 +36,8 @@ obs::Counter& queries_metric(bool first_round) {
 /// starting from the components of a partial tree it joins exactly those
 /// components with minimum-weight edges (the dynamic subsystem's erase path).
 /// `knn`, for a mutual-reachability build from singletons only, holds the
-/// core-distance pass's neighbour lists; they certify round-0 candidates.
+/// core-distance pass's neighbour lists; they certify candidates in every
+/// round.
 graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
                              const KdTree& tree, const std::vector<double>& core_sq,
                              bool use_mreach, graph::ConcurrentUnionFind& uf,
@@ -70,34 +71,17 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
   // included) bit for bit.
   const bool seeded = static_cast<index_t>(roots.size()) < n;
 
-  // Round 0 from the kNN lists (cuSLINK's kNN-graph start, made exact by a
-  // cut certificate).  Every point q outside p's list lies at squared
-  // distance >= fence(p), so its score max(d², core²(p), core²(q)) is
-  // >= max(core²(p), fence(p)).  A list minimum strictly below that bound
-  // is therefore p's exact (score, id) candidate, and (1a) of round 0 seeds
-  // the component minima with it; ties at the bound query the tree.  The
-  // pair kernel's squared distance is bit-identical to the leaf scan's (see
-  // distance.hpp), so the seed equals the candidate a query would return.
-  if (knn != nullptr && !knn->empty()) {
+  // kNN lists (cuSLINK's kNN graph, made exact by a cut certificate) certify
+  // candidates from memory in every round; see (1a).
+  const bool lists = knn != nullptr && !knn->empty();
+  if (lists) {
     PANDORA_EXPECT(use_mreach && !seeded, "kNN seeds need a mutual-reachability build");
     PANDORA_EXPECT(static_cast<index_t>(knn->fence_sq.size()) == n &&
-                       knn->ids.size() == knn->fence_sq.size() * static_cast<std::size_t>(knn->k),
+                       knn->ids.size() ==
+                           knn->fence_sq.size() * static_cast<std::size_t>(knn->length),
                    "one kNN list and fence per point required");
-    const int dim = points.dim();
-    exec::parallel_for(exec, n, [&](size_type pi) {
-      const auto p = static_cast<std::size_t>(pi);
-      const double* at = points.point(static_cast<index_t>(pi)).data();
-      const std::span<const index_t> list(knn->ids.data() + p * static_cast<std::size_t>(knn->k),
-                                          static_cast<std::size_t>(knn->k));
-      Neighbor w;
-      for (const index_t q : list) {
-        const double sq = distance::squared_distance(at, points.point(q).data(), dim);
-        const Neighbor cand{std::max({sq, core_sq[p], core_sq[static_cast<std::size_t>(q)]}), q};
-        if (cand < w) w = cand;
-      }
-      if (w.squared_distance < std::max(core_sq[p], knn->fence_sq[p])) point_best[p] = w;
-    });
   }
+  const int dim = points.dim();
 
   // Query-local annotations: the (possibly cached, shared) tree stays const.
   KdTreeAnnotations notes;
@@ -144,19 +128,49 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     // (1a) A point's candidate from an earlier round stays *exact* while its
     // partner is still foreign: components only merge, so the foreign set
     // only shrinks, and a shrinking set that still contains the old
-    // lexicographic minimum keeps it.  Valid candidates seed their
-    // component's minimum.  A stale one (partner absorbed) drops its id and
-    // leaves its score as p's lower bound: it was p's minimum over a
-    // foreign set that has only shrunk since.
+    // lexicographic minimum keeps it.  A stale one (partner absorbed) drops
+    // its id and leaves its score as p's lower bound: it was p's minimum
+    // over a foreign set that has only shrunk since.
+    //
+    // A point left without a candidate then checks its kNN list.  Every
+    // point q outside the list lies at squared distance >= fence(p), so its
+    // score max(d², core²(p), core²(q)) is >= F* = max(core²(p), fence(p)).
+    // The minimum w over the list's foreign entries is therefore p's exact
+    // (score, id) candidate when w scores strictly below F*; otherwise every
+    // foreign score is >= F*, which becomes p's lower bound.  A bound
+    // already >= F* rules out a strictly smaller w, so such points skip the
+    // scan.  The pair kernel's squared distance is bit-identical to the leaf
+    // scan's (see distance.hpp), so w equals the candidate a query would
+    // return.  In round 0 every entry is foreign.
+    //
+    // Valid candidates seed their component's minimum before any query runs.
     exec::parallel_for(exec, n, [&](size_type pi) {
-      const auto p = static_cast<index_t>(pi);
-      const index_t c = component[static_cast<std::size_t>(p)];
-      Neighbor& nb = point_best[static_cast<std::size_t>(p)];
-      if (c == passive || nb.index == kNone) return;
-      if (component[static_cast<std::size_t>(nb.index)] == c) {
+      const auto p = static_cast<std::size_t>(pi);
+      const index_t c = component[p];
+      Neighbor& nb = point_best[p];
+      if (c == passive) return;
+      if (nb.index != kNone && component[static_cast<std::size_t>(nb.index)] == c)
         nb.index = kNone;
-        return;
+      if (nb.index == kNone && lists) {
+        const double f_star = std::max(core_sq[p], knn->fence_sq[p]);
+        if (nb.squared_distance < f_star) {
+          const double* at = points.point(static_cast<index_t>(pi)).data();
+          const auto length = static_cast<std::size_t>(knn->length);
+          Neighbor w;
+          for (const index_t q : std::span<const index_t>(knn->ids.data() + p * length, length)) {
+            const auto qi = static_cast<std::size_t>(q);
+            if (component[qi] == c) continue;
+            const double sq = distance::squared_distance(at, points.point(q).data(), dim);
+            const Neighbor cand{std::max({sq, core_sq[p], core_sq[qi]}), q};
+            if (cand < w) w = cand;
+          }
+          if (w.squared_distance < f_star)
+            nb = w;
+          else
+            nb.squared_distance = f_star;
+        }
       }
+      if (nb.index == kNone) return;
       exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
                              exec::order_preserving_bits(nb.squared_distance));
     });

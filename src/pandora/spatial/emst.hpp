@@ -30,11 +30,12 @@ namespace pandora::spatial {
 ///
 /// Lower-bound invariant: each point keeps a bound that all of its foreign
 /// (other-component) scores are >= — the score of its last exact candidate
-/// once that candidate's partner joins its component, or the radius of a
-/// query that found nothing.  Components only merge, so the bound stays
-/// valid for the whole build.  A point whose bound exceeds its component's
-/// running minimum cannot attain the minimum and skips its query; every
-/// point that does attain it still holds its exact candidate.
+/// once that candidate's partner joins its component, the radius of a query
+/// that found nothing, or (with kNN seeds) its list's certificate F*.
+/// Components only merge, so the bound stays valid for the whole build.  A
+/// point whose bound exceeds its component's running minimum cannot attain
+/// the minimum and skips its query; every point that does attain it still
+/// holds its exact candidate.
 /// `pandora_emst_queries_total` (obs registry, labelled by round) counts the
 /// queries that do run.
 ///
@@ -62,16 +63,20 @@ namespace pandora::spatial {
 /// paper's Figure 1/15 pipeline.
 ///
 /// `seeds`, when given, must be the neighbour lists that
-/// `hdbscan::core_distances` filled while computing `core_distances` (the
-/// minPts - 1 nearest ids and the fence F(p), the squared distance of the
-/// minPts-th neighbour).  They resolve round 0 without tree queries — the
-/// kNN-graph start of cuSLINK, kept exact by a cut certificate.  Let w be
-/// the (score, id) minimum of p's list under squared mutual reachability.
-/// Every point outside the list scores >= max(core(p)^2, F(p)), so when
-/// w's score is strictly below that bound (the fence rule), w is p's exact
-/// first candidate; ties at the fence fall back to a tree query.  The edges
-/// and their order are the same with or without seeds.  The lists are read
-/// once, before the first round.
+/// `hdbscan::core_distances` filled while computing `core_distances`: each
+/// point's L nearest ids, L = max(minPts - 1, kMinListLength), and its
+/// fence F(p), the squared distance of the (L+1)-th neighbour.  They resolve
+/// candidates without tree queries in every round — the kNN-graph start of
+/// cuSLINK, kept exact by a cut certificate.  Every point outside p's list
+/// scores >= F*(p) = max(core(p)^2, F(p)).  In each round, a point without a
+/// valid candidate whose lower bound is below F*(p) takes w, the
+/// (score, id) minimum of its list entries in other components, under
+/// squared mutual reachability.  When w's score is strictly below F*(p)
+/// (the fence rule), w is p's exact candidate; otherwise p's lower bound
+/// rises to F*(p), and a tree query decides if the bound does not rule p
+/// out.  The lists are checked before any query of the round runs, so their
+/// candidates tighten the component radii the queries start from.  The
+/// edges and their order are the same with or without seeds.
 [[nodiscard]] graph::EdgeList mutual_reachability_mst(const exec::Executor& exec,
                                                       const PointSet& points,
                                                       const KdTree& tree,

@@ -177,109 +177,25 @@ void KdTree::knn(std::span<const double> query, int k, std::vector<Neighbor>& ou
   knn_search(query.data(), std::min<index_t>(k, size()), kNone, out);
 }
 
-void KdTree::knn_batch_search(const BatchQuery* queries, index_t num_queries, int k,
-                              std::vector<Neighbor>& out) const {
-  if (k <= 0 || num_queries <= 0 || size() == 0) {
-    out.clear();
-    return;
-  }
-  out.assign(static_cast<std::size_t>(num_queries) * static_cast<std::size_t>(k), Neighbor{});
-
-  constexpr index_t kGroup = 16;  // queries per group DFS (fits a uint32 mask)
-  double* leaf_sq = leaf_scratch(max_leaf_count_);
-
-  struct Frame {
-    index_t node;
-    std::uint32_t mask;  ///< queries still live below this node
-  };
-  thread_local std::vector<Frame> stack;
-
-  int filled[kGroup];
-
-  for (index_t g0 = 0; g0 < num_queries; g0 += kGroup) {
-    const index_t gn = std::min<index_t>(kGroup, num_queries - g0);
-    for (index_t qi = 0; qi < gn; ++qi) filled[qi] = 0;
-
-    // Query qi's result slice doubles as its sorted insertion buffer, so the
-    // per-query offer is byte-for-byte the single-query insertion logic.
-    auto slice = [&](index_t qi) {
-      return out.data() + static_cast<std::size_t>(g0 + qi) * static_cast<std::size_t>(k);
-    };
-    auto bound = [&](index_t qi) {
-      return filled[qi] == k ? slice(qi)[k - 1].squared_distance
-                             : std::numeric_limits<double>::infinity();
-    };
-    auto offer = [&](index_t qi, index_t p, double sq) {
-      if (p == queries[g0 + qi].exclude) return;
-      Neighbor* s = slice(qi);
-      int& n = filled[qi];
-      const Neighbor cand{sq, p};
-      if (n == k && !(cand < s[n - 1])) return;
-      Neighbor* pos = std::lower_bound(s, s + n, cand);
-      for (Neighbor* t = s + std::min(n, k - 1); t > pos; --t) *t = *(t - 1);
-      *pos = cand;
-      if (n < k) ++n;
-    };
-
-    stack.clear();
-    stack.push_back({0, (1u << gn) - 1});  // gn <= 16, shift never overflows
-    while (!stack.empty()) {
-      const Frame f = stack.back();
-      stack.pop_back();
-      // Re-prune against each query's CURRENT bound (it may have tightened
-      // since this frame was pushed); a node is descended if any query
-      // survives.  Relaxed group pruning only adds visits, never changes the
-      // (unique) k-best set, so results stay bit-identical to per-query knn.
-      std::uint32_t live = 0;
-      for (index_t qi = 0; qi < gn; ++qi) {
-        if ((f.mask & (1u << qi)) == 0) continue;
-        if (!(box_squared_distance(f.node, queries[g0 + qi].coords) > bound(qi)))
-          live |= 1u << qi;
-      }
-      if (live == 0) continue;
-      const Node& nd = nodes_[static_cast<std::size_t>(f.node)];
-      if (nd.left == kNone) {
-        // One SoA pass per live query while the leaf block is cache-hot.
-        for (index_t qi = 0; qi < gn; ++qi) {
-          if ((live & (1u << qi)) == 0) continue;
-          scan_leaf(nd, queries[g0 + qi].coords, leaf_sq);
-          for (index_t i = nd.begin; i < nd.end; ++i)
-            offer(qi, perm_[static_cast<std::size_t>(i)],
-                  leaf_sq[static_cast<std::size_t>(i - nd.begin)]);
-        }
-        continue;
-      }
-      // Near-child preference steered by the lowest live query; coherent
-      // groups (consecutive in tree_order) agree on the near side anyway.
-      const auto lead = static_cast<index_t>(std::countr_zero(live));
-      const bool left_first =
-          queries[g0 + lead].coords[nd.split_dim] <= nd.split_value;
-      stack.push_back({left_first ? nd.right : nd.left, live});
-      stack.push_back({left_first ? nd.left : nd.right, live});
-    }
-  }
-}
-
 void KdTree::knn_batch(std::span<const index_t> queries, int k, std::vector<Neighbor>& out) const {
-  const index_t n = size();
-  const int k_eff = static_cast<int>(std::max<index_t>(
-      0, std::min<index_t>(k, n > 0 ? n - 1 : 0)));
-  thread_local std::vector<BatchQuery> batch;
-  batch.resize(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    batch[i] = BatchQuery{points_->point(queries[i]).data(), queries[i]};
-  knn_batch_search(batch.data(), static_cast<index_t>(queries.size()), k_eff, out);
+  thread_local std::vector<Neighbor> one;
+  out.clear();
+  for (const index_t q : queries) {
+    knn(q, k, one);
+    out.insert(out.end(), one.begin(), one.end());
+  }
 }
 
 void KdTree::knn_batch(const double* queries, index_t num_queries, int k,
                        std::vector<Neighbor>& out) const {
-  const int k_eff = static_cast<int>(std::max<index_t>(0, std::min<index_t>(k, size())));
-  thread_local std::vector<BatchQuery> batch;
-  batch.resize(static_cast<std::size_t>(num_queries));
-  for (index_t i = 0; i < num_queries; ++i)
-    batch[static_cast<std::size_t>(i)] =
-        BatchQuery{queries + static_cast<std::size_t>(i) * static_cast<std::size_t>(dim_), kNone};
-  knn_batch_search(batch.data(), num_queries, k_eff, out);
+  thread_local std::vector<Neighbor> one;
+  out.clear();
+  for (index_t i = 0; i < num_queries; ++i) {
+    knn({queries + static_cast<std::size_t>(i) * static_cast<std::size_t>(dim_),
+         static_cast<std::size_t>(dim_)},
+        k, one);
+    out.insert(out.end(), one.begin(), one.end());
+  }
 }
 
 namespace {

@@ -13,19 +13,18 @@ std::vector<double> kth_neighbor_distances(const exec::Executor& exec, const Poi
   if (lists != nullptr) *lists = NeighborLists{};
   if (k <= 0 || n <= 1) return result;
 
-  // Queries run in tree (leaf-partition) order so each knn_batch group is
-  // spatially coherent — the group DFS then shares most of its node visits
-  // and leaf SoA scans across the group.  Results scatter back by point id,
-  // so the output is identical to querying 0..n-1 directly.
+  // Queries run in tree (leaf-partition) order so consecutive searches touch
+  // the same nodes and leaf blocks while they are cache-hot.  Results scatter
+  // back by point id, so the output is identical to querying 0..n-1 directly.
   const std::span<const index_t> order = tree.tree_order();
   const int k_eff = static_cast<int>(std::min<index_t>(k, n - 1));
-  // With lists, one more neighbour: the (k+1)-th is the fence.
-  const int fetch = lists != nullptr ? k + 1 : k;
-  const auto row = static_cast<std::size_t>(std::min<index_t>(fetch, n - 1));
-  const bool has_fence = static_cast<int>(row) > k_eff;
+  // With lists, one neighbour beyond the list: the (L+1)-th is the fence.
+  const auto list_length =
+      static_cast<int>(std::min<index_t>(std::max(k, kMinListLength), n - 1));
+  const int fetch = lists != nullptr ? list_length + 1 : k;
   if (lists != nullptr) {
-    lists->k = k_eff;
-    lists->ids.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(k_eff));
+    lists->length = list_length;
+    lists->ids.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(list_length));
     lists->fence_sq.assign(static_cast<std::size_t>(n), std::numeric_limits<double>::infinity());
   }
 
@@ -38,20 +37,20 @@ std::vector<double> kth_neighbor_distances(const exec::Executor& exec, const Poi
     // Per-worker scratch, persistent across chunks and calls (backend
     // workers are long-lived threads) — steady-state passes allocate
     // nothing here.
-    thread_local std::vector<Neighbor> scratch;
+    thread_local std::vector<Neighbor> nb;
     const index_t lo = static_cast<index_t>(c) * kQueriesPerChunk;
     const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
-    tree.knn_batch(order.subspan(static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo)),
-                   fetch, scratch);
     for (index_t i = lo; i < hi; ++i) {
-      const auto p = static_cast<std::size_t>(order[static_cast<std::size_t>(i)]);
-      const Neighbor* nb = scratch.data() + static_cast<std::size_t>(i - lo) * row;
-      result[p] = std::sqrt(nb[k_eff - 1].squared_distance);
+      const index_t q = order[static_cast<std::size_t>(i)];
+      const auto p = static_cast<std::size_t>(q);
+      tree.knn(q, fetch, nb);
+      result[p] = std::sqrt(nb[static_cast<std::size_t>(k_eff - 1)].squared_distance);
       if (lists == nullptr) continue;
-      for (int j = 0; j < k_eff; ++j)
-        lists->ids[p * static_cast<std::size_t>(k_eff) + static_cast<std::size_t>(j)] =
-            nb[j].index;
-      if (has_fence) lists->fence_sq[p] = nb[k_eff].squared_distance;
+      for (int j = 0; j < list_length; ++j)
+        lists->ids[p * static_cast<std::size_t>(list_length) + static_cast<std::size_t>(j)] =
+            nb[static_cast<std::size_t>(j)].index;
+      if (static_cast<int>(nb.size()) > list_length)
+        lists->fence_sq[p] = nb[static_cast<std::size_t>(list_length)].squared_distance;
     }
   };
   exec.run_chunks(num_chunks, exec.num_threads(), body);

@@ -3,9 +3,12 @@
 // Global allocation counting for the zero-allocation steady-state tests.
 //
 // Including this header DEFINES the replaceable global `operator new` /
-// `operator delete` functions (counting every heap allocation of the
-// process), so it must be included in exactly ONE translation unit of a
-// binary.  The counters are atomics: OpenMP worker threads allocating inside
+// `operator delete` functions, scalar and aligned, throwing and nothrow
+// (counting every heap allocation of the process), so it must be included in
+// exactly ONE translation unit of a binary.  Every scalar form is replaced:
+// a form left to the runtime (under ASan, its own allocator) would hand out
+// memory that these `delete`s then `free` — `std::stable_sort`'s temporary
+// buffer comes from the nothrow `new`.  The counters are atomics: OpenMP worker threads allocating inside
 // a measured region are counted too — which is the point.
 
 #include <atomic>
@@ -55,7 +58,25 @@ void* operator new(std::size_t size, std::align_val_t alignment) {
   }
 }
 
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+void* operator new(std::size_t size, std::align_val_t alignment, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size, alignment);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/spatial/brute_force.hpp"
@@ -154,6 +156,53 @@ TEST(KdTree, KthNeighborDistancesSerialEqualsParallel) {
     const auto expected = spatial::brute_force_knn(points, q, 4);
     EXPECT_DOUBLE_EQ(serial[static_cast<std::size_t>(q)],
                      std::sqrt(expected.back().squared_distance));
+  }
+}
+
+TEST(KdTree, NeighborListsMatchBruteForce) {
+  // The lists the core pass leaves for Borůvka: max(k, kMinListLength) ids
+  // per point clamped to n - 1, ascending under (d², id), and the fence (the
+  // next neighbour's d², +inf when none exists), on tiny inputs with
+  // duplicated points.  Core distances must not depend on the lists.
+  for (const index_t n : {2, 3, 6, 7, 8}) {
+    PointSet points = data::uniform_points(n, 2, 60 + static_cast<std::uint64_t>(n));
+    const auto copy = [&](index_t from, index_t to) {
+      for (int d = 0; d < 2; ++d) points.at(to, d) = points.at(from, d);
+    };
+    copy(0, n - 1);
+    if (n >= 6) {
+      copy(1, n - 2);
+      copy(1, 2);
+    }
+    const KdTree tree(points);
+    for (const auto& backend : exec::registered_backends()) {
+      const exec::Executor& executor = exec::default_executor(backend);
+      for (const int min_pts : {2, 7, 8, 9}) {
+        const int k = min_pts - 1;
+        spatial::NeighborLists lists;
+        const auto with_lists = spatial::kth_neighbor_distances(executor, points, tree, k, &lists);
+        EXPECT_EQ(with_lists, spatial::kth_neighbor_distances(executor, points, tree, k));
+        const auto length = static_cast<int>(
+            std::min<index_t>(std::max(k, spatial::kMinListLength), n - 1));
+        ASSERT_EQ(lists.length, length) << "n=" << n << " mpts=" << min_pts;
+        ASSERT_EQ(lists.ids.size(), static_cast<std::size_t>(n * length));
+        ASSERT_EQ(lists.fence_sq.size(), static_cast<std::size_t>(n));
+        for (index_t q = 0; q < n; ++q) {
+          const auto expected = spatial::brute_force_knn(points, q, length + 1);
+          for (int j = 0; j < length; ++j)
+            ASSERT_EQ(lists.ids[static_cast<std::size_t>(q * length + j)],
+                      expected[static_cast<std::size_t>(j)].index)
+                << backend->name() << " n=" << n << " mpts=" << min_pts << " q=" << q;
+          const double fence = static_cast<int>(expected.size()) > length
+                                   ? expected[static_cast<std::size_t>(length)].squared_distance
+                                   : std::numeric_limits<double>::infinity();
+          EXPECT_DOUBLE_EQ(lists.fence_sq[static_cast<std::size_t>(q)], fence);
+          const auto kth = static_cast<std::size_t>(std::min<index_t>(k, n - 1) - 1);
+          EXPECT_DOUBLE_EQ(with_lists[static_cast<std::size_t>(q)],
+                           std::sqrt(expected[kth].squared_distance));
+        }
+      }
+    }
   }
 }
 

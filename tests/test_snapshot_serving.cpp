@@ -263,9 +263,11 @@ TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
   serve::BatchExecutor batch(parent, {.num_slots = 2});
 
   std::atomic<int> queries_ran{0};
+  std::atomic<bool> pinned{false};
   std::vector<serve::BatchExecutor::SnapshotWave> waves(1);
   waves[0].queries.push_back(serve::BatchExecutor::SnapshotJob{
       [&](const exec::Executor& exec, const snapshot::Snapshot& snap) {
+        pinned.store(true);  // run_waves pins `snap` before calling in
         // The pinned epoch stays valid and queryable throughout...
         (void)snap.hdbscan(exec, stress_options());
         // ...while we wait for the concurrent update's publish to land.
@@ -274,7 +276,10 @@ TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
         queries_ran.fetch_add(1);
       },
       /*size_hint=*/16});
-  waves[0].update = [](snapshot::PublishedClustering& stream) {
+  waves[0].update = [&pinned](snapshot::PublishedClustering& stream) {
+    // A query pins at admission, so an update that published before the
+    // query started would hand it the new epoch.
+    while (!pinned.load()) std::this_thread::yield();
     stream.insert(data::gaussian_blobs(40, 2, 3, 0.05, 0.1, 18));
   };
   batch.run_waves(published, waves);
