@@ -65,8 +65,7 @@ void report(const char* scenario, index_t n, const bench::Measurement& update,
       .field("cache_misses",
              static_cast<std::int64_t>(reg.counter_value("pandora_cache_misses_total")))
       .field("cache_evictions",
-             static_cast<std::int64_t>(reg.counter_value("pandora_cache_evictions_total")))
-      .field("cache_pinned_slots", reg.gauge_value("pandora_cache_pinned_slots"));
+             static_cast<std::int64_t>(reg.counter_value("pandora_cache_evictions_total")));
   json.end_row();
 }
 

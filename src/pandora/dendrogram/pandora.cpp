@@ -94,7 +94,7 @@ std::shared_ptr<const Dendrogram> pandora_dendrogram_cached(const exec::Executor
     entry = std::make_shared<CachedDendrogram>();
     entry->validated = options.validate_input;
     pandora_dendrogram_into(exec, mst, num_vertices, options, entry->dendrogram);
-    exec.artifact_cache().insert(key, entry, exec.cache_owner());
+    exec.artifact_cache().insert(key, entry);
   } else if (options.validate_input && !entry->validated) {
     graph::validate_tree(mst, num_vertices);
     entry->validated = true;

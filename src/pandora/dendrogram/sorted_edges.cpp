@@ -304,7 +304,7 @@ std::shared_ptr<const SortedEdges> sorted_edges_cached(const exec::Executor& exe
     entry = std::make_shared<CachedSortedEdges>();
     entry->validated = validate_input;
     sort_edges_into(exec, edges, num_vertices, entry->sorted);
-    exec.artifact_cache().insert(fingerprint, entry, exec.cache_owner());
+    exec.artifact_cache().insert(fingerprint, entry);
   } else if (validate_input && !entry->validated) {
     graph::validate_tree(edges, num_vertices);
     entry->validated = true;

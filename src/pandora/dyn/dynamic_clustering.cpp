@@ -56,16 +56,24 @@ struct Candidate {
 /// building and annotating a kd-tree over the batch.
 constexpr index_t kBatchTreeThreshold = 32;
 
+/// Leaf size of the maintained kd index (and of the per-batch trees).
+constexpr int kLeafSize = 32;
+
+/// Inserted points are appended to an unindexed tail and brute-forced by
+/// queries until the tail exceeds this fraction of the point count, when the
+/// kd index is rebuilt (amortised O(log n) per insert).  Erases always
+/// rebuild (compaction moves the indexed coordinates).
+constexpr double kIndexRebuildFraction = 0.125;
+
 }  // namespace
 
-DynamicClustering::DynamicClustering(const exec::Executor& exec, DynamicOptions options)
+DynamicClustering::DynamicClustering(const exec::Executor& exec)
     : exec_(&exec),
-      options_(options),
       points_(std::make_unique<spatial::PointSet>()),
       instance_(next_instance_id()) {}
 
 void DynamicClustering::rebuild_index() {
-  tree_ = std::make_unique<spatial::KdTree>(*points_, options_.leaf_size);
+  tree_ = std::make_unique<spatial::KdTree>(*points_, kLeafSize);
   indexed_ = points_->size();
   ++stats_.index_rebuilds;
 }
@@ -137,8 +145,7 @@ std::vector<index_t> DynamicClustering::insert(const spatial::PointSet& batch) {
   // Amortised index maintenance: queries brute-force the unindexed tail
   // until it outgrows its budget.
   const auto tail = static_cast<double>(points_->size() - indexed_);
-  if (tail > std::max(64.0, options_.index_rebuild_fraction *
-                                static_cast<double>(points_->size())))
+  if (tail > std::max(64.0, kIndexRebuildFraction * static_cast<double>(points_->size())))
     rebuild_index();
   insert_metric().observe(timer.seconds());
   return ids;
@@ -287,7 +294,7 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     std::copy(points.coords().begin() +
                   static_cast<std::size_t>(n_before) * static_cast<std::size_t>(points.dim()),
               points.coords().end(), batch_points.coords().begin());
-    batch_tree = std::make_unique<spatial::KdTree>(batch_points, options_.leaf_size);
+    batch_tree = std::make_unique<spatial::KdTree>(batch_points, kLeafSize);
   }
 
   // --- Borůvka rounds over the implicit candidate graph -------------------

@@ -31,17 +31,6 @@
 /// model).
 namespace pandora::dyn {
 
-struct DynamicOptions {
-  /// Leaf size of the maintained kd index.
-  int leaf_size = 32;
-
-  /// Inserted points are appended to an unindexed tail and brute-forced by
-  /// queries until the tail exceeds this fraction of the point count, when
-  /// the kd index is rebuilt (amortised O(log n) per insert).  Erases always
-  /// rebuild (compaction moves the indexed coordinates).
-  double index_rebuild_fraction = 0.125;
-};
-
 /// Cumulative counters, exposed so tests and benches can assert the update
 /// path actually took the incremental route (and how hard it worked).
 struct UpdateStats {
@@ -116,7 +105,7 @@ struct ArtifactBundle {
 /// immutable snapshots of each epoch.
 class DynamicClustering {
  public:
-  explicit DynamicClustering(const exec::Executor& exec, DynamicOptions options = {});
+  explicit DynamicClustering(const exec::Executor& exec);
   DynamicClustering(DynamicClustering&&) = default;
   DynamicClustering& operator=(DynamicClustering&&) = default;
 
@@ -212,8 +201,6 @@ class DynamicClustering {
 
   [[nodiscard]] const UpdateStats& stats() const { return stats_; }
 
-  [[nodiscard]] const DynamicOptions& options() const { return options_; }
-
   [[nodiscard]] const exec::Executor& executor() const { return *exec_; }
 
  private:
@@ -235,7 +222,6 @@ class DynamicClustering {
   void replay_dendrogram();
 
   const exec::Executor* exec_;
-  DynamicOptions options_;
   /// unique_ptr keeps the PointSet address-stable under moves of *this (the
   /// kd index holds a reference to it).
   std::unique_ptr<spatial::PointSet> points_;

@@ -14,7 +14,6 @@
 #include <string_view>
 #include <type_traits>
 #include <typeinfo>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,8 +41,9 @@
 /// (e) the edge-sort algorithm selection (key-packed radix by default,
 /// comparison merge as the fallback), and (f) an `ArtifactCache` that lets
 /// upper layers reuse derived artifacts (e.g. the canonical SortedEdges of an
-/// MST) across calls.  Every kernel takes a
-/// `const Executor&`.
+/// MST) across calls — its own, or one installed for a scope, such as a
+/// snapshot's cache for the length of a reader's query.  Every kernel takes
+/// a `const Executor&`.
 namespace pandora::exec {
 
 /// Below this trip count per-kernel dispatch overhead dominates; kernels run
@@ -88,12 +88,6 @@ inline obs::Counter& cache_misses_metric() {
 }
 inline obs::Counter& cache_evictions_metric() {
   static obs::Counter& metric = obs::registry().counter("pandora_cache_evictions_total");
-  return metric;
-}
-/// Live pinned entries summed over *all* ArtifactCache instances (each cache
-/// still reports its own exact count via `stats()`).
-inline obs::Gauge& cache_pinned_metric() {
-  static obs::Gauge& metric = obs::registry().gauge("pandora_cache_pinned_slots");
   return metric;
 }
 
@@ -333,7 +327,8 @@ class Workspace {
 /// Locking contract: every operation (find / insert / clear / stats) takes
 /// the cache's internal mutex, so the cache may be shared by concurrent
 /// queries — the batch serving layer points all of its slot executors at one
-/// parent cache.  The contract the mutex enforces:
+/// parent cache, and every reader of a snapshot uses that snapshot's cache.
+/// The contract the mutex enforces:
 ///  * `find` returns an owning shared_ptr, so a hit stays alive even if the
 ///    entry is concurrently evicted; callers never hold references into the
 ///    cache itself.
@@ -346,14 +341,9 @@ class Workspace {
 /// The uncontended lock costs nanoseconds next to the artifacts being cached
 /// (sorts, tree builds), so the single-query path is unaffected.
 ///
-/// Two serving-tier refinements ride on top of plain LRU:
-///  * **pin groups** — `pin(g)` exempts every entry inserted with
-///    `Owner::pin_group == g` from eviction until the last `unpin(g)`;
-///    `purge_group(g)` reclaims them.  The snapshot tier pins one group per
-///    live snapshot so a reader's artifacts survive concurrent inserts.
-///  * **tenant quotas** — `set_tenant_quota(q)` caps the slots any tenant
-///    (`Owner::tenant != 0`) occupies; a tenant at its cap displaces its own
-///    LRU entry, never another tenant's hot artifact.
+/// Eviction is plain LRU and nothing is exempt from it: the snapshot tier
+/// gives every snapshot its own cache, so an epoch's artifacts die with the
+/// snapshot instead of competing with other epochs for slots.
 class ArtifactCache {
  public:
   /// Observability counters, readable without taking the cache lock (the
@@ -362,25 +352,13 @@ class ArtifactCache {
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;
-    std::size_t evictions = 0;     ///< occupied entries displaced by a different key
-    std::size_t pinned_slots = 0;  ///< entries currently belonging to pinned groups
-  };
-
-  /// Provenance attached to an insert: which pin group the entry belongs to
-  /// (0 = none; see `pin`) and which tenant is accountable for its slot
-  /// (0 = none; see `set_tenant_quota`).  Kernels read it off the Executor
-  /// (`Executor::cache_owner()`), so upper layers tag artifacts without
-  /// threading parameters through every kernel signature.
-  struct Owner {
-    std::uint64_t pin_group = 0;
-    std::uint64_t tenant = 0;
+    std::size_t evictions = 0;  ///< occupied entries displaced by a different key
   };
 
   static constexpr std::size_t kDefaultSlots = 16;
 
   explicit ArtifactCache(std::size_t slots = kDefaultSlots)
-      : entries_(slots > 0 ? slots : std::size_t{1}),
-        nominal_slots_(slots > 0 ? slots : std::size_t{1}) {}
+      : entries_(slots > 0 ? slots : std::size_t{1}) {}
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
@@ -407,24 +385,14 @@ class ArtifactCache {
   /// entry is replaced in place — callers that detect a stale value (e.g.
   /// the spatial caches' points-identity check) rely on their re-insert
   /// superseding it rather than shadowing it behind a duplicate.  Otherwise
-  /// the victim is chosen in order:
-  ///  * a tenant over its quota displaces its own least-recently-used
-  ///    (unpinned) entry — never another tenant's;
-  ///  * an empty slot;
-  ///  * the least-recently-used entry outside every pinned group;
-  ///  * when every slot belongs to a pinned group, the cache *grows* by one
-  ///    overflow slot instead of evicting: a live snapshot's artifacts are
-  ///    never dropped mid-read (`purge_group` reclaims the overflow when the
-  ///    snapshot retires).
+  /// the value takes an empty slot, or evicts the least-recently-used entry.
   template <class T>
-  void insert(std::uint64_t fingerprint, std::shared_ptr<T> value, Owner owner = {}) {
+  void insert(std::uint64_t fingerprint, std::shared_ptr<T> value) {
     std::shared_ptr<void> doomed;  // evicted value released outside the lock
     const std::lock_guard<std::mutex> lock(mutex_);
     Entry* match = nullptr;
     Entry* empty = nullptr;
-    Entry* lru = nullptr;         // least recent entry outside pinned groups
-    Entry* tenant_lru = nullptr;  // least recent unpinned entry of owner.tenant
-    std::size_t tenant_count = 0;
+    Entry* lru = nullptr;
     for (Entry& entry : entries_) {
       if (entry.value == nullptr) {
         if (empty == nullptr) empty = &entry;
@@ -434,120 +402,18 @@ class ArtifactCache {
         match = &entry;
         break;
       }
-      if (owner.tenant != 0 && entry.tenant == owner.tenant) ++tenant_count;
-      if (pinned(entry)) continue;
       if (lru == nullptr || entry.stamp < lru->stamp) lru = &entry;
-      if (owner.tenant != 0 && entry.tenant == owner.tenant &&
-          (tenant_lru == nullptr || entry.stamp < tenant_lru->stamp)) {
-        tenant_lru = &entry;
-      }
     }
-    Entry* slot = match;
-    if (slot == nullptr) {
-      const std::size_t quota = tenant_quota_.load(std::memory_order_relaxed);
-      if (owner.tenant != 0 && quota > 0 && tenant_count >= quota && tenant_lru != nullptr) {
-        slot = tenant_lru;  // quota displacement: the tenant pays with its own entry
-      } else if (empty != nullptr) {
-        slot = empty;
-      } else if (lru != nullptr) {
-        slot = lru;
-      } else {
-        // Every slot is occupied and pinned: soft overflow (see above).
-        entries_.emplace_back();
-        slot = &entries_.back();
-      }
-    }
-    if (slot->value != nullptr) {
-      if (slot != match) {
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        detail::cache_evictions_metric().inc();
-      }
-      if (pinned(*slot)) {
-        pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-        detail::cache_pinned_metric().add(-1);
-      }
+    Entry* slot = match != nullptr ? match : empty != nullptr ? empty : lru;
+    if (slot->value != nullptr && slot != match) {
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+      detail::cache_evictions_metric().inc();
     }
     doomed = std::move(slot->value);
     slot->fingerprint = fingerprint;
     slot->type = &typeid(T);
     slot->value = std::move(value);
     slot->stamp = ++clock_;
-    slot->pin_group = owner.pin_group;
-    slot->tenant = owner.tenant;
-    if (pinned(*slot)) {
-      pinned_count_.fetch_add(1, std::memory_order_relaxed);
-      detail::cache_pinned_metric().add(1);
-    }
-  }
-
-  /// Declares `group` pinned (refcounted): entries inserted with
-  /// `Owner::pin_group == group` are exempt from LRU eviction until the last
-  /// `unpin(group)`.  The snapshot tier pins one group per live snapshot
-  /// (keyed by its epoch fingerprint), so a reader mid-query can never lose
-  /// an artifact to a colder query's insert.  Group 0 is reserved (never
-  /// pinned).
-  void pin(std::uint64_t group) {
-    if (group == 0) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (++pins_[group] == 1) {
-      for (const Entry& entry : entries_) {
-        if (entry.value != nullptr && entry.pin_group == group) {
-          pinned_count_.fetch_add(1, std::memory_order_relaxed);
-          detail::cache_pinned_metric().add(1);
-        }
-      }
-    }
-  }
-
-  /// Drops one pin on `group`; at zero the group's entries become ordinary
-  /// LRU citizens again (they are not removed — see `purge_group`).
-  void unpin(std::uint64_t group) {
-    if (group == 0) return;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = pins_.find(group);
-    if (it == pins_.end()) return;
-    if (--it->second == 0) {
-      pins_.erase(it);
-      for (const Entry& entry : entries_) {
-        if (entry.value != nullptr && entry.pin_group == group) {
-          pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-          detail::cache_pinned_metric().add(-1);
-        }
-      }
-    }
-  }
-
-  /// Removes every entry of `group` (pinned or not) and releases any
-  /// overflow slots past the nominal capacity that emptied.  The snapshot
-  /// tier calls this when a retired snapshot's last reader drains: its
-  /// epoch-keyed artifacts are unreachable (epoch fingerprints never repeat)
-  /// and would otherwise squat in the LRU until aged out.
-  void purge_group(std::uint64_t group) {
-    std::vector<std::shared_ptr<void>> doomed;  // released outside the lock
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const bool was_pinned = pins_.find(group) != pins_.end();
-    for (Entry& entry : entries_) {
-      if (entry.value == nullptr || entry.pin_group != group) continue;
-      doomed.push_back(std::move(entry.value));
-      entry = Entry{};
-      if (was_pinned) {
-        pinned_count_.fetch_sub(1, std::memory_order_relaxed);
-        detail::cache_pinned_metric().add(-1);
-      }
-    }
-    while (entries_.size() > nominal_slots_ && entries_.back().value == nullptr)
-      entries_.pop_back();
-  }
-
-  /// Caps how many slots any single tenant (`Owner::tenant != 0`) may occupy:
-  /// once at the cap, a tenant's insert displaces its own least-recently-used
-  /// entry instead of anyone else's.  0 (the default) disables the quota.
-  /// Untagged inserts (tenant 0) are never capped.
-  void set_tenant_quota(std::size_t slots) noexcept {
-    tenant_quota_.store(slots, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t tenant_quota() const noexcept {
-    return tenant_quota_.load(std::memory_order_relaxed);
   }
 
   void clear() {
@@ -555,9 +421,7 @@ class ArtifactCache {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       doomed = std::move(entries_);
-      entries_.assign(nominal_slots_, Entry{});
-      const std::size_t pinned = pinned_count_.exchange(0, std::memory_order_relaxed);
-      detail::cache_pinned_metric().add(-static_cast<std::int64_t>(pinned));
+      entries_.assign(doomed.size(), Entry{});
     }
   }
 
@@ -571,14 +435,12 @@ class ArtifactCache {
     out.hits = hits_.load(std::memory_order_relaxed);
     out.misses = misses_.load(std::memory_order_relaxed);
     out.evictions = evictions_.load(std::memory_order_relaxed);
-    out.pinned_slots = pinned_count_.load(std::memory_order_relaxed);
     return out;
   }
   void reset_stats() noexcept {
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
     evictions_.store(0, std::memory_order_relaxed);
-    // pinned_slots is a gauge, not a counter: it tracks live state.
   }
 
  private:
@@ -587,25 +449,14 @@ class ArtifactCache {
     const std::type_info* type = nullptr;
     std::shared_ptr<void> value;
     std::uint64_t stamp = 0;
-    std::uint64_t pin_group = 0;
-    std::uint64_t tenant = 0;
   };
-
-  /// Call under mutex_.
-  [[nodiscard]] bool pinned(const Entry& entry) const {
-    return entry.pin_group != 0 && pins_.find(entry.pin_group) != pins_.end();
-  }
 
   mutable std::mutex mutex_;
   mutable std::vector<Entry> entries_;
-  std::size_t nominal_slots_ = kDefaultSlots;
   mutable std::uint64_t clock_ = 0;
-  mutable std::unordered_map<std::uint64_t, std::size_t> pins_;  ///< group -> refcount
   mutable std::atomic<std::size_t> hits_{0};
   mutable std::atomic<std::size_t> misses_{0};
   mutable std::atomic<std::size_t> evictions_{0};
-  mutable std::atomic<std::size_t> pinned_count_{0};
-  std::atomic<std::size_t> tenant_quota_{0};
 };
 
 /// Which algorithm runs the initial descending-(weight, id) edge sort of
@@ -698,14 +549,6 @@ class Executor {
   /// another cache, so nesting restores correctly.
   [[nodiscard]] ArtifactCache* shared_artifact_cache() const noexcept { return shared_cache_; }
 
-  /// The provenance tag cache-filling kernels attach to their inserts (see
-  /// ArtifactCache::Owner).  Defaults to untagged; the snapshot tier sets the
-  /// pin group for the duration of a pinned read, the batch serving layer
-  /// sets the tenant for the duration of a job.  Mutable behind const like
-  /// the phase sink: it is execution *context*, not kernel input.
-  [[nodiscard]] ArtifactCache::Owner cache_owner() const noexcept { return cache_owner_; }
-  void set_cache_owner(ArtifactCache::Owner owner) const noexcept { cache_owner_ = owner; }
-
   /// Whether cross-call artifact reuse (e.g. the SortedEdges cache keyed on
   /// the MST fingerprint) is enabled.  On by default; turn off to force every
   /// call to recompute — benchmarks comparing construction algorithms do.
@@ -790,7 +633,6 @@ class Executor {
   mutable Workspace workspace_;
   mutable ArtifactCache artifact_cache_;
   mutable ArtifactCache* shared_cache_ = nullptr;
-  mutable ArtifactCache::Owner cache_owner_{};
   mutable PhaseTimes* phase_times_ = nullptr;
   mutable obs::TraceRecorder* trace_ = nullptr;
   mutable EdgeSortAlgorithm edge_sort_ = EdgeSortAlgorithm::radix;
@@ -808,24 +650,6 @@ class Executor {
 /// backend instance); the backend must outlive its use, which the shared
 /// singletons of backend.hpp always do).
 [[nodiscard]] const Executor& default_executor(const std::shared_ptr<const Backend>& backend);
-
-/// Scope guard installing a cache-owner tag on an executor for the duration
-/// of a scope (a pinned snapshot read, a tenant's batch job), restoring the
-/// previous tag on exit so nested scopes compose.
-class ScopedCacheOwner {
- public:
-  ScopedCacheOwner(const Executor& executor, ArtifactCache::Owner owner)
-      : executor_(executor), saved_(executor.cache_owner()) {
-    executor_.set_cache_owner(owner);
-  }
-  ScopedCacheOwner(const ScopedCacheOwner&) = delete;
-  ScopedCacheOwner& operator=(const ScopedCacheOwner&) = delete;
-  ~ScopedCacheOwner() { executor_.set_cache_owner(saved_); }
-
- private:
-  const Executor& executor_;
-  ArtifactCache::Owner saved_;
-};
 
 /// Scope guard installing a cancellation token on an executor (a deadline'd
 /// pipeline run, a batch job), restoring the previous token on exit so

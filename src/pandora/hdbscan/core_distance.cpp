@@ -50,7 +50,7 @@ std::shared_ptr<const std::vector<double>> core_distances_cached(
       exec.artifact_cache().find<CachedCoreDistances>(key);
   if (entry == nullptr || entry->points != &points) {
     entry = compute();
-    exec.artifact_cache().insert(key, entry, exec.cache_owner());
+    exec.artifact_cache().insert(key, entry);
   }
   const std::vector<double>* view = &entry->values;
   return {std::move(entry), view};

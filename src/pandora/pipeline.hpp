@@ -247,8 +247,8 @@ class Pipeline {
   ///
   /// HDBSCAN* options apply when calling `stream.hdbscan()` (pass them
   /// there — the stream outlives this builder).
-  [[nodiscard]] dyn::DynamicClustering dynamic(dyn::DynamicOptions options = {}) const {
-    return dyn::DynamicClustering(*executor_, options);
+  [[nodiscard]] dyn::DynamicClustering dynamic() const {
+    return dyn::DynamicClustering(*executor_);
   }
 
   /// The serving front door: a `snapshot::PublishedClustering` whose writer
@@ -256,9 +256,8 @@ class Pipeline {
   /// readers `acquire()` pinned snapshots from their own threads and query
   /// them through `Pipeline::on_snapshot` (writers never block readers —
   /// see published_clustering.hpp).
-  [[nodiscard]] snapshot::PublishedClustering published(
-      snapshot::PublishedOptions options = {}) const {
-    return snapshot::PublishedClustering(*executor_, options);
+  [[nodiscard]] snapshot::PublishedClustering published() const {
+    return snapshot::PublishedClustering(*executor_);
   }
 
   [[nodiscard]] const exec::Executor& executor() const { return *executor_; }

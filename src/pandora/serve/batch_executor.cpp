@@ -70,8 +70,6 @@ BatchExecutor::BatchExecutor(const exec::Executor& parent, BatchOptions options)
     slot->use_shared_artifact_cache(&parent.artifact_cache());
     slots_.push_back(std::move(slot));
   }
-  if (options_.max_cache_slots_per_tenant > 0)
-    parent.artifact_cache().set_tenant_quota(options_.max_cache_slots_per_tenant);
 }
 
 std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
@@ -165,12 +163,10 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
 
     Timer timer;
     try {
-      // The job's tenant tag governs cache-quota accounting for every
-      // artifact the job inserts.  The job-level span wraps the whole run —
-      // phases and run_chunks launches nest inside it — and still records
-      // when the job unwinds with an exception.
+      // The job-level span wraps the whole run — phases and run_chunks
+      // launches nest inside it — and still records when the job unwinds
+      // with an exception.
       const exec::ScopedSpan span(exec, "serve.job");
-      const exec::ScopedCacheOwner owner(exec, exec::ArtifactCache::Owner{0, jobs[j].tenant});
       const exec::ScopedCancellation scope(exec, cancellable ? &job_token : nullptr);
       jobs[j].run(exec);
       result.outcome = JobOutcome::ok;
@@ -269,7 +265,6 @@ void BatchExecutor::run_waves(snapshot::PublishedClustering& published,
             query.run(exec, *snap);
           },
           query.size_hint,
-          query.tenant,
       });
     }
 

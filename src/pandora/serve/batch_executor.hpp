@@ -142,13 +142,6 @@ struct BatchOptions {
   /// Concurrent slots for small queries; 0 = the parent's thread budget.
   int num_slots = 0;
 
-  /// Per-tenant cap on shared-ArtifactCache slots (0 = unlimited).  Jobs
-  /// carry a tenant tag (`Job::tenant`); with a cap set, a tenant at its cap
-  /// displaces its own least-recently-used entry on insert, so one tenant's
-  /// parameter sweep cannot evict another tenant's hot kd-tree.  Applied to
-  /// the parent's cache at construction (see ArtifactCache::set_tenant_quota).
-  std::size_t max_cache_slots_per_tenant = 0;
-
   /// Admission control / load shedding (off by default).
   QosPolicy qos;
 };
@@ -166,10 +159,6 @@ class BatchExecutor {
   struct Job {
     std::function<void(const exec::Executor&)> run;
     size_type size_hint = 0;
-    /// Cache-quota accounting tag (0 = untagged); see
-    /// BatchOptions::max_cache_slots_per_tenant.  Installed as the assigned
-    /// executor's cache owner for the job's duration.
-    std::uint64_t tenant = 0;
     /// Per-job deadline, measured from the job's start (0 = use the batch
     /// policy's `QosPolicy::job_deadline`, or none).
     std::chrono::nanoseconds deadline{0};
@@ -213,7 +202,6 @@ class BatchExecutor {
     /// observe different epochs, each of them consistent.
     std::function<void(const exec::Executor&, const snapshot::Snapshot&)> run;
     size_type size_hint = 0;
-    std::uint64_t tenant = 0;
   };
   struct SnapshotWave {
     std::vector<SnapshotJob> queries;

@@ -23,9 +23,7 @@ obs::Histogram& publish_latency_metric() {
 
 }  // namespace
 
-PublishedClustering::PublishedClustering(const exec::Executor& writer, PublishedOptions options)
-    : cache_(std::make_shared<exec::ArtifactCache>(options.cache_slots)),
-      stream_(writer, options.dynamic) {
+PublishedClustering::PublishedClustering(const exec::Executor& writer) : stream_(writer) {
   publish();  // readers may acquire before the first insert (empty snapshot)
 }
 
@@ -47,20 +45,23 @@ void PublishedClustering::erase(std::span<const index_t> ids) {
 }
 
 void PublishedClustering::publish() {
-  // Materialize off to the side: the deep copy and the group pin happen
-  // before — and entirely outside — the pointer-swap critical section, so a
-  // concurrent acquire() never waits on capture work.  A throw anywhere up
+  // Materialize off to the side: the deep copy happens before — and
+  // entirely outside — the pointer-swap critical section, so a concurrent
+  // acquire() never waits on capture work.  A throw anywhere up
   // to the swap (both chaos seams below) leaves `current_` untouched:
   // readers keep being served the previous epoch, never a torn one.
   const exec::ScopedSpan span(stream_.executor(), "snapshot.publish");
   const Timer timer;
   PANDORA_FAILPOINT("snapshot.materialise");
-  SnapshotPtr next = std::make_shared<const Snapshot>(cache_, stream_.capture_artifacts());
+  SnapshotPtr next = std::make_shared<const Snapshot>(stream_.capture_artifacts());
   PANDORA_FAILPOINT("snapshot.publish");
   {
     const std::lock_guard<std::mutex> lock(current_mutex_);
-    current_ = std::move(next);
+    current_.swap(next);
   }
+  // `next` now holds the retired snapshot: if no reader pins it, it and its
+  // cached artifacts are freed here, outside the lock.
+  next.reset();
   publishes_metric().inc();
   publish_latency_metric().observe(timer.seconds());
 }

@@ -14,18 +14,6 @@
 
 namespace pandora::snapshot {
 
-struct PublishedOptions {
-  /// Options of the owned `dyn::DynamicClustering` writer side.
-  dyn::DynamicOptions dynamic;
-
-  /// Nominal slot count of the serving cache shared by every reader of every
-  /// snapshot of this stream.  The cache grows past it only while pinned
-  /// snapshots need the room, and shrinks back as they retire — so the
-  /// steady-state footprint is the nominal slots plus whatever the live
-  /// epochs (at most 1 + max-in-flight-readers of them) have cached.
-  std::size_t cache_slots = 64;
-};
-
 /// The front door of the serving tier: one writer, any number of readers,
 /// and the guarantee that **writers never block readers**.
 ///
@@ -49,9 +37,10 @@ struct PublishedOptions {
 /// replay), then *materialize the successor snapshot off to the side* (deep
 /// copies — readers' snapshots share nothing with the stream) and publish it
 /// with a single pointer swap.  Readers mid-query keep their pinned epochs;
-/// the retired snapshot — artifacts and pinned serving-cache entries — is
+/// the retired snapshot — artifacts and its own artifact cache — is
 /// reclaimed when its last reader drains (RCU-style).  Memory cost: at most
-/// `1 + max-in-flight-readers` epochs resident.
+/// `1 + max-in-flight-readers` epochs resident, each with at most
+/// `Snapshot::kCacheSlots` cached artifacts.
 ///
 /// Thread-safety: one writer thread at a time (like `dyn::`); `acquire` /
 /// `published_epoch` are safe from any thread concurrently with the writer.
@@ -59,7 +48,7 @@ struct PublishedOptions {
 /// own).
 class PublishedClustering {
  public:
-  explicit PublishedClustering(const exec::Executor& writer, PublishedOptions options = {});
+  explicit PublishedClustering(const exec::Executor& writer);
   PublishedClustering(const PublishedClustering&) = delete;
   PublishedClustering& operator=(const PublishedClustering&) = delete;
 
@@ -101,14 +90,12 @@ class PublishedClustering {
   // --- introspection --------------------------------------------------------
 
   [[nodiscard]] const dyn::DynamicClustering& stream() const { return stream_; }
-  [[nodiscard]] exec::ArtifactCache& serving_cache() const { return *cache_; }
   [[nodiscard]] const exec::Executor& writer_executor() const { return stream_.executor(); }
 
  private:
   /// Materializes a snapshot from the stream's current epoch and swaps it in.
   void publish();
 
-  std::shared_ptr<exec::ArtifactCache> cache_;
   dyn::DynamicClustering stream_;
   /// Guards only the `current_` pointer: held for the copy in `acquire` and
   /// the swap in `publish`, never while clustering work runs.

@@ -25,21 +25,15 @@ obs::Counter& epochs_reclaimed_metric() {
 
 }  // namespace
 
-/// Installs the reader context on a reader's executor for the duration of
-/// one query: the serving cache (so every reader shares one artifact pool)
-/// and the snapshot's pin group as cache owner (so everything the query
-/// inserts is pinned until the snapshot retires).  The reader's tenant tag
-/// is preserved — quota accounting composes with pinned reads.  Previous
-/// state is restored on exit, so a reader executor can serve interleaved
-/// snapshot and non-snapshot work.
+/// Installs the snapshot's artifact cache on a reader's executor for the
+/// duration of one query, so every reader of the epoch shares one artifact
+/// pool.  The previous cache is restored on exit, so a reader executor can
+/// serve interleaved snapshot and non-snapshot work.
 class Snapshot::ReaderScope {
  public:
   ReaderScope(const exec::Executor& exec, const Snapshot& snapshot)
-      : exec_(exec),
-        saved_cache_(exec.shared_artifact_cache()),
-        owner_guard_(exec, exec::ArtifactCache::Owner{snapshot.fingerprint(),
-                                                      exec.cache_owner().tenant}) {
-    if (snapshot.cache_ != nullptr) exec.use_shared_artifact_cache(snapshot.cache_.get());
+      : exec_(exec), saved_cache_(exec.shared_artifact_cache()) {
+    exec.use_shared_artifact_cache(&snapshot.cache_);
   }
   ReaderScope(const ReaderScope&) = delete;
   ReaderScope& operator=(const ReaderScope&) = delete;
@@ -48,29 +42,21 @@ class Snapshot::ReaderScope {
  private:
   const exec::Executor& exec_;
   exec::ArtifactCache* saved_cache_;
-  exec::ScopedCacheOwner owner_guard_;
 };
 
-Snapshot::Snapshot(std::shared_ptr<exec::ArtifactCache> cache, dyn::ArtifactBundle bundle)
-    : cache_(std::move(cache)), bundle_(std::move(bundle)) {
+Snapshot::Snapshot(dyn::ArtifactBundle bundle) : bundle_(std::move(bundle)) {
   PANDORA_EXPECT(bundle_.points != nullptr && bundle_.emst != nullptr &&
                      bundle_.sorted_edges != nullptr && bundle_.dendrogram != nullptr,
                  "Snapshot requires a fully captured ArtifactBundle");
-  if (cache_ != nullptr) cache_->pin(bundle_.fingerprint);
   live_epochs_metric().add(1);
 }
 
 Snapshot::~Snapshot() {
   // The destructor is RCU-style reclamation itself: it runs when the last
-  // reader of this epoch drains (or the writer republishes an unread one).
+  // reader of this epoch drains (or the writer republishes an unread one),
+  // and takes the epoch's cached artifacts with it.
   live_epochs_metric().add(-1);
   epochs_reclaimed_metric().inc();
-  if (cache_ != nullptr) {
-    // Purge before unpin: the entries leave the cache while still counted
-    // as pinned, and the group refcount drops once nothing references it.
-    cache_->purge_group(bundle_.fingerprint);
-    cache_->unpin(bundle_.fingerprint);
-  }
 }
 
 std::shared_ptr<const spatial::KdTree> Snapshot::tree(const exec::Executor& exec) const {

@@ -24,9 +24,8 @@
 /// `exec::epoch_fingerprint`.  Readers run full queries against it — HDBSCAN*,
 /// `min_cluster_size` / mpts sweeps, `Pipeline::on_snapshot` — with complete
 /// intra-query parallelism and never take a lock a writer holds: everything
-/// a query reads is immutable, and everything it caches lands in the serving
-/// cache under the snapshot's epoch key, pinned against eviction for the
-/// snapshot's lifetime.
+/// a query reads is immutable, and everything it caches lands in the
+/// snapshot's own artifact cache, which lives exactly as long as the snapshot.
 ///
 /// `snapshot::PublishedClustering` (published_clustering.hpp) is the front
 /// door that owns the writer side and swaps the current-snapshot pointer.
@@ -37,27 +36,29 @@ namespace pandora::snapshot {
 /// Lifecycle (RCU-style): readers hold a `SnapshotPtr` (shared_ptr refcount
 /// = the reader count); the publisher drops its reference when a successor
 /// is published, so the snapshot — and with it the deep-copied artifacts and
-/// the serving-cache entries of its pin group — is reclaimed exactly when
-/// the last reader drains.  Construction pins the snapshot's cache group;
-/// destruction purges it (epoch fingerprints never repeat, so the entries
-/// are unreachable afterwards and must not squat in the LRU).
+/// its artifact cache — is reclaimed exactly when the last reader drains.
+/// The cache belongs to this epoch alone, so no other epoch's queries can
+/// evict its entries.
 ///
 /// Thread-safety: all query methods are const and safe to call from many
 /// reader threads concurrently, **each with its own Executor** (the usual
 /// one-kernel-per-executor rule still applies per reader).
 class Snapshot {
  public:
-  /// Freezes `bundle` over the serving cache `cache` (may be nullptr: the
-  /// snapshot then uses each reader's own cache, unpinned).  Normally called
-  /// by `PublishedClustering::publish`, not user code.
-  Snapshot(std::shared_ptr<exec::ArtifactCache> cache, dyn::ArtifactBundle bundle);
+  /// Slots of each snapshot's artifact cache.  Queries cache the kd-tree once
+  /// plus three entries per mpts value (core distances, EMST, sorted edges),
+  /// so an mpts 2..9 sweep over one snapshot takes 25 slots.
+  static constexpr std::size_t kCacheSlots = 64;
+
+  /// Freezes `bundle`.  Normally called by `PublishedClustering::publish`,
+  /// not user code.
+  explicit Snapshot(dyn::ArtifactBundle bundle);
   ~Snapshot();
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 
   [[nodiscard]] std::uint64_t epoch() const noexcept { return bundle_.epoch; }
-  /// The epoch fingerprint every artifact of this snapshot is keyed on —
-  /// also the snapshot's cache pin group.
+  /// The epoch fingerprint every artifact of this snapshot is keyed on.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept { return bundle_.fingerprint; }
 
   [[nodiscard]] const spatial::PointSet& points() const noexcept { return *bundle_.points; }
@@ -75,15 +76,15 @@ class Snapshot {
 
   /// The kd-tree over the snapshot's points, built lazily by the first
   /// reader that needs it (concurrent first readers block on one build
-  /// rather than racing N redundant ones) and pinned in the serving cache
-  /// for the snapshot's lifetime.
+  /// rather than racing N redundant ones) and held for the snapshot's
+  /// lifetime.
   [[nodiscard]] std::shared_ptr<const spatial::KdTree> tree(const exec::Executor& exec) const;
 
   /// Full HDBSCAN* against the pinned epoch.  Bit-identical to a cold
   /// `hdbscan::hdbscan(exec, snapshot.points(), options)` — the cache only
   /// skips recomputation, never changes results.  Repeated reader queries
   /// (any reader) replay the kd-tree, core distances and mutual-reachability
-  /// EMST from the serving cache.
+  /// EMST from the snapshot's cache.
   [[nodiscard]] pandora::hdbscan::HdbscanResult hdbscan(
       const exec::Executor& exec, const pandora::hdbscan::HdbscanOptions& options = {}) const;
 
@@ -100,8 +101,9 @@ class Snapshot {
       const exec::Executor& exec, std::span<const int> min_pts_values,
       const pandora::hdbscan::HdbscanOptions& base = {}) const;
 
-  /// The serving cache this snapshot pins (nullptr when standalone).
-  [[nodiscard]] exec::ArtifactCache* serving_cache() const noexcept { return cache_.get(); }
+  /// The snapshot's own artifact cache, installed on a reader's executor for
+  /// the length of each query.
+  [[nodiscard]] exec::ArtifactCache* serving_cache() const noexcept { return &cache_; }
 
   /// The frozen bundle itself — what `PublishedClustering::recover()` feeds
   /// back into `dyn::DynamicClustering::restore()` to roll a poisoned writer
@@ -111,7 +113,7 @@ class Snapshot {
  private:
   class ReaderScope;
 
-  std::shared_ptr<exec::ArtifactCache> cache_;
+  mutable exec::ArtifactCache cache_{kCacheSlots};
   dyn::ArtifactBundle bundle_;
   mutable std::once_flag tree_once_;
   mutable std::shared_ptr<const spatial::KdTree> tree_;

@@ -324,7 +324,7 @@ std::shared_ptr<const graph::EdgeList> mutual_reachability_mst_cached(
   std::shared_ptr<CachedEmst> entry = exec.artifact_cache().find<CachedEmst>(key);
   if (entry == nullptr || entry->points != &points) {
     entry = compute();
-    exec.artifact_cache().insert(key, entry, exec.cache_owner());
+    exec.artifact_cache().insert(key, entry);
   }
   const graph::EdgeList* view = &entry->mst;
   return {std::move(entry), view};

@@ -416,7 +416,7 @@ std::shared_ptr<const KdTree> kdtree_cached(const exec::Executor& exec, const Po
   std::shared_ptr<CachedKdTree> entry = exec.artifact_cache().find<CachedKdTree>(key);
   if (entry == nullptr || entry->points != &points) {
     entry = std::make_shared<CachedKdTree>(points, leaf_size);
-    exec.artifact_cache().insert(key, entry, exec.cache_owner());
+    exec.artifact_cache().insert(key, entry);
   }
   const KdTree* view = &entry->tree;
   return {std::move(entry), view};

@@ -136,7 +136,6 @@ TEST(ArtifactCache, StatsCountHitsMissesEvictionsButNotInPlaceReplacement) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.pinned_slots, 0u);
 
   // Replacing a (fingerprint, type) match in place supersedes a stale value;
   // nothing was displaced by a *different* key, so it is not an eviction.
@@ -146,84 +145,6 @@ TEST(ArtifactCache, StatsCountHitsMissesEvictionsButNotInPlaceReplacement) {
   cache.reset_stats();
   stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses + stats.evictions, 0u);
-}
-
-TEST(ArtifactCache, PinnedGroupSurvivesFloodByOverflowAndPurgeReclaims) {
-  ArtifactCache cache(/*slots=*/2);
-  cache.pin(/*group=*/7);
-  cache.insert<Tagged>(10, std::make_shared<Tagged>(Tagged{10}), {.pin_group = 7});
-  cache.insert<Tagged>(11, std::make_shared<Tagged>(Tagged{11}), {.pin_group = 7});
-  EXPECT_EQ(cache.stats().pinned_slots, 2u);
-
-  // Every nominal slot is pinned: a flood of colder inserts grows overflow
-  // slots instead of dropping a pinned artifact mid-read.
-  for (std::uint64_t key = 100; key < 110; ++key) {
-    cache.insert<Tagged>(key, std::make_shared<Tagged>(Tagged{key}));
-  }
-  EXPECT_NE(cache.find<Tagged>(10), nullptr) << "pinned entries are never evicted";
-  EXPECT_NE(cache.find<Tagged>(11), nullptr);
-  EXPECT_GT(cache.num_slots(), 2u) << "the flood went to overflow slots";
-
-  // Retire the group: entries reclaimed, overflow shrinks back toward the
-  // nominal capacity, the pinned gauge returns to zero.
-  cache.purge_group(7);
-  cache.unpin(7);
-  EXPECT_EQ(cache.find<Tagged>(10), nullptr);
-  EXPECT_EQ(cache.stats().pinned_slots, 0u);
-}
-
-TEST(ArtifactCache, UnpinnedGroupEntriesRejoinLruOrder) {
-  ArtifactCache cache(/*slots=*/2);
-  cache.pin(3);
-  cache.insert<Tagged>(30, std::make_shared<Tagged>(Tagged{30}), {.pin_group = 3});
-  cache.insert<Tagged>(31, std::make_shared<Tagged>(Tagged{31}), {.pin_group = 3});
-  cache.unpin(3);
-  EXPECT_EQ(cache.stats().pinned_slots, 0u);
-  cache.insert<Tagged>(32, std::make_shared<Tagged>(Tagged{32}));
-  EXPECT_EQ(cache.find<Tagged>(30), nullptr)
-      << "after the last unpin the group's LRU entry is an ordinary victim";
-  EXPECT_EQ(cache.num_slots(), 2u) << "no overflow growth once nothing is pinned";
-}
-
-TEST(ArtifactCache, TenantOverQuotaDisplacesOnlyItsOwnEntries) {
-  ArtifactCache cache(/*slots=*/8);
-  cache.set_tenant_quota(2);
-
-  cache.insert<Tagged>(1, std::make_shared<Tagged>(Tagged{1}), {.tenant = 1});
-  cache.insert<Tagged>(2, std::make_shared<Tagged>(Tagged{2}), {.tenant = 1});
-  cache.insert<Tagged>(3, std::make_shared<Tagged>(Tagged{3}), {.tenant = 2});
-  EXPECT_NE(cache.find<Tagged>(1), nullptr);  // tenant 1's LRU is now key 2
-
-  // Tenant 1 is at its cap: the insert displaces tenant 1's own LRU entry —
-  // even though five slots are still empty and tenant 2's entry is colder.
-  cache.insert<Tagged>(4, std::make_shared<Tagged>(Tagged{4}), {.tenant = 1});
-  EXPECT_EQ(cache.find<Tagged>(2), nullptr) << "the tenant pays with its own LRU entry";
-  EXPECT_NE(cache.find<Tagged>(1), nullptr);
-  EXPECT_NE(cache.find<Tagged>(4), nullptr);
-  EXPECT_NE(cache.find<Tagged>(3), nullptr) << "another tenant's entry is untouchable";
-
-  // Untagged inserts (tenant 0) are never capped.
-  for (std::uint64_t key = 100; key < 104; ++key) {
-    cache.insert<Tagged>(key, std::make_shared<Tagged>(Tagged{key}));
-  }
-  EXPECT_NE(cache.find<Tagged>(3), nullptr);
-}
-
-TEST(Executor, ScopedCacheOwnerInstallsAndRestores) {
-  const exec::Executor exec(exec::serial_backend());
-  EXPECT_EQ(exec.cache_owner().pin_group, 0u);
-  EXPECT_EQ(exec.cache_owner().tenant, 0u);
-  {
-    const exec::ScopedCacheOwner outer(exec, {.pin_group = 9, .tenant = 4});
-    EXPECT_EQ(exec.cache_owner().pin_group, 9u);
-    EXPECT_EQ(exec.cache_owner().tenant, 4u);
-    {
-      const exec::ScopedCacheOwner inner(exec, {.pin_group = 0, .tenant = 4});
-      EXPECT_EQ(exec.cache_owner().pin_group, 0u);
-    }
-    EXPECT_EQ(exec.cache_owner().pin_group, 9u) << "nested scopes restore outward";
-  }
-  EXPECT_EQ(exec.cache_owner().tenant, 0u);
 }
 
 TEST(Executor, SharedArtifactCacheInstallAndRestore) {

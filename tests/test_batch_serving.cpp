@@ -239,45 +239,6 @@ TEST(BatchExecutor, WaveQueryExceptionsAreIsolatedButUpdatesStillApply) {
   EXPECT_EQ(published.acquire()->size(), 65);
 }
 
-TEST(BatchExecutor, TenantQuotaConfinesEvictionToTheOffendingTenant) {
-  const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2, .max_cache_slots_per_tenant = 2});
-  ASSERT_EQ(parent.artifact_cache().tenant_quota(), 2u);
-
-  // Artifacts land in the shared cache under the owner tag the scheduler
-  // installed for the job (Job::tenant -> Executor::cache_owner).
-  struct Artifact {
-    std::uint64_t key;
-  };
-  auto insert_artifact = [](const exec::Executor& exec, std::uint64_t key) {
-    exec.artifact_cache().insert(key, std::make_shared<Artifact>(Artifact{key}),
-                                 exec.cache_owner());
-  };
-
-  std::vector<serve::BatchExecutor::Job> jobs;
-  // Tenant 1 sweeps past its quota (three inserts, cap two) in one job, so
-  // the insert order — and with it which entry is the tenant's LRU — is
-  // deterministic regardless of job scheduling.
-  jobs.push_back({[&](const exec::Executor& exec) {
-                    EXPECT_EQ(exec.cache_owner().tenant, 1u);
-                    insert_artifact(exec, 1);
-                    insert_artifact(exec, 2);
-                    insert_artifact(exec, 3);
-                  },
-                  /*size_hint=*/16, /*tenant=*/1});
-  jobs.push_back({[&](const exec::Executor& exec) { insert_artifact(exec, 10); },
-                  /*size_hint=*/16, /*tenant=*/2});
-  batch.run(jobs);
-
-  // The quota-exceeding tenant displaced its own LRU entry; the sibling
-  // tenant's artifact — and the cache's plentiful empty slots — are intact.
-  exec::ArtifactCache& cache = parent.artifact_cache();
-  EXPECT_EQ(cache.find<Artifact>(1), nullptr) << "tenant 1 paid with its own LRU entry";
-  EXPECT_NE(cache.find<Artifact>(2), nullptr);
-  EXPECT_NE(cache.find<Artifact>(3), nullptr);
-  EXPECT_NE(cache.find<Artifact>(10), nullptr) << "tenant 2 is unaffected";
-}
-
 TEST(BatchExecutor, PipelineBatchFrontDoor) {
   const exec::Executor executor(exec::default_backend(), 2);
   const std::vector<graph::EdgeList> trees = make_batch_trees(1500, 3);

@@ -170,7 +170,7 @@ TEST(ChaosSeams, EraseFaultPoisonsStream) {
 /// equal a cold `dyn::` rebuild over the same points.
 void expect_stream_matches_cold_rebuild(const dyn::DynamicClustering& stream) {
   exec::Executor cold_exec;
-  dyn::DynamicClustering cold(cold_exec, stream.options());
+  dyn::DynamicClustering cold(cold_exec);
   cold.insert(stream.points());
   ASSERT_EQ(stream.size(), cold.size());
   EXPECT_EQ(stream.dendrogram().parent, cold.dendrogram().parent);

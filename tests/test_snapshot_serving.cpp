@@ -1,9 +1,9 @@
 // The snapshot:: epoch-published serving tier: publish/acquire lifecycle,
 // reader-pinned epochs under concurrent writer churn (the CI gcc-tsan matrix
-// entry race-checks the stress test), RCU-style reclaim when the last reader
-// drains (the gcc-sanitize / ASan entry leak-checks it), the Pipeline
-// front door, and the snapshot-backed wave driver where writers never block
-// readers.
+// entry race-checks the stress test), each snapshot's own artifact cache,
+// RCU-style reclaim when the last reader drains (the gcc-sanitize / ASan
+// entry leak-checks it), the Pipeline front door, and the snapshot-backed
+// wave driver where writers never block readers.
 
 #include <gtest/gtest.h>
 
@@ -91,13 +91,13 @@ TEST(SnapshotServing, ReaderQueriesMatchColdRebuildAndShareTheServingCache) {
   const exec::Executor reader_a(exec::serial_backend());
   const exec::Executor reader_b(exec::serial_backend());
   const hdbscan::HdbscanResult via_a = snap->hdbscan(reader_a, stress_options());
-  const auto warm = published.serving_cache().stats();
+  const auto warm = snap->serving_cache()->stats();
   const hdbscan::HdbscanResult via_b = snap->hdbscan(reader_b, stress_options());
-  const auto after = published.serving_cache().stats();
+  const auto after = snap->serving_cache()->stats();
   EXPECT_GE(after.hits - warm.hits, 3u)
       << "the second reader replays the first reader's kd-tree, core "
-         "distances and EMST from the shared serving cache";
-  EXPECT_GT(after.pinned_slots, 0u) << "snapshot artifacts are pinned while it lives";
+         "distances and EMST from the snapshot's cache";
+  EXPECT_EQ(after.misses, warm.misses);
 
   const exec::Executor cold(exec::serial_backend());
   const hdbscan::HdbscanResult rebuild = hdbscan::hdbscan(cold, snap->points(), stress_options());
@@ -105,9 +105,61 @@ TEST(SnapshotServing, ReaderQueriesMatchColdRebuildAndShareTheServingCache) {
   expect_bit_identical(via_b, rebuild, snap->epoch());
 
   // Reader state restored: the reader executors left the scope with their
-  // own caches and untagged owners.
+  // own caches.
   EXPECT_EQ(reader_a.shared_artifact_cache(), nullptr);
-  EXPECT_EQ(reader_a.cache_owner().pin_group, 0u);
+  EXPECT_EQ(reader_b.shared_artifact_cache(), nullptr);
+}
+
+// One snapshot's cache holds a whole mpts sweep: the kd-tree plus core
+// distances, EMST and sorted edges per mpts value, 25 entries in all.
+TEST(SnapshotServing, RepeatedMptsSweepReplaysEntirelyFromTheSnapshotCache) {
+  const exec::Executor writer_exec(exec::serial_backend());
+  snapshot::PublishedClustering published(writer_exec);
+  published.insert(data::gaussian_blobs(400, 2, 3, 0.04, 0.1, 31));
+  const snapshot::SnapshotPtr snap = published.acquire();
+
+  const std::array<int, 8> mpts = {2, 3, 4, 5, 6, 7, 8, 9};
+  const exec::Executor reader(exec::serial_backend());
+  const std::vector<hdbscan::HdbscanResult> first = snap->sweep_min_pts(reader, mpts);
+  const auto warm = snap->serving_cache()->stats();
+  EXPECT_EQ(warm.evictions, 0u) << "25 entries fit in Snapshot::kCacheSlots";
+  const std::vector<hdbscan::HdbscanResult> second = snap->sweep_min_pts(reader, mpts);
+  const auto after = snap->serving_cache()->stats();
+  EXPECT_EQ(after.misses, warm.misses) << "the second pass recomputes nothing";
+  // Every mpts value replays the tree, core distances, EMST and sorted edges.
+  EXPECT_EQ(after.hits - warm.hits, 4u * mpts.size());
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(second[i].labels, first[i].labels) << "mpts " << mpts[i];
+    EXPECT_EQ(second[i].dendrogram.parent, first[i].dendrogram.parent) << "mpts " << mpts[i];
+  }
+}
+
+// Epochs never share a cache: a reader of epoch e+1 computes every artifact
+// afresh and never even looks into epoch e's cache.
+TEST(SnapshotServing, SuccessorEpochGetsNoHitOnItsPredecessorsEntries) {
+  const exec::Executor writer_exec(exec::serial_backend());
+  snapshot::PublishedClustering published(writer_exec);
+  published.insert(data::gaussian_blobs(300, 2, 3, 0.04, 0.1, 41));
+  const snapshot::SnapshotPtr older = published.acquire();
+  const exec::Executor reader(exec::serial_backend());
+  (void)older->hdbscan(reader, stress_options());
+  const auto older_stats = older->serving_cache()->stats();
+
+  published.insert(data::gaussian_blobs(20, 2, 3, 0.04, 0.1, 42));
+  const snapshot::SnapshotPtr newer = published.acquire();
+  ASSERT_EQ(newer->epoch(), older->epoch() + 1);
+  ASSERT_NE(newer->serving_cache(), older->serving_cache());
+  (void)newer->hdbscan(reader, stress_options());
+
+  const auto older_after = older->serving_cache()->stats();
+  EXPECT_EQ(older_after.hits, older_stats.hits);
+  EXPECT_EQ(older_after.misses, older_stats.misses);
+  // Epoch e+1 misses on the kd-tree, core distances, EMST and sorted edges;
+  // its one hit is the query replaying the tree its own tree() just built.
+  const auto newer_stats = newer->serving_cache()->stats();
+  EXPECT_EQ(newer_stats.misses, 4u);
+  EXPECT_EQ(newer_stats.hits, 1u);
 }
 
 // The TSan stress test (the gcc-tsan CI entry runs this suite): N reader
@@ -196,9 +248,8 @@ TEST(SnapshotServing, ConcurrentReadersObserveConsistentPinnedEpochs) {
 }
 
 // The ASan reclaim test (the gcc-sanitize CI entry leak-checks this suite):
-// a retired snapshot's artifacts — bundle and pinned serving-cache entries —
-// are freed exactly when the last reader drains, with no leak and no
-// use-after-free.
+// a retired snapshot's artifacts — bundle and cached artifacts — are freed
+// exactly when the last reader drains, with no leak and no use-after-free.
 TEST(SnapshotServing, RetiredSnapshotReclaimedWhenLastReaderDrains) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);
@@ -208,21 +259,22 @@ TEST(SnapshotServing, RetiredSnapshotReclaimedWhenLastReaderDrains) {
   std::weak_ptr<const snapshot::Snapshot> watch = pinned;
   const exec::Executor reader(exec::serial_backend());
   const hdbscan::HdbscanResult result = pinned->hdbscan(reader, stress_options());
-  EXPECT_GT(published.serving_cache().stats().pinned_slots, 0u);
+  const std::weak_ptr<const spatial::KdTree> tree = pinned->tree(reader);
 
   // Publish a successor: the retired snapshot survives — its one reader
-  // still holds it — and its pinned artifacts stay resident and readable.
+  // still holds it — and its cached artifacts stay resident and readable.
   published.insert(data::gaussian_blobs(30, 2, 3, 0.05, 0.1, 6));
   ASSERT_FALSE(watch.expired());
-  EXPECT_GT(published.serving_cache().stats().pinned_slots, 0u);
+  ASSERT_FALSE(tree.expired());
+  const auto warm = pinned->serving_cache()->stats();
   const hdbscan::HdbscanResult again = pinned->hdbscan(reader, stress_options());
   EXPECT_EQ(again.labels, result.labels);
+  EXPECT_EQ(pinned->serving_cache()->stats().misses, warm.misses);
 
-  // Last reader drains: the snapshot dies, its cache group is purged.
+  // Last reader drains: the snapshot dies, and its cache with it.
   pinned.reset();
   EXPECT_TRUE(watch.expired()) << "no hidden reference keeps a retired snapshot alive";
-  EXPECT_EQ(published.serving_cache().stats().pinned_slots, 0u)
-      << "the retired epoch's pinned entries were purged with it";
+  EXPECT_TRUE(tree.expired()) << "the retired epoch's kd-tree was freed with it";
 }
 
 TEST(SnapshotServing, PipelineOnSnapshotFrontDoor) {
