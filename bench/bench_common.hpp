@@ -70,7 +70,7 @@ inline PreparedDataset prepare_dataset(const std::string& name, index_t n, int m
   prepared.dim = prepared.points->dim();
 
   Timer timer;
-  prepared.tree = std::make_unique<spatial::KdTree>(*prepared.points);
+  prepared.tree = std::make_unique<spatial::KdTree>(exec, *prepared.points);
   prepared.tree_build_seconds = timer.seconds();
 
   timer.reset();

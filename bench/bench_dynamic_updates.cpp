@@ -36,7 +36,7 @@ namespace {
 double rebuild_once(const spatial::PointSet& points) {
   Timer timer;
   const exec::Executor cold(exec::default_backend());
-  spatial::KdTree tree(points, 32);
+  spatial::KdTree tree(cold, points, 32);
   const graph::EdgeList mst = spatial::euclidean_mst(cold, points, tree);
   const dendrogram::Dendrogram dendrogram =
       dendrogram::pandora_dendrogram(cold, mst, points.size());
@@ -71,7 +71,7 @@ void report(const char* scenario, index_t n, const bench::Measurement& update,
 
 void check_exact(const dyn::DynamicClustering& stream) {
   const exec::Executor reference(exec::default_backend());
-  spatial::KdTree tree(stream.points(), 32);
+  spatial::KdTree tree(reference, stream.points(), 32);
   const graph::EdgeList rebuilt = spatial::euclidean_mst(reference, stream.points(), tree);
   if (!graph::is_spanning_tree(stream.emst(), stream.size()) ||
       std::abs(graph::total_weight(stream.emst()) - graph::total_weight(rebuilt)) >

@@ -39,7 +39,7 @@ void run_series(const exec::Executor& executor, const std::string& dataset,
               "Pandora-MT [MP/s]", "Replay [MP/s]", "warm allocs", "steady allocs");
   for (index_t n = 10000; n <= full_n; n *= 4) {
     const spatial::PointSet points = subsample(full, n, 5 + static_cast<std::uint64_t>(n));
-    spatial::KdTree tree(points);
+    spatial::KdTree tree(executor, points);
     const graph::EdgeList mst =
         Pipeline::on(executor).with_min_pts(2).build_mst(points, tree);
 

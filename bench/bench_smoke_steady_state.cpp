@@ -63,7 +63,7 @@ int main() {
 
   const spatial::PointSet points = data::make_dataset("HaccProxy", n, 2024);
   const exec::Executor executor(exec::default_backend());
-  spatial::KdTree tree(points);
+  spatial::KdTree tree(executor, points);
   const graph::EdgeList mst =
       Pipeline::on(executor).with_min_pts(2).build_mst(points, tree);
   const auto pipeline = Pipeline::on(executor);

@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
   {
     const spatial::PointSet points = data::make_dataset("VisualVar2D", n, 7);
     Timer timer;
-    spatial::KdTree tree(points);
     const exec::Executor executor(exec::default_backend());
+    spatial::KdTree tree(executor, points);
     const graph::EdgeList mst = spatial::euclidean_mst(executor, points, tree);
     const auto dendro = Pipeline::on(executor).build_dendrogram(mst, points.size());
     std::printf("producer: EMST + dendrogram for %d points in %.2fs\n", points.size(),

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   const exec::Executor executor(exec::default_backend());
   Timer total;
-  spatial::KdTree tree(universe);
+  spatial::KdTree tree(executor, universe);
   const graph::EdgeList mst = spatial::euclidean_mst(executor, universe, tree);
   const dendrogram::Dendrogram dendro =
       Pipeline::on(executor).build_dendrogram(mst, universe.size());

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
               "skewness", "leaf", "chain", "alpha", "levels~");
   for (const auto& spec : data::table2_datasets()) {
     const spatial::PointSet points = data::make_dataset(spec.name, n, 7);
-    spatial::KdTree tree(points);
+    spatial::KdTree tree(executor, points);
     const auto pipeline = Pipeline::on(executor).with_min_pts(2);
     const graph::EdgeList mst = pipeline.build_mst(points, tree);
     const dendrogram::Dendrogram dendro = pipeline.build_dendrogram(mst, points.size());

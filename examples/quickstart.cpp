@@ -28,7 +28,7 @@ int main() {
       /*seed=*/42);
 
   // 2. Its Euclidean minimum spanning tree (parallel Borůvka over a kd-tree).
-  spatial::KdTree tree(points);
+  spatial::KdTree tree(executor, points);
   const graph::EdgeList mst = spatial::euclidean_mst(executor, points, tree);
   std::printf("EMST: %zu edges over %d points\n", mst.size(), points.size());
 

@@ -73,7 +73,7 @@ DynamicClustering::DynamicClustering(const exec::Executor& exec)
       instance_(next_instance_id()) {}
 
 void DynamicClustering::rebuild_index() {
-  tree_ = std::make_unique<spatial::KdTree>(*points_, kLeafSize);
+  tree_ = std::make_unique<spatial::KdTree>(*exec_, *points_, kLeafSize);
   indexed_ = points_->size();
   ++stats_.index_rebuilds;
 }
@@ -294,7 +294,7 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     std::copy(points.coords().begin() +
                   static_cast<std::size_t>(n_before) * static_cast<std::size_t>(points.dim()),
               points.coords().end(), batch_points.coords().begin());
-    batch_tree = std::make_unique<spatial::KdTree>(batch_points, kLeafSize);
+    batch_tree = std::make_unique<spatial::KdTree>(*exec_, batch_points, kLeafSize);
   }
 
   // --- Borůvka rounds over the implicit candidate graph -------------------

@@ -1,7 +1,9 @@
 #include "pandora/spatial/kdtree.hpp"
 
 #include <bit>
+#include <iterator>
 #include <numeric>
+#include <utility>
 
 #include "pandora/common/expect.hpp"
 #include "pandora/exec/fingerprint.hpp"
@@ -10,34 +12,112 @@
 
 namespace pandora::spatial {
 
-KdTree::KdTree(const PointSet& points, int leaf_size)
+namespace {
+
+/// Node counts of kd subtrees over m and m + 1 points: a subtree over m
+/// points is one leaf when m <= leaf_size, else a node over subtrees of
+/// m / 2 and m - m / 2 points.  Sizes on one depth differ by at most one,
+/// so carrying the pair makes this O(log m).
+std::pair<index_t, index_t> subtree_node_counts(index_t m, index_t leaf_size) {
+  if (m + 1 <= leaf_size) return {1, 1};
+  const auto [half, half_plus_one] = subtree_node_counts(m / 2, leaf_size);
+  const bool even = m % 2 == 0;
+  const index_t count = m <= leaf_size ? 1
+                        : even        ? 1 + 2 * half
+                                      : 1 + half + half_plus_one;
+  return {count, even ? 1 + half + half_plus_one : 1 + 2 * half_plus_one};
+}
+
+/// A subtree still to be built: its preorder node id and its perm_ range.
+struct PendingSubtree {
+  index_t id = kNone;
+  index_t begin = 0, end = 0;
+};
+
+}  // namespace
+
+KdTree::KdTree(const exec::Executor& exec, const PointSet& points, int leaf_size)
+    : KdTree(points, leaf_size, &exec) {}
+
+KdTree::KdTree(const PointSet& points, int leaf_size) : KdTree(points, leaf_size, nullptr) {}
+
+KdTree::KdTree(const PointSet& points, int leaf_size, const exec::Executor* exec)
     : points_(&points), dim_(points.dim()), leaf_size_(std::max(leaf_size, 1)) {
   PANDORA_EXPECT(dim_ > 0, "points must have positive dimension");
   const index_t n = points.size();
   perm_.resize(static_cast<std::size_t>(n));
   std::iota(perm_.begin(), perm_.end(), index_t{0});
-  if (n > 0) {
-    build(0, n);
-    build_leaf_soa();
+  if (n == 0) return;
+
+  // Preorder ids are fixed by subtree sizes, so every array is sized up
+  // front and disjoint subtrees fill their own slots concurrently.
+  const auto num_nodes = static_cast<std::size_t>(subtree_node_counts(n, leaf_size_).first);
+  nodes_.resize(num_nodes);
+  box_lo_.resize(num_nodes * static_cast<std::size_t>(dim_));
+  box_hi_.resize(num_nodes * static_cast<std::size_t>(dim_));
+  leaf_soa_.resize(perm_.size() * static_cast<std::size_t>(dim_));
+
+  // Without an executor the same chunks run in order on the calling thread.
+  const int workers = exec != nullptr ? exec->num_threads() : 1;
+  const auto run = [&](std::size_t num_chunks, auto&& body) {
+    if (exec != nullptr)
+      exec->run_chunks(static_cast<int>(num_chunks), workers, body);
+    else
+      for (std::size_t c = 0; c < num_chunks; ++c) body(static_cast<int>(c));
+  };
+
+  // The top levels split breadth-first, one chunk per node, until there are
+  // enough subtrees to balance; then one chunk builds each subtree.  Every
+  // node partitions the same range the same way as a serial recursion, so
+  // the tree is identical whatever the worker count.
+  std::vector<PendingSubtree> level{{0, 0, n}};
+  std::vector<PendingSubtree> next;
+  while (!level.empty() && level.size() < 4 * static_cast<std::size_t>(workers)) {
+    next.assign(2 * level.size(), PendingSubtree{});
+    auto split_level = [&](int c) {
+      const PendingSubtree& s = level[static_cast<std::size_t>(c)];
+      SplitKeys keys;
+      const index_t mid = build_node(s.id, s.begin, s.end, keys);
+      if (mid == kNone) return;
+      const Node& nd = nodes_[static_cast<std::size_t>(s.id)];
+      next[2 * static_cast<std::size_t>(c)] = {nd.left, s.begin, mid};
+      next[2 * static_cast<std::size_t>(c) + 1] = {nd.right, mid, s.end};
+    };
+    run(level.size(), split_level);
+    level.clear();
+    std::copy_if(next.begin(), next.end(), std::back_inserter(level),
+                 [](const PendingSubtree& s) { return s.id != kNone; });
   }
+  auto build_level = [&](int c) {
+    const PendingSubtree& s = level[static_cast<std::size_t>(c)];
+    SplitKeys keys;
+    build_subtree(s.id, s.begin, s.end, keys);
+  };
+  if (!level.empty()) run(level.size(), build_level);
+
+  for (const Node& nd : nodes_)
+    if (nd.left == kNone) max_leaf_count_ = std::max(max_leaf_count_, nd.end - nd.begin);
 }
 
-void KdTree::build_leaf_soa() {
-  // One dimension-blocked SoA block per leaf, laid out back to back in perm
-  // order (a leaf's range [begin, end) owns leaf_soa_[begin*dim, end*dim)).
-  leaf_soa_.resize(perm_.size() * static_cast<std::size_t>(dim_));
-  for (const Node& nd : nodes_) {
-    if (nd.left != kNone) continue;
-    const index_t count = nd.end - nd.begin;
-    max_leaf_count_ = std::max(max_leaf_count_, count);
-    double* block = leaf_soa_.data() +
-                    static_cast<std::size_t>(nd.begin) * static_cast<std::size_t>(dim_);
-    for (index_t i = 0; i < count; ++i) {
-      const std::span<const double> p = points_->point(perm_[static_cast<std::size_t>(nd.begin + i)]);
-      for (int d = 0; d < dim_; ++d)
-        block[static_cast<std::size_t>(d) * static_cast<std::size_t>(count) +
-              static_cast<std::size_t>(i)] = p[static_cast<std::size_t>(d)];
-    }
+void KdTree::build_subtree(index_t id, index_t begin, index_t end, SplitKeys& keys) {
+  const index_t mid = build_node(id, begin, end, keys);
+  if (mid == kNone) return;
+  const Node& nd = nodes_[static_cast<std::size_t>(id)];
+  build_subtree(nd.left, begin, mid, keys);
+  build_subtree(nd.right, mid, end, keys);
+}
+
+void KdTree::fill_leaf_soa(const Node& nd) {
+  // A leaf's range [begin, end) owns leaf_soa_[begin*dim, end*dim): one
+  // dimension-blocked SoA block per leaf, back to back in perm order.
+  const index_t count = nd.end - nd.begin;
+  double* block =
+      leaf_soa_.data() + static_cast<std::size_t>(nd.begin) * static_cast<std::size_t>(dim_);
+  for (index_t i = 0; i < count; ++i) {
+    const std::span<const double> p = points_->point(perm_[static_cast<std::size_t>(nd.begin + i)]);
+    for (int d = 0; d < dim_; ++d)
+      block[static_cast<std::size_t>(d) * static_cast<std::size_t>(count) +
+            static_cast<std::size_t>(i)] = p[static_cast<std::size_t>(d)];
   }
 }
 
@@ -52,26 +132,28 @@ void KdTree::scan_leaf(const Node& nd, const double* query, double* out) const {
 void KdTree::update_box(index_t node) {
   const Node& nd = nodes_[static_cast<std::size_t>(node)];
   const std::size_t base = static_cast<std::size_t>(node) * static_cast<std::size_t>(dim_);
-  for (int d = 0; d < dim_; ++d) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (index_t i = nd.begin; i < nd.end; ++i) {
-      const double c = points_->at(perm_[static_cast<std::size_t>(i)], d);
-      lo = std::min(lo, c);
-      hi = std::max(hi, c);
+  double* lo = box_lo_.data() + base;
+  double* hi = box_hi_.data() + base;
+  std::fill(lo, lo + dim_, std::numeric_limits<double>::infinity());
+  std::fill(hi, hi + dim_, -std::numeric_limits<double>::infinity());
+  // One pass over the points; each dimension still folds them in range order.
+  for (index_t i = nd.begin; i < nd.end; ++i) {
+    const double* p = points_->point(perm_[static_cast<std::size_t>(i)]).data();
+    for (int d = 0; d < dim_; ++d) {
+      lo[d] = std::min(lo[d], p[d]);
+      hi[d] = std::max(hi[d], p[d]);
     }
-    box_lo_[base + static_cast<std::size_t>(d)] = lo;
-    box_hi_[base + static_cast<std::size_t>(d)] = hi;
   }
 }
 
-index_t KdTree::build(index_t begin, index_t end) {
-  const auto id = static_cast<index_t>(nodes_.size());
-  nodes_.push_back(Node{begin, end, kNone, kNone, 0, 0.0});
-  box_lo_.resize(box_lo_.size() + static_cast<std::size_t>(dim_));
-  box_hi_.resize(box_hi_.size() + static_cast<std::size_t>(dim_));
+index_t KdTree::build_node(index_t id, index_t begin, index_t end, SplitKeys& keys) {
+  Node& nd = nodes_[static_cast<std::size_t>(id)];
+  nd = Node{begin, end, kNone, kNone, 0, 0.0};
   update_box(id);
-  if (end - begin <= leaf_size_) return id;
+  if (end - begin <= leaf_size_) {
+    fill_leaf_soa(nd);
+    return kNone;
+  }
 
   // Split the widest box extent at the median point.
   const std::size_t base = static_cast<std::size_t>(id) * static_cast<std::size_t>(dim_);
@@ -86,23 +168,28 @@ index_t KdTree::build(index_t begin, index_t end) {
     }
   }
   const index_t mid = begin + (end - begin) / 2;
-  std::nth_element(perm_.begin() + begin, perm_.begin() + mid, perm_.begin() + end,
-                   [&](index_t a, index_t b) {
-                     const double ca = points_->at(a, split_dim);
-                     const double cb = points_->at(b, split_dim);
-                     if (ca != cb) return ca < cb;
-                     return a < b;  // deterministic partition under ties
+  // Select on (coordinate, id) keys gathered into the chunk's scratch: the
+  // same comparisons and moves as selecting ids through the point array,
+  // on contiguous memory.
+  keys.resize(static_cast<std::size_t>(end - begin));
+  for (index_t i = begin; i < end; ++i) {
+    const index_t p = perm_[static_cast<std::size_t>(i)];
+    keys[static_cast<std::size_t>(i - begin)] = {points_->at(p, split_dim), p};
+  }
+  std::nth_element(keys.begin(), keys.begin() + (mid - begin), keys.end(),
+                   [](const SplitKeys::value_type& a, const SplitKeys::value_type& b) {
+                     if (a.first != b.first) return a.first < b.first;
+                     return a.second < b.second;  // deterministic partition under ties
                    });
-  const double split_value = points_->at(perm_[static_cast<std::size_t>(mid)], split_dim);
-
-  const index_t left = build(begin, mid);
-  const index_t right = build(mid, end);
-  Node& nd = nodes_[static_cast<std::size_t>(id)];
-  nd.left = left;
-  nd.right = right;
+  for (index_t i = begin; i < end; ++i)
+    perm_[static_cast<std::size_t>(i)] = keys[static_cast<std::size_t>(i - begin)].second;
   nd.split_dim = split_dim;
-  nd.split_value = split_value;
-  return id;
+  nd.split_value = keys[static_cast<std::size_t>(mid - begin)].first;
+  // Preorder: the left subtree follows its parent, the right one follows
+  // the whole left subtree.
+  nd.left = id + 1;
+  nd.right = id + 1 + subtree_node_counts(mid - begin, leaf_size_).first;
+  return mid;
 }
 
 double KdTree::box_squared_distance(index_t node, const double* query) const {
@@ -129,44 +216,80 @@ double* leaf_scratch(index_t max_leaf_count) {
   return scratch.data();
 }
 
+/// A far child deferred by a descent, with a lower bound on the squared
+/// distance from the query to every point below it.
+struct Deferred {
+  index_t node;
+  double bound;
+};
+
+/// The per-thread stack of deferred far children, emptied for a new
+/// descent (descents never nest).
+std::vector<Deferred>& descent_stack() {
+  thread_local std::vector<Deferred> stack;
+  stack.clear();
+  return stack;
+}
+
+/// Every real point id sorts below this index, so a real candidate beats an
+/// unfilled kNN slot or a radius bound at the same distance.
+constexpr index_t kSentinelIndex = std::numeric_limits<index_t>::max();
+
 }  // namespace
 
 void KdTree::knn_search(const double* query, int k, index_t exclude,
                         std::vector<Neighbor>& out) const {
   out.clear();
   if (k <= 0 || size() == 0) return;
-  out.reserve(static_cast<std::size_t>(k));
-
+  // k slots kept sorted ascending (shift-insertion), padded with sentinels;
+  // callers cap k at the number of candidates, so every slot ends up filled.
+  out.assign(static_cast<std::size_t>(k),
+             Neighbor{std::numeric_limits<double>::infinity(), kSentinelIndex});
+  Neighbor* const slots = out.data();
+  const Neighbor& worst = slots[k - 1];
+  int filled = 0;
   double* leaf_sq = leaf_scratch(max_leaf_count_);
+  std::vector<Deferred>& stack = descent_stack();
 
-  // `out` stays sorted ascending; with <= 16 typical neighbours an insertion
-  // buffer beats a heap.
-  auto offer = [&](index_t p, double sq) {
-    if (p == exclude) return;
-    Neighbor cand{sq, p};
-    if (static_cast<int>(out.size()) == k && !(cand < out.back())) return;
-    auto pos = std::lower_bound(out.begin(), out.end(), cand);
-    out.insert(pos, cand);
-    if (static_cast<int>(out.size()) > k) out.pop_back();
-  };
-
-  // Depth-first with near-child preference.
-  auto visit = [&](auto&& self, index_t node) -> void {
-    const Node& nd = nodes_[static_cast<std::size_t>(node)];
-    if (static_cast<int>(out.size()) == k &&
-        box_squared_distance(node, query) > out.back().squared_distance)
-      return;
-    if (nd.left == kNone) {
-      scan_leaf(nd, query, leaf_sq);
-      for (index_t i = nd.begin; i < nd.end; ++i)
-        offer(perm_[static_cast<std::size_t>(i)], leaf_sq[static_cast<std::size_t>(i - nd.begin)]);
-      return;
+  // Near child first; the far child waits with the bound
+  // max(parent bound, (q[split] - split)^2), valid because the left child's
+  // points lie at or below the split and the right child's at or above it.
+  // The full box distance is checked at leaves only.  Pruning is strict '>',
+  // so a point tying the current k-th distance is still offered.
+  Deferred at{0, 0.0};
+  for (;;) {
+    const Node& nd = nodes_[static_cast<std::size_t>(at.node)];
+    if (nd.left != kNone) {
+      const double diff = query[nd.split_dim] - nd.split_value;
+      const bool left_near = query[nd.split_dim] <= nd.split_value;
+      stack.push_back({left_near ? nd.right : nd.left, std::max(at.bound, diff * diff)});
+      at.node = left_near ? nd.left : nd.right;
+      continue;
     }
-    const bool left_first = query[nd.split_dim] <= nd.split_value;
-    self(self, left_first ? nd.left : nd.right);
-    self(self, left_first ? nd.right : nd.left);
-  };
-  visit(visit, 0);
+    if (box_squared_distance(at.node, query) <= worst.squared_distance) {
+      scan_leaf(nd, query, leaf_sq);
+      for (index_t i = nd.begin; i < nd.end; ++i) {
+        const double sq = leaf_sq[static_cast<std::size_t>(i - nd.begin)];
+        if (sq > worst.squared_distance) continue;
+        const Neighbor cand{sq, perm_[static_cast<std::size_t>(i)]};
+        if (cand.index == exclude) continue;
+        // Unfilled slots take any candidate, so a non-finite distance can
+        // never leave a sentinel behind.
+        if (filled < k)
+          ++filled;
+        else if (!(cand < worst))
+          continue;
+        int j = filled - 1;
+        for (; j > 0 && cand < slots[j - 1]; --j) slots[j] = slots[j - 1];
+        slots[j] = cand;
+      }
+    }
+    do {
+      if (stack.empty()) return;
+      at = stack.back();
+      stack.pop_back();
+    } while (at.bound > worst.squared_distance);
+  }
 }
 
 void KdTree::knn(index_t q, int k, std::vector<Neighbor>& out) const {
@@ -206,14 +329,12 @@ struct EuclideanScore {
   double from_sq(index_t /*p*/, double sq) const { return sq; }
 };
 
-/// Starting best of a query bounded by `radius_sq`: every real point id sorts
-/// below the sentinel index, so a candidate tying the radius still beats it.
-constexpr index_t kRadiusSentinel = std::numeric_limits<index_t>::max();
-
-Neighbor within_radius(double radius_sq) { return {radius_sq, kRadiusSentinel}; }
+/// Starting best of a query bounded by `radius_sq`: a candidate tying the
+/// radius still beats it.
+Neighbor within_radius(double radius_sq) { return {radius_sq, kSentinelIndex}; }
 
 Neighbor found_or_none(const Neighbor& best) {
-  return best.index == kRadiusSentinel ? Neighbor{} : best;
+  return best.index == kSentinelIndex ? Neighbor{} : best;
 }
 
 }  // namespace
@@ -222,43 +343,47 @@ template <class Score>
 void KdTree::search(const double* query, Neighbor& best, index_t my_component,
                     std::span<const index_t> component, const KdTreeAnnotations& notes,
                     const Score& score) const {
-  // Iterative DFS; near child first.  Pruning uses strict '>' so equal-score
-  // candidates are still examined and the smallest index wins ties.  The
-  // stack is per-thread scratch (searches never nest), so a warm thread's
-  // queries allocate nothing.
-  thread_local std::vector<index_t> stack;
-  stack.clear();
-  stack.push_back(0);
+  // The kNN descent (see knn_search) with a single best.  Every node
+  // visited also prunes on its component annotation and on the score's
+  // per-node bound; pruning is strict '>' so equal-score candidates are
+  // still examined and the smallest index wins ties.  The stack and leaf
+  // buffer are per-thread scratch, so a warm thread's queries allocate
+  // nothing.
   double* leaf_sq = leaf_scratch(max_leaf_count_);
+  std::vector<Deferred>& stack = descent_stack();
   // my_component == kNone disables the component filter entirely (a node's
   // kNone annotation means "mixed", which must never prune in that case).
   const bool filtered = my_component != kNone;
+  const bool annotated = filtered && notes.has_components();
+  stack.push_back({0, 0.0});
   while (!stack.empty()) {
-    const index_t node = stack.back();
+    Deferred at = stack.back();
     stack.pop_back();
-    if (filtered && notes.has_components() &&
-        notes.node_component[static_cast<std::size_t>(node)] == my_component)
-      continue;
-    double bound = box_squared_distance(node, query);
-    if constexpr (requires { score.extra_bound(node); }) {
-      bound = std::max(bound, score.extra_bound(node));
-    }
-    if (bound > best.squared_distance) continue;
-    const Node& nd = nodes_[static_cast<std::size_t>(node)];
-    if (nd.left == kNone) {
+    for (;;) {
+      const auto node = static_cast<std::size_t>(at.node);
+      if (annotated && notes.node_component[node] == my_component) break;
+      if constexpr (requires { score.extra_bound(at.node); }) {
+        at.bound = std::max(at.bound, score.extra_bound(at.node));
+      }
+      if (at.bound > best.squared_distance) break;
+      const Node& nd = nodes_[node];
+      if (nd.left != kNone) {
+        const double diff = query[nd.split_dim] - nd.split_value;
+        const bool left_near = query[nd.split_dim] <= nd.split_value;
+        stack.push_back({left_near ? nd.right : nd.left, std::max(at.bound, diff * diff)});
+        at.node = left_near ? nd.left : nd.right;
+        continue;
+      }
+      if (box_squared_distance(at.node, query) > best.squared_distance) break;
       scan_leaf(nd, query, leaf_sq);
       for (index_t i = nd.begin; i < nd.end; ++i) {
         const index_t p = perm_[static_cast<std::size_t>(i)];
         if (filtered && component[static_cast<std::size_t>(p)] == my_component) continue;
-        Neighbor cand{score.from_sq(p, leaf_sq[static_cast<std::size_t>(i - nd.begin)]), p};
+        const Neighbor cand{score.from_sq(p, leaf_sq[static_cast<std::size_t>(i - nd.begin)]), p};
         if (cand < best) best = cand;
       }
-      continue;
+      break;
     }
-    const bool left_first = query[nd.split_dim] <= nd.split_value;
-    // Far child pushed first so the near child is processed next.
-    stack.push_back(left_first ? nd.right : nd.left);
-    stack.push_back(left_first ? nd.left : nd.right);
   }
 }
 
@@ -391,7 +516,8 @@ namespace {
 /// that was so a lookup against a different (even content-identical) object
 /// rebuilds instead of returning a view into someone else's storage.
 struct CachedKdTree {
-  CachedKdTree(const PointSet& pts, int leaf_size) : tree(pts, leaf_size), points(&pts) {}
+  CachedKdTree(const exec::Executor& exec, const PointSet& pts, int leaf_size)
+      : tree(exec, pts, leaf_size), points(&pts) {}
   KdTree tree;
   const PointSet* points;
 };
@@ -402,7 +528,7 @@ std::shared_ptr<const KdTree> kdtree_cached(const exec::Executor& exec, const Po
                                             int leaf_size,
                                             std::optional<std::uint64_t> points_fingerprint) {
   const auto build = [&] {
-    auto owned = std::make_shared<CachedKdTree>(points, leaf_size);
+    auto owned = std::make_shared<CachedKdTree>(exec, points, leaf_size);
     const KdTree* view = &owned->tree;
     return std::shared_ptr<const KdTree>(std::move(owned), view);
   };
@@ -415,7 +541,7 @@ std::shared_ptr<const KdTree> kdtree_cached(const exec::Executor& exec, const Po
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(leaf_size)));
   std::shared_ptr<CachedKdTree> entry = exec.artifact_cache().find<CachedKdTree>(key);
   if (entry == nullptr || entry->points != &points) {
-    entry = std::make_shared<CachedKdTree>(points, leaf_size);
+    entry = std::make_shared<CachedKdTree>(exec, points, leaf_size);
     exec.artifact_cache().insert(key, entry);
   }
   const KdTree* view = &entry->tree;

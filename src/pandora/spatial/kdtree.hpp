@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "pandora/common/types.hpp"
@@ -52,6 +53,13 @@ struct KdTreeAnnotations {
 ///    the query's component, and an optional per-node core-distance minimum
 ///    tightens mutual-reachability lower bounds.
 ///
+/// The build runs in parallel over an Executor: the top levels split one
+/// node per chunk until there are at least four subtrees per thread, then one
+/// chunk builds each subtree.  Node ids are preorder and every node
+/// partitions its range exactly as a serial recursion would, so the tree —
+/// `tree_order()`, nodes, boxes, leaf blocks — is the same on every backend
+/// and thread count, and the same as the executor-less constructor's.
+///
 /// The tree is immutable after construction; all queries are const.  Round
 /// state lives in a caller-owned `KdTreeAnnotations` (see above), which is
 /// what lets a cached tree serve concurrent batch queries.
@@ -60,11 +68,20 @@ struct KdTreeAnnotations {
 /// EMST built on them — are deterministic.
 class KdTree {
  public:
-  /// Builds over `points` (kept by reference; must outlive the tree).
+  /// Builds over `points` (kept by reference; must outlive the tree),
+  /// in parallel through `exec`.
+  KdTree(const exec::Executor& exec, const PointSet& points, int leaf_size = 32);
+
+  /// Builds the same tree on the calling thread alone.
   explicit KdTree(const PointSet& points, int leaf_size = 32);
 
   /// k nearest neighbours of point `q`, excluding q itself, ascending.
-  /// `out` is resized to min(k, n-1).
+  /// `out` is resized to min(k, n-1).  The search descends near child
+  /// first; a far child is skipped when its split-plane bound
+  /// max(parent bound, (q[split] - split)^2) exceeds the current k-th
+  /// distance, and a leaf when its bounding box does.  Pruning is strict
+  /// '>', so points tying the k-th distance are still compared and the
+  /// result is the unique k-nearest set under the (distance, index) order.
   void knn(index_t q, int k, std::vector<Neighbor>& out) const;
 
   /// k nearest indexed points to an arbitrary coordinate query (which need
@@ -78,9 +95,11 @@ class KdTree {
   /// at [i * k_eff, (i+1) * k_eff), k_eff = min(k, n-1) (each query point
   /// excludes itself).  Results equal per-query `knn` — the k-nearest set
   /// under the total (distance, index) order is unique.  Steady-state calls
-  /// on a warm thread allocate nothing beyond `out`'s capacity.  Independent
-  /// searches are deliberate: a group DFS walking 16 queries together
-  /// measured 1.2-1.4x slower on 50k-point sets.
+  /// on a warm thread allocate nothing beyond `out`'s capacity: each search
+  /// keeps its k best in a fixed sorted buffer and its deferred subtrees on
+  /// a per-thread stack.  Independent searches are deliberate: a group DFS
+  /// walking 16 queries together measured 1.2-1.4x slower on 50k-point
+  /// sets.
   void knn_batch(std::span<const index_t> queries, int k, std::vector<Neighbor>& out) const;
 
   /// As above for `num_queries` arbitrary row-major coordinate queries
@@ -92,7 +111,9 @@ class KdTree {
   /// Nearest point to `q` under the Euclidean metric among points whose
   /// `component[]` differs from `my_component`.  Uses the component
   /// annotation in `notes` (from annotate_components) to skip
-  /// single-component subtrees.
+  /// single-component subtrees.  The search is the kNN descent (split-plane
+  /// bounds, box distance at leaves) with one best; the component and
+  /// per-node bounds apply at every node it visits.
   ///
   /// `radius_sq` bounds the search (Borůvka passes its component's running
   /// minimum): only candidates with squared score <= radius_sq are
@@ -153,9 +174,18 @@ class KdTree {
     double split_value = 0;
   };
 
-  index_t build(index_t begin, index_t end);
+  KdTree(const PointSet& points, int leaf_size, const exec::Executor* exec);
+
+  /// Scratch (coordinate, id) keys for one build chunk's median selections.
+  using SplitKeys = std::vector<std::pair<double, index_t>>;
+
+  /// Fills node `id` over perm_[begin, end): its box, and either its leaf
+  /// block or its split (partitioning the range).  Returns the split
+  /// position, or kNone for a leaf.
+  index_t build_node(index_t id, index_t begin, index_t end, SplitKeys& keys);
+  void build_subtree(index_t id, index_t begin, index_t end, SplitKeys& keys);
   void update_box(index_t node);
-  void build_leaf_soa();
+  void fill_leaf_soa(const Node& nd);
 
   /// Squared distances from `query` to every point of leaf `nd` (tree
   /// order), through the dimension-blocked SoA leaf block.
@@ -166,6 +196,8 @@ class KdTree {
   void knn_search(const double* query, int k, index_t exclude,
                   std::vector<Neighbor>& out) const;
 
+  /// Shared body of the component queries: the kNN descent keeping one
+  /// `best` (pre-set to the radius), pruning strictly above it.
   template <class Score>
   void search(const double* query, Neighbor& best, index_t my_component,
               std::span<const index_t> component, const KdTreeAnnotations& notes,

@@ -11,8 +11,11 @@ namespace pandora::spatial {
 
 /// Shortest neighbour list a kNN pass keeps for a later exact search, even
 /// when k is smaller: a longer list certifies more Borůvka candidates from
-/// memory (see `mutual_reachability_mst`).  Floors of 4, 6 and 8 measured
-/// within noise of each other on HaccProxy.
+/// memory (see `mutual_reachability_mst`), at the price of a costlier kNN
+/// pass.  With the split-plane kNN descent, `hdbscan()` on HaccProxy 50k at
+/// mpts 2 (4-vCPU AVX2 host, medians of four interleaved rounds) read
+/// 42.6 / 41.0 / 43.2 ms at 4 threads and 114 / 116 / 115 ms serially for
+/// floors 4 / 6 / 8: no floor wins at both thread counts.
 inline constexpr int kMinListLength = 6;
 
 /// What a k-nearest-neighbour pass can leave behind for a later exact

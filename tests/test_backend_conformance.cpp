@@ -219,6 +219,24 @@ TEST(BackendConformance, FullDendrogramBitIdenticalAcrossBackends) {
   }
 }
 
+TEST(BackendConformance, KdTreeBuildBitIdenticalAcrossBackends) {
+  // The parallel build writes disjoint node, box, permutation and leaf
+  // block ranges from concurrent chunks (the TSan lane races them on the
+  // spawning backend); the tree must answer exactly as the executor-less
+  // build does.
+  for (const pandora::testing::KdTreeBuildCase& c : pandora::testing::kdtree_build_cases()) {
+    const auto expected =
+        pandora::testing::kdtree_query_sweep(spatial::KdTree(c.points, c.leaf_size));
+    for (const auto& backend : conformance_backends()) {
+      const exec::Executor executor = executor_on(backend);
+      EXPECT_EQ(pandora::testing::kdtree_query_sweep(
+                    spatial::KdTree(executor, c.points, c.leaf_size)),
+                expected)
+          << c.name << " on " << backend->name();
+    }
+  }
+}
+
 TEST(BackendConformance, HdbscanBitIdenticalAcrossBackends) {
   // Several mpts values and a tie-heavy grid with duplicates, so the kNN
   // seeding of Borůvka's first round and the per-point lower bounds run on

@@ -1,11 +1,16 @@
 #pragma once
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pandora/common/rng.hpp"
+#include "pandora/data/point_generators.hpp"
 #include "pandora/data/tree_generators.hpp"
+#include "pandora/exec/backend.hpp"
 #include "pandora/graph/edge.hpp"
+#include "pandora/spatial/kdtree.hpp"
 #include "pandora/spatial/point_set.hpp"
 
 namespace pandora::testing {
@@ -77,6 +82,71 @@ inline spatial::PointSet tie_heavy_grid() {
   for (index_t j = 0; j < kDuplicates; ++j)
     for (int d = 0; d < 2; ++d) points.at(kBase + j, d) = points.at(5 * j, d);
   return points;
+}
+
+/// One kd-tree build to compare across backends: its input and leaf size.
+struct KdTreeBuildCase {
+  std::string name;
+  spatial::PointSet points;
+  int leaf_size = 32;
+};
+
+/// Inputs around the leaf-size and subtree-split boundaries (n in {1, 31,
+/// 32, 33, 65, 1000, 50000}, dims 1 and 8) plus an input where every point
+/// is the same point, each at leaf sizes 1, 8 and 32.
+inline std::vector<KdTreeBuildCase> kdtree_build_cases() {
+  std::vector<KdTreeBuildCase> cases;
+  for (const int leaf_size : {1, 8, 32}) {
+    for (const index_t n : {1, 31, 32, 33, 65, 1000, 50000})
+      for (const int dim : {1, 8})
+        cases.push_back({"uniform n=" + std::to_string(n) + " dim=" + std::to_string(dim) +
+                             " leaf=" + std::to_string(leaf_size),
+                         data::uniform_points(n, dim, 40 + static_cast<std::uint64_t>(n + dim)),
+                         leaf_size});
+    spatial::PointSet same(3, 1000);
+    std::fill(same.coords().begin(), same.coords().end(), 0.25);
+    cases.push_back({"same point leaf=" + std::to_string(leaf_size), std::move(same), leaf_size});
+  }
+  return cases;
+}
+
+/// What a kd-tree answers, flattened for exact comparison: `tree_order()`,
+/// then for a spread of ~64 query points their 7 nearest neighbours (by id
+/// and by coordinates), the nearest point in another component (components
+/// id mod 3) and the same under mutual reachability (synthetic squared core
+/// distances, 1e-3 * (id mod 7)).  Two trees answering identically yield equal
+/// sweeps.
+inline std::vector<std::pair<double, index_t>> kdtree_query_sweep(const spatial::KdTree& tree) {
+  const spatial::PointSet& points = tree.points();
+  const index_t n = points.size();
+  std::vector<std::pair<double, index_t>> sweep;
+  for (const index_t id : tree.tree_order()) sweep.emplace_back(0.0, id);
+
+  const exec::Executor& serial = exec::default_executor(exec::serial_backend());
+  std::vector<index_t> component(static_cast<std::size_t>(n));
+  std::vector<double> core_sq(static_cast<std::size_t>(n));
+  for (index_t p = 0; p < n; ++p) {
+    component[static_cast<std::size_t>(p)] = p % 3;
+    core_sq[static_cast<std::size_t>(p)] = 1e-3 * static_cast<double>(p % 7);
+  }
+  spatial::KdTreeAnnotations notes;
+  tree.annotate_components(serial, component, notes);
+  tree.annotate_min_core(serial, core_sq, notes);
+
+  const auto record = [&](const spatial::Neighbor& nb) {
+    sweep.emplace_back(nb.squared_distance, nb.index);
+  };
+  std::vector<spatial::Neighbor> found;
+  for (index_t q = 0; q < n; q += std::max<index_t>(1, n / 64)) {
+    tree.knn(q, 7, found);
+    std::for_each(found.begin(), found.end(), record);
+    tree.knn(points.point(q), 7, found);
+    std::for_each(found.begin(), found.end(), record);
+    const index_t mine = component[static_cast<std::size_t>(q)];
+    record(tree.nearest_other_component(q, mine, component, notes));
+    record(tree.nearest_other_component_mreach(q, mine, component, core_sq, notes));
+  }
+  return sweep;
 }
 
 }  // namespace pandora::testing

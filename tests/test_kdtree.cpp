@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "pandora/data/point_generators.hpp"
+#include "pandora/exec/fingerprint.hpp"
 #include "pandora/spatial/brute_force.hpp"
 #include "pandora/spatial/kdtree.hpp"
 #include "pandora/spatial/knn.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -201,6 +205,164 @@ TEST(KdTree, NeighborListsMatchBruteForce) {
           EXPECT_DOUBLE_EQ(with_lists[static_cast<std::size_t>(q)],
                            std::sqrt(expected[kth].squared_distance));
         }
+      }
+    }
+  }
+}
+
+TEST(KdTree, ParallelBuildMatchesExecutorlessBuild) {
+  // The executor-less build is checked against brute force, then every
+  // registered backend at several thread counts (so several breadth-first
+  // split depths) must build a tree answering bit-identically to it.
+  for (const pandora::testing::KdTreeBuildCase& c : pandora::testing::kdtree_build_cases()) {
+    const KdTree reference(c.points, c.leaf_size);
+    const index_t n = c.points.size();
+    std::vector<Neighbor> got;
+    for (index_t q = 0; q < n; q += std::max<index_t>(1, n / 16)) {
+      reference.knn(q, 7, got);
+      const auto expected = spatial::brute_force_knn(c.points, q, 7);
+      ASSERT_EQ(got.size(), expected.size()) << c.name << " q=" << q;
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i].index, expected[i].index) << c.name << " q=" << q << " i=" << i;
+    }
+    const auto expected = pandora::testing::kdtree_query_sweep(reference);
+    for (const auto& backend : exec::registered_backends()) {
+      for (const int threads : {1, 3, 4}) {
+        const exec::Executor executor(backend, threads);
+        const KdTree tree(executor, c.points, c.leaf_size);
+        ASSERT_EQ(pandora::testing::kdtree_query_sweep(tree), expected)
+            << c.name << " on " << backend->name() << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(KdTree, TreeOrderMatchesGoldenFingerprints) {
+  // tree_order() pins the whole partition: the golden values are those of
+  // the serial recursive build the parallel one replaced, so the tree stays
+  // the same one on every backend and thread count.
+  const auto fingerprint = [](const KdTree& tree) {
+    std::uint64_t h = 0;
+    for (const index_t id : tree.tree_order())
+      h = exec::mix_fingerprint(h ^ static_cast<std::uint64_t>(id));
+    return h;
+  };
+  const PointSet hacc = data::make_dataset("HaccProxy", 5000, 3);
+  const PointSet grid = pandora::testing::tie_heavy_grid();
+  const PointSet wide = data::uniform_points(3000, 8, 9);
+  const std::array<std::uint64_t, 3> golden = {0x9a83f619c117d643ULL, 0x3dd4fd646bfce2cdULL,
+                                               0xfc658605a06487f2ULL};
+  EXPECT_EQ(fingerprint(KdTree(hacc, 32)), golden[0]);
+  EXPECT_EQ(fingerprint(KdTree(grid, 8)), golden[1]);
+  EXPECT_EQ(fingerprint(KdTree(wide, 1)), golden[2]);
+  for (const auto& backend : exec::registered_backends()) {
+    const exec::Executor executor(backend, 4);
+    EXPECT_EQ(fingerprint(KdTree(executor, hacc, 32)), golden[0]) << backend->name();
+    EXPECT_EQ(fingerprint(KdTree(executor, grid, 8)), golden[1]) << backend->name();
+    EXPECT_EQ(fingerprint(KdTree(executor, wide, 1)), golden[2]) << backend->name();
+  }
+}
+
+TEST(KdTree, PruningUnderTiesMatchesBruteForceOnLattice) {
+  // A 12^3 integer lattice with every seventh point duplicated (1975
+  // points): many points sit exactly on split planes and at the k-th,
+  // fence and radius distances, and leaf sizes 1 and 8 give hundreds of
+  // leaves, so every strict-'>' prune meets ties.
+  constexpr index_t kSide = 12;
+  constexpr index_t kBase = kSide * kSide * kSide;
+  constexpr index_t kDuplicates = (kBase + 6) / 7;
+  PointSet points(3, kBase + kDuplicates);
+  for (index_t i = 0; i < kBase; ++i) {
+    points.at(i, 0) = static_cast<double>(i / (kSide * kSide));
+    points.at(i, 1) = static_cast<double>(i / kSide % kSide);
+    points.at(i, 2) = static_cast<double>(i % kSide);
+  }
+  for (index_t j = 0; j < kDuplicates; ++j)
+    for (int d = 0; d < 3; ++d) points.at(kBase + j, d) = points.at(7 * j, d);
+  const index_t n = points.size();
+  std::vector<index_t> component(static_cast<std::size_t>(n));
+  for (index_t p = 0; p < n; ++p) component[static_cast<std::size_t>(p)] = p % 4;
+  const exec::Executor& executor = exec::default_executor();
+  // One oracle list per point serves every mpts: shorter lists are prefixes
+  // under the total (distance, id) order.
+  const int longest = std::max(8, spatial::kMinListLength);
+  std::vector<std::vector<Neighbor>> oracle;
+  for (index_t q = 0; q < n; ++q) oracle.push_back(spatial::brute_force_knn(points, q, longest + 1));
+
+  for (const int min_pts : {2, 7, 9}) {
+    const int k = min_pts - 1;
+    const int length = std::max(k, spatial::kMinListLength);
+    std::vector<double> core_sq(static_cast<std::size_t>(n));
+    for (index_t p = 0; p < n; ++p) {
+      const double core =
+          std::sqrt(oracle[static_cast<std::size_t>(p)][static_cast<std::size_t>(k - 1)]
+                        .squared_distance);
+      core_sq[static_cast<std::size_t>(p)] = core * core;
+    }
+    // Brute-force nearest other-component points, Euclidean and mreach.
+    std::vector<std::pair<Neighbor, Neighbor>> nearest;
+    for (index_t q = 0; q < n; q += 3) {
+      const index_t mine = component[static_cast<std::size_t>(q)];
+      Neighbor euclid, mreach;
+      for (index_t p = 0; p < n; ++p) {
+        if (component[static_cast<std::size_t>(p)] == mine) continue;
+        const double sq = points.squared_distance(q, p);
+        euclid = std::min(euclid, Neighbor{sq, p});
+        mreach = std::min(mreach, Neighbor{std::max({sq, core_sq[static_cast<std::size_t>(q)],
+                                                     core_sq[static_cast<std::size_t>(p)]}),
+                                           p});
+      }
+      nearest.emplace_back(euclid, mreach);
+    }
+
+    for (const int leaf_size : {1, 8}) {
+      const KdTree tree(executor, points, leaf_size);
+      const std::string where =
+          "leaf=" + std::to_string(leaf_size) + " mpts=" + std::to_string(min_pts);
+      spatial::NeighborLists lists;
+      const auto core = spatial::kth_neighbor_distances(executor, points, tree, k, &lists);
+      ASSERT_EQ(lists.length, length) << where;
+      for (index_t q = 0; q < n; ++q) {
+        const std::vector<Neighbor>& expected = oracle[static_cast<std::size_t>(q)];
+        for (int j = 0; j < length; ++j)
+          ASSERT_EQ(lists.ids[static_cast<std::size_t>(q * length + j)],
+                    expected[static_cast<std::size_t>(j)].index)
+              << where << " q=" << q << " j=" << j;
+        ASSERT_EQ(lists.fence_sq[static_cast<std::size_t>(q)],
+                  expected[static_cast<std::size_t>(length)].squared_distance)
+            << where << " q=" << q;
+        ASSERT_EQ(core[static_cast<std::size_t>(q)] * core[static_cast<std::size_t>(q)],
+                  core_sq[static_cast<std::size_t>(q)])
+            << where << " q=" << q;
+      }
+
+      spatial::KdTreeAnnotations notes;
+      tree.annotate_components(executor, component, notes);
+      tree.annotate_min_core(executor, core_sq, notes);
+      for (index_t q = 0; q < n; q += 3) {
+        const index_t mine = component[static_cast<std::size_t>(q)];
+        const auto& [euclid, mreach] = nearest[static_cast<std::size_t>(q / 3)];
+        // At a radius equal to the true minimum it is found; just below it
+        // (below zero for a duplicate), nothing is.
+        const Neighbor at_euclid = tree.nearest_other_component(q, mine, component, notes,
+                                                                euclid.squared_distance);
+        ASSERT_EQ(at_euclid.index, euclid.index) << where << " q=" << q;
+        ASSERT_EQ(at_euclid.squared_distance, euclid.squared_distance) << where << " q=" << q;
+        ASSERT_EQ(tree.nearest_other_component(q, mine, component, notes,
+                                               std::nextafter(euclid.squared_distance, -1.0))
+                      .index,
+                  kNone)
+            << where << " q=" << q;
+        const Neighbor at_mreach = tree.nearest_other_component_mreach(
+            q, mine, component, core_sq, notes, mreach.squared_distance);
+        ASSERT_EQ(at_mreach.index, mreach.index) << where << " q=" << q;
+        ASSERT_EQ(at_mreach.squared_distance, mreach.squared_distance) << where << " q=" << q;
+        ASSERT_EQ(tree.nearest_other_component_mreach(
+                          q, mine, component, core_sq, notes,
+                          std::nextafter(mreach.squared_distance, -1.0))
+                      .index,
+                  kNone)
+            << where << " q=" << q;
       }
     }
   }
