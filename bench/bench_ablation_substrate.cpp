@@ -47,17 +47,6 @@ void BM_StdSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_MergeSort(benchmark::State& state) {
-  const exec::Executor executor(state.range(1) ? exec::default_backend() : exec::serial_backend());
-  const auto base = random_keys(state.range(0));
-  for (auto _ : state) {
-    auto keys = base;
-    exec::merge_sort(executor, keys, std::less<>{});
-    benchmark::DoNotOptimize(keys.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
 void BM_ExclusiveScan(benchmark::State& state) {
   const exec::Executor executor(state.range(1) ? exec::default_backend() : exec::serial_backend());
   std::vector<index_t> in(static_cast<std::size_t>(state.range(0)), 1);
@@ -98,7 +87,6 @@ void BM_UnionFindContraction(benchmark::State& state) {
 
 BENCHMARK(BM_RadixSort)->Args({1 << 20, 0})->Args({1 << 20, 1})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StdSort)->Args({1 << 20})->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MergeSort)->Args({1 << 20, 0})->Args({1 << 20, 1})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExclusiveScan)
     ->Args({1 << 22, 0})
     ->Args({1 << 22, 1})

@@ -33,9 +33,9 @@ int main() {
                       "Figure 11 (plus the Section 2.3.3 mixed baseline)");
   bench::JsonReport json("fig11");
 
-  std::printf("%-16s %9s | %12s %12s %12s %12s | %10s %10s %10s | %9s\n", "dataset", "npts",
+  std::printf("%-16s %9s | %12s %12s %12s %12s | %10s %10s | %9s\n", "dataset", "npts",
               "UnionFind", "Mixed(MT)", "Pandora(1T)", "Pandora(MT)", "radix [ms]",
-              "merge [ms]", "emst [ms]", "speedup");
+              "emst [ms]", "speedup");
   for (const auto& spec : data::table2_datasets()) {
     const index_t n = bench::scaled(static_cast<index_t>(spec.default_n / 2));
     const bench::PreparedDataset prepared =
@@ -58,17 +58,10 @@ int main() {
     const bench::Measurement m_parallel = bench::measure(3, [&] {
       (void)parallel_pipeline.build_dendrogram(prepared.mst, prepared.n);
     });
-    // The Section 3.1.1 edge sort on its own (the Figure 12/13 hot phase):
-    // the default key-packed radix path against the comparison merge path.
-    parallel_executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::radix);
+    // The Section 3.1.1 edge sort on its own (the Figure 12/13 hot phase).
     const bench::Measurement m_sort = bench::measure(5, [&] {
       (void)dendrogram::sort_edges(parallel_executor, prepared.mst, prepared.n);
     });
-    parallel_executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::merge);
-    const bench::Measurement m_sort_merge = bench::measure(5, [&] {
-      (void)dendrogram::sort_edges(parallel_executor, prepared.mst, prepared.n);
-    });
-    parallel_executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::radix);
     // The EMST phase on its own, edge sort excluded: this is the column the
     // SoA/SIMD distance kernels move (Borůvka leaf scans are its hot loop).
     const bench::Measurement m_emst = bench::measure(3, [&] {
@@ -78,12 +71,12 @@ int main() {
 
     const double t_uf = m_uf.best();
     const double t_parallel = m_parallel.best();
-    std::printf("%-16s %9d | %12.1f %12.1f %12.1f %12.1f | %10.2f %10.2f %10.2f | %8.1fx\n",
+    std::printf("%-16s %9d | %12.1f %12.1f %12.1f %12.1f | %10.2f %10.2f | %8.1fx\n",
                 spec.name.c_str(), prepared.n, bench::mpoints_per_sec(prepared.n, t_uf),
                 bench::mpoints_per_sec(prepared.n, m_mixed.best()),
                 bench::mpoints_per_sec(prepared.n, m_serial.best()),
                 bench::mpoints_per_sec(prepared.n, t_parallel), 1e3 * m_sort.median(),
-                1e3 * m_sort_merge.median(), 1e3 * m_emst.median(), t_uf / t_parallel);
+                1e3 * m_emst.median(), t_uf / t_parallel);
 
     json.field("dataset", spec.name)
         .field("n", prepared.n)
@@ -92,7 +85,6 @@ int main() {
         .timing("pandora_serial", m_serial)
         .timing("pandora_parallel", m_parallel)
         .timing("edge_sort", m_sort)
-        .timing("edge_sort_merge", m_sort_merge)
         .timing("emst", m_emst)
         .field("pandora_mpoints_per_sec", bench::mpoints_per_sec(prepared.n, t_parallel));
     json.end_row();

@@ -38,7 +38,7 @@ std::uint32_t low_key_of(const graph::EdgeList& edges, std::uint64_t packed_entr
 /// Returns false without repairing when the marked runs cover most of the
 /// array: weights so tightly clustered that the 32-bit prefix separates
 /// almost nothing would turn the repair into one big serial comparison sort,
-/// so the caller falls back to the parallel merge argsort instead.
+/// so the caller falls back to the exact two-pass radix argsort instead.
 [[nodiscard]] bool repair_prefix_collisions(const exec::Executor& exec,
                                             std::span<std::uint64_t> packed,
                                             const graph::EdgeList& edges) {
@@ -87,49 +87,48 @@ std::uint32_t low_key_of(const graph::EdgeList& edges, std::uint64_t packed_entr
 }
 
 /// The key-packed radix argsort: writes the descending-(weight, id)
-/// permutation into `order`.  Returns false (leaving `order` unspecified)
-/// when the input degenerates the prefix repair — the caller then uses the
-/// comparison path.
-[[nodiscard]] bool radix_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
-                                 std::span<index_t> order) {
+/// permutation of `edges` into `order`.  The main path radix-sorts the
+/// 32-bit key prefix packed with the edge id and repairs the rare runs whose
+/// weights differ below the prefix.  When the repair declines (degenerate
+/// prefixes), an exact LSD argsort over the full 64-bit key runs instead:
+/// pass 1 sorts (low key half, id) words, pass 2 sorts (high key half,
+/// pass-1 rank) words, so stability carries the low half and the id
+/// tie-break through the high-half pass.
+void radix_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
+                   std::span<index_t> order) {
   const size_type n = static_cast<size_type>(edges.size());
   auto packed_lease = exec.workspace().take_uninit<std::uint64_t>(n);
   const std::span<std::uint64_t> packed = packed_lease.span();
+  const auto key_of = [&](size_type i) {
+    return exec::descending_weight_key(edges[static_cast<std::size_t>(i)].weight);
+  };
   exec::parallel_for(exec, n, [&](size_type i) {
-    packed[static_cast<std::size_t>(i)] = exec::pack_key_and_id(
-        exec::descending_weight_key(edges[static_cast<std::size_t>(i)].weight),
-        static_cast<index_t>(i));
+    packed[static_cast<std::size_t>(i)] = exec::pack_key_and_id(key_of(i), static_cast<index_t>(i));
   });
-  if (exec.parallelize(n)) {
-    // Radix over the key bytes only; stability over the id bytes implements
-    // the ascending-id tie-break (ids were packed in ascending order).
+  // Radix over the key bytes only; stability over the id bytes implements
+  // the ascending-id tie-break (ids were packed in ascending order).
+  exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
+  if (!repair_prefix_collisions(exec, packed, edges)) {
+    exec::parallel_for(exec, n, [&](size_type i) {
+      packed[static_cast<std::size_t>(i)] = (key_of(i) << 32) | static_cast<std::uint32_t>(i);
+    });
     exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
-  } else {
-    // A full-word sort is equivalent here: among equal key prefixes the low
-    // word is the unique id, so ascending full words = ascending (prefix, id).
-    std::sort(packed.begin(), packed.end());
+    // `order` holds the id at each pass-1 rank while pass 2 sorts the ranks.
+    exec::parallel_for(exec, n, [&](size_type r) {
+      const auto id = static_cast<index_t>(packed[static_cast<std::size_t>(r)] & 0xffffffffu);
+      order[static_cast<std::size_t>(r)] = id;
+      packed[static_cast<std::size_t>(r)] =
+          exec::pack_key_and_id(key_of(id), static_cast<index_t>(r));
+    });
+    exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
+    exec::parallel_for(exec, n, [&](size_type i) {
+      auto& word = packed[static_cast<std::size_t>(i)];
+      word = static_cast<std::uint32_t>(order[static_cast<std::size_t>(word & 0xffffffffu)]);
+    });
   }
-  if (!repair_prefix_collisions(exec, packed, edges)) return false;
   exec::parallel_for(exec, n, [&](size_type i) {
     order[static_cast<std::size_t>(i)] =
         static_cast<index_t>(packed[static_cast<std::size_t>(i)] & 0xffffffffu);
-  });
-  return true;
-}
-
-/// The comparison-based reference: a stable merge argsort under the explicit
-/// descending-(weight, id) comparator.
-void merge_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
-                   std::vector<index_t>& order) {
-  const size_type n = static_cast<size_type>(edges.size());
-  exec::parallel_for(exec, n,
-                     [&](size_type i) { order[static_cast<std::size_t>(i)] =
-                                            static_cast<index_t>(i); });
-  exec::merge_sort(exec, order, [&edges](index_t a, index_t b) {
-    const double wa = edges[static_cast<std::size_t>(a)].weight;
-    const double wb = edges[static_cast<std::size_t>(b)].weight;
-    if (wa != wb) return wa > wb;
-    return a < b;
   });
 }
 
@@ -154,10 +153,7 @@ void sort_edges_into(const exec::Executor& exec, const graph::EdgeList& edges,
   out.weight.resize(static_cast<std::size_t>(n));
   out.order.resize(static_cast<std::size_t>(n));
 
-  if (exec.edge_sort_algorithm() == exec::EdgeSortAlgorithm::merge ||
-      !radix_argsort(exec, edges, out.order)) {
-    merge_argsort(exec, edges, out.order);
-  }
+  radix_argsort(exec, edges, out.order);
 
   // Gather endpoints and weights once from the permutation (never sort
   // structs: the sort moved 8-byte words only).
@@ -201,14 +197,7 @@ void merge_sorted_edges_delta(const exec::Executor& exec, const SortedEdges& bas
   // added edge and the merge below can break ties by run.
   auto added_order_lease = exec.workspace().take_uninit<index_t>(e_added);
   const std::span<index_t> added_order = added_order_lease.span();
-  for (size_type j = 0; j < e_added; ++j)
-    added_order[static_cast<std::size_t>(j)] = static_cast<index_t>(j);
-  std::sort(added_order.begin(), added_order.end(), [&](index_t a, index_t b) {
-    const double wa = added[static_cast<std::size_t>(a)].weight;
-    const double wb = added[static_cast<std::size_t>(b)].weight;
-    if (wa != wb) return wa > wb;
-    return a < b;
-  });
+  radix_argsort(exec, added, added_order);
 
   const size_type e_out = static_cast<size_type>(num_kept) + e_added;
   out.num_vertices = num_vertices;

@@ -30,14 +30,14 @@ struct SortedEdges {
 /// `validate_input` is set, rejects inputs that are not spanning trees with
 /// finite non-negative weights.
 ///
-/// The algorithm is selected by the Executor (`EdgeSortAlgorithm`): the
-/// default radix path packs the high 32 bits of the order-preserving
-/// (sign-flipped, inverted) weight key with the edge id into one 64-bit word,
-/// radix-sorts only the key bytes through `radix_sort_u64` — so weights and
-/// endpoints are gathered exactly once from the resulting permutation instead
-/// of sorting structs — and repairs the rare runs whose weights differ only
-/// below the 32-bit prefix; the merge path is the comparison-based reference.
-/// Both produce bit-identical output.
+/// The sort packs the high 32 bits of the order-preserving (sign-flipped,
+/// inverted) weight key with the edge id into one 64-bit word, radix-sorts
+/// only the key bytes through `radix_sort_u64` — so weights and endpoints are
+/// gathered exactly once from the resulting permutation instead of sorting
+/// structs — and repairs the rare runs whose weights differ only below the
+/// 32-bit prefix.  When such runs cover most of the input, an exact two-pass
+/// radix argsort over the full 64-bit key replaces the repair.  Every backend
+/// and thread count runs this same path.
 [[nodiscard]] SortedEdges sort_edges(const exec::Executor& exec, const graph::EdgeList& edges,
                                      index_t num_vertices, bool validate_input = false);
 
@@ -51,8 +51,8 @@ void sort_edges_into(const exec::Executor& exec, const graph::EdgeList& edges,
 /// `base` keep their relative order (weights unchanged), so one linear merge
 /// of the surviving run with the small sorted `added` run reproduces the
 /// canonical descending-(weight, index) order.  This is the dynamic
-/// subsystem's dendrogram-replay preparation — O(E + A log A) instead of the
-/// full O(E log E) sort.
+/// subsystem's dendrogram-replay preparation — O(E + A) (the added run is
+/// radix-sorted like `sort_edges`) instead of a full re-sort.
 ///
 /// The updated edge list is defined as: the edges of `base`'s original list
 /// whose original index i has `keep[i] != 0`, in their original relative

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -15,14 +13,12 @@
 /// kernel against Kokkos execution-space instances.  This library's
 /// equivalent is the `Backend` interface: every data-parallel primitive the
 /// subsystems consume — `parallel_for`, the deterministic left-to-right
-/// `parallel_reduce`, `exclusive_scan`, the byte-range `radix_sort_u64`, the
-/// parallel merge sort — is expressed as a sequence of *chunk launches*
-/// (`run_chunks`) interleaved with cheap serial combine steps on the calling
-/// thread, plus one monomorphic virtual (`radix_sort_u64`) a device backend
-/// can override with a native sort.  A backend additionally owns the
-/// `MemoryResource` its executors' `Workspace` arenas allocate through, so a
-/// device backend substitutes device buffers without touching the arena's
-/// lease/size-class logic.
+/// `parallel_reduce`, `exclusive_scan`, the byte-range `radix_sort_u64` — is
+/// expressed as a sequence of *chunk launches* (`run_chunks`) interleaved
+/// with cheap serial combine steps on the calling thread.  A backend
+/// additionally owns the `MemoryResource` its executors' `Workspace` arenas
+/// allocate through, so a device backend substitutes device buffers without
+/// touching the arena's lease/size-class logic.
 ///
 /// Two backends ship:
 ///  * `serial_backend()` — one thread, the sequential reference;
@@ -35,8 +31,6 @@
 /// on the calling thread afterwards).  Under that discipline every backend
 /// produces bit-identical results — the conformance suite asserts it.
 namespace pandora::exec {
-
-class Workspace;
 
 /// Non-owning type-erased reference to a chunk body (a callable taking the
 /// chunk index).  Cheap to copy; the referenced callable must outlive the
@@ -89,16 +83,6 @@ class Backend {
   /// and must not call back into `run_chunks` on the same backend from a
   /// worker thread (backends run nested calls inline on the calling worker).
   virtual void run_chunks(int num_chunks, int max_workers, ChunkBody body) const = 0;
-
-  /// Stable LSD radix sort of 64-bit keys over the byte range
-  /// [first_byte, last_byte), ascending — the byte-range restriction is what
-  /// turns it into the key-value sort of the edge-sort hot path (see
-  /// sort.hpp).  The default implementation runs chunked histogram/scatter
-  /// passes through `run_chunks` with all scratch leased from `workspace`;
-  /// a device backend overrides it with a native sort (e.g. cub's).
-  virtual void radix_sort_u64(Workspace& workspace, int max_workers,
-                              std::span<std::uint64_t> keys, int first_byte,
-                              int last_byte) const;
 
   /// The memory resource executors on this backend allocate Workspace arena
   /// blocks through.  Host memory by default.

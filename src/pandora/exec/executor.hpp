@@ -38,12 +38,10 @@
 /// backend's `MemoryResource` — that amortises scratch-buffer allocations
 /// across repeated dendrogram / HDBSCAN* calls on same-sized inputs, (d) an
 /// optional `PhaseTimes` sink that every `ScopedPhase` adds its seconds to,
-/// (e) the edge-sort algorithm selection (key-packed radix by default,
-/// comparison merge as the fallback), and (f) an `ArtifactCache` that lets
-/// upper layers reuse derived artifacts (e.g. the canonical SortedEdges of an
-/// MST) across calls — its own, or one installed for a scope, such as a
-/// snapshot's cache for the length of a reader's query.  Every kernel takes
-/// a `const Executor&`.
+/// and (e) an `ArtifactCache` that lets upper layers reuse derived artifacts
+/// (e.g. the canonical SortedEdges of an MST) across calls — its own, or one
+/// installed for a scope, such as a snapshot's cache for the length of a
+/// reader's query.  Every kernel takes a `const Executor&`.
 namespace pandora::exec {
 
 /// Below this trip count per-kernel dispatch overhead dominates; kernels run
@@ -459,20 +457,11 @@ class ArtifactCache {
   mutable std::atomic<std::size_t> evictions_{0};
 };
 
-/// Which algorithm runs the initial descending-(weight, id) edge sort of
-/// Section 3.1.1.  The key-packed radix path is the default (and is asserted
-/// bit-identical to the comparison sort by the equivalence tests); the merge
-/// path survives as the comparison-based reference and fallback.
-enum class EdgeSortAlgorithm {
-  radix,  ///< order-preserving key32 + packed edge id through radix_sort_u64
-  merge,  ///< stable comparison merge sort (reference / fallback)
-};
-
 /// The reusable execution context every kernel takes by const reference.
 ///
 /// Cheap to construct, but meant to be constructed once and reused: the
 /// workspace arena and artifact cache only pay off across repeated calls.
-/// The workspace, phase sink, cache and algorithm selections are logically part
+/// The workspace, phase sink, cache and cancellation token are logically part
 /// of the execution *context*, not the kernel inputs, so they are mutable
 /// behind the const interface (exactly like Kokkos execution-space instances,
 /// whose scratch arenas are mutable too).
@@ -555,12 +544,6 @@ class Executor {
   [[nodiscard]] bool artifact_caching() const noexcept { return artifact_caching_; }
   void set_artifact_caching(bool enabled) const noexcept { artifact_caching_ = enabled; }
 
-  /// The edge-sort algorithm selection consulted by `sort_edges`.
-  [[nodiscard]] EdgeSortAlgorithm edge_sort_algorithm() const noexcept { return edge_sort_; }
-  void set_edge_sort_algorithm(EdgeSortAlgorithm algorithm) const noexcept {
-    edge_sort_ = algorithm;
-  }
-
   /// The installed cancellation token (nullptr = not cancellable).
   /// Non-owning; the token must outlive its installation.  Installed via
   /// `ScopedCancellation` by the Pipeline / batch layers; mutable behind
@@ -635,7 +618,6 @@ class Executor {
   mutable ArtifactCache* shared_cache_ = nullptr;
   mutable PhaseTimes* phase_times_ = nullptr;
   mutable obs::TraceRecorder* trace_ = nullptr;
-  mutable EdgeSortAlgorithm edge_sort_ = EdgeSortAlgorithm::radix;
   mutable bool artifact_caching_ = true;
   mutable const CancellationToken* cancellation_ = nullptr;
 };

@@ -1,92 +1,29 @@
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <vector>
 
 #include "pandora/common/types.hpp"
-#include "pandora/exec/backend.hpp"
 #include "pandora/exec/executor.hpp"
 
-/// Parallel sorting.
+/// Sorting: `radix_sort_u64`, a stable LSD radix sort over packed 64-bit
+/// keys, optionally restricted to a byte range.  It carries every sort of the
+/// hot path: the (chain, index) sort of the expansion stage (Section 3.3.3)
+/// and — through the order-preserving key transforms below — the initial
+/// descending-weight edge sort, where the sort key occupies the high 32 bits
+/// and the original edge id rides in the low 32 bits so that radixing only
+/// the key bytes leaves the ids as the stable tie-break.  This mirrors the
+/// paper's observation that GPU dendrogram time is dominated by sorts and
+/// that radix-style sorts are the best-scaling primitive (Figure 12).
 ///
-/// Two algorithms are provided, both stable:
-///  * `merge_sort` — comparison-based; the reference/fallback for the initial
-///    descending-weight edge sort of Section 3.1.1 (selected per Executor via
-///    `EdgeSortAlgorithm::merge`).
-///  * `radix_sort_u64` — an LSD radix sort over packed 64-bit keys, optionally
-///    restricted to a byte range.  It carries the whole hot path: the (chain,
-///    index) sort of the expansion stage (Section 3.3.3) and — through the
-///    order-preserving key transforms below — the initial descending-weight
-///    edge sort, where the sort key occupies the high 32 bits and the original
-///    edge id rides in the low 32 bits so that radixing only the key bytes
-///    leaves the ids as the stable tie-break.  This mirrors the paper's
-///    observation that GPU dendrogram time is dominated by sorts and that
-///    radix-style sorts are the best-scaling primitive (Figure 12).
-///    The parallel path dispatches to `Backend::radix_sort_u64`, whose
-///    default implementation runs chunked histogram/scatter passes through
-///    `run_chunks`; a device backend overrides it with a native sort.
-///
-/// All scratch (ping-pong buffers, per-chunk histograms) is leased from the
+/// Every backend and thread count runs the same chunked histogram/scatter
+/// passes through `Executor::run_chunks`: one chunk below the parallel grain
+/// or on a one-thread executor, `num_threads()` chunks otherwise.  All
+/// scratch (the ping-pong buffer, per-chunk histograms) is leased from the
 /// Executor's Workspace, so repeated sorts on same-sized inputs allocate
 /// nothing after the first call.
 namespace pandora::exec {
-
-namespace detail {
-
-/// Sort `v` into `num_chunks` sorted runs, then merge pairwise in rounds.
-template <class T, class Comp>
-void parallel_merge_sort(const Executor& exec, std::vector<T>& v, Comp comp) {
-  const size_type n = static_cast<size_type>(v.size());
-  const int num_threads = exec.num_threads();
-  // Round chunk count down to a power of two for a clean pairwise merge tree.
-  int chunks = 1;
-  while (chunks * 2 <= num_threads) chunks *= 2;
-  if (chunks < 2 || n < kParallelForGrain) {
-    std::stable_sort(v.begin(), v.end(), comp);
-    return;
-  }
-
-  std::vector<size_type> bounds(static_cast<std::size_t>(chunks) + 1);
-  for (int c = 0; c <= chunks; ++c) bounds[c] = n * c / chunks;
-
-  auto sort_chunk = [&](int c) {
-    std::stable_sort(v.begin() + bounds[c], v.begin() + bounds[c + 1], comp);
-  };
-  exec.run_chunks(chunks, num_threads, sort_chunk);
-
-  auto buffer = exec.workspace().template take_uninit<T>(n);
-  T* src = v.data();
-  T* dst = buffer.data();
-  for (int width = 1; width < chunks; width *= 2) {
-    const int merges = chunks / (2 * width);
-    auto merge_pair = [&](int m) {
-      const int c = m * 2 * width;
-      const size_type lo = bounds[c];
-      const size_type mid = bounds[std::min(c + width, chunks)];
-      const size_type hi = bounds[std::min(c + 2 * width, chunks)];
-      std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo, comp);
-    };
-    exec.run_chunks(merges, num_threads, merge_pair);
-    std::swap(src, dst);
-  }
-  if (src != v.data()) std::memcpy(v.data(), src, sizeof(T) * static_cast<std::size_t>(n));
-}
-
-}  // namespace detail
-
-/// Stable comparison sort of `v` under `comp`.
-template <class T, class Comp>
-void merge_sort(const Executor& exec, std::vector<T>& v, Comp comp) {
-  if (exec.num_threads() > 1) {
-    detail::parallel_merge_sort(exec, v, comp);
-  } else {
-    std::stable_sort(v.begin(), v.end(), comp);
-  }
-}
 
 /// Stable LSD radix sort of 64-bit keys, ascending, over the byte range
 /// [first_byte, last_byte) (byte 0 is least significant).  Restricting the
@@ -94,33 +31,10 @@ void merge_sort(const Executor& exec, std::vector<T>& v, Comp comp) {
 /// word: sorting only bytes [4, 8) of `(key32 << 32) | value32` words orders
 /// by key32 while stability preserves the pre-sort order of equal keys —
 /// which is ascending value32 when the caller packed values in that order.
-inline void radix_sort_u64(const Executor& exec, std::span<std::uint64_t> keys,
-                           int first_byte = 0, int last_byte = 8) {
-  const size_type n = static_cast<size_type>(keys.size());
-  if (n < 2) return;
-  if (!exec.parallelize(n)) {
-    if (first_byte == 0 && last_byte >= 8) {
-      std::sort(keys.begin(), keys.end());
-    } else {
-      // Mask to the bytes [first_byte, last_byte) so the serial path orders
-      // exactly like the pass-restricted radix path.
-      const std::uint64_t hi =
-          last_byte >= 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * last_byte)) - 1;
-      const std::uint64_t mask = hi & (~std::uint64_t{0} << (8 * first_byte));
-      std::stable_sort(keys.begin(), keys.end(), [mask](std::uint64_t a, std::uint64_t b) {
-        return (a & mask) < (b & mask);
-      });
-    }
-    return;
-  }
-  // The backend's native sort is one uncancellable kernel from the caller's
-  // point of view (its internal run_chunks launches bypass the Executor), so
-  // bracket it with explicit checks.
-  exec.check_cancellation();
-  exec.backend().radix_sort_u64(exec.workspace(), exec.num_threads(), keys, first_byte,
-                                last_byte);
-  exec.check_cancellation();
-}
+/// Byte positions that are constant across the keys are skipped, so keys
+/// bounded by 2^k cost ceil(k/8) scatter passes.
+void radix_sort_u64(const Executor& exec, std::span<std::uint64_t> keys, int first_byte = 0,
+                    int last_byte = 8);
 
 // --- order-preserving key transforms ---------------------------------------
 //

@@ -90,14 +90,6 @@ class Pipeline {
     return *this;
   }
 
-  /// Which algorithm runs the Section 3.1.1 edge sort (key-packed radix by
-  /// default; merge is the comparison-based reference).  Applies to the
-  /// executor, so it persists across pipelines sharing it.
-  Pipeline& with_edge_sort(exec::EdgeSortAlgorithm algorithm) {
-    executor_->set_edge_sort_algorithm(algorithm);
-    return *this;
-  }
-
   /// Toggle the cross-call SortedEdges cache (on by default).  Applies to the
   /// executor, so it persists across pipelines sharing it.
   Pipeline& with_sorted_edges_cache(bool enabled) {

@@ -77,10 +77,9 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
   const std::lock_guard<std::mutex> batch_lock(*batch_mutex_);
 
   // Policy toggles on the parent propagate to the slots at batch start (the
-  // parent may have flipped caching or the sort algorithm since last run).
+  // parent may have flipped caching since last run).
   for (const auto& slot : slots_) {
     slot->set_artifact_caching(parent_->artifact_caching());
-    slot->set_edge_sort_algorithm(parent_->edge_sort_algorithm());
     // Tracing enabled on the parent covers the whole batch: slot workers
     // record into the same (thread-safe) recorder, each on its own ring.
     slot->set_trace_recorder(parent_->trace_recorder());

@@ -94,27 +94,32 @@ TEST(BackendConformance, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(BackendConformance, RadixSortBitIdentityIncludingByteRanges) {
-  Rng rng(7);
-  std::vector<std::uint64_t> input(100000);
-  for (auto& k : input) k = rng.next_u64();
-  // Some equal keys so stability matters.
-  for (std::size_t i = 0; i < input.size(); i += 37) input[i] = input[0];
+  // Sizes around the parallel grain (2048) run one chunk below it and one
+  // per thread above; every backend, the serial one included, runs the same
+  // radix passes.
+  for (const std::size_t n : {0, 1, 2, 2047, 2048, 2049, 100000}) {
+    Rng rng(7 + n);
+    std::vector<std::uint64_t> input(n);
+    for (auto& k : input) k = rng.next_u64();
+    // Some equal keys so stability matters.
+    for (std::size_t i = 0; i < input.size(); i += 37) input[i] = input[0];
 
-  for (const auto [first_byte, last_byte] :
-       {std::array<int, 2>{0, 8}, std::array<int, 2>{4, 8}, std::array<int, 2>{2, 5}}) {
-    const std::uint64_t hi = last_byte >= 8 ? ~std::uint64_t{0}
-                                            : (std::uint64_t{1} << (8 * last_byte)) - 1;
-    const std::uint64_t mask = hi & (~std::uint64_t{0} << (8 * first_byte));
-    std::vector<std::uint64_t> reference = input;
-    std::stable_sort(reference.begin(), reference.end(),
-                     [mask](std::uint64_t a, std::uint64_t b) { return (a & mask) < (b & mask); });
+    for (const auto [first_byte, last_byte] :
+         {std::array<int, 2>{0, 8}, std::array<int, 2>{4, 8}, std::array<int, 2>{2, 5}}) {
+      const std::uint64_t hi = last_byte >= 8 ? ~std::uint64_t{0}
+                                              : (std::uint64_t{1} << (8 * last_byte)) - 1;
+      const std::uint64_t mask = hi & (~std::uint64_t{0} << (8 * first_byte));
+      std::vector<std::uint64_t> reference = input;
+      std::stable_sort(reference.begin(), reference.end(),
+                       [mask](std::uint64_t a, std::uint64_t b) { return (a & mask) < (b & mask); });
 
-    for (const auto& backend : conformance_backends()) {
-      const exec::Executor executor = executor_on(backend);
-      std::vector<std::uint64_t> keys = input;
-      exec::radix_sort_u64(executor, keys, first_byte, last_byte);
-      EXPECT_EQ(keys, reference)
-          << backend->name() << " bytes [" << first_byte << ", " << last_byte << ")";
+      for (const auto& backend : conformance_backends()) {
+        const exec::Executor executor = executor_on(backend);
+        std::vector<std::uint64_t> keys = input;
+        exec::radix_sort_u64(executor, keys, first_byte, last_byte);
+        EXPECT_EQ(keys, reference) << backend->name() << " n=" << n << " bytes [" << first_byte
+                                   << ", " << last_byte << ")";
+      }
     }
   }
 }

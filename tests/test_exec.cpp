@@ -91,25 +91,6 @@ TEST_P(ExecBothSpaces, InclusiveScanMatchesReference) {
   EXPECT_EQ(out.back(), 2 * n);
 }
 
-TEST_P(ExecBothSpaces, MergeSortSortsAndIsStable) {
-  const size_type n = 200001;
-  Rng rng(11);
-  struct Item {
-    int key;
-    int tag;
-  };
-  std::vector<Item> items(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < items.size(); ++i)
-    items[i] = {static_cast<int>(rng.next_below(1000)), static_cast<int>(i)};
-  exec::merge_sort(exec::default_executor(GetParam()), items, [](const Item& a, const Item& b) { return a.key < b.key; });
-  for (std::size_t i = 1; i < items.size(); ++i) {
-    ASSERT_LE(items[i - 1].key, items[i].key);
-    if (items[i - 1].key == items[i].key) {
-      ASSERT_LT(items[i - 1].tag, items[i].tag);  // stability
-    }
-  }
-}
-
 TEST_P(ExecBothSpaces, RadixSortMatchesStdSort) {
   for (size_type n : {0, 1, 2, 4095, 4096, 250001}) {
     Rng rng(static_cast<std::uint64_t>(n) + 3);

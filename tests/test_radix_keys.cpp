@@ -1,8 +1,9 @@
 // The order-preserving key transforms behind the key-packed radix edge sort
-// (Section 3.1.1), and the bit-identity of the radix path against the
-// comparison-based merge reference on adversarial weight patterns: negative
+// (Section 3.1.1), and the radix edge sort against the canonical
+// descending-(weight, id) comparator on adversarial weight patterns: negative
 // weights, ±0.0, infinities, denormals, duplicates with id tie-breaks, and
-// weights colliding in the packed 32-bit key prefix (the run fix-up path).
+// weights colliding in the packed 32-bit key prefix (the run fix-up path and
+// the exact two-pass fallback).
 
 #include <gtest/gtest.h>
 
@@ -95,46 +96,50 @@ std::vector<index_t> reference_order(const graph::EdgeList& edges) {
   return order;
 }
 
-void expect_radix_matches_merge(const graph::EdgeList& tree, index_t nv, const char* what) {
+/// Sorts `tree` on every backend: the order must equal the reference, the
+/// gathered endpoints and weights must follow it, and the dendrograms built
+/// on top must be bit-identical across backends.
+void expect_sort_matches_reference(const graph::EdgeList& tree, index_t nv, const char* what) {
+  const std::vector<index_t> reference = reference_order(tree);
+  std::vector<index_t> first_parent, first_edge_order;
   for (const auto& space : exec::registered_backends()) {
     const exec::Executor executor(space, 4);
     executor.set_artifact_caching(false);
+    const SortedEdges sorted = dendrogram::sort_edges(executor, tree, nv);
 
-    executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::radix);
-    const SortedEdges via_radix = dendrogram::sort_edges(executor, tree, nv);
-    executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::merge);
-    const SortedEdges via_merge = dendrogram::sort_edges(executor, tree, nv);
+    ASSERT_EQ(sorted.order, reference) << what << " " << executor.name();
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      const graph::WeightedEdge& e = tree[static_cast<std::size_t>(reference[i])];
+      ASSERT_EQ(sorted.u[i], e.u) << what;
+      ASSERT_EQ(sorted.v[i], e.v) << what;
+      ASSERT_EQ(sorted.weight[i], e.weight) << what;
+    }
 
-    ASSERT_EQ(via_radix.order, via_merge.order) << what << " " << executor.name();
-    ASSERT_EQ(via_radix.u, via_merge.u) << what;
-    ASSERT_EQ(via_radix.v, via_merge.v) << what;
-    ASSERT_EQ(via_radix.weight, via_merge.weight) << what;
-    ASSERT_EQ(via_radix.order, reference_order(tree)) << what;
-
-    // And the dendrograms built on top are bit-identical.
-    executor.set_edge_sort_algorithm(exec::EdgeSortAlgorithm::radix);
-    const auto d_radix = dendrogram::pandora_dendrogram(executor, via_radix);
-    const auto d_merge = dendrogram::pandora_dendrogram(executor, via_merge);
-    ASSERT_EQ(d_radix.parent, d_merge.parent) << what;
-    ASSERT_EQ(d_radix.edge_order, d_merge.edge_order) << what;
+    const auto d = dendrogram::pandora_dendrogram(executor, sorted);
+    if (first_parent.empty()) {
+      first_parent = d.parent;
+      first_edge_order = d.edge_order;
+    }
+    ASSERT_EQ(d.parent, first_parent) << what << " " << executor.name();
+    ASSERT_EQ(d.edge_order, first_edge_order) << what << " " << executor.name();
   }
 }
 
-TEST(RadixEdgeSort, MatchesMergeOnRandomTrees) {
+TEST(RadixEdgeSort, MatchesReferenceOnRandomTrees) {
   for (const Topology topo : all_topologies()) {
     const graph::EdgeList tree = make_tree(topo, 4000, 23, /*distinct=*/0);
-    expect_radix_matches_merge(tree, 4000, topology_name(topo));
+    expect_sort_matches_reference(tree, 4000, topology_name(topo));
   }
 }
 
-TEST(RadixEdgeSort, MatchesMergeOnHeavyTies) {
+TEST(RadixEdgeSort, MatchesReferenceOnHeavyTies) {
   for (const int distinct : {1, 2, 5}) {
     const graph::EdgeList tree = make_tree(Topology::caterpillar, 6000, 3, distinct);
-    expect_radix_matches_merge(tree, 6000, "ties");
+    expect_sort_matches_reference(tree, 6000, "ties");
   }
 }
 
-TEST(RadixEdgeSort, MatchesMergeOnAdversarialWeights) {
+TEST(RadixEdgeSort, MatchesReferenceOnAdversarialWeights) {
   // Negative weights, ±0.0, denormals and infinities cycled over a random
   // tree.  (The library's validated inputs are finite and non-negative, but
   // the canonical sort order must hold for any NaN-free weights.)
@@ -142,14 +147,14 @@ TEST(RadixEdgeSort, MatchesMergeOnAdversarialWeights) {
   const std::vector<double> specials = adversarial_doubles();
   for (std::size_t i = 0; i < tree.size(); ++i)
     tree[i].weight = specials[i % specials.size()];
-  expect_radix_matches_merge(tree, 3000, "specials");
+  expect_sort_matches_reference(tree, 3000, "specials");
 }
 
-TEST(RadixEdgeSort, MatchesMergeWhenKeyPrefixesCollide) {
+TEST(RadixEdgeSort, MatchesReferenceWhenKeyPrefixesCollide) {
   // Weights that agree in the high 32 bits of the packed key but differ
   // below: 1.0 + k * 2^-45 all share the prefix.  With EVERY weight
   // colliding the radix path detects the degenerate repair and falls back to
-  // the comparison sort — output must be identical either way.
+  // the exact two-pass radix argsort.
   graph::EdgeList tree = make_tree(Topology::path, 5000, 9, 0);
   Rng rng(41);
   for (auto& e : tree) {
@@ -157,15 +162,22 @@ TEST(RadixEdgeSort, MatchesMergeWhenKeyPrefixesCollide) {
         static_cast<double>(rng.next_below(1 << 20)) * std::pow(2.0, -45);
     e.weight = 1.0 + offset;
   }
-  expect_radix_matches_merge(tree, 5000, "all prefixes collide (fallback)");
+  expect_sort_matches_reference(tree, 5000, "all prefixes collide (fallback)");
 
   // A few exact duplicates inside the colliding range exercise the stable
   // id tie-break too.
   for (std::size_t i = 0; i + 10 < tree.size(); i += 10) tree[i + 5].weight = tree[i].weight;
-  expect_radix_matches_merge(tree, 5000, "collisions + duplicates");
+  expect_sort_matches_reference(tree, 5000, "collisions + duplicates");
+
+  // Three prefix groups (1.0, 2.0, 3.0 plus sub-prefix offsets), each one
+  // collision run: the fallback's second pass must order the groups.
+  for (std::size_t i = 0; i < tree.size(); ++i)
+    tree[i].weight = static_cast<double>(1 + i % 3) +
+                     static_cast<double>(rng.next_below(1 << 20)) * std::pow(2.0, -45);
+  expect_sort_matches_reference(tree, 5000, "three colliding prefix groups (fallback)");
 }
 
-TEST(RadixEdgeSort, MatchesMergeWithSparsePrefixCollisions) {
+TEST(RadixEdgeSort, MatchesReferenceWithSparsePrefixCollisions) {
   // ~10% of edges form sub-prefix collision runs among otherwise well-spread
   // weights: the repair pass itself (not the fallback) fixes these runs.
   graph::EdgeList tree = make_tree(Topology::random_attach, 8000, 21, 0);
@@ -179,7 +191,7 @@ TEST(RadixEdgeSort, MatchesMergeWithSparsePrefixCollisions) {
     if (i + 1 < tree.size()) tree[i + 1].weight = base + 1 * std::pow(2.0, -30);
     if (i + 2 < tree.size()) tree[i + 2].weight = base + 2 * std::pow(2.0, -30);
   }
-  expect_radix_matches_merge(tree, 8000, "sparse prefix collisions");
+  expect_sort_matches_reference(tree, 8000, "sparse prefix collisions");
 }
 
 TEST(RadixEdgeSort, MixedZerosKeepIdTieBreak) {
@@ -188,7 +200,7 @@ TEST(RadixEdgeSort, MixedZerosKeepIdTieBreak) {
   graph::EdgeList tree = make_tree(Topology::broom, 2000, 13, 0);
   for (std::size_t i = 0; i < tree.size(); ++i)
     tree[i].weight = (i % 3 == 0) ? -0.0 : 0.0;
-  expect_radix_matches_merge(tree, 2000, "signed zeros");
+  expect_sort_matches_reference(tree, 2000, "signed zeros");
 
   const exec::Executor executor(exec::serial_backend());
   const SortedEdges sorted = dendrogram::sort_edges(executor, tree, 2000);
