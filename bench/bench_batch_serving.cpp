@@ -111,10 +111,10 @@ void run_scenario(const char* name, const exec::Executor& executor,
               name, queries.size(), static_cast<long long>(total_edges),
               1e3 * sequential.median(), 1e3 * batched.median(), speedup);
 
-  // Shared-ArtifactCache traffic over this scenario, read back from the
-  // obs:: registry as deltas: the replay economy the batch rides on,
-  // alongside the timings.  (The full cumulative registry snapshot also
-  // rides along in the report's top-level "metrics" object.)
+  // ArtifactCache traffic over this scenario (the parent's and every slot's
+  // cache), read back from the obs:: registry as deltas alongside the
+  // timings.  (The full cumulative registry snapshot also rides along in the
+  // report's top-level "metrics" object.)
   json.field("scenario", std::string(name))
       .field("backend", std::string(executor.name()))
       .field("num_queries", static_cast<std::int64_t>(queries.size()))
@@ -201,12 +201,9 @@ void run_qos(const exec::Executor& executor, bench::JsonReport& json) {
 /// writers-never-block-readers claim as a number, gated by
 /// check_regression.py on hosts with >= 4 threads.
 ///
-/// Both gated phases run with artifact caching off on the readers, so every
-/// query computes: with it on, the writer-idle readers would replay one
-/// snapshot's cached artifacts while the churning readers recompute on each
-/// fresh epoch, and the ratio would price a cache hit against a miss.  The
-/// cache-hit path is reported as its own, ungated row (`snapshot_cache_hit`):
-/// writer idle, caching on, after one pass has filled the snapshot's cache.
+/// Snapshot queries consult no artifact cache: every query computes
+/// everything after the snapshot's kd-tree, which the first reader of each
+/// epoch builds and the epoch's other readers share.
 void run_mixed_rw(bench::JsonReport& json) {
   constexpr int kReaders = 8;
   constexpr int kQueriesPerReader = 6;
@@ -220,7 +217,7 @@ void run_mixed_rw(bench::JsonReport& json) {
   options.min_pts = 4;
   options.min_cluster_size = 16;
 
-  const auto reader_phase = [&](bool with_writer, bool caching) {
+  const auto reader_phase = [&](bool with_writer) {
     bench::Measurement latencies;
     std::mutex collect;
     std::atomic<bool> stop{false};
@@ -243,7 +240,6 @@ void run_mixed_rw(bench::JsonReport& json) {
     for (int r = 0; r < kReaders; ++r) {
       readers.emplace_back([&] {
         const exec::Executor reader(exec::serial_backend());
-        reader.set_artifact_caching(caching);
         std::vector<double> local;
         local.reserve(kQueriesPerReader);
         for (int q = 0; q < kQueriesPerReader; ++q) {
@@ -262,9 +258,9 @@ void run_mixed_rw(bench::JsonReport& json) {
     return latencies;
   };
 
-  reader_phase(false, false);  // warm: arenas, the first epoch's kd-tree
-  const bench::Measurement read_only = reader_phase(false, false);
-  const bench::Measurement read_write = reader_phase(true, false);
+  reader_phase(false);  // warm: arenas, the first epoch's kd-tree
+  const bench::Measurement read_only = reader_phase(false);
+  const bench::Measurement read_write = reader_phase(true);
   const double degradation =
       read_only.p90() > 0 ? read_write.p90() / read_only.p90() : 0.0;
 
@@ -278,27 +274,6 @@ void run_mixed_rw(bench::JsonReport& json) {
       .timing("reader_ro", read_only)
       .timing("reader_rw", read_write)
       .field("reader_p90_degradation", degradation);
-  json.end_row();
-
-  reader_phase(false, true);  // fills the published snapshot's cache
-  const CounterDelta cache_hits("pandora_cache_hits_total");
-  const CounterDelta cache_misses("pandora_cache_misses_total");
-  const bench::Measurement cached = reader_phase(false, true);
-  const std::int64_t lookups = cache_hits.value() + cache_misses.value();
-  const double hit_ratio =
-      lookups > 0 ? static_cast<double>(cache_hits.value()) / static_cast<double>(lookups) : 0.0;
-
-  std::printf("%-14s | %4d readers %8lld points | hit ratio %5.3f  p90 %8.2fms | (not gated)\n",
-              "snapshot_hit", kReaders, static_cast<long long>(n), hit_ratio,
-              1e3 * cached.p90());
-  json.field("scenario", std::string("snapshot_cache_hit"))
-      .field("num_readers", static_cast<std::int64_t>(kReaders))
-      .field("queries_per_reader", static_cast<std::int64_t>(kQueriesPerReader))
-      .field("n", n)
-      .timing("reader_hit", cached)
-      .field("cache_hits", cache_hits.value())
-      .field("cache_misses", cache_misses.value())
-      .field("cache_hit_ratio", hit_ratio);
   json.end_row();
 }
 
@@ -360,8 +335,8 @@ int main() {
       "\nExpected shape: batched >= 1.3x sequential for small-uniform N=8 on a\n"
       "multi-core host (query-level parallelism without per-query fork/join);\n"
       "~1x on a single hardware thread, where queries cannot overlap.\n"
-      "mixed_rw: reader p90 with a churning writer <= 1.5x the writer-idle p90,\n"
-      "both with artifact caching off (the CI gate where threads >= 4) — writers\n"
-      "publish snapshots, they never block readers.\n");
+      "mixed_rw: reader p90 with a churning writer <= 1.5x the writer-idle p90\n"
+      "(the CI gate where threads >= 4) — writers publish snapshots, they never\n"
+      "block readers.\n");
   return 0;
 }

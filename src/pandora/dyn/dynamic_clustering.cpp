@@ -1,7 +1,6 @@
 #include "pandora/dyn/dynamic_clustering.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -9,7 +8,6 @@
 #include "pandora/common/timer.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/exec/failpoint.hpp"
-#include "pandora/exec/fingerprint.hpp"
 #include "pandora/exec/parallel.hpp"
 #include "pandora/exec/sort.hpp"
 #include "pandora/graph/union_find.hpp"
@@ -30,13 +28,6 @@ obs::Histogram& insert_metric() {
 obs::Histogram& erase_metric() {
   static obs::Histogram& metric = obs::registry().histogram("pandora_dyn_erase_seconds");
   return metric;
-}
-
-/// Process-unique instance ids: the epoch fingerprints of two concurrently
-/// live DynamicClustering objects must never collide in a shared cache.
-std::uint64_t next_instance_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// A candidate edge proposed by one point during a Borůvka repair round.
@@ -68,9 +59,7 @@ constexpr double kIndexRebuildFraction = 0.125;
 }  // namespace
 
 DynamicClustering::DynamicClustering(const exec::Executor& exec)
-    : exec_(&exec),
-      points_(std::make_unique<spatial::PointSet>()),
-      instance_(next_instance_id()) {}
+    : exec_(&exec), points_(std::make_unique<spatial::PointSet>()) {}
 
 void DynamicClustering::rebuild_index() {
   tree_ = std::make_unique<spatial::KdTree>(*exec_, *points_, kLeafSize);
@@ -120,10 +109,10 @@ std::vector<index_t> DynamicClustering::insert(const spatial::PointSet& batch) {
   stats_.points_inserted += static_cast<std::uint64_t>(m);
   ++stats_.update_batches;
   // The epoch bumps at the FIRST mutation, not after the repair: if the
-  // repair throws mid-way, the points have already changed and the old
-  // epoch's cached artifacts must already be unreachable.  `healthy_`
-  // stays false over the same window, so a caller that catches the
-  // exception cannot keep computing on a half-updated tree.
+  // repair throws mid-way, the points have already changed and no longer
+  // belong to the old epoch.  `healthy_` stays false over the same window,
+  // so a caller that catches the exception cannot keep computing on a
+  // half-updated tree.
   ++epoch_;
   healthy_ = false;
   // Chaos seam: the widest mid-repair window — points mutated, structures not.
@@ -569,14 +558,13 @@ void DynamicClustering::finish_update(std::span<const char> keep, const graph::E
 hdbscan::HdbscanResult DynamicClustering::hdbscan(const hdbscan::HdbscanOptions& options) const {
   PANDORA_EXPECT(healthy_, "stream poisoned by an earlier failed update");
   PANDORA_EXPECT(points_->size() > 0, "hdbscan needs at least one point");
-  return pandora::hdbscan::hdbscan(*exec_, *points_, options, points_fingerprint());
+  return pandora::hdbscan::hdbscan(*exec_, *points_, options);
 }
 
 ArtifactBundle DynamicClustering::capture_artifacts() const {
   PANDORA_EXPECT(healthy_, "stream poisoned by an earlier failed update");
   ArtifactBundle bundle;
   bundle.epoch = epoch_;
-  bundle.fingerprint = points_fingerprint();
   bundle.points = std::make_shared<const spatial::PointSet>(*points_);
   bundle.ids = std::make_shared<const std::vector<index_t>>(id_of_slot_);
   bundle.emst = std::make_shared<const graph::EdgeList>(edges_);
@@ -616,8 +604,7 @@ void DynamicClustering::restore(const ArtifactBundle& bundle) {
   }
 
   // A fresh epoch, never the bundle's: the failed update already burned
-  // epoch numbers, and reusing one would let the shared ArtifactCache serve
-  // artifacts computed against the half-updated state.
+  // epoch numbers, and published epochs must only ever increase.
   ++epoch_;
   healthy_ = true;
 }

@@ -10,7 +10,6 @@
 #include "pandora/dendrogram/dendrogram.hpp"
 #include "pandora/dendrogram/sorted_edges.hpp"
 #include "pandora/exec/executor.hpp"
-#include "pandora/exec/fingerprint.hpp"
 #include "pandora/graph/edge.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
 #include "pandora/spatial/kdtree.hpp"
@@ -45,12 +44,11 @@ struct UpdateStats {
 
 /// One epoch of a stream, captured as an immutable unit: deep copies of the
 /// live points and every maintained derived structure, all consistent with
-/// one `epoch()` / `points_fingerprint()` pair.  This is what the snapshot
-/// tier freezes and publishes — the copies share nothing with the stream, so
-/// the writer may keep mutating while readers hold the bundle.
+/// one `epoch()`.  This is what the snapshot tier freezes and publishes — the
+/// copies share nothing with the stream, so the writer may keep mutating
+/// while readers hold the bundle.
 struct ArtifactBundle {
   std::uint64_t epoch = 0;
-  std::uint64_t fingerprint = 0;  ///< epoch_fingerprint at capture time
   std::shared_ptr<const spatial::PointSet> points;
   std::shared_ptr<const std::vector<index_t>> ids;  ///< slot -> stable id
   std::shared_ptr<const graph::EdgeList> emst;
@@ -91,14 +89,11 @@ struct ArtifactBundle {
 /// The stable id returned by `insert` survives compaction; translate with
 /// `slot_of` / `id_at`.
 ///
-/// **Epochs and caches.**  Every mutation bumps `epoch()`.  Derived
-/// artifacts computed through the Executor's ArtifactCache (the kd-tree,
-/// core distances, mutual-reachability EMST and dendrogram behind
-/// `hdbscan()`) are keyed on `points_fingerprint()` =
-/// `exec::epoch_fingerprint(instance, epoch)` — a key that is never derived
-/// twice, so a stale artifact can never be served; old entries age out of
-/// the LRU.  Repeated `hdbscan()` calls within one epoch replay from the
-/// cache.
+/// **Epochs and caches.**  Every mutation bumps `epoch()`, which orders
+/// publication in the snapshot tier.  `hdbscan()` caches like any direct
+/// call: its artifacts key on the points' content hash, so an update that
+/// changes the points misses, and repeated calls between updates replay from
+/// the Executor's ArtifactCache.
 ///
 /// Not thread-safe (one Executor, one writer); to serve readers while it
 /// mutates, wrap it in `snapshot::PublishedClustering`, which publishes
@@ -132,12 +127,6 @@ class DynamicClustering {
   /// driven by `snapshot::PublishedClustering::recover()`, which rolls the
   /// stream back to the last published bundle.
   [[nodiscard]] bool healthy() const { return healthy_; }
-
-  /// The epoch-aware cache key standing in for a content hash of the points
-  /// (see exec::epoch_fingerprint).
-  [[nodiscard]] std::uint64_t points_fingerprint() const {
-    return exec::epoch_fingerprint(instance_, epoch_);
-  }
 
   /// Live points, dense slot order.
   [[nodiscard]] const spatial::PointSet& points() const { return *points_; }
@@ -173,10 +162,10 @@ class DynamicClustering {
     return id_of_slot_[static_cast<std::size_t>(slot)];
   }
 
-  /// HDBSCAN* over the current points, with every cacheable artifact keyed
-  /// on the epoch fingerprint: repeated calls within an epoch replay the
-  /// kd-tree, core distances and mutual-reachability EMST from the
-  /// Executor's ArtifactCache; any update re-keys them all.
+  /// HDBSCAN* over the current points: `hdbscan::hdbscan` on the stream's
+  /// executor, so repeated calls between updates replay the kd-tree, core
+  /// distances and mutual-reachability EMST from its ArtifactCache, and an
+  /// update that changes the points misses.
   /// (`options.min_pts` > 1 changes the metric, so this path cannot reuse
   /// the maintained Euclidean tree — it exists for correctness + caching,
   /// not incrementality.)
@@ -193,10 +182,9 @@ class DynamicClustering {
   /// Resets the stream to the state frozen in `bundle` (deep copies back:
   /// points, stable-id map, EMST, sorted run, dendrogram), clears the poison
   /// flag and *advances* the epoch — burned epoch numbers are never reused,
-  /// so cached artifacts keyed on a failed epoch's fingerprint can never be
-  /// served after recovery.  Accepts any bundle captured from this stream or
-  /// a compatible one; this is the writer-recovery primitive behind
-  /// `snapshot::PublishedClustering::recover()`.
+  /// so a republished snapshot always orders after the failed one.  Accepts
+  /// any bundle captured from this stream or a compatible one; this is the
+  /// writer-recovery primitive behind `snapshot::PublishedClustering::recover()`.
   void restore(const ArtifactBundle& bundle);
 
   [[nodiscard]] const UpdateStats& stats() const { return stats_; }
@@ -239,7 +227,6 @@ class DynamicClustering {
   index_t indexed_ = 0;
   spatial::KdTreeAnnotations notes_;       ///< reused across Borůvka rounds
 
-  std::uint64_t instance_;
   std::uint64_t epoch_ = 0;
   /// False while a structural update is in flight; an exception thrown
   /// mid-repair leaves it false, and every subsequent entry point fails

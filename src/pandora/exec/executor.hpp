@@ -39,9 +39,8 @@
 /// across repeated dendrogram / HDBSCAN* calls on same-sized inputs, (d) an
 /// optional `PhaseTimes` sink that every `ScopedPhase` adds its seconds to,
 /// and (e) an `ArtifactCache` that lets upper layers reuse derived artifacts
-/// (e.g. the canonical SortedEdges of an MST) across calls — its own, or one
-/// installed for a scope, such as a snapshot's cache for the length of a
-/// reader's query.  Every kernel takes a `const Executor&`.
+/// (e.g. the canonical SortedEdges of an MST) across calls.  Every kernel
+/// takes a `const Executor&`.
 namespace pandora::exec {
 
 /// Below this trip count per-kernel dispatch overhead dominates; kernels run
@@ -323,10 +322,8 @@ class Workspace {
 /// least-recently-used over a fixed number of slots.
 ///
 /// Locking contract: every operation (find / insert / clear / stats) takes
-/// the cache's internal mutex, so the cache may be shared by concurrent
-/// queries — the batch serving layer points all of its slot executors at one
-/// parent cache, and every reader of a snapshot uses that snapshot's cache.
-/// The contract the mutex enforces:
+/// the cache's internal mutex, so the cache is safe to reach from concurrent
+/// threads.  The contract the mutex enforces:
 ///  * `find` returns an owning shared_ptr, so a hit stays alive even if the
 ///    entry is concurrently evicted; callers never hold references into the
 ///    cache itself.
@@ -339,9 +336,8 @@ class Workspace {
 /// The uncontended lock costs nanoseconds next to the artifacts being cached
 /// (sorts, tree builds), so the single-query path is unaffected.
 ///
-/// Eviction is plain LRU and nothing is exempt from it: the snapshot tier
-/// gives every snapshot its own cache, so an epoch's artifacts die with the
-/// snapshot instead of competing with other epochs for slots.
+/// Eviction is plain LRU and nothing is exempt from it.  The snapshot tier
+/// does not use the cache: its readers share each snapshot's kd-tree.
 class ArtifactCache {
  public:
   /// Observability counters, readable without taking the cache lock (the
@@ -518,25 +514,8 @@ class Executor {
   /// The scratch-buffer arena (see Workspace).
   [[nodiscard]] Workspace& workspace() const noexcept { return workspace_; }
 
-  /// The cross-call artifact cache (see ArtifactCache): the executor's own
-  /// cache, or the shared cache installed by `use_shared_artifact_cache`.
-  [[nodiscard]] ArtifactCache& artifact_cache() const noexcept {
-    return shared_cache_ != nullptr ? *shared_cache_ : artifact_cache_;
-  }
-
-  /// Points this executor at an external ArtifactCache (non-owning; nullptr
-  /// restores the own cache).  The batch serving layer installs the parent
-  /// executor's cache on every slot executor, so concurrent queries share one
-  /// artifact pool — safe because the ArtifactCache locks internally (see its
-  /// locking contract).  The cache must outlive the executor's use of it.
-  void use_shared_artifact_cache(ArtifactCache* cache) const noexcept {
-    shared_cache_ = cache;
-  }
-
-  /// The currently installed shared cache (nullptr when the executor uses
-  /// its own) — what a scope guard saves before re-pointing the executor at
-  /// another cache, so nesting restores correctly.
-  [[nodiscard]] ArtifactCache* shared_artifact_cache() const noexcept { return shared_cache_; }
+  /// The executor's cross-call artifact cache (see ArtifactCache).
+  [[nodiscard]] ArtifactCache& artifact_cache() const noexcept { return artifact_cache_; }
 
   /// Whether cross-call artifact reuse (e.g. the SortedEdges cache keyed on
   /// the MST fingerprint) is enabled.  On by default; turn off to force every
@@ -615,7 +594,6 @@ class Executor {
   int requested_threads_;
   mutable Workspace workspace_;
   mutable ArtifactCache artifact_cache_;
-  mutable ArtifactCache* shared_cache_ = nullptr;
   mutable PhaseTimes* phase_times_ = nullptr;
   mutable obs::TraceRecorder* trace_ = nullptr;
   mutable bool artifact_caching_ = true;

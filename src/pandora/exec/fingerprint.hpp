@@ -48,19 +48,4 @@ enum class ArtifactTag : std::uint64_t {
   return combine_fingerprint(static_cast<std::uint64_t>(tag), fingerprint);
 }
 
-/// Epoch-aware fingerprint for artifacts derived from a *mutable* source —
-/// the `dyn::` subsystem's point set, which changes identity-in-place on
-/// every update batch.  Content hashing would cost a pass over the data per
-/// lookup and, worse, could alias across epochs if an update happened to
-/// restore earlier contents while object-identity checks still pointed at
-/// the same PointSet.  Instead the key is (instance, epoch): `instance` is a
-/// process-unique id of the mutable container and `epoch` a counter bumped
-/// on every mutation.  Epochs never repeat and never decrease, so the key of
-/// a stale artifact can never be derived again — stale cache entries age out
-/// of the LRU without ever being served.
-[[nodiscard]] constexpr std::uint64_t epoch_fingerprint(std::uint64_t instance,
-                                                        std::uint64_t epoch) {
-  return combine_fingerprint(mix_fingerprint(instance ^ 0xd1b54a32d192ed03ULL), epoch);
-}
-
 }  // namespace pandora::exec

@@ -24,7 +24,7 @@ struct CachedCoreDistances {
 
 std::shared_ptr<const std::vector<double>> core_distances_cached(
     const exec::Executor& exec, const spatial::PointSet& points, const spatial::KdTree& tree,
-    int min_pts, std::optional<std::uint64_t> points_fingerprint,
+    int min_pts, std::optional<std::uint64_t> fingerprint,
     spatial::NeighborLists* seeds) {
   if (seeds != nullptr) *seeds = spatial::NeighborLists{};
   const auto compute = [&] {
@@ -42,7 +42,7 @@ std::shared_ptr<const std::vector<double>> core_distances_cached(
   // min_pts is folded into the key with the full mixer, so a sweep's values
   // occupy distinct slots — see exec/fingerprint.hpp.
   const std::uint64_t base =
-      points_fingerprint ? *points_fingerprint : spatial::point_set_fingerprint(exec, points);
+      fingerprint ? *fingerprint : spatial::point_set_fingerprint(exec, points);
   const std::uint64_t key = exec::combine_fingerprint(
       exec::tagged_fingerprint(exec::ArtifactTag::core_distance, base),
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(min_pts)));

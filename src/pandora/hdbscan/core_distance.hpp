@@ -42,14 +42,14 @@ namespace pandora::hdbscan {
 /// remember the PointSet object they were computed over (cf. kdtree_cached);
 /// mutated or different point sets miss.  With
 /// `Executor::set_artifact_caching(false)` every call recomputes.
-/// `points_fingerprint` shares a precomputed `point_set_fingerprint` pass,
+/// `fingerprint` shares a precomputed `point_set_fingerprint` pass,
 /// as in `kdtree_cached`.  `seeds`, when given, receives the seeds of
 /// `core_distances` when this call computes the distances; a cache hit
 /// leaves it empty.  Entries never store seeds: they are consumed by the
 /// MST build that follows, and a cached MST needs none.
 [[nodiscard]] std::shared_ptr<const std::vector<double>> core_distances_cached(
     const exec::Executor& exec, const spatial::PointSet& points, const spatial::KdTree& tree,
-    int min_pts, std::optional<std::uint64_t> points_fingerprint = std::nullopt,
+    int min_pts, std::optional<std::uint64_t> fingerprint = std::nullopt,
     spatial::NeighborLists* seeds = nullptr);
 
 }  // namespace pandora::hdbscan

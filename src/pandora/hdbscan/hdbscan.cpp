@@ -1,5 +1,6 @@
 #include "pandora/hdbscan/hdbscan.hpp"
 
+#include <cstdint>
 #include <optional>
 
 #include "pandora/common/expect.hpp"
@@ -21,18 +22,81 @@ FlatClustering extract_with(const CondensedTree& tree, const HdbscanOptions& opt
   return extract_clusters(tree, extract_options);
 }
 
-}  // namespace
-
-namespace {
-
-/// The pipeline body behind hdbscan() and the sweep front doors; a caller
-/// that already hashed the point set passes the fingerprint so one query
-/// hashes the data at most once (and an mpts sweep, once for all values).
-HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
-                                       const spatial::PointSet& points,
-                                       const HdbscanOptions& options,
-                                       std::optional<std::uint64_t> points_fp) {
+/// The front-door check of every entry point, run before any hashing, tree
+/// build or cache lookup: a bad option fails before it costs anything.
+void expect_valid(const spatial::PointSet& points, std::span<const int> min_pts_values,
+                  std::span<const index_t> min_cluster_sizes) {
   PANDORA_EXPECT(points.size() > 0, "need at least one point");
+  for (const int min_pts : min_pts_values)
+    PANDORA_EXPECT(min_pts >= 1, "min_pts must be at least 1");
+  for (const index_t min_cluster_size : min_cluster_sizes)
+    PANDORA_EXPECT(min_cluster_size >= 1, "min_cluster_size must be at least 1");
+}
+
+/// Where a query's kd-tree comes from.  A caller's `tree` means the query
+/// consults no ArtifactCache.  Otherwise the query takes the tree and every
+/// later artifact through the executor's cache, keyed on `key`, the points'
+/// content hash (empty with caching off: nothing is looked up).
+struct TreeSource {
+  const spatial::KdTree* tree = nullptr;
+  std::optional<std::uint64_t> key;
+};
+
+/// The source of a direct call: one content hash serves the whole call.
+TreeSource cache_source(const exec::Executor& exec, const spatial::PointSet& points) {
+  if (!exec.artifact_caching()) return {};
+  return {nullptr, spatial::point_set_fingerprint(exec, points)};
+}
+
+/// The query's kd-tree: the caller's, or the executor's cached one (built on
+/// a miss), which `holder` keeps alive for the query.
+const spatial::KdTree& resolve_tree(const exec::Executor& exec, const spatial::PointSet& points,
+                                    const TreeSource& source,
+                                    std::shared_ptr<const spatial::KdTree>& holder) {
+  if (source.tree != nullptr) return *source.tree;
+  const exec::ScopedPhase phase(exec, "tree_build");
+  holder = spatial::kdtree_cached(exec, points, 32, source.key);
+  return *holder;
+}
+
+/// Core distances and the mutual-reachability EMST at `min_pts`.  The core
+/// pass hands its kNN lists to the MST as seeds for Borůvka's rounds (empty
+/// on a core-distance cache hit).  A cached artifact is copied out: one O(n)
+/// memcpy, far below the pass it replaces.
+void build_mr_mst(const exec::Executor& exec, const spatial::PointSet& points,
+                  const spatial::KdTree& tree, int min_pts, std::optional<std::uint64_t> key,
+                  std::vector<double>& core_distances_out, graph::EdgeList& mst_out) {
+  spatial::NeighborLists seeds;
+  {
+    const exec::ScopedPhase phase(exec, "core_distance");
+    core_distances_out = key ? *core_distances_cached(exec, points, tree, min_pts, key, &seeds)
+                             : core_distances(exec, points, tree, min_pts, &seeds);
+  }
+  const exec::ScopedPhase phase(exec, "mst");
+  mst_out = key ? *spatial::mutual_reachability_mst_cached(exec, points, tree, core_distances_out,
+                                                           min_pts, key, &seeds)
+                : spatial::mutual_reachability_mst(exec, points, tree, core_distances_out, &seeds);
+}
+
+/// The dendrogram of `mst`; a caching query sorts through the SortedEdges
+/// cache.
+dendrogram::Dendrogram build_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
+                                        index_t num_vertices, DendrogramAlgorithm algorithm,
+                                        bool caching) {
+  const std::shared_ptr<const dendrogram::SortedEdges> sorted = [&] {
+    const exec::ScopedPhase phase(exec, "sort");
+    if (caching) return dendrogram::sorted_edges_cached(exec, mst, num_vertices);
+    return std::make_shared<const dendrogram::SortedEdges>(
+        dendrogram::sort_edges(exec, mst, num_vertices));
+  }();
+  return algorithm == DendrogramAlgorithm::pandora
+             ? dendrogram::pandora_dendrogram(exec, *sorted)
+             : dendrogram::union_find_dendrogram(exec, *sorted);
+}
+
+/// The pipeline body behind both hdbscan() overloads and the mpts sweeps.
+HdbscanResult run_hdbscan(const exec::Executor& exec, const spatial::PointSet& points,
+                          const TreeSource& source, const HdbscanOptions& options) {
   HdbscanResult result;
   // Every phase below lands in result.times; the caller's sink (if any)
   // comes back when the call ends.
@@ -43,54 +107,12 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
   } restore{exec, exec.phase_times()};
   exec.set_phase_times(&result.times);
 
-  // The kd-tree and per-mpts core distances go through the Executor's
-  // ArtifactCache: repeated queries against one point set (and mpts sweeps,
-  // for the tree) replay instead of rebuilding.  With caching off the plain
-  // paths run — no fingerprint hashed, no wrapper copied — so the phases
-  // below time exactly the real work.
-  if (exec.artifact_caching() && !points_fp)
-    points_fp = spatial::point_set_fingerprint(exec, points);
-
-  const std::shared_ptr<const spatial::KdTree> tree = [&] {
-    const exec::ScopedPhase phase(exec, "tree_build");
-    return spatial::kdtree_cached(exec, points, 32, points_fp);
-  }();
-
-  {
-    // The core pass hands its kNN lists to the MST as seeds for Borůvka's
-    // rounds (empty on a core-distance cache hit); they die with this scope.
-    spatial::NeighborLists seeds;
-    {
-      const exec::ScopedPhase phase(exec, "core_distance");
-      if (exec.artifact_caching()) {
-        const std::shared_ptr<const std::vector<double>> core =
-            core_distances_cached(exec, points, *tree, options.min_pts, points_fp, &seeds);
-        result.core_distances = *core;
-      } else {
-        result.core_distances = core_distances(exec, points, *tree, options.min_pts, &seeds);
-      }
-    }
-
-    const exec::ScopedPhase phase(exec, "mst");
-    if (exec.artifact_caching()) {
-      const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-          exec, points, *tree, result.core_distances, options.min_pts, points_fp, &seeds);
-      // Copy-out is the price of keeping HdbscanResult::mst a plain value: one
-      // O(E) memcpy, well under a millesimal of the Borůvka build it replaces
-      // on a warm hit.
-      result.mst = *mst;
-    } else {
-      result.mst =
-          spatial::mutual_reachability_mst(exec, points, *tree, result.core_distances, &seeds);
-    }
-  }
-
-  if (options.dendrogram_algorithm == DendrogramAlgorithm::pandora) {
-    result.dendrogram = dendrogram::pandora_dendrogram(exec, result.mst, points.size());
-  } else {
-    result.dendrogram = dendrogram::union_find_dendrogram(exec, result.mst, points.size());
-  }
-
+  std::shared_ptr<const spatial::KdTree> holder;
+  const spatial::KdTree& tree = resolve_tree(exec, points, source, holder);
+  build_mr_mst(exec, points, tree, options.min_pts, source.key, result.core_distances,
+               result.mst);
+  result.dendrogram = build_dendrogram(exec, result.mst, points.size(),
+                                       options.dendrogram_algorithm, source.key.has_value());
   result.condensed_tree =
       build_condensed_tree(exec, result.dendrogram, options.min_cluster_size);
 
@@ -103,50 +125,25 @@ HdbscanResult hdbscan_with_fingerprint(const exec::Executor& exec,
   return result;
 }
 
-}  // namespace
-
-HdbscanResult hdbscan(const exec::Executor& exec, const spatial::PointSet& points,
-                      const HdbscanOptions& options,
-                      std::optional<std::uint64_t> points_fingerprint) {
-  return hdbscan_with_fingerprint(exec, points, options, points_fingerprint);
-}
-
-MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
-                                                   const spatial::PointSet& points,
-                                                   std::span<const index_t> min_cluster_sizes,
-                                                   const HdbscanOptions& base,
-                                                   std::optional<std::uint64_t> points_fingerprint) {
-  PANDORA_EXPECT(points.size() > 0, "need at least one point");
+/// The body behind both `min_cluster_size` sweeps.  The shared prefix runs
+/// once per call: min_cluster_size touches nothing above the condensed tree.
+/// With caching on, repeated sweeps replay the kd-tree, core distances, EMST
+/// and dendrogram from the ArtifactCache.
+MinClusterSizeSweep run_sweep_min_cluster_size(const exec::Executor& exec,
+                                               const spatial::PointSet& points,
+                                               const TreeSource& source,
+                                               std::span<const index_t> min_cluster_sizes,
+                                               const HdbscanOptions& base) {
   MinClusterSizeSweep sweep;
+  std::shared_ptr<const spatial::KdTree> holder;
+  const spatial::KdTree& tree = resolve_tree(exec, points, source, holder);
+  build_mr_mst(exec, points, tree, base.min_pts, source.key, sweep.core_distances, sweep.mst);
 
-  // Shared prefix, computed once per sweep call and replayed from the
-  // ArtifactCache across calls: min_cluster_size touches nothing above the
-  // condensed tree, so repeated sweeps skip the kd-tree build, the core
-  // distances AND the Borůvka EMST (the cached-EMST ROADMAP follow-up).
-  std::optional<std::uint64_t> points_fp = points_fingerprint;
-  if (exec.artifact_caching() && !points_fp)
-    points_fp = spatial::point_set_fingerprint(exec, points);
-  const std::shared_ptr<const spatial::KdTree> tree =
-      spatial::kdtree_cached(exec, points, 32, points_fp);
-  spatial::NeighborLists seeds;
-  if (exec.artifact_caching()) {
-    const std::shared_ptr<const std::vector<double>> core =
-        core_distances_cached(exec, points, *tree, base.min_pts, points_fp, &seeds);
-    sweep.core_distances = *core;
-    const std::shared_ptr<const graph::EdgeList> mst = spatial::mutual_reachability_mst_cached(
-        exec, points, *tree, sweep.core_distances, base.min_pts, points_fp, &seeds);
-    sweep.mst = *mst;
-  } else {
-    sweep.core_distances = core_distances(exec, points, *tree, base.min_pts, &seeds);
-    sweep.mst =
-        spatial::mutual_reachability_mst(exec, points, *tree, sweep.core_distances, &seeds);
-  }
-
-  if (base.dendrogram_algorithm == DendrogramAlgorithm::pandora) {
+  if (source.key && base.dendrogram_algorithm == DendrogramAlgorithm::pandora) {
     sweep.dendrogram = dendrogram::pandora_dendrogram_cached(exec, sweep.mst, points.size());
   } else {
-    sweep.dendrogram = std::make_shared<const dendrogram::Dendrogram>(
-        dendrogram::union_find_dendrogram(exec, sweep.mst, points.size()));
+    sweep.dendrogram = std::make_shared<const dendrogram::Dendrogram>(build_dendrogram(
+        exec, sweep.mst, points.size(), base.dendrogram_algorithm, source.key.has_value()));
   }
 
   sweep.entries.reserve(min_cluster_sizes.size());
@@ -164,26 +161,71 @@ MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
   return sweep;
 }
 
-std::vector<HdbscanResult> hdbscan_sweep_min_pts(const exec::Executor& exec,
-                                                 const spatial::PointSet& points,
-                                                 std::span<const int> min_pts_values,
-                                                 const HdbscanOptions& base,
-                                                 std::optional<std::uint64_t> points_fingerprint) {
+/// The body behind both mpts sweeps: one pipeline per value.  Through the
+/// cache, the kd-tree replays after the first value, while the core
+/// distances and EMST depend on mpts and are rebuilt (under distinct,
+/// never-aliasing cache keys).
+std::vector<HdbscanResult> run_sweep_min_pts(const exec::Executor& exec,
+                                             const spatial::PointSet& points,
+                                             const TreeSource& source,
+                                             std::span<const int> min_pts_values,
+                                             const HdbscanOptions& base) {
   std::vector<HdbscanResult> results;
   results.reserve(min_pts_values.size());
-  // One content hash serves the whole sweep; per value, the kd-tree replays
-  // from the cache after the first, while the core distances and EMST depend
-  // on mpts and are rebuilt (under distinct, never-aliasing cache keys for
-  // the former).
-  std::optional<std::uint64_t> points_fp = points_fingerprint;
-  if (exec.artifact_caching() && points.size() > 0 && !points_fp)
-    points_fp = spatial::point_set_fingerprint(exec, points);
   for (const int min_pts : min_pts_values) {
     HdbscanOptions options = base;
     options.min_pts = min_pts;
-    results.push_back(hdbscan_with_fingerprint(exec, points, options, points_fp));
+    results.push_back(run_hdbscan(exec, points, source, options));
   }
   return results;
+}
+
+}  // namespace
+
+HdbscanResult hdbscan(const exec::Executor& exec, const spatial::PointSet& points,
+                      const HdbscanOptions& options) {
+  expect_valid(points, {&options.min_pts, 1}, {&options.min_cluster_size, 1});
+  return run_hdbscan(exec, points, cache_source(exec, points), options);
+}
+
+HdbscanResult hdbscan(const exec::Executor& exec, const spatial::KdTree& tree,
+                      const HdbscanOptions& options) {
+  expect_valid(tree.points(), {&options.min_pts, 1}, {&options.min_cluster_size, 1});
+  return run_hdbscan(exec, tree.points(), {&tree, std::nullopt}, options);
+}
+
+MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
+                                                   const spatial::PointSet& points,
+                                                   std::span<const index_t> min_cluster_sizes,
+                                                   const HdbscanOptions& base) {
+  expect_valid(points, {&base.min_pts, 1}, min_cluster_sizes);
+  return run_sweep_min_cluster_size(exec, points, cache_source(exec, points), min_cluster_sizes,
+                                    base);
+}
+
+MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
+                                                   const spatial::KdTree& tree,
+                                                   std::span<const index_t> min_cluster_sizes,
+                                                   const HdbscanOptions& base) {
+  expect_valid(tree.points(), {&base.min_pts, 1}, min_cluster_sizes);
+  return run_sweep_min_cluster_size(exec, tree.points(), {&tree, std::nullopt},
+                                    min_cluster_sizes, base);
+}
+
+std::vector<HdbscanResult> hdbscan_sweep_min_pts(const exec::Executor& exec,
+                                                 const spatial::PointSet& points,
+                                                 std::span<const int> min_pts_values,
+                                                 const HdbscanOptions& base) {
+  expect_valid(points, min_pts_values, {&base.min_cluster_size, 1});
+  return run_sweep_min_pts(exec, points, cache_source(exec, points), min_pts_values, base);
+}
+
+std::vector<HdbscanResult> hdbscan_sweep_min_pts(const exec::Executor& exec,
+                                                 const spatial::KdTree& tree,
+                                                 std::span<const int> min_pts_values,
+                                                 const HdbscanOptions& base) {
+  expect_valid(tree.points(), min_pts_values, {&base.min_cluster_size, 1});
+  return run_sweep_min_pts(exec, tree.points(), {&tree, std::nullopt}, min_pts_values, base);
 }
 
 }  // namespace pandora::hdbscan

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -13,6 +11,10 @@
 #include "pandora/graph/edge.hpp"
 #include "pandora/hdbscan/condensed_tree.hpp"
 #include "pandora/spatial/point_set.hpp"
+
+namespace pandora::spatial {
+class KdTree;
+}  // namespace pandora::spatial
 
 namespace pandora::hdbscan {
 
@@ -56,16 +58,19 @@ struct HdbscanResult {
 /// point set — and mpts sweeps, which share the tree — skip the
 /// corresponding phases entirely.
 ///
-/// `points_fingerprint` overrides the content hash the caches key on: a
-/// caller that already ran `point_set_fingerprint` shares the pass, and a
-/// caller owning a *mutable* point set (the `dyn::` subsystem) passes an
-/// epoch fingerprint instead so every mutation re-keys the artifacts without
-/// hashing the data.
+/// Every entry point below throws std::invalid_argument before any work —
+/// hashing, tree build or cache lookup — when the point set is empty or a
+/// `min_pts` / `min_cluster_size` value is below 1.
 [[nodiscard]] HdbscanResult hdbscan(const exec::Executor& exec,
                                     const spatial::PointSet& points,
-                                    const HdbscanOptions& options = {},
-                                    std::optional<std::uint64_t> points_fingerprint =
-                                        std::nullopt);
+                                    const HdbscanOptions& options = {});
+
+/// As above, over the points `tree` indexes, on that tree — the snapshot
+/// tier's path.  Such a query consults no ArtifactCache: every artifact
+/// after the tree depends on mpts, so the tree is the one worth sharing, and
+/// the caller owns it.  `times` then has no "tree_build" phase.
+[[nodiscard]] HdbscanResult hdbscan(const exec::Executor& exec, const spatial::KdTree& tree,
+                                    const HdbscanOptions& options = {});
 
 /// A `min_cluster_size` sweep over one point set: the pipeline runs once up
 /// to the dendrogram (kd-tree, core distances and dendrogram served from the
@@ -89,13 +94,14 @@ struct MinClusterSizeSweep {
   std::vector<Entry> entries;
 };
 
-/// `points_fingerprint` overrides the content hash (see `hdbscan`): the
-/// snapshot tier passes its epoch fingerprint so sweep artifacts key on the
-/// pinned epoch without hashing the frozen points.
 [[nodiscard]] MinClusterSizeSweep hdbscan_sweep_min_cluster_size(
     const exec::Executor& exec, const spatial::PointSet& points,
-    std::span<const index_t> min_cluster_sizes, const HdbscanOptions& base = {},
-    std::optional<std::uint64_t> points_fingerprint = std::nullopt);
+    std::span<const index_t> min_cluster_sizes, const HdbscanOptions& base = {});
+
+/// As above, on a caller's tree, consulting no ArtifactCache (see `hdbscan`).
+[[nodiscard]] MinClusterSizeSweep hdbscan_sweep_min_cluster_size(
+    const exec::Executor& exec, const spatial::KdTree& tree,
+    std::span<const index_t> min_cluster_sizes, const HdbscanOptions& base = {});
 
 /// An mpts sweep over one point set: one full pipeline per `min_pts` value
 /// (results aligned with `min_pts_values`), sharing the kd-tree through the
@@ -104,7 +110,11 @@ struct MinClusterSizeSweep {
 /// derive distinct core-distance cache keys and never alias.
 [[nodiscard]] std::vector<HdbscanResult> hdbscan_sweep_min_pts(
     const exec::Executor& exec, const spatial::PointSet& points,
-    std::span<const int> min_pts_values, const HdbscanOptions& base = {},
-    std::optional<std::uint64_t> points_fingerprint = std::nullopt);
+    std::span<const int> min_pts_values, const HdbscanOptions& base = {});
+
+/// As above, on a caller's tree, consulting no ArtifactCache (see `hdbscan`).
+[[nodiscard]] std::vector<HdbscanResult> hdbscan_sweep_min_pts(
+    const exec::Executor& exec, const spatial::KdTree& tree,
+    std::span<const int> min_pts_values, const HdbscanOptions& base = {});
 
 }  // namespace pandora::hdbscan

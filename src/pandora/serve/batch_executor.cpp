@@ -63,13 +63,8 @@ BatchExecutor::BatchExecutor(const exec::Executor& parent, BatchOptions options)
   int slots = options_.num_slots > 0 ? options_.num_slots : parent.num_threads();
   slots = std::max(slots, 1);
   slots_.reserve(static_cast<std::size_t>(slots));
-  for (int i = 0; i < slots; ++i) {
-    auto slot = std::make_unique<exec::Executor>(exec::serial_backend());
-    // All slots share the parent's artifact pool (thread-safe by the
-    // ArtifactCache locking contract); each keeps its own Workspace arena.
-    slot->use_shared_artifact_cache(&parent.artifact_cache());
-    slots_.push_back(std::move(slot));
-  }
+  for (int i = 0; i < slots; ++i)
+    slots_.push_back(std::make_unique<exec::Executor>(exec::serial_backend()));
 }
 
 std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
@@ -210,9 +205,9 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
 
   // The calling thread drains the large queue while the slot workers drain
   // the small one, so neither phase waits for the other; large jobs mutate
-  // only the parent executor, small jobs only their slot, and the shared
-  // ArtifactCache locks internally.  Under pressure, the deprioritise knob
-  // turns overlap off for this batch so the small queries drain first.
+  // only the parent executor, small jobs only their slot.  Under pressure,
+  // the deprioritise knob turns overlap off for this batch so the small
+  // queries drain first.
   // Without overlap — or when one of the queues is empty — the phases run in
   // sequence, and a small-only batch keeps the single-worker shortcut (no
   // thread spawn when one worker suffices).

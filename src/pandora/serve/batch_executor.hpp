@@ -39,10 +39,9 @@
 ///
 /// Every slot owns its own `Workspace` arena, so the zero-steady-state-
 /// allocation guarantee holds per slot: a warm batch of same-shaped queries
-/// leases every scratch buffer from recycled blocks.  All slots share the
-/// parent executor's `ArtifactCache` (thread-safe by its locking contract),
-/// so artifacts computed by any query — sorted edges, kd-trees, core
-/// distances, dendrograms — replay across the whole batch.
+/// leases every scratch buffer from recycled blocks.  Every slot also owns
+/// its own `ArtifactCache`; the parent's caching flag propagates to the
+/// slots at batch start.
 namespace pandora::serve {
 
 /// One dendrogram query of a batch: build the dendrogram of `*mst`.
@@ -175,9 +174,8 @@ class BatchExecutor {
   /// hides behind the other, at the cost of transient oversubscription (the
   /// parent's OpenMP team plus the slot workers, bounded by 2x the budget).
   /// Safe because large jobs mutate only the parent executor and small jobs
-  /// only their slot; the shared ArtifactCache locks internally.  Only
-  /// `QosPolicy::deprioritise_large_under_pressure` runs the phases in
-  /// sequence.
+  /// only their slot.  Only `QosPolicy::deprioritise_large_under_pressure`
+  /// runs the phases in sequence.
   /// If jobs threw (or were cancelled or shed), the first failure (in job
   /// order) is rethrown after every job has settled; the remaining jobs
   /// still ran.  Prefer `run_jobs` when per-job outcomes matter.

@@ -60,7 +60,7 @@ void PublishedClustering::publish() {
     current_.swap(next);
   }
   // `next` now holds the retired snapshot: if no reader pins it, it and its
-  // cached artifacts are freed here, outside the lock.
+  // artifacts are freed here, outside the lock.
   next.reset();
   publishes_metric().inc();
   publish_latency_metric().observe(timer.seconds());

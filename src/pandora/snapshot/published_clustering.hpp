@@ -37,10 +37,10 @@ namespace pandora::snapshot {
 /// replay), then *materialize the successor snapshot off to the side* (deep
 /// copies — readers' snapshots share nothing with the stream) and publish it
 /// with a single pointer swap.  Readers mid-query keep their pinned epochs;
-/// the retired snapshot — artifacts and its own artifact cache — is
-/// reclaimed when its last reader drains (RCU-style).  Memory cost: at most
-/// `1 + max-in-flight-readers` epochs resident, each with at most
-/// `Snapshot::kCacheSlots` cached artifacts.
+/// the retired snapshot — artifacts and its kd-tree — is reclaimed when its
+/// last reader drains (RCU-style).  Memory cost: at most
+/// `1 + max-in-flight-readers` epochs resident, each with its bundle and at
+/// most one kd-tree; per-query artifacts die with their query.
 ///
 /// Thread-safety: one writer thread at a time (like `dyn::`); `acquire` /
 /// `published_epoch` are safe from any thread concurrently with the writer.

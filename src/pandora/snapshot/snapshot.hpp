@@ -21,11 +21,12 @@
 /// `snapshot::Snapshot` is one epoch of a stream frozen as an immutable,
 /// refcounted unit: the points plus every maintained derived structure
 /// (EMST, canonical sorted run, dendrogram), all consistent with one
-/// `exec::epoch_fingerprint`.  Readers run full queries against it — HDBSCAN*,
-/// `min_cluster_size` / mpts sweeps, `Pipeline::on_snapshot` — with complete
-/// intra-query parallelism and never take a lock a writer holds: everything
-/// a query reads is immutable, and everything it caches lands in the
-/// snapshot's own artifact cache, which lives exactly as long as the snapshot.
+/// `epoch()`.  Readers run full queries against it — HDBSCAN*,
+/// `min_cluster_size` / mpts sweeps, `Pipeline::on_snapshot` — with
+/// complete intra-query parallelism and never take a lock a writer holds:
+/// everything a query reads is immutable.  The one artifact readers share is the
+/// snapshot's kd-tree, built once; everything after it depends on mpts and
+/// is computed per query, with no ArtifactCache lookup.
 ///
 /// `snapshot::PublishedClustering` (published_clustering.hpp) is the front
 /// door that owns the writer side and swaps the current-snapshot pointer.
@@ -36,20 +37,13 @@ namespace pandora::snapshot {
 /// Lifecycle (RCU-style): readers hold a `SnapshotPtr` (shared_ptr refcount
 /// = the reader count); the publisher drops its reference when a successor
 /// is published, so the snapshot — and with it the deep-copied artifacts and
-/// its artifact cache — is reclaimed exactly when the last reader drains.
-/// The cache belongs to this epoch alone, so no other epoch's queries can
-/// evict its entries.
+/// its kd-tree — is reclaimed exactly when the last reader drains.
 ///
 /// Thread-safety: all query methods are const and safe to call from many
 /// reader threads concurrently, **each with its own Executor** (the usual
 /// one-kernel-per-executor rule still applies per reader).
 class Snapshot {
  public:
-  /// Slots of each snapshot's artifact cache.  Queries cache the kd-tree once
-  /// plus three entries per mpts value (core distances, EMST, sorted edges),
-  /// so an mpts 2..9 sweep over one snapshot takes 25 slots.
-  static constexpr std::size_t kCacheSlots = 64;
-
   /// Freezes `bundle`.  Normally called by `PublishedClustering::publish`,
   /// not user code.
   explicit Snapshot(dyn::ArtifactBundle bundle);
@@ -58,8 +52,6 @@ class Snapshot {
   Snapshot& operator=(const Snapshot&) = delete;
 
   [[nodiscard]] std::uint64_t epoch() const noexcept { return bundle_.epoch; }
-  /// The epoch fingerprint every artifact of this snapshot is keyed on.
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept { return bundle_.fingerprint; }
 
   [[nodiscard]] const spatial::PointSet& points() const noexcept { return *bundle_.points; }
   [[nodiscard]] index_t size() const { return bundle_.points->size(); }
@@ -75,35 +67,26 @@ class Snapshot {
   }
 
   /// The kd-tree over the snapshot's points, built lazily by the first
-  /// reader that needs it (concurrent first readers block on one build
-  /// rather than racing N redundant ones) and held for the snapshot's
-  /// lifetime.
+  /// reader that needs it, on that reader's executor under the "tree_build"
+  /// phase (concurrent first readers block on one build rather than racing
+  /// N redundant ones), and held for the snapshot's lifetime.
   [[nodiscard]] std::shared_ptr<const spatial::KdTree> tree(const exec::Executor& exec) const;
 
-  /// Full HDBSCAN* against the pinned epoch.  Bit-identical to a cold
-  /// `hdbscan::hdbscan(exec, snapshot.points(), options)` — the cache only
-  /// skips recomputation, never changes results.  Repeated reader queries
-  /// (any reader) replay the kd-tree, core distances and mutual-reachability
-  /// EMST from the snapshot's cache.
+  /// Full HDBSCAN* against the pinned epoch, on `tree()`.  Bit-identical to
+  /// a cold `hdbscan::hdbscan(exec, snapshot.points(), options)`.
   [[nodiscard]] pandora::hdbscan::HdbscanResult hdbscan(
       const exec::Executor& exec, const pandora::hdbscan::HdbscanOptions& options = {}) const;
 
-  /// `min_cluster_size` sweep at the pinned epoch (see
-  /// hdbscan_sweep_min_cluster_size); the shared pipeline prefix keys on the
-  /// epoch fingerprint, so concurrent readers sweeping the same snapshot
-  /// share one kd-tree, one core-distance pass, one EMST.
+  /// `min_cluster_size` sweep at the pinned epoch, on `tree()` (see
+  /// hdbscan_sweep_min_cluster_size).
   [[nodiscard]] pandora::hdbscan::MinClusterSizeSweep sweep_min_cluster_size(
       const exec::Executor& exec, std::span<const index_t> min_cluster_sizes,
       const pandora::hdbscan::HdbscanOptions& base = {}) const;
 
-  /// mpts sweep at the pinned epoch (see hdbscan_sweep_min_pts).
+  /// mpts sweep at the pinned epoch, on `tree()` (see hdbscan_sweep_min_pts).
   [[nodiscard]] std::vector<pandora::hdbscan::HdbscanResult> sweep_min_pts(
       const exec::Executor& exec, std::span<const int> min_pts_values,
       const pandora::hdbscan::HdbscanOptions& base = {}) const;
-
-  /// The snapshot's own artifact cache, installed on a reader's executor for
-  /// the length of each query.
-  [[nodiscard]] exec::ArtifactCache* serving_cache() const noexcept { return &cache_; }
 
   /// The frozen bundle itself — what `PublishedClustering::recover()` feeds
   /// back into `dyn::DynamicClustering::restore()` to roll a poisoned writer
@@ -111,9 +94,6 @@ class Snapshot {
   [[nodiscard]] const dyn::ArtifactBundle& bundle() const noexcept { return bundle_; }
 
  private:
-  class ReaderScope;
-
-  mutable exec::ArtifactCache cache_{kCacheSlots};
   dyn::ArtifactBundle bundle_;
   mutable std::once_flag tree_once_;
   mutable std::shared_ptr<const spatial::KdTree> tree_;

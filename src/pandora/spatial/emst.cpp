@@ -300,7 +300,7 @@ struct CachedEmst {
 std::shared_ptr<const graph::EdgeList> mutual_reachability_mst_cached(
     const exec::Executor& exec, const PointSet& points, const KdTree& tree,
     std::span<const double> core_distances, int min_pts,
-    std::optional<std::uint64_t> points_fingerprint, const NeighborLists* seeds) {
+    std::optional<std::uint64_t> fingerprint, const NeighborLists* seeds) {
   const auto compute = [&] {
     auto owned = std::make_shared<CachedEmst>();
     owned->mst = mutual_reachability_mst(exec, points, tree, core_distances, seeds);
@@ -316,8 +316,7 @@ std::shared_ptr<const graph::EdgeList> mutual_reachability_mst_cached(
   // min_pts determines the core distances and with them the metric, so it is
   // folded into the key with the full mixer — two sweep values never alias
   // (see exec/fingerprint.hpp).
-  const std::uint64_t base =
-      points_fingerprint ? *points_fingerprint : point_set_fingerprint(exec, points);
+  const std::uint64_t base = fingerprint ? *fingerprint : point_set_fingerprint(exec, points);
   const std::uint64_t key = exec::combine_fingerprint(
       exec::tagged_fingerprint(exec::ArtifactTag::emst, base),
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(min_pts)));

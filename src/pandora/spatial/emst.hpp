@@ -92,13 +92,13 @@ namespace pandora::spatial {
 /// mutated or different point sets miss.  `core_distances` must be the core
 /// distances of `points` at `min_pts` (they are part of the computation, not
 /// the key: (points, min_pts) already determines them).
-/// `points_fingerprint` shares a precomputed `point_set_fingerprint` pass.
+/// `fingerprint` shares a precomputed `point_set_fingerprint` pass.
 /// `seeds` are passed to `mutual_reachability_mst` on a miss.
 /// With `Executor::set_artifact_caching(false)` every call recomputes.
 [[nodiscard]] std::shared_ptr<const graph::EdgeList> mutual_reachability_mst_cached(
     const exec::Executor& exec, const PointSet& points, const KdTree& tree,
     std::span<const double> core_distances, int min_pts,
-    std::optional<std::uint64_t> points_fingerprint = std::nullopt,
+    std::optional<std::uint64_t> fingerprint = std::nullopt,
     const NeighborLists* seeds = nullptr);
 
 }  // namespace pandora::spatial

@@ -526,7 +526,7 @@ struct CachedKdTree {
 
 std::shared_ptr<const KdTree> kdtree_cached(const exec::Executor& exec, const PointSet& points,
                                             int leaf_size,
-                                            std::optional<std::uint64_t> points_fingerprint) {
+                                            std::optional<std::uint64_t> fingerprint) {
   const auto build = [&] {
     auto owned = std::make_shared<CachedKdTree>(exec, points, leaf_size);
     const KdTree* view = &owned->tree;
@@ -534,8 +534,7 @@ std::shared_ptr<const KdTree> kdtree_cached(const exec::Executor& exec, const Po
   };
   if (!exec.artifact_caching()) return build();
 
-  const std::uint64_t base =
-      points_fingerprint ? *points_fingerprint : point_set_fingerprint(exec, points);
+  const std::uint64_t base = fingerprint ? *fingerprint : point_set_fingerprint(exec, points);
   const std::uint64_t key = exec::combine_fingerprint(
       exec::tagged_fingerprint(exec::ArtifactTag::kdtree, base),
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(leaf_size)));

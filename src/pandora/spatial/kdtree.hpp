@@ -235,11 +235,11 @@ class KdTree {
 /// object, so a replayed tree never dangles.  With
 /// `Executor::set_artifact_caching(false)` every call rebuilds.
 ///
-/// `points_fingerprint` lets a caller that already computed
+/// `fingerprint` lets a caller that already computed
 /// `point_set_fingerprint(exec, points)` share the pass (hdbscan does, so
 /// one query hashes the points once, not once per cached artifact).
 [[nodiscard]] std::shared_ptr<const KdTree> kdtree_cached(
     const exec::Executor& exec, const PointSet& points, int leaf_size = 32,
-    std::optional<std::uint64_t> points_fingerprint = std::nullopt);
+    std::optional<std::uint64_t> fingerprint = std::nullopt);
 
 }  // namespace pandora::spatial

@@ -147,21 +147,15 @@ TEST(ArtifactCache, StatsCountHitsMissesEvictionsButNotInPlaceReplacement) {
   EXPECT_EQ(stats.hits + stats.misses + stats.evictions, 0u);
 }
 
-TEST(Executor, SharedArtifactCacheInstallAndRestore) {
+TEST(Executor, EachExecutorOwnsItsArtifactCache) {
   const exec::Executor parent(exec::serial_backend());
   const exec::Executor worker(exec::serial_backend());
   ASSERT_NE(&parent.artifact_cache(), &worker.artifact_cache());
 
-  worker.use_shared_artifact_cache(&parent.artifact_cache());
-  EXPECT_EQ(&worker.artifact_cache(), &parent.artifact_cache());
   worker.artifact_cache().insert<Tagged>(5, std::make_shared<Tagged>(Tagged{5}));
-  EXPECT_NE(parent.artifact_cache().find<Tagged>(5), nullptr)
-      << "the worker's inserts land in the parent's cache";
-
-  worker.use_shared_artifact_cache(nullptr);
-  EXPECT_NE(&worker.artifact_cache(), &parent.artifact_cache());
-  EXPECT_EQ(worker.artifact_cache().find<Tagged>(5), nullptr)
-      << "the own cache was never written";
+  EXPECT_NE(worker.artifact_cache().find<Tagged>(5), nullptr);
+  EXPECT_EQ(parent.artifact_cache().find<Tagged>(5), nullptr)
+      << "another executor's cache was never written";
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The batched serving layer: result parity with sequential execution, the
 // small/large work-division policy, per-slot steady-state arena behaviour,
-// shared-ArtifactCache replay across slots, and exception isolation.
+// per-slot ArtifactCaches, and exception isolation.
 
 #include <gtest/gtest.h>
 
@@ -126,22 +126,23 @@ TEST(BatchExecutor, SlotArenasReachSteadyState) {
          "slot leases its scratch from recycled arena blocks";
 }
 
-TEST(BatchExecutor, SlotsShareTheParentArtifactCache) {
+TEST(BatchExecutor, SlotsCacheInTheirOwnArtifactCaches) {
   const exec::Executor parent(exec::default_backend(), 4);
   serve::BatchExecutor batch(parent, {.num_slots = 4});
 
   const graph::EdgeList tree = make_tree(Topology::random_attach, 3000, 42, 0);
-  // Warm the parent cache, then batch N identical queries: every slot must
-  // replay the parent's artifact instead of re-sorting.
+  // Warm the parent cache, then batch N identical small queries: they run on
+  // the slots, which never look into the parent's cache.
   (void)dendrogram::sorted_edges_cached(parent, tree, 3000);
   const auto warm_stats = parent.artifact_cache().stats();
 
   std::vector<serve::DendrogramQuery> queries(8, serve::DendrogramQuery{&tree, 3000, {}});
   const std::vector<dendrogram::Dendrogram> results = batch.build_dendrograms(queries);
   const auto stats = parent.artifact_cache().stats();
-  EXPECT_GE(stats.hits - warm_stats.hits, queries.size())
-      << "all slots look up the shared cache and hit the pre-warmed artifact";
-  for (const auto& d : results) EXPECT_EQ(d.parent, results[0].parent);
+  EXPECT_EQ(stats.hits, warm_stats.hits);
+  EXPECT_EQ(stats.misses, warm_stats.misses);
+  const dendrogram::Dendrogram expected = dendrogram::pandora_dendrogram(parent, tree, 3000);
+  for (const auto& d : results) EXPECT_EQ(d.parent, expected.parent);
 }
 
 TEST(BatchExecutor, OverlappedAndSequentialPhasesAgree) {

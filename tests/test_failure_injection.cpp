@@ -3,14 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <limits>
 
+#include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/analysis.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/graph/mst.hpp"
 #include "pandora/graph/tree.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
+#include "pandora/obs/metrics.hpp"
 #include "pandora/pipeline.hpp"
 #include "test_helpers.hpp"
 
@@ -106,6 +110,40 @@ TEST(FailureInjection, HdbscanRejectsBadMinClusterSize) {
   hdbscan::HdbscanOptions options;
   options.min_cluster_size = 0;
   EXPECT_THROW((void)hdbscan::hdbscan(exec::default_executor(), points, options), std::invalid_argument);
+}
+
+// Bad options fail at the front door: no cache lookup and no tree build
+// happen before the throw, even where earlier sweep values are valid.
+TEST(FailureInjection, HdbscanRejectsBadOptionsBeforeAnyWork) {
+  const spatial::PointSet points = data::gaussian_blobs(300, 2, 3, 0.04, 0.1, 3);
+  const exec::Executor executor(exec::serial_backend());
+  const auto misses = [] { return obs::registry().counter_value("pandora_cache_misses_total"); };
+  obs::Histogram& tree_builds =
+      obs::registry().histogram("pandora_phase_seconds{phase=\"tree_build\"}");
+  const std::uint64_t misses_before = misses();
+  const std::uint64_t builds_before = tree_builds.count();
+
+  hdbscan::HdbscanOptions no_size;
+  no_size.min_cluster_size = 0;
+  EXPECT_THROW((void)hdbscan::hdbscan(executor, points, no_size), std::invalid_argument);
+  hdbscan::HdbscanOptions no_pts;
+  no_pts.min_pts = 0;
+  EXPECT_THROW((void)hdbscan::hdbscan(executor, points, no_pts), std::invalid_argument);
+  const std::array<int, 2> mpts = {2, 0};
+  EXPECT_THROW((void)hdbscan::hdbscan_sweep_min_pts(executor, points, mpts),
+               std::invalid_argument);
+  EXPECT_THROW((void)hdbscan::hdbscan_sweep_min_pts(executor, points, std::array{2}, no_size),
+               std::invalid_argument);
+  const std::array<index_t, 2> sizes = {5, 0};
+  EXPECT_THROW((void)hdbscan::hdbscan_sweep_min_cluster_size(executor, points, sizes),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)hdbscan::hdbscan_sweep_min_cluster_size(executor, points, std::array<index_t, 1>{5},
+                                                    no_pts),
+      std::invalid_argument);
+
+  EXPECT_EQ(misses(), misses_before);
+  EXPECT_EQ(tree_builds.count(), builds_before);
 }
 
 TEST(FailureInjection, MstRequiresConnectivity) {

@@ -1,9 +1,10 @@
 // The snapshot:: epoch-published serving tier: publish/acquire lifecycle,
 // reader-pinned epochs under concurrent writer churn (the CI gcc-tsan matrix
-// entry race-checks the stress test), each snapshot's own artifact cache,
-// RCU-style reclaim when the last reader drains (the gcc-sanitize / ASan
-// entry leak-checks it), the Pipeline front door, and the snapshot-backed
-// wave driver where writers never block readers.
+// entry race-checks the stress test), each snapshot's one kd-tree and
+// queries that make no ArtifactCache lookup, RCU-style reclaim when the last
+// reader drains (the gcc-sanitize / ASan entry leak-checks it), the Pipeline
+// front door, and the snapshot-backed wave driver where writers never block
+// readers.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "pandora/data/point_generators.hpp"
+#include "pandora/obs/metrics.hpp"
 #include "pandora/pipeline.hpp"
 #include "pandora/serve/batch_executor.hpp"
 #include "pandora/snapshot/published_clustering.hpp"
@@ -35,7 +37,7 @@ hdbscan::HdbscanOptions stress_options() {
 }
 
 /// The bit-identity contract: `result` (computed by a reader against a
-/// pinned snapshot, possibly replaying cached artifacts) must equal a cold
+/// pinned snapshot, on the snapshot's shared kd-tree) must equal a cold
 /// rebuild over the same frozen points.
 void expect_bit_identical(const hdbscan::HdbscanResult& result,
                           const hdbscan::HdbscanResult& cold, std::uint64_t epoch) {
@@ -44,6 +46,25 @@ void expect_bit_identical(const hdbscan::HdbscanResult& result,
   EXPECT_EQ(result.core_distances, cold.core_distances) << "epoch " << epoch;
   EXPECT_EQ(result.dendrogram.parent, cold.dendrogram.parent) << "epoch " << epoch;
   EXPECT_EQ(result.dendrogram.weight, cold.dendrogram.weight) << "epoch " << epoch;
+}
+
+/// Process-wide ArtifactCache traffic: every cache of every executor counts
+/// into these registry counters, so a delta of zero means no cache anywhere
+/// was consulted.
+struct CacheTraffic {
+  std::uint64_t hits = obs::registry().counter_value("pandora_cache_hits_total");
+  std::uint64_t misses = obs::registry().counter_value("pandora_cache_misses_total");
+};
+
+void expect_no_cache_lookups(const CacheTraffic& before, const char* what) {
+  const CacheTraffic after;
+  EXPECT_EQ(after.hits, before.hits) << what;
+  EXPECT_EQ(after.misses, before.misses) << what;
+}
+
+/// How many times any executor ran the "tree_build" phase.
+std::uint64_t tree_builds() {
+  return obs::registry().histogram("pandora_phase_seconds{phase=\"tree_build\"}").count();
 }
 
 TEST(SnapshotServing, PublishAcquireLifecycle) {
@@ -82,84 +103,147 @@ TEST(SnapshotServing, QueriesOnEmptySnapshotThrow) {
   EXPECT_THROW((void)empty->tree(reader), std::invalid_argument);
 }
 
-TEST(SnapshotServing, ReaderQueriesMatchColdRebuildAndShareTheServingCache) {
+TEST(SnapshotServing, ReaderQueriesMatchColdRebuildWithoutCacheLookups) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);
   published.insert(data::gaussian_blobs(500, 2, 4, 0.03, 0.1, 11));
   const snapshot::SnapshotPtr snap = published.acquire();
 
+  // Reader b runs on the default (parallel) backend: its query reuses the
+  // tree reader a built serially and must still match the cold rebuild.
   const exec::Executor reader_a(exec::serial_backend());
-  const exec::Executor reader_b(exec::serial_backend());
+  const exec::Executor reader_b(exec::default_backend());
+  const CacheTraffic before;
+  const std::uint64_t builds_before = tree_builds();
   const hdbscan::HdbscanResult via_a = snap->hdbscan(reader_a, stress_options());
-  const auto warm = snap->serving_cache()->stats();
   const hdbscan::HdbscanResult via_b = snap->hdbscan(reader_b, stress_options());
-  const auto after = snap->serving_cache()->stats();
-  EXPECT_GE(after.hits - warm.hits, 3u)
-      << "the second reader replays the first reader's kd-tree, core "
-         "distances and EMST from the snapshot's cache";
-  EXPECT_EQ(after.misses, warm.misses);
+  expect_no_cache_lookups(before, "Snapshot::hdbscan");
+  EXPECT_EQ(tree_builds() - builds_before, 1u) << "the second reader reuses the first one's tree";
+  EXPECT_EQ(snap->tree(reader_a), snap->tree(reader_b));
 
   const exec::Executor cold(exec::serial_backend());
   const hdbscan::HdbscanResult rebuild = hdbscan::hdbscan(cold, snap->points(), stress_options());
   expect_bit_identical(via_a, rebuild, snap->epoch());
   expect_bit_identical(via_b, rebuild, snap->epoch());
-
-  // Reader state restored: the reader executors left the scope with their
-  // own caches.
-  EXPECT_EQ(reader_a.shared_artifact_cache(), nullptr);
-  EXPECT_EQ(reader_b.shared_artifact_cache(), nullptr);
+  EXPECT_EQ(via_a.mst, rebuild.mst);
 }
 
-// One snapshot's cache holds a whole mpts sweep: the kd-tree plus core
-// distances, EMST and sorted edges per mpts value, 25 entries in all.
-TEST(SnapshotServing, RepeatedMptsSweepReplaysEntirelyFromTheSnapshotCache) {
+// Every snapshot front door runs on the snapshot's tree and consults no
+// ArtifactCache, with caching on, and stays bit-identical to cold runs.
+TEST(SnapshotServing, SnapshotSweepsAndPipelineMakeNoCacheLookups) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);
   published.insert(data::gaussian_blobs(400, 2, 3, 0.04, 0.1, 31));
   const snapshot::SnapshotPtr snap = published.acquire();
+  const exec::Executor reader(exec::serial_backend());
+  ASSERT_TRUE(reader.artifact_caching());
+  const exec::Executor cold(exec::serial_backend());
+  cold.set_artifact_caching(false);
 
   const std::array<int, 8> mpts = {2, 3, 4, 5, 6, 7, 8, 9};
-  const exec::Executor reader(exec::serial_backend());
-  const std::vector<hdbscan::HdbscanResult> first = snap->sweep_min_pts(reader, mpts);
-  const auto warm = snap->serving_cache()->stats();
-  EXPECT_EQ(warm.evictions, 0u) << "25 entries fit in Snapshot::kCacheSlots";
-  const std::vector<hdbscan::HdbscanResult> second = snap->sweep_min_pts(reader, mpts);
-  const auto after = snap->serving_cache()->stats();
-  EXPECT_EQ(after.misses, warm.misses) << "the second pass recomputes nothing";
-  // Every mpts value replays the tree, core distances, EMST and sorted edges.
-  EXPECT_EQ(after.hits - warm.hits, 4u * mpts.size());
-  ASSERT_EQ(second.size(), first.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(second[i].labels, first[i].labels) << "mpts " << mpts[i];
-    EXPECT_EQ(second[i].dendrogram.parent, first[i].dendrogram.parent) << "mpts " << mpts[i];
+  CacheTraffic before;
+  const std::vector<hdbscan::HdbscanResult> by_mpts = snap->sweep_min_pts(reader, mpts);
+  expect_no_cache_lookups(before, "Snapshot::sweep_min_pts");
+  ASSERT_EQ(by_mpts.size(), mpts.size());
+  for (std::size_t i = 0; i < mpts.size(); ++i) {
+    hdbscan::HdbscanOptions options;
+    options.min_pts = mpts[i];
+    const hdbscan::HdbscanResult expected = hdbscan::hdbscan(cold, snap->points(), options);
+    EXPECT_EQ(by_mpts[i].labels, expected.labels) << "mpts " << mpts[i];
+    EXPECT_EQ(by_mpts[i].mst, expected.mst) << "mpts " << mpts[i];
+    EXPECT_EQ(by_mpts[i].dendrogram.parent, expected.dendrogram.parent) << "mpts " << mpts[i];
+  }
+
+  const std::array<index_t, 2> sizes = {8, 16};
+  before = CacheTraffic{};
+  const hdbscan::MinClusterSizeSweep by_size =
+      snap->sweep_min_cluster_size(reader, sizes, stress_options());
+  expect_no_cache_lookups(before, "Snapshot::sweep_min_cluster_size");
+  ASSERT_EQ(by_size.entries.size(), sizes.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    hdbscan::HdbscanOptions options = stress_options();
+    options.min_cluster_size = sizes[i];
+    const hdbscan::HdbscanResult expected = hdbscan::hdbscan(cold, snap->points(), options);
+    EXPECT_EQ(by_size.entries[i].labels, expected.labels) << "min_cluster_size " << sizes[i];
+    EXPECT_EQ(by_size.mst, expected.mst);
+    EXPECT_EQ(by_size.dendrogram->parent, expected.dendrogram.parent);
+  }
+
+  before = CacheTraffic{};
+  const hdbscan::HdbscanResult via_pipeline = Pipeline::on_snapshot(reader, *snap)
+                                                  .with_min_pts(3)
+                                                  .with_min_cluster_size(8)
+                                                  .run_hdbscan();
+  expect_no_cache_lookups(before, "Pipeline::on_snapshot(...).run_hdbscan()");
+  expect_bit_identical(via_pipeline, hdbscan::hdbscan(cold, snap->points(), stress_options()),
+                       snap->epoch());
+}
+
+// The benchmark's hdbscan_hacc contract: a direct call on fresh points looks
+// up the kd-tree, core distances, MST and sorted edges, and misses on all.
+TEST(SnapshotServing, DirectHdbscanOnFreshPointsMakesFourMisses) {
+  const spatial::PointSet points = data::gaussian_blobs(400, 2, 3, 0.04, 0.1, 37);
+  const exec::Executor executor(exec::serial_backend());
+  const CacheTraffic before;
+  (void)hdbscan::hdbscan(executor, points, stress_options());
+  const CacheTraffic after;
+  EXPECT_EQ(after.misses - before.misses, 4u);
+  EXPECT_EQ(after.hits - before.hits, 0u);
+}
+
+// Concurrent first queries on one snapshot block on a single tree build and
+// all get the same tree.
+TEST(SnapshotServing, ConcurrentFirstQueriesShareOneTree) {
+  const exec::Executor writer_exec(exec::serial_backend());
+  snapshot::PublishedClustering published(writer_exec);
+  published.insert(data::gaussian_blobs(2000, 2, 4, 0.03, 0.1, 19));
+  const snapshot::SnapshotPtr snap = published.acquire();
+
+  constexpr int kReaders = 8;
+  std::vector<std::shared_ptr<const spatial::KdTree>> trees(kReaders);
+  std::vector<hdbscan::HdbscanResult> results(kReaders);
+  std::atomic<int> ready{0};
+  const std::uint64_t builds_before = tree_builds();
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const exec::Executor reader(exec::serial_backend());
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) std::this_thread::yield();
+      results[static_cast<std::size_t>(r)] = snap->hdbscan(reader, stress_options());
+      trees[static_cast<std::size_t>(r)] = snap->tree(reader);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(tree_builds() - builds_before, 1u);
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(trees[static_cast<std::size_t>(r)], trees[0]) << "reader " << r;
+    EXPECT_EQ(results[static_cast<std::size_t>(r)].labels, results[0].labels) << "reader " << r;
   }
 }
 
-// Epochs never share a cache: a reader of epoch e+1 computes every artifact
-// afresh and never even looks into epoch e's cache.
-TEST(SnapshotServing, SuccessorEpochGetsNoHitOnItsPredecessorsEntries) {
+// Epochs never share a tree: a reader of epoch e+1 builds its own, and
+// epoch e's stays as it was.
+TEST(SnapshotServing, SuccessorEpochBuildsItsOwnTree) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);
   published.insert(data::gaussian_blobs(300, 2, 3, 0.04, 0.1, 41));
   const snapshot::SnapshotPtr older = published.acquire();
   const exec::Executor reader(exec::serial_backend());
   (void)older->hdbscan(reader, stress_options());
-  const auto older_stats = older->serving_cache()->stats();
+  const std::shared_ptr<const spatial::KdTree> older_tree = older->tree(reader);
 
   published.insert(data::gaussian_blobs(20, 2, 3, 0.04, 0.1, 42));
   const snapshot::SnapshotPtr newer = published.acquire();
   ASSERT_EQ(newer->epoch(), older->epoch() + 1);
-  ASSERT_NE(newer->serving_cache(), older->serving_cache());
+  const std::uint64_t builds_before = tree_builds();
   (void)newer->hdbscan(reader, stress_options());
-
-  const auto older_after = older->serving_cache()->stats();
-  EXPECT_EQ(older_after.hits, older_stats.hits);
-  EXPECT_EQ(older_after.misses, older_stats.misses);
-  // Epoch e+1 misses on the kd-tree, core distances, EMST and sorted edges;
-  // its one hit is the query replaying the tree its own tree() just built.
-  const auto newer_stats = newer->serving_cache()->stats();
-  EXPECT_EQ(newer_stats.misses, 4u);
-  EXPECT_EQ(newer_stats.hits, 1u);
+  EXPECT_EQ(tree_builds() - builds_before, 1u);
+  EXPECT_NE(newer->tree(reader), older_tree);
+  EXPECT_EQ(&newer->tree(reader)->points(), &newer->points());
+  EXPECT_EQ(older->tree(reader), older_tree);
 }
 
 // The TSan stress test (the gcc-tsan CI entry runs this suite): N reader
@@ -197,9 +281,9 @@ TEST(SnapshotServing, ConcurrentReadersObserveConsistentPinnedEpochs) {
         if (r % 2 == 0) {
           obs.result = snap->hdbscan(reader, stress_options());
         } else {
-          // Sweep readers: keep the largest-min_cluster_size entry as the
-          // recorded clustering; the sweep shares the pipeline prefix with
-          // the hdbscan readers through the serving cache.
+          // Sweep readers: keep the smallest-min_cluster_size entry as the
+          // recorded clustering; the sweep shares the snapshot's kd-tree
+          // with the hdbscan readers.
           const std::array<index_t, 2> sizes = {8, 16};
           const auto sweep = snap->sweep_min_cluster_size(reader, sizes, stress_options());
           obs.result.labels = sweep.entries[0].labels;
@@ -248,8 +332,8 @@ TEST(SnapshotServing, ConcurrentReadersObserveConsistentPinnedEpochs) {
 }
 
 // The ASan reclaim test (the gcc-sanitize CI entry leak-checks this suite):
-// a retired snapshot's artifacts — bundle and cached artifacts — are freed
-// exactly when the last reader drains, with no leak and no use-after-free.
+// a retired snapshot's artifacts — bundle and kd-tree — are freed exactly
+// when the last reader drains, with no leak and no use-after-free.
 TEST(SnapshotServing, RetiredSnapshotReclaimedWhenLastReaderDrains) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);
@@ -262,16 +346,15 @@ TEST(SnapshotServing, RetiredSnapshotReclaimedWhenLastReaderDrains) {
   const std::weak_ptr<const spatial::KdTree> tree = pinned->tree(reader);
 
   // Publish a successor: the retired snapshot survives — its one reader
-  // still holds it — and its cached artifacts stay resident and readable.
+  // still holds it — and its kd-tree stays resident and readable.
   published.insert(data::gaussian_blobs(30, 2, 3, 0.05, 0.1, 6));
   ASSERT_FALSE(watch.expired());
   ASSERT_FALSE(tree.expired());
-  const auto warm = pinned->serving_cache()->stats();
   const hdbscan::HdbscanResult again = pinned->hdbscan(reader, stress_options());
   EXPECT_EQ(again.labels, result.labels);
-  EXPECT_EQ(pinned->serving_cache()->stats().misses, warm.misses);
+  EXPECT_EQ(pinned->tree(reader), tree.lock()) << "the retired epoch keeps its one tree";
 
-  // Last reader drains: the snapshot dies, and its cache with it.
+  // Last reader drains: the snapshot dies, and its tree with it.
   pinned.reset();
   EXPECT_TRUE(watch.expired()) << "no hidden reference keeps a retired snapshot alive";
   EXPECT_TRUE(tree.expired()) << "the retired epoch's kd-tree was freed with it";
