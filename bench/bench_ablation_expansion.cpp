@@ -1,12 +1,19 @@
 // Ablation A (DESIGN.md): multilevel expansion (Section 3.3.2) against
 // dendrogram skewness.  Multilevel expansion is O(n log n) whatever the
 // shape of the dendrogram, which is the work-optimality claim of Section 4.
-// Synthetic topologies sweep the skewness axis; the EMST of the cosmology
-// proxy provides a realistic instance, and also hosts the Section 5
-// Euler-tour comparison.
+// Synthetic topologies sweep the skewness axis, including the monotone
+// (increasing-weight) path, caterpillar and randomly relabelled path whose
+// dendrograms are single chains; the EMST of the cosmology proxy provides a
+// realistic instance, and also hosts the Section 5 Euler-tour comparison.
+// Every row is timed on the full-thread and on the serial backend, with the
+// contraction phase beside the total, so a multi-thread slowdown on a
+// skewed tree shows.
 
 #include <cstdio>
+#include <numeric>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "pandora/common/rng.hpp"
@@ -19,15 +26,23 @@ using namespace pandora;
 
 namespace {
 
-void run_case(const exec::Executor& executor, const std::string& label,
-              const graph::EdgeList& tree, index_t nv) {
+/// Median dendrogram time over 3 warm runs (the sort replays from the
+/// artifact cache) and the median contraction phase, in milliseconds.
+std::pair<double, double> time_dendrogram(const exec::Executor& executor,
+                                          const graph::EdgeList& tree, index_t nv) {
   const auto pipeline = Pipeline::on(executor);
-  const auto dendro = pipeline.build_dendrogram(tree, nv);
-  const double t_multi = bench::best_of(3, [&] {
-    (void)pipeline.build_dendrogram(tree, nv);
-  });
-  std::printf("%-28s %9d %10.1f | %12.3fs\n", label.c_str(), nv - 1,
-              dendrogram::skewness(dendro), t_multi);
+  const bench::PhaseMeasurement m = bench::measure_phases(
+      executor, 3, [&] { (void)pipeline.build_dendrogram(tree, nv); });
+  return {1e3 * m.wall.median(), 1e3 * m.median("contraction")};
+}
+
+void run_case(const exec::Executor& executor, const exec::Executor& serial,
+              const std::string& label, const graph::EdgeList& tree, index_t nv) {
+  const auto dendro = Pipeline::on(executor).build_dendrogram(tree, nv);
+  const auto [total, contraction] = time_dendrogram(executor, tree, nv);
+  const auto [total_1t, contraction_1t] = time_dendrogram(serial, tree, nv);
+  std::printf("%-28s %9d %10.1f | %9.2f %9.2f | %9.2f %9.2f\n", label.c_str(), nv - 1,
+              dendrogram::skewness(dendro), total, total_1t, contraction, contraction_1t);
 }
 
 }  // namespace
@@ -37,34 +52,56 @@ int main() {
                       "Section 3.3.2 (work-optimality claim of Section 4)");
 
   const exec::Executor executor(exec::default_backend());
+  const exec::Executor serial(exec::serial_backend());
   const index_t nv = bench::scaled(400000);
-  std::printf("%-28s %9s %10s | %12s\n", "tree", "edges", "skewness", "multilevel");
+  std::printf("%-28s %9s %10s | %9s %9s | %9s %9s\n", "tree", "edges", "skewness", "total ms",
+              "total 1t", "contract", "contr 1t");
 
   Rng rng(17);
   {
     graph::EdgeList tree = data::preferential_attachment_tree(nv, rng);
     data::assign_random_weights(tree, rng);
-    run_case(executor, "preferential-attachment", tree, nv);
+    run_case(executor, serial, "preferential-attachment", tree, nv);
   }
   {
     graph::EdgeList tree = data::random_attachment_tree(nv, rng);
     data::assign_random_weights(tree, rng);
-    run_case(executor, "random-attachment", tree, nv);
+    run_case(executor, serial, "random-attachment", tree, nv);
   }
   {
     graph::EdgeList tree = data::caterpillar_tree(nv);
     data::assign_random_weights(tree, rng);
-    run_case(executor, "caterpillar", tree, nv);
+    run_case(executor, serial, "caterpillar", tree, nv);
   }
   {
     graph::EdgeList tree = data::balanced_tree(nv);
     data::assign_random_weights(tree, rng);
-    run_case(executor, "balanced", tree, nv);
+    run_case(executor, serial, "balanced", tree, nv);
+  }
+  {
+    graph::EdgeList path = data::path_tree(nv);
+    data::assign_increasing_weights(path);
+    run_case(executor, serial, "increasing path", path, nv);
+    graph::EdgeList caterpillar = data::caterpillar_tree(nv);
+    data::assign_increasing_weights(caterpillar);
+    run_case(executor, serial, "increasing caterpillar", caterpillar, nv);
+    // The same path under a random relabelling: the contraction's scatters
+    // and pointer chases lose all locality.
+    std::vector<index_t> perm(static_cast<std::size_t>(nv));
+    std::iota(perm.begin(), perm.end(), index_t{0});
+    for (index_t i = nv - 1; i > 0; --i)
+      std::swap(perm[static_cast<std::size_t>(i)],
+                perm[rng.next_below(static_cast<std::uint64_t>(i) + 1)]);
+    for (graph::WeightedEdge& edge : path) {
+      edge.u = perm[static_cast<std::size_t>(edge.u)];
+      edge.v = perm[static_cast<std::size_t>(edge.v)];
+    }
+    run_case(executor, serial, "increasing permuted path", path, nv);
   }
   {
     const bench::PreparedDataset prepared =
         bench::prepare_dataset("HaccProxy", nv, 2, executor);
-    run_case(executor, "HaccProxy EMST", prepared.mst, prepared.n);
+    run_case(executor, serial, "HaccProxy EMST", prepared.mst, prepared.n);
 
     // Section 5's rejected alternative: converting the edge-list MST into an
     // Euler tour (parallel list ranking) before any dendrogram work.  The
@@ -85,7 +122,8 @@ int main() {
   }
   std::printf(
       "\nExpected shape: multilevel time stays flat as skewness grows (O(n log n)\n"
-      "work on every topology); the Euler-tour conversion alone costs about as\n"
-      "much as the full construction (the paper's Section 5 finding).\n");
+      "work on every topology), and the full-thread columns are no slower than\n"
+      "the serial ones on any row; the Euler-tour conversion alone costs about\n"
+      "as much as the full construction (the paper's Section 5 finding).\n");
   return 0;
 }

@@ -40,6 +40,12 @@ struct ContractionLevel {
 /// The full recursive contraction: MST -> α-MST -> β-MST -> ... until a level
 /// has no α-edges (at most ceil(log2(n+1)) levels, Section 4.2).
 ///
+/// A level's supervertices are the trees of the pointer forest in which every
+/// vertex points across its max-incident edge.  In each tree exactly one edge
+/// is the max-incident edge of both its endpoints; its smaller endpoint is
+/// the tree's root.  Supervertices are numbered in ascending order of their
+/// roots, so the hierarchy is the same on every backend and thread count.
+///
 /// `contraction_level[g]` / `supervertex[g]` give, for global edge g, the
 /// level at which g was contracted away and the supervertex (vertex id of
 /// level contraction_level+1) that absorbed it.  Edges of the final level are
@@ -68,8 +74,9 @@ struct ContractionHierarchy {
 /// arrays (`u[i]`, `v[i]`) with global edge indices `gid[i]` over
 /// `num_vertices` vertices; an empty `gid` means the identity mapping (the
 /// common case — the canonical sorted MST — which then needs no materialised
-/// iota at all).  `num_global_edges` sizes the per-global-edge fate arrays
-/// (pass the total edge count of the original MST).
+/// iota at all).  `gid` must be a permutation of the edge indices, so
+/// `num_global_edges`, which sizes the per-global-edge fate arrays, equals
+/// the edge count: the hierarchy covers every global edge.
 [[nodiscard]] ContractionHierarchy build_hierarchy(const exec::Executor& exec,
                                                    std::span<const index_t> u,
                                                    std::span<const index_t> v,

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "pandora/exec/parallel.hpp"
-#include "pandora/exec/scan.hpp"
 #include "pandora/exec/sort.hpp"
 
 namespace pandora::dendrogram {
@@ -51,27 +50,12 @@ void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& h
   const index_t num_levels = hierarchy.num_levels();
   exec::Workspace& workspace = exec.workspace();
 
-  exec::Workspace::Lease<std::uint64_t> packed_lease;
+  // One packed (chain, edge) entry per edge, in ascending edge order.
+  auto packed_lease = workspace.take_uninit<std::uint64_t>(n_global);
+  const std::span<std::uint64_t> packed = packed_lease.span();
   {
     const exec::ScopedPhase phase(exec, "expansion");
-    // Chain assignment: one entry per edge present in the hierarchy.
-    // (A hierarchy built over a subset of the global edges — a non-identity
-    // `gid` — leaves the absent ones at contraction_level == kNone.)
-    auto present_lease = workspace.take_uninit<index_t>(n_global);
-    const std::span<index_t> present = present_lease.span();
-    exec::parallel_for(exec, n_global, [&](size_type g) {
-      present[static_cast<std::size_t>(g)] =
-          hierarchy.contraction_level[static_cast<std::size_t>(g)] != kNone ? 1 : 0;
-    });
-    auto slot_lease = workspace.take_uninit<index_t>(n_global);
-    const std::span<index_t> slot = slot_lease.span();
-    const index_t num_present =
-        exec::exclusive_scan<index_t>(exec, std::span<const index_t>(present), slot);
-
-    packed_lease = workspace.take_uninit<std::uint64_t>(num_present);
-    const std::span<std::uint64_t> packed = packed_lease.span();
     exec::parallel_for(exec, n_global, [&](size_type gi) {
-      if (!present[static_cast<std::size_t>(gi)]) return;
       const auto g = static_cast<index_t>(gi);
       const index_t k = hierarchy.contraction_level[static_cast<std::size_t>(g)];
       const index_t sv = hierarchy.supervertex[static_cast<std::size_t>(g)];
@@ -94,15 +78,17 @@ void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& h
           ++m;
         }
       }
-      packed[static_cast<std::size_t>(slot[static_cast<std::size_t>(gi)])] = pack(chain_key, g);
+      packed[static_cast<std::size_t>(gi)] = pack(chain_key, g);
     });
   }
   {
+    // The sort is stable, so radixing the chain-key bytes alone keeps each
+    // chain in ascending edge order.
     const exec::ScopedPhase phase(exec, "sort");
-    exec::radix_sort_u64(exec, packed_lease.span());
+    exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
   }
   const exec::ScopedPhase phase(exec, "expansion");
-  stitch_chains(exec, packed_lease.span(), edge_parent);
+  stitch_chains(exec, packed, edge_parent);
 }
 
 }  // namespace pandora::dendrogram

@@ -17,9 +17,11 @@ namespace pandora::dendrogram {
 /// the first one whose supervertex containing e has a dendrogram parent
 /// heavier than e; that (edge, side) pair is e's chain.  Edges that exhaust
 /// all levels — and all edges of the final chain-only tree — belong to the
-/// root chain.  A single radix sort by (chain, index) then materialises every
-/// chain: the first edge of a chain attaches to the chain's defining edge,
-/// all others to their predecessor (the "sorting + stitching" step).
+/// root chain.  A single radix sort then materialises every chain: it runs
+/// over the chain-key bytes only, and since entries are packed in ascending
+/// edge order its stability leaves each chain sorted by index.  The first
+/// edge of a chain attaches to the chain's defining edge, all others to their
+/// predecessor (the "sorting + stitching" step).
 ///
 /// Writes `edge_parent[g]` for every global edge g present in `hierarchy`;
 /// other entries are left untouched.  Phases (exec::ScopedPhase):

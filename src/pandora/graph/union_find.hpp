@@ -42,10 +42,12 @@ class UnionFind {
 /// out cycles and makes the final representatives (component minima)
 /// identical to the sequential structure no matter how operations interleave.
 ///
-/// The view form exists so allocation-free callers (the contraction loop) can
-/// run union-find over a span leased from the Executor's Workspace; the
-/// caller must initialise the storage to the identity (`parent[x] = x`, see
-/// `reset_singletons`) before the first operation.
+/// The view form exists so allocation-free callers (dyn::'s component
+/// repair) can run union-find over a span leased from the Executor's
+/// Workspace; the caller must initialise the storage to the identity
+/// (`parent[x] = x`, see `reset_singletons`) before the first operation.
+/// PANDORA's contraction does not use it: each level's supervertices come
+/// from the pointer forest its classify pass writes (see build_hierarchy).
 class ConcurrentUnionFindView {
  public:
   ConcurrentUnionFindView() = default;

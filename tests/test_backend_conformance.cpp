@@ -23,7 +23,9 @@
 #include "alloc_counter.hpp"
 #include "pandora/common/rng.hpp"
 #include "pandora/data/point_generators.hpp"
+#include "pandora/dendrogram/contraction.hpp"
 #include "pandora/dendrogram/pandora.hpp"
+#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/dyn/dynamic_clustering.hpp"
 #include "pandora/exec/parallel.hpp"
 #include "pandora/exec/scan.hpp"
@@ -220,6 +222,70 @@ TEST(BackendConformance, FullDendrogramBitIdenticalAcrossBackends) {
       EXPECT_EQ(d.parent, reference.parent) << backend->name();
       EXPECT_EQ(d.weight, reference.weight) << backend->name();
       EXPECT_EQ(d.edge_order, reference.edge_order) << backend->name();
+    }
+  }
+}
+
+/// Everything a contraction hierarchy holds, flattened for exact comparison:
+/// per level its counts, sided parents and vertex map, then every global
+/// edge's contraction level and supervertex.
+std::vector<std::int64_t> flatten(const dendrogram::ContractionHierarchy& h) {
+  std::vector<std::int64_t> flat;
+  for (const dendrogram::ContractionLevel& level : h.levels) {
+    flat.insert(flat.end(), {level.num_vertices, level.num_edges, level.num_alpha});
+    flat.insert(flat.end(), level.sided_parent.begin(), level.sided_parent.end());
+    flat.insert(flat.end(), level.vertex_map.begin(), level.vertex_map.end());
+  }
+  flat.insert(flat.end(), h.contraction_level.begin(), h.contraction_level.end());
+  flat.insert(flat.end(), h.supervertex.begin(), h.supervertex.end());
+  return flat;
+}
+
+TEST(BackendConformance, ContractionHierarchyBitIdenticalAcrossBackends) {
+  // The find pass chases one pointer forest from concurrent chunks (the
+  // TSan lane races it on the spawning backend); every level must come out
+  // identical to the serial reference, and the parents equal union-find's.
+  const index_t nv = 20000;
+  std::vector<std::pair<std::string, graph::EdgeList>> trees;
+  for (const Topology topology : pandora::testing::all_topologies())
+    trees.emplace_back(pandora::testing::topology_name(topology), make_tree(topology, nv, 29));
+  trees.emplace_back("increasing path", data::path_tree(nv));
+  trees.emplace_back("increasing caterpillar", data::caterpillar_tree(nv));
+  trees.emplace_back("increasing star", data::star_tree(nv));
+  std::vector<index_t> perm(static_cast<std::size_t>(nv));
+  std::iota(perm.begin(), perm.end(), index_t{0});
+  Rng rng(31);
+  for (index_t i = nv - 1; i > 0; --i)
+    std::swap(perm[static_cast<std::size_t>(i)],
+              perm[rng.next_below(static_cast<std::uint64_t>(i) + 1)]);
+  graph::EdgeList permuted = data::path_tree(nv);
+  for (graph::WeightedEdge& edge : permuted) {
+    edge.u = perm[static_cast<std::size_t>(edge.u)];
+    edge.v = perm[static_cast<std::size_t>(edge.v)];
+  }
+  trees.emplace_back("increasing permuted path", std::move(permuted));
+  for (std::size_t t = pandora::testing::all_topologies().size(); t < trees.size(); ++t)
+    data::assign_increasing_weights(trees[t].second);
+
+  const std::array<exec::Executor, 4> executors{
+      exec::Executor(exec::serial_backend()), exec::Executor(exec::openmp_backend(), 2),
+      exec::Executor(exec::openmp_backend(), 4),
+      exec::Executor(std::make_shared<SpawningBackend>(), 4)};
+  for (const auto& [name, tree] : trees) {
+    const dendrogram::SortedEdges sorted = dendrogram::sort_edges(executors[0], tree, nv);
+    const auto hierarchy_on = [&](const exec::Executor& executor) {
+      return flatten(
+          dendrogram::build_hierarchy(executor, sorted.u, sorted.v, {}, nv, sorted.num_edges()));
+    };
+    const std::vector<std::int64_t> reference = hierarchy_on(executors[0]);
+    const dendrogram::Dendrogram baseline =
+        dendrogram::union_find_dendrogram(executors[0], tree, nv);
+    for (const exec::Executor& executor : executors) {
+      const std::string label =
+          name + " on " + executor.backend().name() + "/" + std::to_string(executor.num_threads());
+      EXPECT_TRUE(hierarchy_on(executor) == reference) << label;
+      EXPECT_EQ(dendrogram::pandora_dendrogram(executor, tree, nv).parent, baseline.parent)
+          << label;
     }
   }
 }

@@ -134,6 +134,16 @@ TEST(Contraction, StarTreeContractsInOneLevel) {
   EXPECT_EQ(h.levels[0].num_alpha, 0);
 }
 
+TEST(Contraction, HierarchyCoversEveryGlobalEdge) {
+  // The fate arrays are written by the passes themselves (no kNone fill),
+  // so a hierarchy over fewer edges than num_global_edges is rejected.
+  const graph::EdgeList tree = make_tree(Topology::random_attach, 50, 3);
+  const SortedEdges sorted = dendrogram::sort_edges(exec::default_executor(), tree, 50);
+  EXPECT_THROW((void)dendrogram::build_hierarchy(exec::default_executor(), sorted.u, sorted.v,
+                                                 {}, 50, sorted.num_edges() + 1),
+               std::invalid_argument);
+}
+
 TEST(Contraction, AlphaCountMatchesDendrogramClassification) {
   // The alpha edges found by local incidence (Eq. 2) are exactly the edge
   // nodes with two edge children in the final dendrogram.

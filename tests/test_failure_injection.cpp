@@ -59,6 +59,23 @@ TEST(FailureInjection, UnvalidatedMultigraphFailsFastInsteadOfCorrupting) {
                std::invalid_argument);
 }
 
+TEST(FailureInjection, UnvalidatedIsolatedVertexFailsFastInsteadOfCorrupting) {
+  // The last vertex has no edge, so no edge writes its sided parent or its
+  // forest pointer; without validation the contraction must still reject it
+  // instead of reading whatever the leased slots held before.
+  // (The larger path runs its passes in parallel chunks on the openmp
+  // backend; the check must still throw on the calling thread.)
+  for (const index_t path_vertices : {4, 20000}) {
+    graph::EdgeList path = data::path_tree(path_vertices);
+    data::assign_increasing_weights(path);
+    for (const auto& backend : exec::registered_backends())
+      EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(backend), path,
+                                                        path_vertices + 1),
+                   std::invalid_argument)
+          << backend->name() << " n=" << path_vertices;
+  }
+}
+
 TEST(FailureInjection, OutOfRangeEndpointRejected) {
   const graph::EdgeList bad{{0, 5, 1.0}};
   EXPECT_THROW((void)dendrogram::pandora_dendrogram(exec::default_executor(), bad, 2, validating()),
