@@ -6,8 +6,8 @@
 // dendrograms are single chains; the EMST of the cosmology proxy provides a
 // realistic instance, and also hosts the Section 5 Euler-tour comparison.
 // Every row is timed on the full-thread and on the serial backend, with the
-// contraction phase beside the total, so a multi-thread slowdown on a
-// skewed tree shows.
+// contraction and expansion phases beside the total, so a multi-thread
+// slowdown on a skewed tree shows in the layer that causes it.
 
 #include <cstdio>
 #include <numeric>
@@ -27,22 +27,27 @@ using namespace pandora;
 namespace {
 
 /// Median dendrogram time over 3 warm runs (the sort replays from the
-/// artifact cache) and the median contraction phase, in milliseconds.
-std::pair<double, double> time_dendrogram(const exec::Executor& executor,
-                                          const graph::EdgeList& tree, index_t nv) {
+/// artifact cache) and the median contraction and expansion phases, in
+/// milliseconds.
+struct Timing {
+  double total, contraction, expansion;
+};
+
+Timing time_dendrogram(const exec::Executor& executor, const graph::EdgeList& tree, index_t nv) {
   const auto pipeline = Pipeline::on(executor);
   const bench::PhaseMeasurement m = bench::measure_phases(
       executor, 3, [&] { (void)pipeline.build_dendrogram(tree, nv); });
-  return {1e3 * m.wall.median(), 1e3 * m.median("contraction")};
+  return {1e3 * m.wall.median(), 1e3 * m.median("contraction"), 1e3 * m.median("expansion")};
 }
 
 void run_case(const exec::Executor& executor, const exec::Executor& serial,
               const std::string& label, const graph::EdgeList& tree, index_t nv) {
   const auto dendro = Pipeline::on(executor).build_dendrogram(tree, nv);
-  const auto [total, contraction] = time_dendrogram(executor, tree, nv);
-  const auto [total_1t, contraction_1t] = time_dendrogram(serial, tree, nv);
-  std::printf("%-28s %9d %10.1f | %9.2f %9.2f | %9.2f %9.2f\n", label.c_str(), nv - 1,
-              dendrogram::skewness(dendro), total, total_1t, contraction, contraction_1t);
+  const Timing full = time_dendrogram(executor, tree, nv);
+  const Timing one = time_dendrogram(serial, tree, nv);
+  std::printf("%-28s %9d %10.1f | %9.2f %9.2f | %9.2f %9.2f | %9.2f %9.2f\n", label.c_str(),
+              nv - 1, dendrogram::skewness(dendro), full.total, one.total, full.contraction,
+              one.contraction, full.expansion, one.expansion);
 }
 
 }  // namespace
@@ -54,8 +59,8 @@ int main() {
   const exec::Executor executor(exec::default_backend());
   const exec::Executor serial(exec::serial_backend());
   const index_t nv = bench::scaled(400000);
-  std::printf("%-28s %9s %10s | %9s %9s | %9s %9s\n", "tree", "edges", "skewness", "total ms",
-              "total 1t", "contract", "contr 1t");
+  std::printf("%-28s %9s %10s | %9s %9s | %9s %9s | %9s %9s\n", "tree", "edges", "skewness",
+              "total ms", "total 1t", "contract", "contr 1t", "expand", "expand 1t");
 
   Rng rng(17);
   {

@@ -103,13 +103,15 @@ ContractionHierarchy build_hierarchy(const exec::Executor& exec, std::span<const
     const auto u_of = [&](size_type i) { return cur_u[static_cast<std::size_t>(i)]; };
     const auto v_of = [&](size_type i) { return cur_v[static_cast<std::size_t>(i)]; };
 
-    // maxIncident(vertex): the incident edge with the largest global index
-    // (= the lightest incident edge).  Idempotent atomic-max scatter.
+    // maxIncident(vertex): the local index of its lightest incident edge.
+    // Levels keep ascending global order, so local and global indices order
+    // alike.  The last plain store of the ascending stream is the max; an
+    // edge-less vertex keeps a stale slot, rejected by the owner count below.
     const std::span<index_t> max_incident = max_incident_store.span().first(nv);
-    exec::parallel_for(exec, nv, [&](size_type x) { max_incident[x] = kNone; });
-    exec::parallel_for(exec, m, [&](size_type i) {
-      exec::atomic_fetch_max(max_incident[static_cast<std::size_t>(u_of(i))], gid_of(i));
-      exec::atomic_fetch_max(max_incident[static_cast<std::size_t>(v_of(i))], gid_of(i));
+    exec::parallel_for_owned(exec, nv, m, [&](size_type i, const exec::OwnedRange& owned) {
+      index_t sink[2];
+      *owned.select(max_incident, u_of(i), &sink[0]) = static_cast<index_t>(i);
+      *owned.select(max_incident, v_of(i), &sink[1]) = static_cast<index_t>(i);
     });
 
     // Fused pass: sided parents (Eq. 1), α classification (Eq. 2) and the
@@ -127,8 +129,8 @@ ContractionHierarchy build_hierarchy(const exec::Executor& exec, std::span<const
           const index_t g = gid_of(i);
           const index_t a = u_of(i);
           const index_t b = v_of(i);
-          const bool owns_a = max_incident[static_cast<std::size_t>(a)] == g;
-          const bool owns_b = max_incident[static_cast<std::size_t>(b)] == g;
+          const bool owns_a = max_incident[static_cast<std::size_t>(a)] == i;
+          const bool owns_b = max_incident[static_cast<std::size_t>(b)] == i;
           if (owns_a) {
             sided_parent[static_cast<std::size_t>(a)] = 2 * static_cast<std::int64_t>(g);
             forest[static_cast<std::size_t>(a)] = owns_b ? std::min(a, b) : b;

@@ -40,6 +40,11 @@ struct ContractionLevel {
 /// The full recursive contraction: MST -> α-MST -> β-MST -> ... until a level
 /// has no α-edges (at most ceil(log2(n+1)) levels, Section 4.2).
 ///
+/// maxIncident is an owner-computes pass (exec::parallel_for_owned): each
+/// chunk owns a vertex range and streams the level's edges, storing the
+/// local edge index plainly, so no locked CAS runs; the edges are read once
+/// per chunk (4x at 4 threads).
+///
 /// A level's supervertices are the trees of the pointer forest in which every
 /// vertex points across its max-incident edge.  In each tree exactly one edge
 /// is the max-incident edge of both its endpoints; its smaller endpoint is

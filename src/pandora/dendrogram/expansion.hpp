@@ -17,15 +17,17 @@ namespace pandora::dendrogram {
 /// the first one whose supervertex containing e has a dendrogram parent
 /// heavier than e; that (edge, side) pair is e's chain.  Edges that exhaust
 /// all levels — and all edges of the final chain-only tree — belong to the
-/// root chain.  A single radix sort then materialises every chain: it runs
-/// over the chain-key bytes only, and since entries are packed in ascending
-/// edge order its stability leaves each chain sorted by index.  The first
-/// edge of a chain attaches to the chain's defining edge, all others to their
-/// predecessor (the "sorting + stitching" step).
+/// root chain.  Every chain is then stitched in ascending edge order: its
+/// first edge attaches to the chain's defining edge, every other edge to its
+/// predecessor on the chain.  The paper sorts (chain, edge) pairs for this
+/// (Section 3.3.3); here one owner-computes pass (exec::parallel_for_owned)
+/// over the 2m+1 chain slots does it with plain stores: each chunk owns a
+/// slot range and streams the chain slots of all m edges in ascending order,
+/// keeping the latest edge per owned chain.  The stream is read once per
+/// chunk, so its reads grow with the thread count (4x at 4 threads).
 ///
 /// Writes `edge_parent[g]` for every global edge g present in `hierarchy`;
-/// other entries are left untouched.  Phases (exec::ScopedPhase):
-/// "expansion" (level scans + stitching), "sort" (the radix sort).
+/// other entries are left untouched.  Phase (exec::ScopedPhase): "expansion".
 void expand_multilevel(const exec::Executor& exec, const ContractionHierarchy& hierarchy,
                        std::span<index_t> edge_parent);
 

@@ -28,9 +28,9 @@ struct PandoraOptions {
 /// storage — a second identical call on a warm Executor performs no heap
 /// allocation at all.
 ///
-/// Phases (exec::ScopedPhase): "sort" (initial edge sort +
-/// chain radix sort), "contraction" (multilevel tree contraction),
-/// "expansion" (chain assignment + stitching).
+/// Phases (exec::ScopedPhase): "sort" (initial edge sort),
+/// "contraction" (multilevel tree contraction), "expansion" (chain
+/// assignment + stitching).
 [[nodiscard]] Dendrogram pandora_dendrogram(const exec::Executor& exec,
                                             const graph::EdgeList& mst, index_t num_vertices,
                                             const PandoraOptions& options = {});

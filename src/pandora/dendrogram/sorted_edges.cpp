@@ -16,47 +16,53 @@ namespace {
 
 using exec::mix_fingerprint;
 
-/// Low 32 bits of edge id's descending weight key — the part the packed sort
-/// discards; recomputed on demand by the collision fix-up.
-std::uint32_t low_key_of(const graph::EdgeList& edges, std::uint64_t packed_entry) {
-  const auto id = static_cast<std::size_t>(packed_entry & 0xffffffffu);
-  return static_cast<std::uint32_t>(exec::descending_weight_key(edges[id].weight));
+/// Id bits the packed sort needs for n edges: ids replace the low
+/// `id_bits` bits of the weight key, so at 1M edges (20 bits) the packed
+/// word keeps a 44-bit key prefix.
+int packed_id_bits(size_type n) {
+  return n > 1 ? std::bit_width(static_cast<std::uint64_t>(n - 1)) : 0;
 }
 
-/// Repairs runs of equal 32-bit key prefixes whose weights differ below the
-/// prefix: after the prefix sort such a run is in ascending id order, but the
+/// Repairs runs of equal key prefixes whose weights differ below the prefix:
+/// after the prefix sort such a run is in ascending id order, but the
 /// canonical order continues through the remaining weight-key bits first.
-/// Exact ties (identical weights) have identical low keys too, so their runs
+/// Exact ties (identical weights) have identical full keys, so their runs
 /// are left untouched and keep the stable ascending-id tie-break.
 ///
 /// Two passes keep the repair race-free: a read-only pass marks each
 /// repair-run start with its end position, then a second pass sorts the
 /// (disjoint) marked runs.  Total scan work is O(n) — each element belongs to
-/// exactly one run, walked by the run's first entry — and repairs themselves
-/// are rare and local.
+/// exactly one run, walked by the run's first entry.  Runs are not rare at
+/// short prefixes (a 32-bit one put 24% of a 1M-point Normal2D MR-MST in
+/// them), which is why packed_id_bits keeps the prefix as long as it can.
 ///
 /// Returns false without repairing when the marked runs cover most of the
-/// array: weights so tightly clustered that the 32-bit prefix separates
-/// almost nothing would turn the repair into one big serial comparison sort,
-/// so the caller falls back to the exact two-pass radix argsort instead.
+/// array: weights so tightly clustered that the prefix separates almost
+/// nothing would turn the repair into one big serial comparison sort, so the
+/// caller falls back to the exact two-pass radix argsort instead.
 [[nodiscard]] bool repair_prefix_collisions(const exec::Executor& exec,
                                             std::span<std::uint64_t> packed,
-                                            const graph::EdgeList& edges) {
+                                            const graph::EdgeList& edges, int id_bits) {
   const size_type n = static_cast<size_type>(packed.size());
   auto run_end_lease = exec.workspace().take_uninit<size_type>(n);
   const std::span<size_type> run_end = run_end_lease.span();
+  const std::uint64_t id_mask = (std::uint64_t{1} << id_bits) - 1;
+  const auto prefix_of = [&](size_type p) { return packed[static_cast<std::size_t>(p)] >> id_bits; };
+  const auto key_of = [&](std::uint64_t word) {
+    return exec::descending_weight_key(edges[static_cast<std::size_t>(word & id_mask)].weight);
+  };
 
   // Pass 1 (reads packed, writes only run_end[p]): find runs needing repair.
   exec::parallel_for(exec, n, [&](size_type p) {
     run_end[static_cast<std::size_t>(p)] = 0;  // 0 = nothing to repair here
-    const std::uint64_t prefix = packed[static_cast<std::size_t>(p)] >> 32;
-    if (p > 0 && (packed[static_cast<std::size_t>(p - 1)] >> 32) == prefix) return;
+    const std::uint64_t prefix = prefix_of(p);
+    if (p > 0 && prefix_of(p - 1) == prefix) return;
     size_type end = p + 1;
-    while (end < n && (packed[static_cast<std::size_t>(end)] >> 32) == prefix) ++end;
+    while (end < n && prefix_of(end) == prefix) ++end;
     if (end - p < 2) return;
-    const std::uint32_t first = low_key_of(edges, packed[static_cast<std::size_t>(p)]);
+    const std::uint64_t first = key_of(packed[static_cast<std::size_t>(p)]);
     for (size_type q = p + 1; q < end; ++q) {
-      if (low_key_of(edges, packed[static_cast<std::size_t>(q)]) != first) {
+      if (key_of(packed[static_cast<std::size_t>(q)]) != first) {
         run_end[static_cast<std::size_t>(p)] = end;
         return;
       }
@@ -77,22 +83,22 @@ std::uint32_t low_key_of(const graph::EdgeList& edges, std::uint64_t packed_entr
     if (end == 0) return;
     std::sort(packed.begin() + p, packed.begin() + end,
               [&](std::uint64_t a, std::uint64_t b) {
-                const std::uint32_t la = low_key_of(edges, a);
-                const std::uint32_t lb = low_key_of(edges, b);
-                if (la != lb) return la < lb;
-                return (a & 0xffffffffu) < (b & 0xffffffffu);
+                const std::uint64_t ka = key_of(a);
+                const std::uint64_t kb = key_of(b);
+                if (ka != kb) return ka < kb;
+                return (a & id_mask) < (b & id_mask);
               });
   });
   return true;
 }
 
 /// The key-packed radix argsort: writes the descending-(weight, id)
-/// permutation of `edges` into `order`.  The main path radix-sorts the
-/// 32-bit key prefix packed with the edge id and repairs the rare runs whose
-/// weights differ below the prefix.  When the repair declines (degenerate
-/// prefixes), an exact LSD argsort over the full 64-bit key runs instead:
-/// pass 1 sorts (low key half, id) words, pass 2 sorts (high key half,
-/// pass-1 rank) words, so stability carries the low half and the id
+/// permutation of `edges` into `order`.  The main path radix-sorts the key
+/// prefix packed with the edge id (see packed_id_bits) and repairs the runs
+/// whose weights differ below the prefix.  When the repair declines
+/// (degenerate prefixes), an exact LSD argsort over the full 64-bit key runs
+/// instead: pass 1 sorts (low key half, id) words, pass 2 sorts (high key
+/// half, pass-1 rank) words, so stability carries the low half and the id
 /// tie-break through the high-half pass.
 void radix_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
                    std::span<index_t> order) {
@@ -102,13 +108,16 @@ void radix_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
   const auto key_of = [&](size_type i) {
     return exec::descending_weight_key(edges[static_cast<std::size_t>(i)].weight);
   };
+  const int id_bits = packed_id_bits(n);
   exec::parallel_for(exec, n, [&](size_type i) {
-    packed[static_cast<std::size_t>(i)] = exec::pack_key_and_id(key_of(i), static_cast<index_t>(i));
+    packed[static_cast<std::size_t>(i)] =
+        exec::pack_key_and_id(key_of(i), static_cast<index_t>(i), id_bits);
   });
-  // Radix over the key bytes only; stability over the id bytes implements
-  // the ascending-id tie-break (ids were packed in ascending order).
-  exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
-  if (!repair_prefix_collisions(exec, packed, edges)) {
+  // Radix from the first byte that holds key bits; the id bits radixed along
+  // with them, and stability over the rest, keep the ascending-id tie-break
+  // (ids were packed in ascending order).
+  exec::radix_sort_u64(exec, packed, /*first_byte=*/id_bits / 8, /*last_byte=*/8);
+  if (!repair_prefix_collisions(exec, packed, edges, id_bits)) {
     exec::parallel_for(exec, n, [&](size_type i) {
       packed[static_cast<std::size_t>(i)] = (key_of(i) << 32) | static_cast<std::uint32_t>(i);
     });
@@ -118,7 +127,7 @@ void radix_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
       const auto id = static_cast<index_t>(packed[static_cast<std::size_t>(r)] & 0xffffffffu);
       order[static_cast<std::size_t>(r)] = id;
       packed[static_cast<std::size_t>(r)] =
-          exec::pack_key_and_id(key_of(id), static_cast<index_t>(r));
+          exec::pack_key_and_id(key_of(id), static_cast<index_t>(r), 32);
     });
     exec::radix_sort_u64(exec, packed, /*first_byte=*/4, /*last_byte=*/8);
     exec::parallel_for(exec, n, [&](size_type i) {
@@ -126,9 +135,11 @@ void radix_argsort(const exec::Executor& exec, const graph::EdgeList& edges,
       word = static_cast<std::uint32_t>(order[static_cast<std::size_t>(word & 0xffffffffu)]);
     });
   }
+  // Both paths leave an id below 2^id_bits in the low bits of each word.
+  const std::uint64_t id_mask = (std::uint64_t{1} << id_bits) - 1;
   exec::parallel_for(exec, n, [&](size_type i) {
     order[static_cast<std::size_t>(i)] =
-        static_cast<index_t>(packed[static_cast<std::size_t>(i)] & 0xffffffffu);
+        static_cast<index_t>(packed[static_cast<std::size_t>(i)] & id_mask);
   });
 }
 

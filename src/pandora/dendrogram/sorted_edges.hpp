@@ -30,14 +30,15 @@ struct SortedEdges {
 /// `validate_input` is set, rejects inputs that are not spanning trees with
 /// finite non-negative weights.
 ///
-/// The sort packs the high 32 bits of the order-preserving (sign-flipped,
-/// inverted) weight key with the edge id into one 64-bit word, radix-sorts
-/// only the key bytes through `radix_sort_u64` — so weights and endpoints are
+/// The sort packs the order-preserving (sign-flipped, inverted) weight key
+/// with the edge id into one 64-bit word — the id replaces the key's low
+/// bit_width(m-1) bits, so 1M edges keep a 44-bit key prefix — radix-sorts
+/// only the key bytes through `radix_sort_u64` (so weights and endpoints are
 /// gathered exactly once from the resulting permutation instead of sorting
-/// structs — and repairs the rare runs whose weights differ only below the
-/// 32-bit prefix.  When such runs cover most of the input, an exact two-pass
-/// radix argsort over the full 64-bit key replaces the repair.  Every backend
-/// and thread count runs this same path.
+/// structs), and repairs the runs whose weights differ only below the
+/// prefix.  When such runs cover most of the input, an exact two-pass radix
+/// argsort over the full 64-bit key replaces the repair.  Every backend and
+/// thread count runs this same path.
 [[nodiscard]] SortedEdges sort_edges(const exec::Executor& exec, const graph::EdgeList& edges,
                                      index_t num_vertices, bool validate_input = false);
 

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -8,8 +10,9 @@
 #include "pandora/exec/backend.hpp"
 #include "pandora/exec/executor.hpp"
 
-/// Data-parallel primitives: parallel_for and parallel_reduce, plus the
-/// relaxed atomic read-modify-write helpers GPU kernels rely on.
+/// Data-parallel primitives: parallel_for, parallel_reduce and the
+/// owner-computes parallel_for_owned, plus the relaxed atomic
+/// read-modify-write helpers GPU kernels rely on.
 ///
 /// Every kernel in the library is written against these (never against raw
 /// threading pragmas) so that every backend — serial, OpenMP, a future
@@ -98,6 +101,49 @@ template <class T, class Transform, class Combine>
   return result;
 }
 
+/// The output slots [lo, hi) one chunk of parallel_for_owned owns.
+struct OwnedRange {
+  size_type lo = 0, hi = 0;
+
+  [[nodiscard]] bool contains(size_type slot) const {
+    return static_cast<std::uint64_t>(slot - lo) < static_cast<std::uint64_t>(hi - lo);
+  }
+
+  /// `&slots[slot]` if this range owns `slot`, else `sink` (chunk-local),
+  /// selected by a mask instead of a branch.  Where slots follow no pattern
+  /// along the input, c chunks fail the ownership test for (c-1)/c of the
+  /// inputs unpredictably; on 1M random vertex ids at 4 threads a branch per
+  /// store cost 8-17 ms against 3 ms for the mask.
+  template <class T>
+  [[nodiscard]] T* select(std::span<T> slots, size_type slot, T* sink) const {
+    const std::uintptr_t mask = -static_cast<std::uintptr_t>(contains(slot));
+    return reinterpret_cast<T*>(
+        (reinterpret_cast<std::uintptr_t>(slots.data() + slot) & mask) |
+        (reinterpret_cast<std::uintptr_t>(sink) & ~mask));
+  }
+};
+
+/// Owner-computes scatter: calls `f(i, owned)` for every input i in [0, n),
+/// in ascending order, where `owned` is the range of the `num_slots` output
+/// slots the calling chunk owns; `f` stores only into owned slots (directly
+/// after `owned.contains`, or through `owned.select`).  No slot has two writers, so plain stores replace
+/// atomics, and the last store to a slot comes from the largest i that
+/// targets it.  The price is read amplification: every chunk streams the
+/// whole input, so the inputs are read once per chunk (num_threads() times
+/// on the parallel path; once below the parallel grain or on a one-thread
+/// executor, where a single chunk owns every slot).  Chunks whose range is
+/// empty skip the stream.
+template <class F>
+void parallel_for_owned(const Executor& exec, size_type num_slots, size_type n, F&& f) {
+  const int num_chunks = exec.parallelize(n) ? exec.num_threads() : 1;
+  auto body = [&](int c) {
+    const OwnedRange owned{num_slots * c / num_chunks, num_slots * (c + 1) / num_chunks};
+    if (owned.lo == owned.hi) return;
+    for (size_type i = 0; i < n; ++i) f(i, owned);
+  };
+  exec.run_chunks(num_chunks, num_chunks, body);
+}
+
 /// Sum of `transform(i)` over [0, n).
 template <class T, class Transform>
 [[nodiscard]] T parallel_sum(const Executor& exec, size_type n, T identity,
@@ -106,9 +152,9 @@ template <class T, class Transform>
                          [](T a, T b) { return a + b; });
 }
 
-/// Relaxed atomic max on an integral slot; returns nothing (used for
-/// idempotent "max of all writers wins" scatter patterns such as the
-/// maxIncident computation of Section 3.1).
+/// Relaxed atomic max on an integral slot; returns nothing (for idempotent
+/// "max of all writers wins" scatters whose writers cannot own their slots;
+/// where they can, parallel_for_owned needs no read-modify-write).
 template <class T>
 void atomic_fetch_max(T& slot, T value) {
   static_assert(std::is_integral_v<T>);

@@ -267,9 +267,10 @@ TEST(BackendConformance, ContractionHierarchyBitIdenticalAcrossBackends) {
   for (std::size_t t = pandora::testing::all_topologies().size(); t < trees.size(); ++t)
     data::assign_increasing_weights(trees[t].second);
 
-  const std::array<exec::Executor, 4> executors{
+  // 3 threads split the owner passes' vertex and chain-slot ranges unevenly.
+  const std::array<exec::Executor, 5> executors{
       exec::Executor(exec::serial_backend()), exec::Executor(exec::openmp_backend(), 2),
-      exec::Executor(exec::openmp_backend(), 4),
+      exec::Executor(exec::openmp_backend(), 3), exec::Executor(exec::openmp_backend(), 4),
       exec::Executor(std::make_shared<SpawningBackend>(), 4)};
   for (const auto& [name, tree] : trees) {
     const dendrogram::SortedEdges sorted = dendrogram::sort_edges(executors[0], tree, nv);
@@ -286,6 +287,46 @@ TEST(BackendConformance, ContractionHierarchyBitIdenticalAcrossBackends) {
       EXPECT_TRUE(hierarchy_on(executor) == reference) << label;
       EXPECT_EQ(dendrogram::pandora_dendrogram(executor, tree, nv).parent, baseline.parent)
           << label;
+    }
+  }
+}
+
+TEST(BackendConformance, OwnerComputesPassKeepsTheLastStorePerSlot) {
+  // Every slot must end up holding the largest input that targets it, and
+  // every input's store must land, whatever the chunk count: uneven ranges
+  // (3 chunks), and more chunks than slots (empty ranges that skip the
+  // stream), on the spawning backend too so the TSan lane races the chunks.
+  const size_type n = 50000;
+  for (const size_type num_slots : {size_type{1}, size_type{3}, size_type{1000}}) {
+    std::vector<index_t> target(static_cast<std::size_t>(n));
+    for (size_type i = 0; i < n; ++i)
+      target[static_cast<std::size_t>(i)] =
+          static_cast<index_t>((i * 2654435761u) % static_cast<std::uint64_t>(num_slots));
+    std::vector<index_t> expected(static_cast<std::size_t>(num_slots), kNone);
+    for (size_type i = 0; i < n; ++i)
+      expected[static_cast<std::size_t>(target[static_cast<std::size_t>(i)])] =
+          static_cast<index_t>(i);
+    const std::array<exec::Executor, 5> executors{
+        exec::Executor(exec::serial_backend()), exec::Executor(exec::openmp_backend(), 2),
+        exec::Executor(exec::openmp_backend(), 3), exec::Executor(exec::openmp_backend(), 4),
+        exec::Executor(std::make_shared<SpawningBackend>(), 4)};
+    for (const exec::Executor& executor : executors) {
+      std::vector<index_t> last(static_cast<std::size_t>(num_slots), kNone);
+      std::vector<index_t> masked(static_cast<std::size_t>(num_slots), kNone);
+      exec::parallel_for_owned(executor, num_slots, n,
+                               [&](size_type i, const exec::OwnedRange& owned) {
+                                 const index_t t = target[static_cast<std::size_t>(i)];
+                                 index_t sink;
+                                 *owned.select(std::span<index_t>(masked), t, &sink) =
+                                     static_cast<index_t>(i);
+                                 if (owned.contains(t))
+                                   last[static_cast<std::size_t>(t)] = static_cast<index_t>(i);
+                               });
+      const std::string label = std::to_string(num_slots) + " slots on " +
+                                executor.backend().name() + "/" +
+                                std::to_string(executor.num_threads());
+      EXPECT_EQ(last, expected) << label;
+      EXPECT_EQ(masked, expected) << label;
     }
   }
 }

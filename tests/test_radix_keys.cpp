@@ -151,15 +151,15 @@ TEST(RadixEdgeSort, MatchesReferenceOnAdversarialWeights) {
 }
 
 TEST(RadixEdgeSort, MatchesReferenceWhenKeyPrefixesCollide) {
-  // Weights that agree in the high 32 bits of the packed key but differ
-  // below: 1.0 + k * 2^-45 all share the prefix.  With EVERY weight
-  // colliding the radix path detects the degenerate repair and falls back to
-  // the exact two-pass radix argsort.
+  // Weights that agree in every key bit above the packed id (13 bits for
+  // 4999 edges) but differ below: 1.0 + k * 2^-52 for k < 2^13 all share the
+  // prefix.  With EVERY weight colliding the radix path detects the
+  // degenerate repair and falls back to the exact two-pass radix argsort.
   graph::EdgeList tree = make_tree(Topology::path, 5000, 9, 0);
   Rng rng(41);
   for (auto& e : tree) {
     const double offset =
-        static_cast<double>(rng.next_below(1 << 20)) * std::pow(2.0, -45);
+        static_cast<double>(rng.next_below(1 << 13)) * std::pow(2.0, -52);
     e.weight = 1.0 + offset;
   }
   expect_sort_matches_reference(tree, 5000, "all prefixes collide (fallback)");
@@ -173,7 +173,7 @@ TEST(RadixEdgeSort, MatchesReferenceWhenKeyPrefixesCollide) {
   // collision run: the fallback's second pass must order the groups.
   for (std::size_t i = 0; i < tree.size(); ++i)
     tree[i].weight = static_cast<double>(1 + i % 3) +
-                     static_cast<double>(rng.next_below(1 << 20)) * std::pow(2.0, -45);
+                     static_cast<double>(rng.next_below(1 << 13)) * std::pow(2.0, -52);
   expect_sort_matches_reference(tree, 5000, "three colliding prefix groups (fallback)");
 }
 

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <numeric>
+#include <string>
+
+#include "pandora/common/rng.hpp"
 #include "pandora/dendrogram/sorted_edges.hpp"
 #include "test_helpers.hpp"
 
@@ -110,6 +118,68 @@ TEST(SortedEdges, DeltaMergeIsBitIdenticalToAFullSort) {
                                        {}, 2000, unchanged);
   EXPECT_EQ(unchanged.u, base.u);
   EXPECT_EQ(unchanged.order, base.order);
+}
+
+/// The canonical order by its definition: descending weight, ties by id.
+std::vector<index_t> stable_sort_reference(const graph::EdgeList& edges) {
+  std::vector<index_t> order(edges.size());
+  std::iota(order.begin(), order.end(), index_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](index_t a, index_t b) {
+    return edges[static_cast<std::size_t>(a)].weight > edges[static_cast<std::size_t>(b)].weight;
+  });
+  return order;
+}
+
+TEST(SortedEdges, PackedSortMatchesStableSortAtEveryIdWidth) {
+  // The packed sort gives ids bit_width(m - 1) bits under the weight key, so
+  // the prefix length changes with m: each pair straddles a width step.
+  // Weight families: spread; equal in the top 32 key bits but not the top
+  // 44 (what a 32-bit prefix had to repair); few distinct values (exact
+  // ties); sparse clusters a few ulps apart (the repair path); and one
+  // input whose every weight shares the key prefix (the exact fallback).
+  const std::array<exec::Executor, 4> executors{
+      exec::Executor(exec::serial_backend()), exec::Executor(exec::openmp_backend(), 2),
+      exec::Executor(exec::openmp_backend(), 3), exec::Executor(exec::openmp_backend(), 4)};
+  for (const index_t m : {1, 2, 256, 257, 65536, 65537}) {
+    const int id_bits = m > 1 ? std::bit_width(static_cast<std::uint32_t>(m - 1)) : 0;
+    Rng rng(static_cast<std::uint64_t>(m));
+    std::vector<std::pair<std::string, graph::EdgeList>> inputs;
+    const auto family = [&](const std::string& name, auto weight_of) {
+      graph::EdgeList edges;
+      for (index_t i = 0; i < m; ++i) edges.push_back({i, i + 1, weight_of(i)});
+      inputs.emplace_back(name, std::move(edges));
+    };
+    family("spread", [&](index_t) { return rng.next_double() * 100.0; });
+    // 1 + k * 2^-32 moves mantissa bits 20..31 only: inside the top 44 key
+    // bits, below the top 32.
+    family("top-32 collisions", [&](index_t i) {
+      return static_cast<double>(1 + i % 4) +
+             static_cast<double>(rng.next_below(1 << 12)) * std::pow(2.0, -32);
+    });
+    family("exact ties", [&](index_t) { return static_cast<double>(rng.next_below(3)); });
+    family("sparse ulp clusters", [&](index_t i) {
+      const double base = 1.0 + static_cast<double>(i / 8) / 1024.0;
+      return i % 8 < 3 ? base + static_cast<double>(rng.next_below(4)) * std::pow(2.0, -52)
+                       : base + std::pow(2.0, -20) * (1 + i % 8);
+    });
+    if (m == 65537) {
+      // Every weight shares every key bit above the id bits, so one repair
+      // run covers the input and the sort takes the exact fallback.
+      family("degenerate prefix", [&](index_t) {
+        return 1.0 + static_cast<double>(rng.next_below(std::uint64_t{1} << id_bits)) *
+                         std::pow(2.0, -52);
+      });
+    }
+    for (const auto& [name, edges] : inputs) {
+      const std::vector<index_t> reference = stable_sort_reference(edges);
+      for (const exec::Executor& executor : executors) {
+        const SortedEdges sorted = dendrogram::sort_edges(executor, edges, m + 1);
+        ASSERT_EQ(sorted.order, reference)
+            << name << ", m = " << m << " on " << executor.backend().name() << "/"
+            << executor.num_threads();
+      }
+    }
+  }
 }
 
 TEST(SortedEdges, ValidationRejectsNonTrees) {
