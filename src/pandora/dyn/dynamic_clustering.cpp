@@ -297,6 +297,10 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   const std::span<index_t> best_point = best_point_lease.span();
   auto candidate_lease = workspace.take<Candidate>(n, Candidate{});
   const std::span<Candidate> candidate = candidate_lease.span();
+  // The kd-trees read components in their own rank order: each round
+  // gathers the slot-indexed array into the index's and the batch tree's.
+  auto index_component_lease = workspace.take_uninit<index_t>(indexed_);
+  const std::span<index_t> index_component = index_component_lease.span();
   auto batch_component_lease = workspace.take_uninit<index_t>(batch_tree ? m : 0);
   const std::span<index_t> batch_component = batch_component_lease.span();
 
@@ -310,11 +314,19 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     exec::parallel_for(*exec_, n, [&](size_type x) {
       component[static_cast<std::size_t>(x)] = uf.find(static_cast<index_t>(x));
     });
-    if (indexed_ > 0) tree_->annotate_components(*exec_, component, notes_);
+    if (indexed_ > 0) {
+      const std::span<const index_t> slot_of_rank = tree_->tree_order();
+      exec::parallel_for(*exec_, indexed_, [&](size_type r) {
+        index_component[static_cast<std::size_t>(r)] =
+            component[static_cast<std::size_t>(slot_of_rank[static_cast<std::size_t>(r)])];
+      });
+      tree_->annotate_components(*exec_, index_component, notes_);
+    }
     if (batch_tree) {
-      exec::parallel_for(*exec_, m, [&](size_type j) {
-        batch_component[static_cast<std::size_t>(j)] =
-            component[static_cast<std::size_t>(n_before + j)];
+      const std::span<const index_t> batch_slot_of_rank = batch_tree->tree_order();
+      exec::parallel_for(*exec_, m, [&](size_type r) {
+        batch_component[static_cast<std::size_t>(r)] = component[static_cast<std::size_t>(
+            n_before + batch_slot_of_rank[static_cast<std::size_t>(r)])];
       });
       batch_tree->annotate_components(*exec_, batch_component, batch_notes);
     }
@@ -369,7 +381,7 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
         // coordinates, scan the unindexed tail and the rest of the batch.
         if (indexed_ > 0) {
           const spatial::Neighbor nb =
-              tree_->nearest_other_component(points.point(p), c, component, notes_);
+              tree_->nearest_other_component(points.point(p), c, index_component, notes_);
           if (nb.index != kNone) {
             const Candidate cand{std::sqrt(nb.squared_distance), nb.index, kNone};
             if (cand.better_than(best)) best = cand;

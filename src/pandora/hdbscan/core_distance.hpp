@@ -18,11 +18,16 @@ namespace pandora::hdbscan {
 /// paper's default "mpts = 2").  minPts = 1 yields zeros (plain
 /// single-linkage on Euclidean distance).
 ///
+/// The distances are indexed by point id.  The pass itself runs over
+/// `tree`'s ranks (see KdTree) and scatters each distance to its id once.
+///
 /// With `seeds`, the same pass fetches L + 1 neighbours instead of
 /// minPts - 1, L = max(minPts - 1, spatial::kMinListLength), and keeps, per
-/// point p, the ids of its L nearest neighbours (the first minPts - 1 of
-/// them define core(p)) plus the fence F(p): the squared distance of the
-/// (L+1)-th neighbour, +inf when fewer than L + 1 other points exist.
+/// point p, its L nearest neighbours (the first minPts - 1 of them define
+/// core(p)) plus the fence F(p): the squared distance of the (L+1)-th
+/// neighbour, +inf when fewer than L + 1 other points exist.  The seeds are
+/// in `tree`'s rank space — list and fence at p's rank, entries as ranks —
+/// and are only meaningful with the same tree.
 /// Every point outside p's list lies at squared distance >= F(p), so each
 /// of its mutual-reachability scores is >= max(core(p)^2, F(p)) — the
 /// certificate `mutual_reachability_mst` uses to resolve p's Borůvka

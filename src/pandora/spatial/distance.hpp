@@ -16,7 +16,7 @@
 ///    knn.cpp and dyn:: stop duplicating the loop).
 ///
 ///  * Batched one-query-to-many-points kernels over dimension-blocked SoA
-///    coordinate blocks (`PointSet::soa()`, kd-tree leaf blocks): coordinate
+///    coordinate blocks (`PointSet::soa()`, kd-tree leaf columns): coordinate
 ///    d of `count` consecutive points is contiguous at `block + d * stride`,
 ///    so the point loop is unit-stride and vectorizes.  With PANDORA_SIMD=ON
 ///    an AVX2 path (portable GCC/Clang vector extensions, compiled in its

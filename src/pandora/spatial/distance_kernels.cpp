@@ -26,7 +26,7 @@ int simd_width_impl() { return __builtin_cpu_supports("avx2") ? kLanes : 1; }
 // ascending dimension order — exactly the scalar op sequence per point, so
 // every lane's result is bit-identical to batch_squared_distances_scalar.
 // The `aligned(8)` vector type makes every load/store unaligned-safe: SoA
-// blocks hand out 64-byte-aligned rows, but kd-tree leaf blocks start at
+// blocks hand out 64-byte-aligned rows, but kd-tree leaf columns start at
 // arbitrary point offsets and the tail loop below peels whatever remains.
 void batch_squared_distances_avx2(const double* query, const double* block, int dim,
                                   index_t count, index_t stride, double* out) {

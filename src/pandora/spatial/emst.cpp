@@ -11,10 +11,10 @@
 #include "pandora/common/expect.hpp"
 #include "pandora/exec/fingerprint.hpp"
 #include "pandora/exec/parallel.hpp"
+#include "pandora/exec/scan.hpp"
 #include "pandora/exec/sort.hpp"
 #include "pandora/graph/union_find.hpp"
 #include "pandora/obs/metrics.hpp"
-#include "pandora/spatial/distance.hpp"
 
 namespace pandora::spatial {
 
@@ -30,46 +30,88 @@ obs::Counter& queries_metric(bool first_round) {
   return first_round ? first : later;
 }
 
-/// Shared Borůvka skeleton over the components of a (possibly pre-seeded)
+/// Borůvka's starting components, labelled by position in ascending order of
+/// their smallest point id: fills `component` (per rank) and returns the
+/// number of components.  Without `seed` every point starts alone, so a
+/// point's label is its id; with it, the seed's roots (its component minima)
+/// are numbered by a parallel root flag and a scan over ids.
+index_t initial_components(const exec::Executor& exec, const KdTree& tree,
+                           graph::ConcurrentUnionFind* seed, std::span<index_t> component) {
+  const index_t n = tree.size();
+  const std::span<const index_t> id_of = tree.tree_order();
+  if (seed == nullptr) {
+    exec::parallel_for(exec, n, [&](size_type r) {
+      component[static_cast<std::size_t>(r)] = id_of[static_cast<std::size_t>(r)];
+    });
+    return n;
+  }
+  auto position_lease = exec.workspace().take_uninit<index_t>(n);
+  const std::span<index_t> position = position_lease.span();
+  exec::parallel_for(exec, n, [&](size_type p) {
+    position[static_cast<std::size_t>(p)] = seed->find(static_cast<index_t>(p)) == p ? 1 : 0;
+  });
+  const index_t count =
+      exec::exclusive_scan<index_t>(exec, std::span<const index_t>(position), position);
+  exec::parallel_for(exec, n, [&](size_type r) {
+    component[static_cast<std::size_t>(r)] =
+        position[static_cast<std::size_t>(seed->find(id_of[static_cast<std::size_t>(r)]))];
+  });
+  return count;
+}
+
+/// Shared Borůvka skeleton over singletons or the components of a seed
 /// union-find; `use_mreach` selects the metric (core_sq must be the squared
 /// core distances then).  Starting from singletons this is the full EMST;
 /// starting from the components of a partial tree it joins exactly those
-/// components with minimum-weight edges (the dynamic subsystem's erase path).
-/// `knn`, for a mutual-reachability build from singletons only, holds the
-/// core-distance pass's neighbour lists; they certify candidates in every
-/// round.
-graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
-                             const KdTree& tree, const std::vector<double>& core_sq,
-                             bool use_mreach, graph::ConcurrentUnionFind& uf,
+/// components with minimum-weight edges (the dynamic subsystem's erase path)
+/// and leaves `seed` fully united.  `knn`, for a mutual-reachability build
+/// from singletons only, holds the core-distance pass's neighbour lists; they
+/// certify candidates in every round.
+///
+/// Per-point state — `core_sq`, `component`, `point_best` and the lists — is
+/// kept by tree rank, so every pass below and every leaf scan reads it at
+/// consecutive positions.  A component's label is its position in ascending
+/// order of the components' smallest ids.  Ids decide ties and nothing else:
+/// the (score, id) candidate order, phase 2's smallest-point rule, and the
+/// hook order, which visits components by their smallest id and keeps a
+/// merged component under its smallest id, exactly as a union-find over ids
+/// with minimum roots does.  So the edges, their order and their endpoints
+/// do not depend on the tree's leaf order.
+graph::EdgeList boruvka_emst(const exec::Executor& exec, const KdTree& tree,
+                             std::span<const double> core_sq, bool use_mreach,
+                             graph::ConcurrentUnionFind* seed = nullptr,
                              const NeighborLists* knn = nullptr) {
-  const index_t n = points.size();
+  const index_t n = tree.size();
   graph::EdgeList mst;
   if (n <= 1) return mst;
-  PANDORA_EXPECT(tree.size() == n, "the kd-tree must index exactly the query points");
 
   constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
-  // Sentinel for the atomic-min tie-break slots: must compare larger than
-  // every real point id (kNone would win every min).
-  constexpr index_t kUnset = std::numeric_limits<index_t>::max();
-  std::vector<index_t> component(static_cast<std::size_t>(n));
-  std::vector<std::uint64_t> best_weight(static_cast<std::size_t>(n), kInf);
-  std::vector<index_t> best_point(static_cast<std::size_t>(n), kUnset);
-  // Per point: its exact (score, id) candidate, or — with index kNone — a
+  exec::Workspace& workspace = exec.workspace();
+  const std::span<const index_t> id_of = tree.tree_order();
+  std::vector<index_t> component(static_cast<std::size_t>(n));  // per rank: its label
+  index_t live = initial_components(exec, tree, seed, component);
+  // Per label: the component's minimum score bits, and its winner, the
+  // smallest (id, rank) key among the points attaining that minimum.
+  std::vector<std::uint64_t> best_weight(static_cast<std::size_t>(live), kInf);
+  std::vector<std::uint64_t> best_point(static_cast<std::size_t>(live), kInf);
+  // Per label during the hook: the label its winner's partner carries (then
+  // the label the component takes next round), and its set in the hook's
+  // union-find.
+  std::vector<index_t> target(static_cast<std::size_t>(live));
+  std::vector<index_t> parent(static_cast<std::size_t>(live));
+  // Per rank: its exact (score, id) candidate, or — with index kNone — a
   // lower bound on every foreign (other-component) score of the point in
   // the score slot.  Components only merge, so a point's foreign set only
   // shrinks and the bound stays valid across rounds.
   std::vector<Neighbor> point_best(static_cast<std::size_t>(n), Neighbor{0.0, kNone});
-  std::vector<index_t> roots;
-  roots.reserve(static_cast<std::size_t>(n));
-  for (index_t p = 0; p < n; ++p)
-    if (uf.find(p) == p) roots.push_back(p);
-  const auto joins_needed = static_cast<std::size_t>(roots.size()) - 1;
-  mst.reserve(joins_needed);
+  // Room for one proposed edge per component: phase 3 writes the proposals
+  // behind the accepted edges and compacts them in place.
+  mst.reserve(static_cast<std::size_t>(live));
   // Only a pre-seeded join can have a dominant component worth benching; a
   // full build starts from singletons, skips the per-round component-size
   // scan entirely, and so keeps its pre-existing behaviour (edge selection
   // included) bit for bit.
-  const bool seeded = static_cast<index_t>(roots.size()) < n;
+  const bool seeded = live < n;
 
   // kNN lists (cuSLINK's kNN graph, made exact by a cut certificate) certify
   // candidates from memory in every round; see (1a).
@@ -77,20 +119,16 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
   if (lists) {
     PANDORA_EXPECT(use_mreach && !seeded, "kNN seeds need a mutual-reachability build");
     PANDORA_EXPECT(static_cast<index_t>(knn->fence_sq.size()) == n &&
-                       knn->ids.size() ==
+                       knn->ranks.size() ==
                            knn->fence_sq.size() * static_cast<std::size_t>(knn->length),
                    "one kNN list and fence per point required");
   }
-  const int dim = points.dim();
 
   // Query-local annotations: the (possibly cached, shared) tree stays const.
   KdTreeAnnotations notes;
   if (use_mreach) tree.annotate_min_core(exec, core_sq, notes);
 
-  while (mst.size() < joins_needed) {
-    exec::parallel_for(exec, n, [&](size_type p) {
-      component[static_cast<std::size_t>(p)] = uf.find(static_cast<index_t>(p));
-    });
+  while (live > 1) {
     tree.annotate_components(exec, component, notes);
 
     // When one component of a seeded join dominates (one giant survivor
@@ -101,21 +139,26 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     // alone satisfy the cut property.  This turns a round's cost from n
     // tree queries into (n - |giant|).  The result stays an exact MST;
     // under exact distance ties the chosen edge *set* may differ from an
-    // all-components-propose round (both are minimum weight).
+    // all-components-propose round (both are minimum weight).  Two exact
+    // halves tie; the one that does not hold the largest id sits out, as
+    // it would if the points were counted in id order and the first
+    // component to reach the maximum won.
     index_t passive = kNone;
     if (seeded) {
-      index_t largest = kNone;
-      size_type largest_size = 0;
-      auto count_lease = exec.workspace().take<size_type>(n, 0);
+      auto count_lease = workspace.take<size_type>(live, 0);
       const std::span<size_type> count = count_lease.span();
-      for (index_t p = 0; p < n; ++p) {
-        const index_t c = component[static_cast<std::size_t>(p)];
-        if (++count[static_cast<std::size_t>(c)] > largest_size) {
-          largest_size = count[static_cast<std::size_t>(c)];
-          largest = c;
-        }
-      }
+      for (const index_t c : component) ++count[static_cast<std::size_t>(c)];
+      const auto largest = static_cast<index_t>(
+          std::max_element(count.begin(), count.end()) - count.begin());
+      const size_type largest_size = count[static_cast<std::size_t>(largest)];
       if (2 * largest_size >= n) passive = largest;
+      if (2 * largest_size == n) {
+        const auto last = static_cast<std::size_t>(
+            std::find(id_of.begin(), id_of.end(), n - 1) - id_of.begin());
+        if (component[last] == largest)
+          for (index_t c = 0; c < live; ++c)
+            if (c != largest && 2 * count[static_cast<std::size_t>(c)] == n) passive = c;
+      }
     }
 
     // Phase 1: per-component minimum weight via atomic-min on the
@@ -139,9 +182,9 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     // (score, id) candidate when w scores strictly below F*; otherwise every
     // foreign score is >= F*, which becomes p's lower bound.  A bound
     // already >= F* rules out a strictly smaller w, so such points skip the
-    // scan.  The pair kernel's squared distance is bit-identical to the leaf
-    // scan's (see distance.hpp), so w equals the candidate a query would
-    // return.  In round 0 every entry is foreign.
+    // scan.  The tree's pair distance is bit-identical to its leaf scan's,
+    // so w equals the candidate a query would return.  In round 0 every
+    // entry is foreign.
     //
     // Valid candidates seed their component's minimum before any query runs.
     exec::parallel_for(exec, n, [&](size_type pi) {
@@ -149,19 +192,20 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
       const index_t c = component[p];
       Neighbor& nb = point_best[p];
       if (c == passive) return;
-      if (nb.index != kNone && component[static_cast<std::size_t>(nb.index)] == c)
+      if (nb.index != kNone && component[static_cast<std::size_t>(nb.rank)] == c)
         nb.index = kNone;
       if (nb.index == kNone && lists) {
         const double f_star = std::max(core_sq[p], knn->fence_sq[p]);
         if (nb.squared_distance < f_star) {
-          const double* at = points.point(static_cast<index_t>(pi)).data();
           const auto length = static_cast<std::size_t>(knn->length);
           Neighbor w;
-          for (const index_t q : std::span<const index_t>(knn->ids.data() + p * length, length)) {
+          for (const index_t q : std::span<const index_t>(knn->ranks.data() + p * length, length)) {
             const auto qi = static_cast<std::size_t>(q);
             if (component[qi] == c) continue;
-            const double sq = distance::squared_distance(at, points.point(q).data(), dim);
-            const Neighbor cand{std::max({sq, core_sq[p], core_sq[qi]}), q};
+            const double score = std::max(
+                {tree.squared_distance(static_cast<index_t>(pi), q), core_sq[p], core_sq[qi]});
+            if (score > w.squared_distance) continue;
+            const Neighbor cand{score, id_of[qi], q};
             if (cand < w) w = cand;
           }
           if (w.squared_distance < f_star)
@@ -183,9 +227,8 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     // already exceeds the radius cannot attain the minimum and skips its
     // query; a query finding nothing within the radius proves every foreign
     // score exceeds it, so the radius becomes the point's lower bound.  Both
-    // keep kNone and are reconsidered next round.  Queries walk the tree
+    // keep kNone and are reconsidered next round.  Queries walk the ranks in
     // order so neighbouring queries tighten each other's radius early.
-    const std::span<const index_t> order = tree.tree_order();
     constexpr index_t kQueriesPerChunk = 256;
     const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
     obs::Counter& queries = queries_metric(mst.empty());
@@ -193,8 +236,7 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
       const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
       const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
       std::uint64_t issued = 0;
-      for (index_t i = lo; i < hi; ++i) {
-        const index_t p = order[static_cast<std::size_t>(i)];
+      for (index_t p = lo; p < hi; ++p) {
         const index_t c = component[static_cast<std::size_t>(p)];
         Neighbor& best = point_best[static_cast<std::size_t>(p)];
         if (c == passive || best.index != kNone) continue;
@@ -221,40 +263,77 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
     };
     exec.run_chunks(num_chunks, exec.num_threads(), query_chunk);
     // Phase 2: among weight ties, the smallest point id wins (exact
-    // lexicographic (weight, point) minimum without a 128-bit CAS).
+    // lexicographic (weight, point) minimum without a 128-bit CAS).  The
+    // winner's rank rides in the key's low half, below the id.
     exec::parallel_for(exec, n, [&](size_type pi) {
-      const auto p = static_cast<index_t>(pi);
-      const Neighbor nb = point_best[static_cast<std::size_t>(p)];
+      const auto p = static_cast<std::size_t>(pi);
+      const Neighbor nb = point_best[p];
       if (nb.index == kNone) return;
-      const index_t c = component[static_cast<std::size_t>(p)];
+      const index_t c = component[p];
       if (best_weight[static_cast<std::size_t>(c)] ==
           exec::order_preserving_bits(nb.squared_distance))
-        exec::atomic_fetch_min(best_point[static_cast<std::size_t>(c)], p);
+        exec::atomic_fetch_min(best_point[static_cast<std::size_t>(c)],
+                               static_cast<std::uint64_t>(id_of[p]) << 32 | p);
     });
 
-    // Phase 3: hook the winners.  The union-find suppresses the duplicate
-    // when two components choose each other.
+    // Phase 3: hook the winners.  (3a) In parallel, each component writes
+    // its winner's edge behind the accepted ones and finds its partner's
+    // label, then clears its slots for the next round.
     const std::size_t before = mst.size();
-    for (const index_t r : roots) {
-      const index_t p = best_point[static_cast<std::size_t>(r)];
-      if (p == kUnset) continue;
-      const Neighbor nb = point_best[static_cast<std::size_t>(p)];
-      if (uf.find(p) != uf.find(nb.index)) {
-        uf.unite(p, nb.index);
-        mst.push_back({p, nb.index, std::sqrt(nb.squared_distance)});
+    mst.resize(before + static_cast<std::size_t>(live));
+    exec::parallel_for(exec, live, [&](size_type ci) {
+      const auto c = static_cast<std::size_t>(ci);
+      parent[c] = static_cast<index_t>(ci);
+      target[c] = kNone;
+      const std::uint64_t key = best_point[c];
+      best_weight[c] = kInf;
+      best_point[c] = kInf;
+      if (key == kInf) return;
+      const Neighbor& nb = point_best[static_cast<std::uint32_t>(key)];
+      mst[before + c] = {static_cast<index_t>(key >> 32), nb.index, std::sqrt(nb.squared_distance)};
+      target[c] = component[static_cast<std::size_t>(nb.rank)];
+    });
+    // (3b) Serially, in label order (ascending smallest id), each hook
+    // unites the two components' sets unless they are already one, and the
+    // set keeps its smallest label; the accepted edges move down in hook
+    // order.  Under ties the hooks can close a cycle; the hook that would
+    // close it is dropped, as a union-find over ids drops it.
+    const auto find = [&](index_t x) {
+      while (parent[static_cast<std::size_t>(x)] != x) {
+        parent[static_cast<std::size_t>(x)] =
+            parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(x)])];
+        x = parent[static_cast<std::size_t>(x)];
       }
+      return x;
+    };
+    std::size_t joined = before;
+    for (index_t c = 0; c < live; ++c) {
+      const index_t t = target[static_cast<std::size_t>(c)];
+      if (t == kNone) continue;
+      const index_t a = find(c);
+      const index_t b = find(t);
+      if (a == b) continue;
+      parent[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+      mst[joined++] = mst[before + static_cast<std::size_t>(c)];
     }
-    PANDORA_EXPECT(mst.size() > before, "Borůvka made no progress (duplicate points?)");
-
-    std::vector<index_t> next_roots;
-    next_roots.reserve(roots.size() / 2 + 1);
-    for (const index_t r : roots) {
-      if (uf.find(r) == r) next_roots.push_back(r);
-      best_weight[static_cast<std::size_t>(r)] = kInf;
-      best_point[static_cast<std::size_t>(r)] = kUnset;
+    PANDORA_EXPECT(joined > before, "Borůvka made no progress (duplicate points?)");
+    mst.resize(joined);
+    // (3c) Renumber the sets in label order: parents only point to smaller
+    // labels, so one ascending pass gives each set's root the next label and
+    // every other component its (already renumbered) parent's.
+    index_t kept = 0;
+    for (index_t c = 0; c < live; ++c) {
+      const index_t up = parent[static_cast<std::size_t>(c)];
+      target[static_cast<std::size_t>(c)] = up == c ? kept++ : target[static_cast<std::size_t>(up)];
     }
-    roots.swap(next_roots);
+    exec::parallel_for(exec, n, [&](size_type r) {
+      index_t& c = component[static_cast<std::size_t>(r)];
+      c = target[static_cast<std::size_t>(c)];
+    });
+    live = kept;
   }
+  if (seed != nullptr)
+    for (const graph::WeightedEdge& e : mst) seed->unite(e.u, e.v);
   return mst;
 }
 
@@ -262,27 +341,34 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const PointSet& points,
 
 graph::EdgeList euclidean_mst(const exec::Executor& exec, const PointSet& points,
                               const KdTree& tree) {
-  graph::ConcurrentUnionFind uf(points.size());
-  return boruvka_emst(exec, points, tree, {}, false, uf);
+  PANDORA_EXPECT(tree.size() == points.size(), "the kd-tree must index exactly the query points");
+  return boruvka_emst(exec, tree, {}, false);
 }
 
 graph::EdgeList join_components_emst(const exec::Executor& exec, const PointSet& points,
                                      const KdTree& tree, graph::ConcurrentUnionFind& uf) {
+  PANDORA_EXPECT(tree.size() == points.size(), "the kd-tree must index exactly the query points");
   PANDORA_EXPECT(uf.size() == points.size(), "one union-find slot per point required");
-  return boruvka_emst(exec, points, tree, {}, false, uf);
+  return boruvka_emst(exec, tree, {}, false, &uf);
 }
 
 graph::EdgeList mutual_reachability_mst(const exec::Executor& exec, const PointSet& points,
                                         const KdTree& tree,
                                         std::span<const double> core_distances,
                                         const NeighborLists* seeds) {
-  PANDORA_EXPECT(static_cast<index_t>(core_distances.size()) == points.size(),
+  const index_t n = points.size();
+  PANDORA_EXPECT(tree.size() == n, "the kd-tree must index exactly the query points");
+  PANDORA_EXPECT(static_cast<index_t>(core_distances.size()) == n,
                  "one core distance per point required");
-  std::vector<double> core_sq(core_distances.size());
-  for (std::size_t i = 0; i < core_sq.size(); ++i)
-    core_sq[i] = core_distances[i] * core_distances[i];
-  graph::ConcurrentUnionFind uf(points.size());
-  return boruvka_emst(exec, points, tree, core_sq, true, uf, seeds);
+  // The id -> rank boundary: core distances arrive by id and are squared
+  // into rank order once.
+  std::vector<double> core_sq(static_cast<std::size_t>(n));
+  const std::span<const index_t> id_of = tree.tree_order();
+  exec::parallel_for(exec, n, [&](size_type r) {
+    const double core = core_distances[static_cast<std::size_t>(id_of[static_cast<std::size_t>(r)])];
+    core_sq[static_cast<std::size_t>(r)] = core * core;
+  });
+  return boruvka_emst(exec, tree, core_sq, true, nullptr, seeds);
 }
 
 namespace {

@@ -42,6 +42,17 @@ namespace pandora::spatial {
 /// The tree is read-only: per-round component annotations live in
 /// query-local `KdTreeAnnotations`, so one (possibly cached and shared) tree
 /// can back concurrent EMST queries.
+///
+/// Index spaces.  `tree` must index `points`.  Inside the build every
+/// per-point array — squared core distances, component labels, candidates,
+/// kNN lists — is kept in the tree's rank order (see KdTree), so the rounds'
+/// passes and leaf scans read it at consecutive positions.  Point ids only
+/// break ties: the (score, id) candidate order, the smallest-id winner of a
+/// component's tied minima, and the hook order, which visits components by
+/// their smallest id.  Inputs and outputs are by id: `core_distances` is
+/// indexed by point id (squared into rank order once), and edges name their
+/// endpoints by id, so every edge, its orientation, its order and its weight
+/// bits are those of an id-ordered index.
 [[nodiscard]] graph::EdgeList euclidean_mst(const exec::Executor& exec, const PointSet& points,
                                             const KdTree& tree);
 
@@ -63,8 +74,9 @@ namespace pandora::spatial {
 /// paper's Figure 1/15 pipeline.
 ///
 /// `seeds`, when given, must be the neighbour lists that
-/// `hdbscan::core_distances` filled while computing `core_distances`: each
-/// point's L nearest ids, L = max(minPts - 1, kMinListLength), and its
+/// `hdbscan::core_distances` filled on `tree` while computing
+/// `core_distances` (rank-indexed, see NeighborLists): each point's L
+/// nearest neighbours, L = max(minPts - 1, kMinListLength), and its
 /// fence F(p), the squared distance of the (L+1)-th neighbour.  They resolve
 /// candidates without tree queries in every round — the kNN-graph start of
 /// cuSLINK, kept exact by a cut certificate.  Every point outside p's list

@@ -55,7 +55,7 @@ KdTree::KdTree(const PointSet& points, int leaf_size, const exec::Executor* exec
   nodes_.resize(num_nodes);
   box_lo_.resize(num_nodes * static_cast<std::size_t>(dim_));
   box_hi_.resize(num_nodes * static_cast<std::size_t>(dim_));
-  leaf_soa_.resize(perm_.size() * static_cast<std::size_t>(dim_));
+  columns_.resize(perm_.size() * static_cast<std::size_t>(dim_));
 
   // Without an executor the same chunks run in order on the calling thread.
   const int workers = exec != nullptr ? exec->num_threads() : 1;
@@ -65,6 +65,21 @@ KdTree::KdTree(const PointSet& points, int leaf_size, const exec::Executor* exec
     else
       for (std::size_t c = 0; c < num_chunks; ++c) body(static_cast<int>(c));
   };
+
+  // The columns start in id order (perm_ is the identity) and every split
+  // permutes them with perm_, so each node reads its own range of each
+  // column, contiguously, and the leaves end up in rank order.
+  constexpr index_t kPointsPerChunk = 4096;
+  run(static_cast<std::size_t>((n + kPointsPerChunk - 1) / kPointsPerChunk), [&](int c) {
+    const index_t lo = static_cast<index_t>(c) * kPointsPerChunk;
+    const index_t hi = std::min<index_t>(n, lo + kPointsPerChunk);
+    for (index_t i = lo; i < hi; ++i) {
+      const std::span<const double> p = points.point(i);
+      for (int d = 0; d < dim_; ++d)
+        columns_[static_cast<std::size_t>(d) * static_cast<std::size_t>(n) +
+                 static_cast<std::size_t>(i)] = p[static_cast<std::size_t>(d)];
+    }
+  });
 
   // The top levels split breadth-first, one chunk per node, until there are
   // enough subtrees to balance; then one chunk builds each subtree.  Every
@@ -107,42 +122,35 @@ void KdTree::build_subtree(index_t id, index_t begin, index_t end, SplitKeys& ke
   build_subtree(nd.right, mid, end, keys);
 }
 
-void KdTree::fill_leaf_soa(const Node& nd) {
-  // A leaf's range [begin, end) owns leaf_soa_[begin*dim, end*dim): one
-  // dimension-blocked SoA block per leaf, back to back in perm order.
-  const index_t count = nd.end - nd.begin;
-  double* block =
-      leaf_soa_.data() + static_cast<std::size_t>(nd.begin) * static_cast<std::size_t>(dim_);
-  for (index_t i = 0; i < count; ++i) {
-    const std::span<const double> p = points_->point(perm_[static_cast<std::size_t>(nd.begin + i)]);
-    for (int d = 0; d < dim_; ++d)
-      block[static_cast<std::size_t>(d) * static_cast<std::size_t>(count) +
-            static_cast<std::size_t>(i)] = p[static_cast<std::size_t>(d)];
-  }
-}
-
 void KdTree::scan_leaf(const Node& nd, const double* query, double* out) const {
   const index_t count = nd.end - nd.begin;
-  distance::batch_squared_distances(
-      query,
-      leaf_soa_.data() + static_cast<std::size_t>(nd.begin) * static_cast<std::size_t>(dim_),
-      dim_, count, count, out);
+  distance::batch_squared_distances(query, columns_.data() + nd.begin, dim_, count, size(), out);
+}
+
+const double* KdTree::query_at(index_t r) const {
+  thread_local std::vector<double> query;
+  query.resize(static_cast<std::size_t>(dim_));
+  const std::size_t n = perm_.size();
+  for (int d = 0; d < dim_; ++d)
+    query[static_cast<std::size_t>(d)] =
+        columns_[static_cast<std::size_t>(d) * n + static_cast<std::size_t>(r)];
+  return query.data();
 }
 
 void KdTree::update_box(index_t node) {
   const Node& nd = nodes_[static_cast<std::size_t>(node)];
   const std::size_t base = static_cast<std::size_t>(node) * static_cast<std::size_t>(dim_);
-  double* lo = box_lo_.data() + base;
-  double* hi = box_hi_.data() + base;
-  std::fill(lo, lo + dim_, std::numeric_limits<double>::infinity());
-  std::fill(hi, hi + dim_, -std::numeric_limits<double>::infinity());
-  // One pass over the points; each dimension still folds them in range order.
-  for (index_t i = nd.begin; i < nd.end; ++i) {
-    const double* p = points_->point(perm_[static_cast<std::size_t>(i)]).data();
-    for (int d = 0; d < dim_; ++d) {
-      lo[d] = std::min(lo[d], p[d]);
-      hi[d] = std::max(hi[d], p[d]);
+  // Each dimension folds its column over the node's range in rank order.
+  for (int d = 0; d < dim_; ++d) {
+    const double* column = columns_.data() + static_cast<std::size_t>(d) * perm_.size();
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (index_t i = nd.begin; i < nd.end; ++i) {
+      lo = std::min(lo, column[i]);
+      hi = std::max(hi, column[i]);
     }
+    box_lo_[base + static_cast<std::size_t>(d)] = lo;
+    box_hi_[base + static_cast<std::size_t>(d)] = hi;
   }
 }
 
@@ -150,10 +158,7 @@ index_t KdTree::build_node(index_t id, index_t begin, index_t end, SplitKeys& ke
   Node& nd = nodes_[static_cast<std::size_t>(id)];
   nd = Node{begin, end, kNone, kNone, 0, 0.0};
   update_box(id);
-  if (end - begin <= leaf_size_) {
-    fill_leaf_soa(nd);
-    return kNone;
-  }
+  if (end - begin <= leaf_size_) return kNone;
 
   // Split the widest box extent at the median point.
   const std::size_t base = static_cast<std::size_t>(id) * static_cast<std::size_t>(dim_);
@@ -168,23 +173,37 @@ index_t KdTree::build_node(index_t id, index_t begin, index_t end, SplitKeys& ke
     }
   }
   const index_t mid = begin + (end - begin) / 2;
-  // Select on (coordinate, id) keys gathered into the chunk's scratch: the
-  // same comparisons and moves as selecting ids through the point array,
-  // on contiguous memory.
-  keys.resize(static_cast<std::size_t>(end - begin));
-  for (index_t i = begin; i < end; ++i) {
-    const index_t p = perm_[static_cast<std::size_t>(i)];
-    keys[static_cast<std::size_t>(i - begin)] = {points_->at(p, split_dim), p};
-  }
-  std::nth_element(keys.begin(), keys.begin() + (mid - begin), keys.end(),
-                   [](const SplitKeys::value_type& a, const SplitKeys::value_type& b) {
-                     if (a.first != b.first) return a.first < b.first;
-                     return a.second < b.second;  // deterministic partition under ties
-                   });
+  const auto count = static_cast<std::size_t>(end - begin);
+  const std::size_t n = perm_.size();
+  // Select on (coordinate, id) keys gathered from the split column into the
+  // chunk's scratch: the same comparisons and moves as selecting ids through
+  // the point array, on contiguous memory.
+  keys.resize(count);
+  const double* const split_column = columns_.data() + static_cast<std::size_t>(split_dim) * n;
   for (index_t i = begin; i < end; ++i)
-    perm_[static_cast<std::size_t>(i)] = keys[static_cast<std::size_t>(i - begin)].second;
+    keys[static_cast<std::size_t>(i - begin)] = {split_column[i], perm_[static_cast<std::size_t>(i)],
+                                                 i - begin};
+  std::nth_element(keys.begin(), keys.begin() + (mid - begin), keys.end(),
+                   [](const SplitKey& a, const SplitKey& b) {
+                     if (a.value != b.value) return a.value < b.value;
+                     return a.id < b.id;  // deterministic partition under ties
+                   });
   nd.split_dim = split_dim;
-  nd.split_value = keys[static_cast<std::size_t>(mid - begin)].first;
+  nd.split_value = keys[static_cast<std::size_t>(mid - begin)].value;
+  // Apply the selection to perm_ and to every column over the range: the
+  // split column from the keys, every other one staged through the keys'
+  // values.
+  double* const columns = columns_.data() + begin;
+  for (std::size_t j = 0; j < count; ++j) {
+    perm_[static_cast<std::size_t>(begin) + j] = keys[j].id;
+    columns[static_cast<std::size_t>(split_dim) * n + j] = keys[j].value;
+  }
+  for (int d = 0; d < dim_; ++d) {
+    if (d == split_dim) continue;
+    double* column = columns + static_cast<std::size_t>(d) * n;
+    for (SplitKey& key : keys) key.value = column[static_cast<std::size_t>(key.from)];
+    for (std::size_t j = 0; j < count; ++j) column[j] = keys[j].value;
+  }
   // Preorder: the left subtree follows its parent, the right one follows
   // the whole left subtree.
   nd.left = id + 1;
@@ -270,9 +289,8 @@ void KdTree::knn_search(const double* query, int k, index_t exclude,
       scan_leaf(nd, query, leaf_sq);
       for (index_t i = nd.begin; i < nd.end; ++i) {
         const double sq = leaf_sq[static_cast<std::size_t>(i - nd.begin)];
-        if (sq > worst.squared_distance) continue;
-        const Neighbor cand{sq, perm_[static_cast<std::size_t>(i)]};
-        if (cand.index == exclude) continue;
+        if (sq > worst.squared_distance || i == exclude) continue;
+        const Neighbor cand{sq, perm_[static_cast<std::size_t>(i)], i};
         // Unfilled slots take any candidate, so a non-finite distance can
         // never leave a sentinel behind.
         if (filled < k)
@@ -293,7 +311,7 @@ void KdTree::knn_search(const double* query, int k, index_t exclude,
 }
 
 void KdTree::knn(index_t q, int k, std::vector<Neighbor>& out) const {
-  knn_search(points_->point(q).data(), std::min<index_t>(k, size() - 1), q, out);
+  knn_search(query_at(q), std::min<index_t>(k, size() - 1), q, out);
 }
 
 void KdTree::knn(std::span<const double> query, int k, std::vector<Neighbor>& out) const {
@@ -326,7 +344,7 @@ namespace {
 /// Plain Euclidean scoring for component queries: the leaf scan's batched
 /// squared distance IS the score.
 struct EuclideanScore {
-  double from_sq(index_t /*p*/, double sq) const { return sq; }
+  double from_sq(index_t /*rank*/, double sq) const { return sq; }
 };
 
 /// Starting best of a query bounded by `radius_sq`: a candidate tying the
@@ -377,9 +395,10 @@ void KdTree::search(const double* query, Neighbor& best, index_t my_component,
       if (box_squared_distance(at.node, query) > best.squared_distance) break;
       scan_leaf(nd, query, leaf_sq);
       for (index_t i = nd.begin; i < nd.end; ++i) {
-        const index_t p = perm_[static_cast<std::size_t>(i)];
-        if (filtered && component[static_cast<std::size_t>(p)] == my_component) continue;
-        const Neighbor cand{score.from_sq(p, leaf_sq[static_cast<std::size_t>(i - nd.begin)]), p};
+        if (filtered && component[static_cast<std::size_t>(i)] == my_component) continue;
+        const double s = score.from_sq(i, leaf_sq[static_cast<std::size_t>(i - nd.begin)]);
+        if (s > best.squared_distance) continue;
+        const Neighbor cand{s, perm_[static_cast<std::size_t>(i)], i};
         if (cand < best) best = cand;
       }
       break;
@@ -392,7 +411,7 @@ Neighbor KdTree::nearest_other_component(index_t q, index_t my_component,
                                          const KdTreeAnnotations& notes,
                                          double radius_sq) const {
   Neighbor best = within_radius(radius_sq);
-  const double* query = points_->point(q).data();
+  const double* query = query_at(q);
   EuclideanScore score{};
   search(query, best, my_component, component, notes, score);
   return found_or_none(best);
@@ -412,15 +431,16 @@ Neighbor KdTree::nearest_other_component(std::span<const double> query, index_t 
 
 namespace {
 
-/// Mreach score with the per-node minimum-core bound wired in.
+/// Mreach score with the per-node minimum-core bound wired in; `q` and the
+/// scored point are ranks.
 struct MreachScoreBound {
   index_t q;
   std::span<const double> core_sq;
   const std::vector<double>* node_min_core;
 
-  double from_sq(index_t p, double sq) const {
+  double from_sq(index_t rank, double sq) const {
     return std::max({sq, core_sq[static_cast<std::size_t>(q)],
-                     core_sq[static_cast<std::size_t>(p)]});
+                     core_sq[static_cast<std::size_t>(rank)]});
   }
   double extra_bound(index_t node) const {
     double b = core_sq[static_cast<std::size_t>(q)];
@@ -438,7 +458,7 @@ Neighbor KdTree::nearest_other_component_mreach(index_t q, index_t my_component,
                                                 const KdTreeAnnotations& notes,
                                                 double radius_sq) const {
   Neighbor best = within_radius(radius_sq);
-  const double* query = points_->point(q).data();
+  const double* query = query_at(q);
   MreachScoreBound score{q, core_sq, &notes.node_min_core};
   search(query, best, my_component, component, notes, score);
   return found_or_none(best);
@@ -455,9 +475,9 @@ void KdTree::annotate_components(const exec::Executor& exec,
   exec::parallel_for(exec, num_nodes, [&](size_type id) {
     const Node& nd = nodes_[static_cast<std::size_t>(id)];
     if (nd.left != kNone) return;
-    index_t c = component[static_cast<std::size_t>(perm_[static_cast<std::size_t>(nd.begin)])];
+    index_t c = component[static_cast<std::size_t>(nd.begin)];
     for (index_t i = nd.begin + 1; i < nd.end && c != kNone; ++i)
-      if (component[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] != c) c = kNone;
+      if (component[static_cast<std::size_t>(i)] != c) c = kNone;
     node_component[static_cast<std::size_t>(id)] = c;
   });
   for (size_type id = num_nodes - 1; id >= 0; --id) {
@@ -479,7 +499,7 @@ void KdTree::annotate_min_core(const exec::Executor& exec, std::span<const doubl
     if (nd.left != kNone) return;
     double m = std::numeric_limits<double>::infinity();
     for (index_t i = nd.begin; i < nd.end; ++i)
-      m = std::min(m, core_sq[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])]);
+      m = std::min(m, core_sq[static_cast<std::size_t>(i)]);
     node_min_core[static_cast<std::size_t>(id)] = m;
   });
   for (size_type id = num_nodes - 1; id >= 0; --id) {

@@ -16,10 +16,14 @@
 
 namespace pandora::spatial {
 
-/// A neighbour candidate returned by queries (squared distance + point id).
+/// A neighbour candidate returned by queries: squared distance, point id,
+/// and the point's rank in the tree that found it.  Order is (squared
+/// distance, id) only; the rank rides along so a caller can index its
+/// rank-ordered arrays without a lookup, and never decides a tie.
 struct Neighbor {
   double squared_distance = std::numeric_limits<double>::infinity();
-  index_t index = kNone;
+  index_t index = kNone;  ///< point id
+  index_t rank = kNone;   ///< position in the tree's `tree_order()`; kNone off a tree
 
   friend bool operator<(const Neighbor& a, const Neighbor& b) {
     if (a.squared_distance != b.squared_distance) return a.squared_distance < b.squared_distance;
@@ -28,6 +32,8 @@ struct Neighbor {
 };
 
 /// Per-traversal annotations of a kd-tree, held by the *query*, not the tree.
+/// Both arrays are per *node*; the per-point inputs they are computed from
+/// are rank-indexed (see KdTree).
 ///
 /// Borůvka EMST rounds annotate every node with the component id shared by
 /// all points below it (to prune same-component subtrees) and with the
@@ -57,15 +63,27 @@ struct KdTreeAnnotations {
 /// node per chunk until there are at least four subtrees per thread, then one
 /// chunk builds each subtree.  Node ids are preorder and every node
 /// partitions its range exactly as a serial recursion would, so the tree —
-/// `tree_order()`, nodes, boxes, leaf blocks — is the same on every backend
-/// and thread count, and the same as the executor-less constructor's.
+/// `tree_order()`, nodes, boxes, coordinate columns — is the same on every
+/// backend and thread count, and the same as the executor-less constructor's.
+/// The build copies the points into the columns in id order once; every
+/// split then permutes its range of each column along with the ids, so
+/// boxes and median selections read contiguous memory.
 ///
 /// The tree is immutable after construction; all queries are const.  Round
 /// state lives in a caller-owned `KdTreeAnnotations` (see above), which is
 /// what lets a cached tree serve concurrent batch queries.
 ///
-/// Ties are broken on point index everywhere, so all query results — and the
-/// EMST built on them — are deterministic.
+/// Index spaces.  A point's *rank* is its position in the leaf order
+/// `tree_order()`: every leaf covers a contiguous rank range, and so does
+/// every subtree.  The tree keeps its own rank-ordered coordinate copy, so
+/// leaf scans read coordinates, and the caller's per-point arrays, at
+/// consecutive ranks.  Everything a caller passes in per point — `component`,
+/// `core_sq` — is indexed by rank, and the indexed queries (`knn(r, ...)`,
+/// `nearest_other_component(r, ...)`) take the query's rank.  Results name
+/// points by id (`Neighbor::index`), with the rank beside it.  Ties are
+/// broken on point id everywhere, never on rank, so all query results — and
+/// the EMST built on them — are the same as on an id-ordered index, and are
+/// deterministic.  `tree_order()` maps rank to id.
 class KdTree {
  public:
   /// Builds over `points` (kept by reference; must outlive the tree),
@@ -75,8 +93,8 @@ class KdTree {
   /// Builds the same tree on the calling thread alone.
   explicit KdTree(const PointSet& points, int leaf_size = 32);
 
-  /// k nearest neighbours of point `q`, excluding q itself, ascending.
-  /// `out` is resized to min(k, n-1).  The search descends near child
+  /// k nearest neighbours of the point at rank `q`, excluding q itself,
+  /// ascending; `out` is resized to min(k, n-1).  The search descends near child
   /// first; a far child is skipped when its split-plane bound
   /// max(parent bound, (q[split] - split)^2) exceeds the current k-th
   /// distance, and a leaf when its bounding box does.  Pruning is strict
@@ -90,7 +108,7 @@ class KdTree {
   /// point that is not (yet) part of the index.
   void knn(std::span<const double> query, int k, std::vector<Neighbor>& out) const;
 
-  /// kNN for a batch of indexed queries, one `knn` search each: `out` is
+  /// kNN for a batch of queries given by rank, one `knn` search each: `out` is
   /// resized to `queries.size() * k_eff` with query i's neighbours ascending
   /// at [i * k_eff, (i+1) * k_eff), k_eff = min(k, n-1) (each query point
   /// excludes itself).  Results equal per-query `knn` — the k-nearest set
@@ -108,10 +126,10 @@ class KdTree {
   void knn_batch(const double* queries, index_t num_queries, int k,
                  std::vector<Neighbor>& out) const;
 
-  /// Nearest point to `q` under the Euclidean metric among points whose
-  /// `component[]` differs from `my_component`.  Uses the component
-  /// annotation in `notes` (from annotate_components) to skip
-  /// single-component subtrees.  The search is the kNN descent (split-plane
+  /// Nearest point to the point at rank `q` under the Euclidean metric among
+  /// points whose `component[]` (rank-indexed) differs from `my_component`.
+  /// Uses the component annotation in `notes` (from annotate_components) to
+  /// skip single-component subtrees.  The search is the kNN descent (split-plane
   /// bounds, box distance at leaves) with one best; the component and
   /// per-node bounds apply at every node it visits.
   ///
@@ -138,7 +156,8 @@ class KdTree {
 
   /// As above under the mutual-reachability metric
   /// d_mreach(p,q) = max(core(p), core(q), d(p,q)) with *squared* core
-  /// distances in `core_sq` (annotate_min_core must have filled `notes`).
+  /// distances in `core_sq` (rank-indexed; annotate_min_core must have
+  /// filled `notes`).
   /// `radius_sq` bounds the squared mreach score with the same contract as
   /// the indexed Euclidean overload: ties at the radius are kept, kNone
   /// when nothing lies within it.
@@ -148,11 +167,13 @@ class KdTree {
       double radius_sq = std::numeric_limits<double>::infinity()) const;
 
   /// Records into `notes`, per node, the component id shared by all points
-  /// below it (or kNone if mixed).  Call once per Borůvka round.
+  /// below it (or kNone if mixed); `component` is rank-indexed.  Call once
+  /// per Borůvka round.
   void annotate_components(const exec::Executor& exec, std::span<const index_t> component,
                            KdTreeAnnotations& notes) const;
 
-  /// Records into `notes`, per node, the minimum squared core distance below.
+  /// Records into `notes`, per node, the minimum squared core distance below;
+  /// `core_sq` is rank-indexed.
   void annotate_min_core(const exec::Executor& exec, std::span<const double> core_sq,
                          KdTreeAnnotations& notes) const;
 
@@ -160,11 +181,26 @@ class KdTree {
   [[nodiscard]] int leaf_size() const { return leaf_size_; }
   [[nodiscard]] const PointSet& points() const { return *points_; }
 
-  /// Point ids in tree (leaf-partition) order: consecutive ids are spatially
-  /// close, so searches issued in this order (the kNN pass, Borůvka's
-  /// queries) reuse cache-hot nodes and leaf blocks, and neighbouring
-  /// Borůvka queries tighten each other's radius early.
+  /// Point ids in tree (leaf-partition) order, i.e. rank -> id: consecutive
+  /// ranks are spatially close, so searches issued in rank order (the kNN
+  /// pass, Borůvka's queries) reuse cache-hot nodes and leaf columns, and
+  /// neighbouring Borůvka queries tighten each other's radius early.
   [[nodiscard]] std::span<const index_t> tree_order() const { return perm_; }
+
+  /// Squared distance between the points at ranks `a` and `b`, read from the
+  /// tree's coordinate copy; bit-identical to the distance a leaf scan or
+  /// `PointSet::squared_distance` computes for the same pair.
+  [[nodiscard]] double squared_distance(index_t a, index_t b) const {
+    // Ascending d with plain adds, as every distance kernel accumulates.
+    const std::size_t n = perm_.size();
+    const double* column = columns_.data();
+    double sum = 0;
+    for (int d = 0; d < dim_; ++d, column += n) {
+      const double diff = column[a] - column[b];
+      sum += diff * diff;
+    }
+    return sum;
+  }
 
  private:
   struct Node {
@@ -176,23 +212,35 @@ class KdTree {
 
   KdTree(const PointSet& points, int leaf_size, const exec::Executor* exec);
 
-  /// Scratch (coordinate, id) keys for one build chunk's median selections.
-  using SplitKeys = std::vector<std::pair<double, index_t>>;
+  /// A median-selection key: the split coordinate, the point id (the tie
+  /// break), and where in the node's range the point sat before the split.
+  /// After the selection, `value` carries each other column through the
+  /// same permutation.
+  struct SplitKey {
+    double value;
+    index_t id;
+    index_t from;
+  };
+  /// One build chunk's scratch keys.
+  using SplitKeys = std::vector<SplitKey>;
 
-  /// Fills node `id` over perm_[begin, end): its box, and either its leaf
-  /// block or its split (partitioning the range).  Returns the split
-  /// position, or kNone for a leaf.
+  /// Fills node `id` over ranks [begin, end): its box and, unless it is a
+  /// leaf, its split, which partitions perm_ and every column over the
+  /// range.  Returns the split position, or kNone for a leaf.
   index_t build_node(index_t id, index_t begin, index_t end, SplitKeys& keys);
   void build_subtree(index_t id, index_t begin, index_t end, SplitKeys& keys);
   void update_box(index_t node);
-  void fill_leaf_soa(const Node& nd);
 
-  /// Squared distances from `query` to every point of leaf `nd` (tree
-  /// order), through the dimension-blocked SoA leaf block.
+  /// Squared distances from `query` to every point of leaf `nd` (rank
+  /// order), through the rank-ordered coordinate columns.
   void scan_leaf(const Node& nd, const double* query, double* out) const;
 
+  /// The coordinates of the point at rank `r`, gathered from the columns
+  /// into per-thread scratch (valid until the thread's next call).
+  [[nodiscard]] const double* query_at(index_t r) const;
+
   /// Shared kNN body: nearest indexed points to `query`, excluding the
-  /// indexed point `exclude` (kNone = exclude nothing).
+  /// point at rank `exclude` (kNone = exclude nothing).
   void knn_search(const double* query, int k, index_t exclude,
                   std::vector<Neighbor>& out) const;
 
@@ -210,14 +258,14 @@ class KdTree {
   int dim_ = 0;
   int leaf_size_ = 32;
   index_t max_leaf_count_ = 0;          ///< widest leaf (scratch sizing)
-  std::vector<index_t> perm_;           ///< point ids, partitioned by node ranges
+  std::vector<index_t> perm_;           ///< rank -> point id, partitioned by node ranges
   std::vector<Node> nodes_;             ///< nodes_[0] is the root
   std::vector<double> box_lo_, box_hi_; ///< per node * dim bounding boxes
-  /// Dimension-blocked SoA copy of the leaf points, one block per leaf in
-  /// perm order: coordinate d of leaf point i (leaf range [begin, end)) is
-  /// leaf_soa_[begin * dim + d * (end - begin) + (i - begin)].  This is what
-  /// the batch distance kernels scan instead of gathering row-major points.
-  std::vector<double> leaf_soa_;
+  /// Rank-ordered coordinate columns: coordinate d of the point at rank r is
+  /// columns_[d * n + r].  A leaf [begin, end) is then the dimension-blocked
+  /// SoA block the batch distance kernels scan (stride n), and a rank's
+  /// coordinates are one load per column.
+  std::vector<double> columns_;
 };
 
 /// Order-sensitive 64-bit content fingerprint of a point set (coordinates,

@@ -4,19 +4,23 @@
 #include <cmath>
 #include <limits>
 
+#include "pandora/common/expect.hpp"
+
 namespace pandora::spatial {
 
 std::vector<double> kth_neighbor_distances(const exec::Executor& exec, const PointSet& points,
                                            const KdTree& tree, int k, NeighborLists* lists) {
   const index_t n = points.size();
+  PANDORA_EXPECT(tree.size() == n, "the kd-tree must index exactly the query points");
   std::vector<double> result(static_cast<std::size_t>(n), 0.0);
   if (lists != nullptr) *lists = NeighborLists{};
   if (k <= 0 || n <= 1) return result;
 
-  // Queries run in tree (leaf-partition) order so consecutive searches touch
-  // the same nodes and leaf blocks while they are cache-hot.  Results scatter
-  // back by point id, so the output is identical to querying 0..n-1 directly.
-  const std::span<const index_t> order = tree.tree_order();
+  // Queries run in rank order so consecutive searches touch the same nodes
+  // and leaf columns while they are cache-hot, and every chunk writes its own
+  // range of the rank-indexed lists.  Each distance crosses the rank -> id
+  // boundary once, scattered to its point id.
+  const std::span<const index_t> id_of = tree.tree_order();
   const int k_eff = static_cast<int>(std::min<index_t>(k, n - 1));
   // With lists, one neighbour beyond the list: the (L+1)-th is the fence.
   const auto list_length =
@@ -24,7 +28,7 @@ std::vector<double> kth_neighbor_distances(const exec::Executor& exec, const Poi
   const int fetch = lists != nullptr ? list_length + 1 : k;
   if (lists != nullptr) {
     lists->length = list_length;
-    lists->ids.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(list_length));
+    lists->ranks.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(list_length));
     lists->fence_sq.assign(static_cast<std::size_t>(n), std::numeric_limits<double>::infinity());
   }
 
@@ -40,15 +44,14 @@ std::vector<double> kth_neighbor_distances(const exec::Executor& exec, const Poi
     thread_local std::vector<Neighbor> nb;
     const index_t lo = static_cast<index_t>(c) * kQueriesPerChunk;
     const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
-    for (index_t i = lo; i < hi; ++i) {
-      const index_t q = order[static_cast<std::size_t>(i)];
-      const auto p = static_cast<std::size_t>(q);
-      tree.knn(q, fetch, nb);
-      result[p] = std::sqrt(nb[static_cast<std::size_t>(k_eff - 1)].squared_distance);
+    for (index_t r = lo; r < hi; ++r) {
+      const auto p = static_cast<std::size_t>(r);
+      tree.knn(r, fetch, nb);
+      result[static_cast<std::size_t>(id_of[p])] = std::sqrt(nb[static_cast<std::size_t>(k_eff - 1)].squared_distance);
       if (lists == nullptr) continue;
       for (int j = 0; j < list_length; ++j)
-        lists->ids[p * static_cast<std::size_t>(list_length) + static_cast<std::size_t>(j)] =
-            nb[static_cast<std::size_t>(j)].index;
+        lists->ranks[p * static_cast<std::size_t>(list_length) + static_cast<std::size_t>(j)] =
+            nb[static_cast<std::size_t>(j)].rank;
       if (static_cast<int>(nb.size()) > list_length)
         lists->fence_sq[p] = nb[static_cast<std::size_t>(list_length)].squared_distance;
     }

@@ -15,6 +15,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -30,8 +31,10 @@
 #include "pandora/exec/parallel.hpp"
 #include "pandora/exec/scan.hpp"
 #include "pandora/exec/sort.hpp"
+#include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
 #include "pandora/pipeline.hpp"
+#include "pandora/spatial/emst.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -378,6 +381,55 @@ TEST(BackendConformance, HdbscanBitIdenticalAcrossBackends) {
         for (std::size_t i = 0; i < result.mst.size(); ++i)
           ASSERT_EQ(result.mst[i], reference.mst[i]) << where << " edge " << i;
       }
+    }
+  }
+}
+
+TEST(BackendConformance, SpatialRankPassesBitIdenticalAcrossBackends) {
+  // The spatial layer keeps its per-point state in kd-tree rank order: the
+  // tree's coordinate columns (written by the build's chunks), the kNN
+  // pass's rank-indexed lists and id-scattered core distances, the MST's
+  // rank gather of core² and its rank-ordered Borůvka rounds.  On 20k points whose ids are
+  // shuffled (so ranks and ids disagree everywhere) every output must be
+  // identical on the serial backend, on openmp at 2, 3 and 4 threads, and
+  // on the spawning backend, whose concurrent chunks the TSan lane races.
+  const spatial::PointSet points =
+      pandora::testing::shuffle_ids(data::gaussian_blobs(20000, 3, 8, 0.03, 0.1, 41), 9).points;
+  struct Outputs {
+    std::vector<index_t> tree_order;
+    std::vector<double> core;
+    spatial::NeighborLists lists;
+    graph::EdgeList mst;
+  };
+  const auto run = [&](const exec::Executor& executor, int min_pts) {
+    Outputs out;
+    const spatial::KdTree tree(executor, points);
+    out.tree_order.assign(tree.tree_order().begin(), tree.tree_order().end());
+    out.core = hdbscan::core_distances(executor, points, tree, min_pts, &out.lists);
+    out.mst = spatial::mutual_reachability_mst(executor, points, tree, out.core, &out.lists);
+    return out;
+  };
+  std::vector<std::pair<std::string, std::unique_ptr<exec::Executor>>> executors;
+  for (const int threads : {2, 3, 4})
+    executors.emplace_back("openmp threads=" + std::to_string(threads),
+                           std::make_unique<exec::Executor>(exec::openmp_backend(), threads));
+  executors.emplace_back("spawning",
+                         std::make_unique<exec::Executor>(std::make_shared<SpawningBackend>(), 4));
+  const exec::Executor serial(exec::serial_backend());
+  for (const int min_pts : {2, 7}) {
+    const Outputs reference = run(serial, min_pts);
+    ASSERT_EQ(reference.mst.size(), static_cast<std::size_t>(points.size()) - 1);
+    for (const auto& [name, executor] : executors) {
+      const Outputs got = run(*executor, min_pts);
+      const std::string where = name + " mpts=" + std::to_string(min_pts);
+      EXPECT_EQ(got.tree_order, reference.tree_order) << where;
+      EXPECT_EQ(got.core, reference.core) << where;
+      EXPECT_EQ(got.lists.length, reference.lists.length) << where;
+      EXPECT_EQ(got.lists.ranks, reference.lists.ranks) << where;
+      EXPECT_EQ(got.lists.fence_sq, reference.lists.fence_sq) << where;
+      ASSERT_EQ(got.mst.size(), reference.mst.size()) << where;
+      for (std::size_t i = 0; i < got.mst.size(); ++i)
+        ASSERT_EQ(got.mst[i], reference.mst[i]) << where << " edge " << i;
     }
   }
 }

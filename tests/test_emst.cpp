@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <initializer_list>
+#include <string>
+#include <tuple>
 
 #include "pandora/common/rng.hpp"
 #include "pandora/data/point_generators.hpp"
@@ -291,6 +293,92 @@ TEST(Emst, KnnSeededMreachMstEqualsUnseeded) {
           ASSERT_EQ(seeded[i], plain[i]) << backend->name() << " n=" << points.size()
                                          << " mpts=" << min_pts << " edge " << i;
       }
+    }
+  }
+}
+
+/// The sorted weights of `mst`: the same multiset for every MST of a graph,
+/// whichever edges its ties pick.
+std::vector<double> sorted_weights(const EdgeList& mst) {
+  std::vector<double> weights;
+  weights.reserve(mst.size());
+  for (const auto& e : mst) weights.push_back(e.weight);
+  std::sort(weights.begin(), weights.end());
+  return weights;
+}
+
+TEST(Emst, TieRobustMreachMstMatchesBruteForceOnShuffledIds) {
+  // A differential check that does not care which edge a tie picks: the
+  // kd-tree MST's sorted weights equal the brute-force Kruskal MST's, bit
+  // for bit, on every registered backend.  Inputs have their ids shuffled,
+  // so ids carry no spatial order and ranks and ids disagree everywhere;
+  // they cover dims 1-5, mpts 1-9, duplicated points and lattice ties.
+  struct Case {
+    std::string name;
+    PointSet points;
+    std::vector<int> min_pts;
+  };
+  std::vector<Case> cases;
+  for (int dim = 1; dim <= 5; ++dim)
+    cases.push_back({"uniform dim=" + std::to_string(dim),
+                     data::uniform_points(300, dim, 70 + static_cast<std::uint64_t>(dim)),
+                     {1, 2, 5, 9}});
+  cases.push_back({"tie-heavy grid", tie_heavy_grid(), {1, 2, 3, 4, 5, 6, 7, 8, 9}});
+  PointSet line(1, 500);  // 1-D lattice, every value four or five times
+  for (index_t i = 0; i < line.size(); ++i) line.at(i, 0) = static_cast<double>(i % 111);
+  cases.push_back({"1-D lattice with duplicates", std::move(line), {1, 3, 7}});
+  PointSet blobs = data::gaussian_blobs(2000, 3, 6, 0.05, 0.1, 31);
+  for (index_t i = 0; i + 1 < blobs.size(); i += 9)  // every ninth point doubled
+    for (int d = 0; d < 3; ++d) blobs.at(i + 1, d) = blobs.at(i, d);
+  cases.push_back({"blobs with duplicates", std::move(blobs), {2, 9}});
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const PointSet points = pandora::testing::shuffle_ids(cases[c].points, 11 + c).points;
+    for (const int min_pts : cases[c].min_pts) {
+      const std::string where = cases[c].name + " mpts=" + std::to_string(min_pts);
+      const auto core =
+          hdbscan::core_distances(exec::default_executor(exec::serial_backend()), points,
+                                  KdTree(points), min_pts);
+      const std::vector<double> expected =
+          sorted_weights(spatial::brute_force_mreach_mst(points, core));
+      for (const auto& backend : exec::registered_backends()) {
+        const exec::Executor& executor = exec::default_executor(backend);
+        const KdTree tree(executor, points);
+        const EdgeList got = mreach_mst(executor, points, tree, min_pts, true);
+        ASSERT_TRUE(graph::is_spanning_tree(got, points.size())) << where;
+        ASSERT_EQ(sorted_weights(got), expected) << where << " on " << backend->name();
+      }
+    }
+  }
+}
+
+TEST(Emst, PermutedInputGivesThePermutedMst) {
+  // Without ties the MST is unique, so relabelling the points may only
+  // relabel its edges: at mpts 1 on continuous random input, the MST of a
+  // permuted input is the permuted MST as a set of (endpoints, weight bits).
+  const auto edge_set = [](const EdgeList& mst, const std::vector<index_t>* relabel) {
+    std::vector<std::tuple<index_t, index_t, double>> set;
+    for (const auto& e : mst) {
+      index_t u = e.u, v = e.v;
+      if (relabel != nullptr) {
+        u = (*relabel)[static_cast<std::size_t>(u)];
+        v = (*relabel)[static_cast<std::size_t>(v)];
+      }
+      set.emplace_back(std::min(u, v), std::max(u, v), e.weight);
+    }
+    std::sort(set.begin(), set.end());
+    return set;
+  };
+  for (const int dim : {2, 5}) {
+    const PointSet points = data::uniform_points(1500, dim, 90 + static_cast<std::uint64_t>(dim));
+    const pandora::testing::ShuffledPoints permuted = pandora::testing::shuffle_ids(points, 3);
+    for (const auto& backend : exec::registered_backends()) {
+      const exec::Executor& executor = exec::default_executor(backend);
+      const EdgeList original = mreach_mst(executor, points, KdTree(executor, points), 1, true);
+      const EdgeList relabelled =
+          mreach_mst(executor, permuted.points, KdTree(executor, permuted.points), 1, true);
+      EXPECT_EQ(edge_set(relabelled, nullptr), edge_set(original, &permuted.new_id))
+          << "dim=" << dim << " on " << backend->name();
     }
   }
 }

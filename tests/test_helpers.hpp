@@ -84,6 +84,29 @@ inline spatial::PointSet tie_heavy_grid() {
   return points;
 }
 
+/// A point set with its ids shuffled: row `new_id[i]` of `points` is row i
+/// of the input, so ids carry no spatial order (as in `gaussian_blobs`
+/// output, where every id picks its blob at random).
+struct ShuffledPoints {
+  spatial::PointSet points;
+  std::vector<index_t> new_id;
+};
+
+inline ShuffledPoints shuffle_ids(const spatial::PointSet& input, std::uint64_t seed) {
+  const index_t n = input.size();
+  std::vector<index_t> new_id(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) new_id[static_cast<std::size_t>(i)] = i;
+  Rng rng(seed);
+  for (index_t i = n - 1; i > 0; --i)
+    std::swap(new_id[static_cast<std::size_t>(i)],
+              new_id[rng.next_below(static_cast<std::uint64_t>(i) + 1)]);
+  spatial::PointSet points(input.dim(), n);
+  for (index_t i = 0; i < n; ++i)
+    for (int d = 0; d < input.dim(); ++d)
+      points.at(new_id[static_cast<std::size_t>(i)], d) = input.at(i, d);
+  return {std::move(points), std::move(new_id)};
+}
+
 /// One kd-tree build to compare across backends: its input and leaf size.
 struct KdTreeBuildCase {
   std::string name;
@@ -110,6 +133,30 @@ inline std::vector<KdTreeBuildCase> kdtree_build_cases() {
   return cases;
 }
 
+/// The inverse of `tree.tree_order()`: `rank_of(id)` is the rank of point
+/// `id`, the index a kd-tree's indexed queries take.
+class RankOf {
+ public:
+  explicit RankOf(const spatial::KdTree& tree) : rank_(static_cast<std::size_t>(tree.size())) {
+    for (index_t r = 0; r < tree.size(); ++r)
+      rank_[static_cast<std::size_t>(tree.tree_order()[static_cast<std::size_t>(r)])] = r;
+  }
+  index_t operator()(index_t id) const { return rank_[static_cast<std::size_t>(id)]; }
+
+ private:
+  std::vector<index_t> rank_;
+};
+
+/// `values`, indexed by point id, gathered into `tree`'s rank order: the
+/// index space of every per-point array a kd-tree query reads.
+template <class T>
+std::vector<T> by_rank(const spatial::KdTree& tree, const std::vector<T>& values) {
+  std::vector<T> out;
+  out.reserve(values.size());
+  for (const index_t id : tree.tree_order()) out.push_back(values[static_cast<std::size_t>(id)]);
+  return out;
+}
+
 /// What a kd-tree answers, flattened for exact comparison: `tree_order()`,
 /// then for a spread of ~64 query points their 7 nearest neighbours (by id
 /// and by coordinates), the nearest point in another component (components
@@ -129,22 +176,27 @@ inline std::vector<std::pair<double, index_t>> kdtree_query_sweep(const spatial:
     component[static_cast<std::size_t>(p)] = p % 3;
     core_sq[static_cast<std::size_t>(p)] = 1e-3 * static_cast<double>(p % 7);
   }
+  const RankOf rank_of(tree);
+  const std::vector<index_t> component_by_rank = by_rank(tree, component);
+  const std::vector<double> core_sq_by_rank = by_rank(tree, core_sq);
   spatial::KdTreeAnnotations notes;
-  tree.annotate_components(serial, component, notes);
-  tree.annotate_min_core(serial, core_sq, notes);
+  tree.annotate_components(serial, component_by_rank, notes);
+  tree.annotate_min_core(serial, core_sq_by_rank, notes);
 
   const auto record = [&](const spatial::Neighbor& nb) {
     sweep.emplace_back(nb.squared_distance, nb.index);
   };
   std::vector<spatial::Neighbor> found;
   for (index_t q = 0; q < n; q += std::max<index_t>(1, n / 64)) {
-    tree.knn(q, 7, found);
+    const index_t rank = rank_of(q);
+    tree.knn(rank, 7, found);
     std::for_each(found.begin(), found.end(), record);
     tree.knn(points.point(q), 7, found);
     std::for_each(found.begin(), found.end(), record);
     const index_t mine = component[static_cast<std::size_t>(q)];
-    record(tree.nearest_other_component(q, mine, component, notes));
-    record(tree.nearest_other_component_mreach(q, mine, component, core_sq, notes));
+    record(tree.nearest_other_component(rank, mine, component_by_rank, notes));
+    record(tree.nearest_other_component_mreach(rank, mine, component_by_rank, core_sq_by_rank,
+                                               notes));
   }
   return sweep;
 }

@@ -95,8 +95,11 @@ TEST(Integration, EuclideanPipelineMatchesGraphMst) {
   // bridge edges), then extract its MST with Borůvka and compare dendrograms.
   graph::EdgeList knn_graph = emst;
   std::vector<spatial::Neighbor> neighbors;
+  std::vector<index_t> rank_of(static_cast<std::size_t>(points.size()));
+  for (index_t r = 0; r < points.size(); ++r)
+    rank_of[static_cast<std::size_t>(tree.tree_order()[static_cast<std::size_t>(r)])] = r;
   for (index_t q = 0; q < points.size(); ++q) {
-    tree.knn(q, 12, neighbors);
+    tree.knn(rank_of[static_cast<std::size_t>(q)], 12, neighbors);
     for (const auto& nb : neighbors)
       if (q < nb.index) knn_graph.push_back({q, nb.index, std::sqrt(nb.squared_distance)});
   }

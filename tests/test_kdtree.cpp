@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/exec/fingerprint.hpp"
@@ -19,6 +21,7 @@ using namespace pandora;
 using spatial::KdTree;
 using spatial::Neighbor;
 using spatial::PointSet;
+using pandora::testing::by_rank;
 
 class KnnSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};  // (dim, k)
 
@@ -30,9 +33,10 @@ TEST_P(KnnSweep, MatchesBruteForce) {
   const auto& [dim, k] = GetParam();
   const PointSet points = data::uniform_points(400, dim, 17 + static_cast<unsigned>(dim));
   const KdTree tree(points);
+  const pandora::testing::RankOf rank_of(tree);
   std::vector<Neighbor> got;
   for (index_t q = 0; q < points.size(); q += 7) {
-    tree.knn(q, k, got);
+    tree.knn(rank_of(q), k, got);
     const std::vector<Neighbor> expected = spatial::brute_force_knn(points, q, k);
     ASSERT_EQ(got.size(), expected.size()) << "q=" << q;
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -56,9 +60,10 @@ TEST(KdTree, KnnWithDuplicatePointsIsDeterministic) {
     }
   }
   const KdTree tree(points);
+  const pandora::testing::RankOf rank_of(tree);
   std::vector<Neighbor> got;
   for (index_t q = 0; q < points.size(); q += 13) {
-    tree.knn(q, 5, got);
+    tree.knn(rank_of(q), 5, got);
     const auto expected = spatial::brute_force_knn(points, q, 5);
     for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i].index, expected[i].index);
     // The nine colocated copies dominate the neighbour list.
@@ -69,24 +74,28 @@ TEST(KdTree, KnnWithDuplicatePointsIsDeterministic) {
 TEST(KdTree, KnnRequestLargerThanDataset) {
   const PointSet points = data::uniform_points(5, 3, 1);
   const KdTree tree(points);
+  const pandora::testing::RankOf rank_of(tree);
   std::vector<Neighbor> got;
-  tree.knn(0, 100, got);
+  tree.knn(rank_of(0), 100, got);
   EXPECT_EQ(got.size(), 4u);  // everything except the query itself
 }
 
 TEST(KdTree, NearestOtherComponentHonorsFilterAndAnnotation) {
   const PointSet points = data::uniform_points(500, 2, 5);
   const KdTree tree(points);
+  const pandora::testing::RankOf rank_of(tree);
   // Components: left half-plane (0), right half-plane (1).
   std::vector<index_t> component(500);
   for (index_t i = 0; i < 500; ++i) component[static_cast<std::size_t>(i)] =
       points.at(i, 0) < 0.5 ? 0 : 1;
+  const std::vector<index_t> ranked = by_rank(tree, component);
   spatial::KdTreeAnnotations notes;
-  tree.annotate_components(exec::default_executor(exec::serial_backend()), component, notes);
+  tree.annotate_components(exec::default_executor(exec::serial_backend()), ranked, notes);
 
   for (index_t q = 0; q < 500; q += 11) {
     const index_t mine = component[static_cast<std::size_t>(q)];
-    const Neighbor got = tree.nearest_other_component(q, mine, component, notes);
+    const index_t rank = rank_of(q);
+    const Neighbor got = tree.nearest_other_component(rank, mine, ranked, notes);
     // Brute force reference.
     Neighbor expected;
     for (index_t p = 0; p < 500; ++p) {
@@ -99,9 +108,9 @@ TEST(KdTree, NearestOtherComponentHonorsFilterAndAnnotation) {
     // Radius contract: a candidate tying the radius is kept; below it,
     // nothing is found.
     const double radius = expected.squared_distance;
-    EXPECT_EQ(tree.nearest_other_component(q, mine, component, notes, radius).index,
+    EXPECT_EQ(tree.nearest_other_component(rank, mine, ranked, notes, radius).index,
               expected.index);
-    EXPECT_EQ(tree.nearest_other_component(q, mine, component, notes,
+    EXPECT_EQ(tree.nearest_other_component(rank, mine, ranked, notes,
                                            std::nextafter(radius, 0.0)).index,
               kNone);
   }
@@ -110,23 +119,27 @@ TEST(KdTree, NearestOtherComponentHonorsFilterAndAnnotation) {
 TEST(KdTree, NearestOtherComponentMreachMatchesBruteForce) {
   const PointSet points = data::gaussian_blobs(300, 3, 5, 0.05, 0.1, 9);
   const KdTree tree(points);
+  const pandora::testing::RankOf rank_of(tree);
   // Core distances (minPts = 4 -> 3rd neighbour).
   std::vector<Neighbor> scratch;
   std::vector<double> core_sq(300);
   for (index_t q = 0; q < 300; ++q) {
-    tree.knn(q, 3, scratch);
+    tree.knn(rank_of(q), 3, scratch);
     core_sq[static_cast<std::size_t>(q)] = scratch.back().squared_distance;
   }
   std::vector<index_t> component(300);
   for (index_t i = 0; i < 300; ++i) component[static_cast<std::size_t>(i)] = i % 7;
+  const std::vector<index_t> ranked = by_rank(tree, component);
+  const std::vector<double> ranked_core_sq = by_rank(tree, core_sq);
   spatial::KdTreeAnnotations notes;
-  tree.annotate_components(exec::default_executor(), component, notes);
-  tree.annotate_min_core(exec::default_executor(), core_sq, notes);
+  tree.annotate_components(exec::default_executor(), ranked, notes);
+  tree.annotate_min_core(exec::default_executor(), ranked_core_sq, notes);
 
   for (index_t q = 0; q < 300; q += 5) {
     const index_t mine = component[static_cast<std::size_t>(q)];
+    const index_t rank = rank_of(q);
     const Neighbor got =
-        tree.nearest_other_component_mreach(q, mine, component, core_sq, notes);
+        tree.nearest_other_component_mreach(rank, mine, ranked, ranked_core_sq, notes);
     Neighbor expected;
     for (index_t p = 0; p < 300; ++p) {
       if (component[static_cast<std::size_t>(p)] == mine) continue;
@@ -139,10 +152,11 @@ TEST(KdTree, NearestOtherComponentMreachMatchesBruteForce) {
     ASSERT_EQ(got.index, expected.index) << "q=" << q;
     ASSERT_DOUBLE_EQ(got.squared_distance, expected.squared_distance);
     const double radius = expected.squared_distance;
-    EXPECT_EQ(tree.nearest_other_component_mreach(q, mine, component, core_sq, notes, radius)
+    EXPECT_EQ(tree.nearest_other_component_mreach(rank, mine, ranked, ranked_core_sq, notes,
+                                                  radius)
                   .index,
               expected.index);
-    EXPECT_EQ(tree.nearest_other_component_mreach(q, mine, component, core_sq, notes,
+    EXPECT_EQ(tree.nearest_other_component_mreach(rank, mine, ranked, ranked_core_sq, notes,
                                                   std::nextafter(radius, 0.0))
                   .index,
               kNone);
@@ -164,10 +178,12 @@ TEST(KdTree, KthNeighborDistancesSerialEqualsParallel) {
 }
 
 TEST(KdTree, NeighborListsMatchBruteForce) {
-  // The lists the core pass leaves for Borůvka: max(k, kMinListLength) ids
-  // per point clamped to n - 1, ascending under (d², id), and the fence (the
-  // next neighbour's d², +inf when none exists), on tiny inputs with
-  // duplicated points.  Core distances must not depend on the lists.
+  // The lists the core pass leaves for Borůvka: max(k, kMinListLength)
+  // neighbours per point clamped to n - 1, ascending under (d², id), and the
+  // fence (the next neighbour's d², +inf when none exists), on tiny inputs
+  // with duplicated points.  Lists and fences sit at the point's rank and
+  // hold ranks; every entry is mapped through tree_order() to its id.  Core
+  // distances must not depend on the lists.
   for (const index_t n : {2, 3, 6, 7, 8}) {
     PointSet points = data::uniform_points(n, 2, 60 + static_cast<std::uint64_t>(n));
     const auto copy = [&](index_t from, index_t to) {
@@ -179,6 +195,7 @@ TEST(KdTree, NeighborListsMatchBruteForce) {
       copy(1, 2);
     }
     const KdTree tree(points);
+    const pandora::testing::RankOf rank_of(tree);
     for (const auto& backend : exec::registered_backends()) {
       const exec::Executor& executor = exec::default_executor(backend);
       for (const int min_pts : {2, 7, 8, 9}) {
@@ -189,18 +206,21 @@ TEST(KdTree, NeighborListsMatchBruteForce) {
         const auto length = static_cast<int>(
             std::min<index_t>(std::max(k, spatial::kMinListLength), n - 1));
         ASSERT_EQ(lists.length, length) << "n=" << n << " mpts=" << min_pts;
-        ASSERT_EQ(lists.ids.size(), static_cast<std::size_t>(n * length));
+        ASSERT_EQ(lists.ranks.size(), static_cast<std::size_t>(n * length));
         ASSERT_EQ(lists.fence_sq.size(), static_cast<std::size_t>(n));
         for (index_t q = 0; q < n; ++q) {
           const auto expected = spatial::brute_force_knn(points, q, length + 1);
+          const auto rank = static_cast<std::size_t>(rank_of(q));
           for (int j = 0; j < length; ++j)
-            ASSERT_EQ(lists.ids[static_cast<std::size_t>(q * length + j)],
+            ASSERT_EQ(tree.tree_order()[static_cast<std::size_t>(
+                          lists.ranks[rank * static_cast<std::size_t>(length) +
+                                      static_cast<std::size_t>(j)])],
                       expected[static_cast<std::size_t>(j)].index)
                 << backend->name() << " n=" << n << " mpts=" << min_pts << " q=" << q;
           const double fence = static_cast<int>(expected.size()) > length
                                    ? expected[static_cast<std::size_t>(length)].squared_distance
                                    : std::numeric_limits<double>::infinity();
-          EXPECT_DOUBLE_EQ(lists.fence_sq[static_cast<std::size_t>(q)], fence);
+          EXPECT_DOUBLE_EQ(lists.fence_sq[rank], fence);
           const auto kth = static_cast<std::size_t>(std::min<index_t>(k, n - 1) - 1);
           EXPECT_DOUBLE_EQ(with_lists[static_cast<std::size_t>(q)],
                            std::sqrt(expected[kth].squared_distance));
@@ -216,10 +236,11 @@ TEST(KdTree, ParallelBuildMatchesExecutorlessBuild) {
   // split depths) must build a tree answering bit-identically to it.
   for (const pandora::testing::KdTreeBuildCase& c : pandora::testing::kdtree_build_cases()) {
     const KdTree reference(c.points, c.leaf_size);
+    const pandora::testing::RankOf rank_of(reference);
     const index_t n = c.points.size();
     std::vector<Neighbor> got;
     for (index_t q = 0; q < n; q += std::max<index_t>(1, n / 16)) {
-      reference.knn(q, 7, got);
+      reference.knn(rank_of(q), 7, got);
       const auto expected = spatial::brute_force_knn(c.points, q, 7);
       ASSERT_EQ(got.size(), expected.size()) << c.name << " q=" << q;
       for (std::size_t i = 0; i < got.size(); ++i)
@@ -260,6 +281,50 @@ TEST(KdTree, TreeOrderMatchesGoldenFingerprints) {
     EXPECT_EQ(fingerprint(KdTree(executor, hacc, 32)), golden[0]) << backend->name();
     EXPECT_EQ(fingerprint(KdTree(executor, grid, 8)), golden[1]) << backend->name();
     EXPECT_EQ(fingerprint(KdTree(executor, wide, 1)), golden[2]) << backend->name();
+  }
+}
+
+TEST(KdTree, RanksAndIdsInvertEachOther) {
+  // Ranks are the index space of every per-point array a query reads:
+  // tree_order() maps rank -> id and is a permutation on every build, so
+  // it has an inverse.  Query results name the point's id and carry its
+  // rank, and the two agree through tree_order().  The tree's rank-ordered
+  // coordinate copy gives every pair the distance bits of the point set's
+  // own kernel.
+  for (const pandora::testing::KdTreeBuildCase& c : pandora::testing::kdtree_build_cases()) {
+    const index_t n = c.points.size();
+    for (const auto& backend : exec::registered_backends()) {
+      const exec::Executor executor(backend, 3);
+      const KdTree tree(executor, c.points, c.leaf_size);
+      ASSERT_EQ(tree.size(), n) << c.name;
+      const std::span<const index_t> id_of = tree.tree_order();
+      std::vector<index_t> rank_of(static_cast<std::size_t>(n), kNone);
+      for (index_t r = 0; r < n; ++r) {
+        const index_t id = id_of[static_cast<std::size_t>(r)];
+        ASSERT_TRUE(id >= 0 && id < n && rank_of[static_cast<std::size_t>(id)] == kNone)
+            << c.name << " on " << backend->name();
+        rank_of[static_cast<std::size_t>(id)] = r;
+      }
+      Rng rng(static_cast<std::uint64_t>(n) + 5);
+      std::vector<Neighbor> found;
+      for (int t = 0; t < 64 && n > 1; ++t) {
+        const auto a = static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+        const auto b = static_cast<index_t>(rng.next_below(static_cast<std::uint64_t>(n)));
+        const index_t rank_a = rank_of[static_cast<std::size_t>(a)];
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                      tree.squared_distance(rank_a, rank_of[static_cast<std::size_t>(b)])),
+                  std::bit_cast<std::uint64_t>(c.points.squared_distance(a, b)))
+            << c.name << " a=" << a << " b=" << b;
+        tree.knn(rank_a, 3, found);
+        for (const Neighbor& nb : found) {
+          ASSERT_NE(nb.index, a) << c.name;
+          ASSERT_EQ(id_of[static_cast<std::size_t>(nb.rank)], nb.index) << c.name;
+        }
+        tree.knn(c.points.point(a), 3, found);
+        for (const Neighbor& nb : found)
+          ASSERT_EQ(id_of[static_cast<std::size_t>(nb.rank)], nb.index) << c.name;
+      }
+    }
   }
 }
 
@@ -317,6 +382,7 @@ TEST(KdTree, PruningUnderTiesMatchesBruteForceOnLattice) {
 
     for (const int leaf_size : {1, 8}) {
       const KdTree tree(executor, points, leaf_size);
+      const pandora::testing::RankOf rank_of(tree);
       const std::string where =
           "leaf=" + std::to_string(leaf_size) + " mpts=" + std::to_string(min_pts);
       spatial::NeighborLists lists;
@@ -324,11 +390,14 @@ TEST(KdTree, PruningUnderTiesMatchesBruteForceOnLattice) {
       ASSERT_EQ(lists.length, length) << where;
       for (index_t q = 0; q < n; ++q) {
         const std::vector<Neighbor>& expected = oracle[static_cast<std::size_t>(q)];
+        const auto rank = static_cast<std::size_t>(rank_of(q));
         for (int j = 0; j < length; ++j)
-          ASSERT_EQ(lists.ids[static_cast<std::size_t>(q * length + j)],
+          ASSERT_EQ(tree.tree_order()[static_cast<std::size_t>(
+                        lists.ranks[rank * static_cast<std::size_t>(length) +
+                                    static_cast<std::size_t>(j)])],
                     expected[static_cast<std::size_t>(j)].index)
               << where << " q=" << q << " j=" << j;
-        ASSERT_EQ(lists.fence_sq[static_cast<std::size_t>(q)],
+        ASSERT_EQ(lists.fence_sq[rank],
                   expected[static_cast<std::size_t>(length)].squared_distance)
             << where << " q=" << q;
         ASSERT_EQ(core[static_cast<std::size_t>(q)] * core[static_cast<std::size_t>(q)],
@@ -336,29 +405,32 @@ TEST(KdTree, PruningUnderTiesMatchesBruteForceOnLattice) {
             << where << " q=" << q;
       }
 
+      const std::vector<index_t> ranked = by_rank(tree, component);
+      const std::vector<double> ranked_core_sq = by_rank(tree, core_sq);
       spatial::KdTreeAnnotations notes;
-      tree.annotate_components(executor, component, notes);
-      tree.annotate_min_core(executor, core_sq, notes);
+      tree.annotate_components(executor, ranked, notes);
+      tree.annotate_min_core(executor, ranked_core_sq, notes);
       for (index_t q = 0; q < n; q += 3) {
         const index_t mine = component[static_cast<std::size_t>(q)];
+        const index_t rank = rank_of(q);
         const auto& [euclid, mreach] = nearest[static_cast<std::size_t>(q / 3)];
         // At a radius equal to the true minimum it is found; just below it
         // (below zero for a duplicate), nothing is.
-        const Neighbor at_euclid = tree.nearest_other_component(q, mine, component, notes,
+        const Neighbor at_euclid = tree.nearest_other_component(rank, mine, ranked, notes,
                                                                 euclid.squared_distance);
         ASSERT_EQ(at_euclid.index, euclid.index) << where << " q=" << q;
         ASSERT_EQ(at_euclid.squared_distance, euclid.squared_distance) << where << " q=" << q;
-        ASSERT_EQ(tree.nearest_other_component(q, mine, component, notes,
+        ASSERT_EQ(tree.nearest_other_component(rank, mine, ranked, notes,
                                                std::nextafter(euclid.squared_distance, -1.0))
                       .index,
                   kNone)
             << where << " q=" << q;
         const Neighbor at_mreach = tree.nearest_other_component_mreach(
-            q, mine, component, core_sq, notes, mreach.squared_distance);
+            rank, mine, ranked, ranked_core_sq, notes, mreach.squared_distance);
         ASSERT_EQ(at_mreach.index, mreach.index) << where << " q=" << q;
         ASSERT_EQ(at_mreach.squared_distance, mreach.squared_distance) << where << " q=" << q;
         ASSERT_EQ(tree.nearest_other_component_mreach(
-                          q, mine, component, core_sq, notes,
+                          rank, mine, ranked, ranked_core_sq, notes,
                           std::nextafter(mreach.squared_distance, -1.0))
                       .index,
                   kNone)
