@@ -34,15 +34,14 @@ struct Timing {
 };
 
 Timing time_dendrogram(const exec::Executor& executor, const graph::EdgeList& tree, index_t nv) {
-  const auto pipeline = Pipeline::on(executor);
   const bench::PhaseMeasurement m = bench::measure_phases(
-      executor, 3, [&] { (void)pipeline.build_dendrogram(tree, nv); });
+      executor, 3, [&] { (void)dendrogram::pandora_dendrogram(executor, tree, nv); });
   return {1e3 * m.wall.median(), 1e3 * m.median("contraction"), 1e3 * m.median("expansion")};
 }
 
 void run_case(const exec::Executor& executor, const exec::Executor& serial,
               const std::string& label, const graph::EdgeList& tree, index_t nv) {
-  const auto dendro = Pipeline::on(executor).build_dendrogram(tree, nv);
+  const auto dendro = dendrogram::pandora_dendrogram(executor, tree, nv);
   const Timing full = time_dendrogram(executor, tree, nv);
   const Timing one = time_dendrogram(serial, tree, nv);
   std::printf("%-28s %9d %10.1f | %9.2f %9.2f | %9.2f %9.2f | %9.2f %9.2f\n", label.c_str(),
@@ -115,9 +114,8 @@ int main() {
     const double t_euler = bench::best_of(3, [&] {
       (void)graph::build_euler_tour(executor, prepared.mst, prepared.n, 0);
     });
-    const auto pipeline = Pipeline::on(executor);
     const double t_full = bench::best_of(3, [&] {
-      (void)pipeline.build_dendrogram(prepared.mst, prepared.n);
+      (void)dendrogram::pandora_dendrogram(executor, prepared.mst, prepared.n);
     });
     std::printf(
         "\nEuler-tour conversion (Section 5 alternative) on HaccProxy EMST:\n"

@@ -26,7 +26,6 @@
 #include "pandora/dendrogram/sorted_edges.hpp"
 #include "pandora/dyn/dynamic_clustering.hpp"
 #include "pandora/graph/tree.hpp"
-#include "pandora/pipeline.hpp"
 
 using namespace pandora;
 
@@ -98,7 +97,7 @@ int main() {
   // --- single-insert steady state ----------------------------------------
   {
     const index_t n = bench::scaled(50000);
-    dyn::DynamicClustering stream = Pipeline::on(executor).dynamic();
+    dyn::DynamicClustering stream(executor);
     stream.insert(data::gaussian_blobs(n, 2, 16, 0.03, 0.1, 2024));
     const spatial::PointSet extra = data::uniform_points(kSamples + 2, 2, 77);
     index_t cursor = 0;
@@ -121,7 +120,7 @@ int main() {
   {
     const index_t n = bench::scaled(50000);
     const index_t churn = std::max<index_t>(n / 100, 1);
-    dyn::DynamicClustering stream = Pipeline::on(executor).dynamic();
+    dyn::DynamicClustering stream(executor);
     std::vector<index_t> live = stream.insert(data::gaussian_blobs(n, 2, 16, 0.03, 0.1, 4048));
     std::uint64_t round = 0;
     const auto churn_once = [&] {

@@ -57,17 +57,13 @@ int main() {
         bench::prepare_dataset("HaccProxy", n, /*min_pts=*/2, mst_executor);
     double dendro_seconds = 0;
     if (config.pandora) {
-      const auto pipeline = Pipeline::on(dendro_executor);
       dendro_seconds = bench::best_of(3, [&] {
-        (void)pipeline.build_dendrogram(prepared.mst, prepared.n);
+        (void)dendrogram::pandora_dendrogram(dendro_executor, prepared.mst, prepared.n);
       });
       pandora_dendro = dendro_seconds;
     } else {
-      const auto pipeline = Pipeline::on(dendro_executor)
-                                .with_dendrogram_algorithm(
-                                    hdbscan::DendrogramAlgorithm::union_find);
       dendro_seconds = bench::best_of(3, [&] {
-        (void)pipeline.build_dendrogram(prepared.mst, prepared.n);
+        (void)dendrogram::union_find_dendrogram(dendro_executor, prepared.mst, prepared.n);
       });
       baseline_dendro = dendro_seconds;  // config (b) is measured last of the two
     }

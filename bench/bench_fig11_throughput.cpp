@@ -41,22 +41,17 @@ int main() {
     const bench::PreparedDataset prepared =
         bench::prepare_dataset(spec.name, n, /*min_pts=*/2, parallel_executor);
 
-    const auto uf_pipeline = Pipeline::on(parallel_executor)
-                                 .with_dendrogram_algorithm(
-                                     hdbscan::DendrogramAlgorithm::union_find);
     const bench::Measurement m_uf = bench::measure(3, [&] {
-      (void)uf_pipeline.build_dendrogram(prepared.mst, prepared.n);
+      (void)dendrogram::union_find_dendrogram(parallel_executor, prepared.mst, prepared.n);
     });
     const bench::Measurement m_mixed = bench::measure(3, [&] {
       (void)dendrogram::mixed_dendrogram(parallel_executor, prepared.mst, prepared.n, 0.1);
     });
-    const auto serial_pipeline = Pipeline::on(serial_executor);
     const bench::Measurement m_serial = bench::measure(3, [&] {
-      (void)serial_pipeline.build_dendrogram(prepared.mst, prepared.n);
+      (void)dendrogram::pandora_dendrogram(serial_executor, prepared.mst, prepared.n);
     });
-    const auto parallel_pipeline = Pipeline::on(parallel_executor);
     const bench::Measurement m_parallel = bench::measure(3, [&] {
-      (void)parallel_pipeline.build_dendrogram(prepared.mst, prepared.n);
+      (void)dendrogram::pandora_dendrogram(parallel_executor, prepared.mst, prepared.n);
     });
     // The Section 3.1.1 edge sort on its own (the Figure 12/13 hot phase).
     const bench::Measurement m_sort = bench::measure(5, [&] {

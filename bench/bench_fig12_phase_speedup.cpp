@@ -33,9 +33,8 @@ PhaseSeconds run_pipeline(const std::string& name, index_t n, std::shared_ptr<co
               (void)spatial::mutual_reachability_mst(executor, *prepared.points, *prepared.tree,
                                                      prepared.core);
             }).median();
-  const auto pipeline = Pipeline::on(executor);
   const bench::PhaseMeasurement dendrogram = bench::measure_phases(executor, kRepeats, [&] {
-    (void)pipeline.build_dendrogram(prepared.mst, prepared.n);
+    (void)dendrogram::pandora_dendrogram(executor, prepared.mst, prepared.n);
   });
   out.dendrogram = dendrogram.wall.median();
   out.sort = dendrogram.median("sort");

@@ -23,10 +23,9 @@ int main() {
     const exec::Executor executor(exec::default_backend());
     executor.set_artifact_caching(false);  // every run sorts for real
     const bench::PreparedDataset prepared = bench::prepare_dataset(name, n, 2, executor);
-    const auto pipeline = Pipeline::on(executor);
     // One warm-up call, then the median of five runs per phase.
     const bench::PhaseMeasurement m = bench::measure_phases(executor, 5, [&] {
-      (void)pipeline.build_dendrogram(prepared.mst, prepared.n);
+      (void)dendrogram::pandora_dendrogram(executor, prepared.mst, prepared.n);
     });
     const double sort = m.median("sort");
     const double contraction = m.median("contraction");

@@ -40,28 +40,25 @@ void run_series(const exec::Executor& executor, const std::string& dataset,
   for (index_t n = 10000; n <= full_n; n *= 4) {
     const spatial::PointSet points = subsample(full, n, 5 + static_cast<std::uint64_t>(n));
     spatial::KdTree tree(executor, points);
-    const graph::EdgeList mst =
-        Pipeline::on(executor).with_min_pts(2).build_mst(points, tree);
+    const graph::EdgeList mst = spatial::mutual_reachability_mst(
+        executor, points, tree, hdbscan::core_distances(executor, points, tree, 2));
 
     // Cold construction comparison: the SortedEdges cache off, so every
     // repeat really sorts (comparable across PRs and algorithms).
     executor.set_artifact_caching(false);
-    const auto baseline = Pipeline::on(executor).with_dendrogram_algorithm(
-        hdbscan::DendrogramAlgorithm::union_find);
     const bench::Measurement m_uf =
-        bench::measure(3, [&] { (void)baseline.build_dendrogram(mst, n); });
+        bench::measure(3, [&] { (void)dendrogram::union_find_dendrogram(executor, mst, n); });
     const double t_uf = m_uf.best();
 
-    const auto pandora_pipeline = Pipeline::on(executor);
     // Warm-up call: the workspace sizes itself for this n (counting misses),
     // then the timed repeats should run allocation-free out of the arena.
     executor.workspace().reset_stats();
-    (void)pandora_pipeline.build_dendrogram(mst, n);
+    (void)dendrogram::pandora_dendrogram(executor, mst, n);
     const exec::Workspace::Stats warm = executor.workspace().stats();
     executor.workspace().reset_stats();
     const int repeats = 3;
     const bench::Measurement m_pandora =
-        bench::measure(repeats, [&] { (void)pandora_pipeline.build_dendrogram(mst, n); });
+        bench::measure(repeats, [&] { (void)dendrogram::pandora_dendrogram(executor, mst, n); });
     const double t_pandora = m_pandora.best();
     const exec::Workspace::Stats steady = executor.workspace().stats();
 
@@ -71,10 +68,10 @@ void run_series(const exec::Executor& executor, const std::string& dataset,
     // of exactly these runs).
     executor.set_artifact_caching(true);
     dendrogram::Dendrogram reused;
-    pandora_pipeline.build_dendrogram_into(mst, n, reused);  // warm cache + output
+    dendrogram::pandora_dendrogram_into(executor, mst, n, {}, reused);  // warm cache + output
     executor.workspace().reset_stats();
     const bench::Measurement m_replay = bench::measure(
-        repeats, [&] { pandora_pipeline.build_dendrogram_into(mst, n, reused); });
+        repeats, [&] { dendrogram::pandora_dendrogram_into(executor, mst, n, {}, reused); });
     const exec::Workspace::Stats replay_steady = executor.workspace().stats();
 
     std::printf("%10d %18.1f %18.1f %17.1f %14zu %14.1f\n", n,

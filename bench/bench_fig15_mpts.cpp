@@ -95,15 +95,12 @@ void run_dataset(const exec::Executor& executor, const std::string& name,
     // Cold dendrogram construction comparison (SortedEdges cache off so
     // repeats sort).
     executor.set_artifact_caching(false);
-    const auto baseline = Pipeline::on(executor).with_dendrogram_algorithm(
-        hdbscan::DendrogramAlgorithm::union_find);
     const bench::Measurement m_uf = bench::measure(3, [&] {
-      (void)baseline.build_dendrogram(mst, n);
+      (void)dendrogram::union_find_dendrogram(executor, mst, n);
     });
     const double t_uf = m_uf.best();
-    const auto pandora_pipeline = Pipeline::on(executor);
     const bench::Measurement m_pandora = bench::measure(3, [&] {
-      (void)pandora_pipeline.build_dendrogram(mst, n);
+      (void)dendrogram::pandora_dendrogram(executor, mst, n);
     });
     const double t_pandora = m_pandora.best();
 
@@ -111,9 +108,9 @@ void run_dataset(const exec::Executor& executor, const std::string& name,
     // queries against this mpts's MST replay the sort instead of redoing it.
     executor.set_artifact_caching(true);
     dendrogram::Dendrogram reused;
-    pandora_pipeline.build_dendrogram_into(mst, n, reused);
+    dendrogram::pandora_dendrogram_into(executor, mst, n, {}, reused);
     const bench::Measurement m_replay = bench::measure(3, [&] {
-      pandora_pipeline.build_dendrogram_into(mst, n, reused);
+      dendrogram::pandora_dendrogram_into(executor, mst, n, {}, reused);
     });
     if (mpts == 2) {
       first_uf = t_uf;

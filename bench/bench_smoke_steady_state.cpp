@@ -64,18 +64,19 @@ int main() {
   const spatial::PointSet points = data::make_dataset("HaccProxy", n, 2024);
   const exec::Executor executor(exec::default_backend());
   spatial::KdTree tree(executor, points);
-  const graph::EdgeList mst =
-      Pipeline::on(executor).with_min_pts(2).build_mst(points, tree);
-  const auto pipeline = Pipeline::on(executor);
+  const graph::EdgeList mst = spatial::mutual_reachability_mst(
+      executor, points, tree, hdbscan::core_distances(executor, points, tree, 2));
 
   dendrogram::Dendrogram out;
-  pipeline.build_dendrogram_into(mst, n, out);  // warm-up: sizes the arena
-  pipeline.build_dendrogram_into(mst, n, out);  // settles OpenMP team state
+  // Warm-up: the first run sizes the arena, the second settles OpenMP team
+  // state.
+  dendrogram::pandora_dendrogram_into(executor, mst, n, {}, out);
+  dendrogram::pandora_dendrogram_into(executor, mst, n, {}, out);
 
   executor.workspace().reset_stats();
   const std::size_t before = g_allocation_count.load();
   Timer timer;
-  pipeline.build_dendrogram_into(mst, n, out);
+  dendrogram::pandora_dendrogram_into(executor, mst, n, {}, out);
   const double seconds = timer.seconds();
   const std::size_t allocations = g_allocation_count.load() - before;
   const std::size_t misses = executor.workspace().stats().misses;

@@ -24,7 +24,7 @@ int main() {
     const index_t n = bench::scaled(static_cast<index_t>(spec.default_n / 4));
     const bench::PreparedDataset prepared =
         bench::prepare_dataset(spec.name, n, /*min_pts=*/2, executor);
-    const auto dendro = Pipeline::on(executor).build_dendrogram(prepared.mst, prepared.n);
+    const auto dendro = dendrogram::pandora_dendrogram(executor, prepared.mst, prepared.n);
     std::printf("%-16s %-34s %4d %9d %8d %10.1f\n", spec.name.c_str(),
                 spec.paper_name.c_str(), prepared.dim, prepared.n,
                 dendrogram::height(dendro), dendrogram::skewness(dendro));

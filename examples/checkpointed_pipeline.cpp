@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     const exec::Executor executor(exec::default_backend());
     spatial::KdTree tree(executor, points);
     const graph::EdgeList mst = spatial::euclidean_mst(executor, points, tree);
-    const auto dendro = Pipeline::on(executor).build_dendrogram(mst, points.size());
+    const auto dendro = dendrogram::pandora_dendrogram(executor, mst, points.size());
     std::printf("producer: EMST + dendrogram for %d points in %.2fs\n", points.size(),
                 timer.seconds());
     io::save_dendrogram_file(checkpoint, dendro);

@@ -14,7 +14,7 @@
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/analysis.hpp"
-#include "pandora/pipeline.hpp"
+#include "pandora/dendrogram/pandora.hpp"
 #include "pandora/spatial/emst.hpp"
 #include "pandora/spatial/kdtree.hpp"
 
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   spatial::KdTree tree(executor, universe);
   const graph::EdgeList mst = spatial::euclidean_mst(executor, universe, tree);
   const dendrogram::Dendrogram dendro =
-      Pipeline::on(executor).build_dendrogram(mst, universe.size());
+      dendrogram::pandora_dendrogram(executor, mst, universe.size());
   std::printf("built EMST + dendrogram for %d particles in %.2fs\n", universe.size(),
               total.seconds());
   std::printf("dendrogram height %d (skewness %.1f — cosmology data is extremely skewed)\n",

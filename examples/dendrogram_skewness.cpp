@@ -24,9 +24,10 @@ int main(int argc, char** argv) {
   for (const auto& spec : data::table2_datasets()) {
     const spatial::PointSet points = data::make_dataset(spec.name, n, 7);
     spatial::KdTree tree(executor, points);
-    const auto pipeline = Pipeline::on(executor).with_min_pts(2);
-    const graph::EdgeList mst = pipeline.build_mst(points, tree);
-    const dendrogram::Dendrogram dendro = pipeline.build_dendrogram(mst, points.size());
+    const graph::EdgeList mst = spatial::mutual_reachability_mst(
+        executor, points, tree, hdbscan::core_distances(executor, points, tree, 2));
+    const dendrogram::Dendrogram dendro =
+        dendrogram::pandora_dendrogram(executor, mst, points.size());
     const auto counts = dendrogram::classify_edges(dendro);
     // Chain fraction implies how much a single contraction shrinks the tree.
     const double alpha_fraction =

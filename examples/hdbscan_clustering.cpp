@@ -25,9 +25,11 @@ int main(int argc, char** argv) {
   const spatial::PointSet points = data::power_law_blobs(n, 2, 40, 1.3, 7);
 
   const exec::Executor executor(exec::default_backend());
-  const auto pipeline = Pipeline::on(executor).with_min_pts(4).with_min_cluster_size(25);
+  hdbscan::HdbscanOptions options;
+  options.min_pts = 4;
+  options.min_cluster_size = 25;
 
-  const hdbscan::HdbscanResult result = pipeline.run_hdbscan(points);
+  const hdbscan::HdbscanResult result = hdbscan::hdbscan(executor, points, options);
 
   std::printf("HDBSCAN* on %d points (minPts=%d, minClusterSize=%d)\n", points.size(),
               4, 25);
@@ -51,10 +53,8 @@ int main(int argc, char** argv) {
 
   // Cross-check against the union-find baseline: identical output, slower
   // dendrogram.
-  auto baseline_pipeline = pipeline;  // copy: builders are cheap values
-  const hdbscan::HdbscanResult baseline =
-      baseline_pipeline.with_dendrogram_algorithm(hdbscan::DendrogramAlgorithm::union_find)
-          .run_hdbscan(points);
+  options.dendrogram_algorithm = hdbscan::DendrogramAlgorithm::union_find;
+  const hdbscan::HdbscanResult baseline = hdbscan::hdbscan(executor, points, options);
   std::printf("\nbaseline (union-find) agrees: %s\n",
               baseline.labels == result.labels ? "yes" : "NO (bug!)");
   std::printf("dendrogram time: pandora %.4fs vs union-find %.4fs\n",

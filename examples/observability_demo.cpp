@@ -24,7 +24,6 @@
 #include "pandora/exec/backend.hpp"
 #include "pandora/obs/metrics.hpp"
 #include "pandora/obs/trace.hpp"
-#include "pandora/pipeline.hpp"
 #include "pandora/serve/batch_executor.hpp"
 #include "pandora/snapshot/published_clustering.hpp"
 
@@ -51,7 +50,7 @@ void serve_phase(const exec::Executor& executor) {
   serve::BatchOptions options;
   options.small_query_threshold = static_cast<size_type>(n);
   options.qos.adaptive = true;
-  serve::BatchExecutor batch = Pipeline::on(executor).batch(options);
+  serve::BatchExecutor batch(executor, options);
 
   std::vector<dendrogram::Dendrogram> out(kQueries);
   std::vector<serve::BatchExecutor::Job> jobs;

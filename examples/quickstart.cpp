@@ -11,7 +11,7 @@
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/analysis.hpp"
-#include "pandora/pipeline.hpp"
+#include "pandora/dendrogram/pandora.hpp"
 #include "pandora/spatial/emst.hpp"
 #include "pandora/spatial/kdtree.hpp"
 
@@ -37,10 +37,10 @@ int main() {
   //    (sort / contraction / expansion).
   PhaseTimes times;
   executor.set_phase_times(&times);
+  dendrogram::PandoraOptions options;
+  options.validate_input = true;  // we are no hot loop: check the tree
   const dendrogram::Dendrogram dendro =
-      Pipeline::on(executor)
-          .with_validation()                    // we are no hot loop: check the tree
-          .build_dendrogram(mst, points.size());
+      dendrogram::pandora_dendrogram(executor, mst, points.size(), options);
   executor.set_phase_times(nullptr);
 
   std::printf("dendrogram: root edge weight %.4f, height %d, skewness %.1f\n",

@@ -525,7 +525,7 @@ class Executor {
 
   /// The installed cancellation token (nullptr = not cancellable).
   /// Non-owning; the token must outlive its installation.  Installed via
-  /// `ScopedCancellation` by the Pipeline / batch layers; mutable behind
+  /// `ScopedCancellation` by callers and the batch layer; mutable behind
   /// const like the phase sink — it is execution context, not kernel input.
   [[nodiscard]] const CancellationToken* cancellation_token() const noexcept {
     return cancellation_;

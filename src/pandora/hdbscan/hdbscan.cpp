@@ -23,10 +23,12 @@ FlatClustering extract_with(const CondensedTree& tree, const HdbscanOptions& opt
 }
 
 /// The front-door check of every entry point, run before any hashing, tree
-/// build or cache lookup: a bad option fails before it costs anything.
+/// build or cache lookup: a bad option or a NaN/Inf coordinate fails before
+/// it costs anything.
 void expect_valid(const spatial::PointSet& points, std::span<const int> min_pts_values,
                   std::span<const index_t> min_cluster_sizes) {
   PANDORA_EXPECT(points.size() > 0, "need at least one point");
+  spatial::validate_points(points, "hdbscan");
   for (const int min_pts : min_pts_values)
     PANDORA_EXPECT(min_pts >= 1, "min_pts must be at least 1");
   for (const index_t min_cluster_size : min_cluster_sizes)

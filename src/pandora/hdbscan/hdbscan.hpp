@@ -59,7 +59,8 @@ struct HdbscanResult {
 /// corresponding phases entirely.
 ///
 /// Every entry point below throws std::invalid_argument before any work —
-/// hashing, tree build or cache lookup — when the point set is empty or a
+/// hashing, tree build or cache lookup — when the point set is empty, a
+/// coordinate is NaN or ±Inf ("non-finite coordinate at point ..."), or a
 /// `min_pts` / `min_cluster_size` value is below 1.
 [[nodiscard]] HdbscanResult hdbscan(const exec::Executor& exec,
                                     const spatial::PointSet& points,

@@ -242,51 +242,6 @@ void BatchExecutor::run(std::span<Job> jobs) {
   }
 }
 
-void BatchExecutor::run_waves(snapshot::PublishedClustering& published,
-                              std::span<SnapshotWave> waves) {
-  std::exception_ptr first_query_error;
-  for (SnapshotWave& wave : waves) {
-    std::vector<Job> jobs;
-    jobs.reserve(wave.queries.size());
-    for (SnapshotJob& query : wave.queries) {
-      PANDORA_EXPECT(query.run != nullptr, "SnapshotJob::run must be set");
-      jobs.push_back(Job{
-          [&published, &query](const exec::Executor& exec) {
-            // Pin at admission: the snapshot current when the job starts.
-            // Immutable from here on — the concurrent writer only publishes
-            // successors, never touches what this query reads.
-            const snapshot::SnapshotPtr snap = published.acquire();
-            query.run(exec, *snap);
-          },
-          query.size_hint,
-      });
-    }
-
-    // The wave's update runs concurrently with its queries: writers never
-    // block readers.  Its failure aborts the remaining waves, but the
-    // queries of this wave still settle first.
-    std::exception_ptr update_error;
-    std::thread writer;
-    if (wave.update) {
-      writer = std::thread([&] {
-        try {
-          wave.update(published);
-        } catch (...) {
-          update_error = std::current_exception();
-        }
-      });
-    }
-    try {
-      run(jobs);
-    } catch (...) {
-      if (first_query_error == nullptr) first_query_error = std::current_exception();
-    }
-    if (writer.joinable()) writer.join();
-    if (update_error != nullptr) std::rethrow_exception(update_error);
-  }
-  if (first_query_error != nullptr) std::rethrow_exception(first_query_error);
-}
-
 void BatchExecutor::build_dendrograms_into(std::span<const DendrogramQuery> queries,
                                            std::vector<dendrogram::Dendrogram>& out) {
   out.resize(queries.size());

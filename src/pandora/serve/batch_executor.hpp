@@ -16,8 +16,6 @@
 #include "pandora/exec/executor.hpp"
 #include "pandora/graph/edge.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
-#include "pandora/snapshot/published_clustering.hpp"
-#include "pandora/snapshot/snapshot.hpp"
 #include "pandora/spatial/point_set.hpp"
 
 /// Batched multi-query serving on one Executor.
@@ -190,41 +188,6 @@ class BatchExecutor {
   /// One poisoned / slow / oversized query can therefore never abort its
   /// batchmates *or* hide their results.  Never throws for job failures.
   [[nodiscard]] std::vector<JobResult> run_jobs(std::span<Job> jobs);
-
-  /// A wave of the snapshot-backed streaming workload: queries against
-  /// pinned snapshots of `published`, plus an optional update that runs
-  /// **concurrently with the queries** on a dedicated writer thread.
-  struct SnapshotJob {
-    /// Receives the assigned executor and the snapshot pinned when the job
-    /// was admitted (dispatched to a worker) — queries of one wave may
-    /// observe different epochs, each of them consistent.
-    std::function<void(const exec::Executor&, const snapshot::Snapshot&)> run;
-    size_type size_hint = 0;
-  };
-  struct SnapshotWave {
-    std::vector<SnapshotJob> queries;
-    /// Applies mutations through the front door (insert/erase publish
-    /// successor snapshots); may be empty.  Runs on its own thread against
-    /// the PublishedClustering's writer executor.
-    std::function<void(snapshot::PublishedClustering&)> update;
-  };
-
-  /// The streaming wave driver: wave i's queries run batched (as `run`)
-  /// while wave i's update mutates and publishes concurrently — writers
-  /// never block readers, because every query reads the immutable snapshot
-  /// it acquired at admission.  The next wave starts after both settle.
-  ///
-  /// Query exceptions are isolated per wave: the wave's update and the
-  /// remaining waves still run, and the first query exception (in wave
-  /// order) is rethrown after the final wave.  An update exception aborts
-  /// the remaining waves (the stream state is no longer trustworthy) and
-  /// propagates once the wave's queries settled — it supersedes any pending
-  /// query exception, which is then not reported.
-  ///
-  /// The PublishedClustering's writer executor must be distinct from this
-  /// batch's parent executor (large jobs run on the parent concurrently
-  /// with the update; an Executor is not thread-safe).
-  void run_waves(snapshot::PublishedClustering& published, std::span<SnapshotWave> waves);
 
   /// Batched dendrogram construction; results are index-aligned with
   /// `queries`.  `build_dendrograms_into` reuses the storage of `out`

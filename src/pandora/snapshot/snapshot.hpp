@@ -22,7 +22,7 @@
 /// refcounted unit: the points plus every maintained derived structure
 /// (EMST, canonical sorted run, dendrogram), all consistent with one
 /// `epoch()`.  Readers run full queries against it — HDBSCAN*,
-/// `min_cluster_size` / mpts sweeps, `Pipeline::on_snapshot` — with
+/// `min_cluster_size` / mpts sweeps (`Snapshot::hdbscan`, ...) — with
 /// complete intra-query parallelism and never take a lock a writer holds:
 /// everything a query reads is immutable.  The one artifact readers share is the
 /// snapshot's kd-tree, built once; everything after it depends on mpts and

@@ -187,8 +187,8 @@ class PointSet {
 /// Front-door input validation: every coordinate must be finite (no NaN/Inf —
 /// they would silently poison distances, core distances and the EMST).
 /// Throws std::invalid_argument naming the offending point, dimension and
-/// call site (`where`).  O(n·dim) single pass; opt-in at validating entry
-/// points (Pipeline::with_validation, dyn::insert), not in the kernels.
+/// call site (`where`).  O(n·dim) single pass, run at the entry points
+/// (every hdbscan() / sweep overload, dyn::insert), not in the kernels.
 inline void validate_points(const PointSet& points, const char* where = "points") {
   const std::vector<double>& coords = points.coords();
   const int dim = points.dim();

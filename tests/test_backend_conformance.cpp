@@ -468,15 +468,16 @@ TEST(BackendConformance, WarmExecutorSteadyStateAllocatesNothingOnEveryBackend) 
   const graph::EdgeList tree = make_tree(Topology::preferential, nv, 3, 0);
   for (const auto& backend : exec::registered_backends()) {
     const exec::Executor executor = executor_on(backend);
-    const auto pipeline = Pipeline::on(executor);
     dendrogram::Dendrogram out;
-    pipeline.build_dendrogram_into(tree, nv, out);  // warm-up: sizes the arena
-    pipeline.build_dendrogram_into(tree, nv, out);  // settles runtime/pool state
+    // Warm-up: the first run sizes the arena, the second settles runtime/pool
+    // state.
+    dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
+    dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
     const dendrogram::Dendrogram reference = out;
 
     executor.workspace().reset_stats();
     const AllocationCounterScope scope;
-    pipeline.build_dendrogram_into(tree, nv, out);
+    dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
     EXPECT_EQ(scope.count(), 0u)
         << backend->name() << ": the steady-state pipeline must not touch the heap";
     EXPECT_EQ(executor.workspace().stats().misses, 0u) << backend->name();

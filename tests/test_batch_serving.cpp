@@ -5,15 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
 #include <stdexcept>
 #include <thread>
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/pandora.hpp"
-#include "pandora/pipeline.hpp"
 #include "pandora/serve/batch_executor.hpp"
-#include "pandora/snapshot/published_clustering.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -203,56 +200,6 @@ TEST(BatchExecutor, ExceptionsAreIsolatedAndRethrown) {
   }
   EXPECT_THROW(batch.run(jobs), std::runtime_error);
   EXPECT_EQ(completed.load(), 5) << "one poisoned query must not abort its batchmates";
-}
-
-TEST(BatchExecutor, WaveQueryExceptionsAreIsolatedButUpdatesStillApply) {
-  const exec::Executor writer(exec::serial_backend());
-  snapshot::PublishedClustering published(writer);
-  published.insert(data::uniform_points(50, 2, 1));
-  const std::uint64_t epoch_before = published.published_epoch();
-
-  const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2});
-
-  std::atomic<int> updates_applied{0};
-  std::atomic<int> queries_completed{0};
-  std::vector<serve::BatchExecutor::SnapshotWave> waves(3);
-  for (std::size_t w = 0; w < waves.size(); ++w) {
-    for (int q = 0; q < 3; ++q) {
-      waves[w].queries.push_back(serve::BatchExecutor::SnapshotJob{
-          [w, q, &queries_completed](const exec::Executor&, const snapshot::Snapshot&) {
-            if (w == 0 && q == 1) throw std::runtime_error("poisoned wave query");
-            queries_completed.fetch_add(1);
-          },
-          /*size_hint=*/16});
-    }
-    waves[w].update = [w, &updates_applied](snapshot::PublishedClustering& stream) {
-      stream.insert(data::uniform_points(5, 2, 10 + w));
-      updates_applied.fetch_add(1);
-    };
-  }
-  // The poisoned wave-0 query must not stop wave 0's update nor the later
-  // waves; its exception surfaces after the final wave.
-  EXPECT_THROW(batch.run_waves(published, waves), std::runtime_error);
-  EXPECT_EQ(updates_applied.load(), 3);
-  EXPECT_EQ(queries_completed.load(), 8);
-  EXPECT_EQ(published.published_epoch(), epoch_before + 3);
-  EXPECT_EQ(published.acquire()->size(), 65);
-}
-
-TEST(BatchExecutor, PipelineBatchFrontDoor) {
-  const exec::Executor executor(exec::default_backend(), 2);
-  const std::vector<graph::EdgeList> trees = make_batch_trees(1500, 3);
-  std::vector<serve::DendrogramQuery> queries;
-  for (const auto& tree : trees) queries.push_back({&tree, 1500, {}});
-
-  serve::BatchExecutor batch = Pipeline::on(executor).batch();
-  const auto dendrograms = batch.build_dendrograms(queries);
-  ASSERT_EQ(dendrograms.size(), 3u);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto expected = dendrogram::pandora_dendrogram(executor, trees[i], 1500);
-    EXPECT_EQ(dendrograms[i].parent, expected.parent);
-  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Cooperative cancellation and deadlines: token semantics, the run_chunks
 // chunk-boundary contract on every backend, the serial-fallback polling of
-// parallel_for, and the Pipeline deadline/cancellation front doors.  The
-// load-bearing invariant: cancellation unwinds with pandora::Cancelled on
-// the *calling* thread (chunk bodies never throw — Backend contract) and a
-// cancelled executor is immediately reusable.
+// parallel_for, and deadlines / external tokens installed with
+// ScopedCancellation around whole queries.  The load-bearing invariant:
+// cancellation unwinds with pandora::Cancelled on the *calling* thread (chunk
+// bodies never throw — Backend contract) and a cancelled executor is
+// immediately reusable.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,8 @@
 #include "pandora/exec/cancellation.hpp"
 #include "pandora/exec/executor.hpp"
 #include "pandora/exec/parallel.hpp"
-#include "pandora/pipeline.hpp"
+#include "pandora/hdbscan/hdbscan.hpp"
+#include "pandora/snapshot/published_clustering.hpp"
 
 namespace {
 
@@ -137,21 +139,30 @@ TEST(Cancellation, ScopedCancellationNestsAndRestores) {
   EXPECT_EQ(executor.cancellation_token(), nullptr);
 }
 
-TEST(Cancellation, PipelineDeadlineCancelsHdbscan) {
+hdbscan::HdbscanOptions min_pts_4() {
+  hdbscan::HdbscanOptions options;
+  options.min_pts = 4;
+  return options;
+}
+
+TEST(Cancellation, DeadlineCancelsHdbscan) {
   const exec::Executor executor;
   const spatial::PointSet points = data::gaussian_blobs(4000, 3, 4, 0.05, 0.1, 11);
   try {
-    (void)Pipeline::on(executor).with_min_pts(4).with_deadline(1ns).run_hdbscan(points);
+    const exec::CancellationToken deadline = exec::CancellationToken::after(1ns);
+    const exec::ScopedCancellation scope(executor, &deadline);
+    (void)hdbscan::hdbscan(executor, points, min_pts_4());
     FAIL() << "expected pandora::Cancelled";
   } catch (const Cancelled& e) {
     EXPECT_NE(std::string(e.what()).find("deadline"), std::string::npos) << e.what();
   }
-  // The executor (and its arena) survive the unwind: the same query without
-  // a deadline completes.
-  EXPECT_NO_THROW((void)Pipeline::on(executor).with_min_pts(4).run_hdbscan(points));
+  // The scope uninstalled the token, and the executor (and its arena)
+  // survive the unwind: the same query without a deadline completes.
+  EXPECT_EQ(executor.cancellation_token(), nullptr);
+  EXPECT_NO_THROW((void)hdbscan::hdbscan(executor, points, min_pts_4()));
 }
 
-TEST(Cancellation, PipelineExternalTokenCancelsFromAnotherThread) {
+TEST(Cancellation, ExternalTokenCancelsHdbscanFromAnotherThread) {
   const exec::Executor executor;
   const spatial::PointSet points = data::gaussian_blobs(4000, 3, 4, 0.05, 0.1, 13);
   exec::CancellationToken token;
@@ -162,29 +173,27 @@ TEST(Cancellation, PipelineExternalTokenCancelsFromAnotherThread) {
   // Either the cancel lands mid-computation (Cancelled) or the query was
   // faster — both are legal; what must not happen is a hang or a crash.
   try {
-    (void)Pipeline::on(executor).with_min_pts(4).with_cancellation(&token).run_hdbscan(points);
+    const exec::ScopedCancellation scope(executor, &token);
+    (void)hdbscan::hdbscan(executor, points, min_pts_4());
   } catch (const Cancelled&) {
   }
   canceller.join();
   SUCCEED();
 }
 
-TEST(Cancellation, PipelineSnapshotTerminalHonoursDeadline) {
+TEST(Cancellation, SnapshotQueryHonoursDeadline) {
   const exec::Executor writer(exec::serial_backend());
   snapshot::PublishedClustering published(writer);
   published.insert(data::gaussian_blobs(2000, 2, 3, 0.05, 0.1, 17));
   const snapshot::SnapshotPtr snap = published.acquire();
 
   const exec::Executor reader;
-  EXPECT_THROW((void)Pipeline::on_snapshot(reader, *snap).with_deadline(1ns).run_hdbscan(),
-               Cancelled);
-  EXPECT_NO_THROW((void)Pipeline::on_snapshot(reader, *snap).run_hdbscan());
-}
-
-TEST(Cancellation, ZeroDeadlineMeansUnlimited) {
-  const exec::Executor executor;
-  const spatial::PointSet points = data::gaussian_blobs(300, 2, 3, 0.05, 0.1, 19);
-  EXPECT_NO_THROW((void)Pipeline::on(executor).with_deadline(0ns).run_hdbscan(points));
+  {
+    const exec::CancellationToken deadline = exec::CancellationToken::after(1ns);
+    const exec::ScopedCancellation scope(reader, &deadline);
+    EXPECT_THROW((void)snap->hdbscan(reader), Cancelled);
+  }
+  EXPECT_NO_THROW((void)snap->hdbscan(reader));
 }
 
 }  // namespace

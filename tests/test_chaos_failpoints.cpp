@@ -108,11 +108,11 @@ TEST(ChaosSeams, AllocationFaultUnwindsCleanlyAndArenaRecovers) {
   const exec::Executor executor;
   {
     const ScopedFailpoint armed("exec.memory.allocate", {failpoint::Kind::bad_alloc, 0, 1});
-    EXPECT_THROW((void)Pipeline::on(executor).run_hdbscan(points), std::bad_alloc);
+    EXPECT_THROW((void)hdbscan::hdbscan(executor, points), std::bad_alloc);
   }
   // The unwind released every lease (ASan would flag a leak); the same
   // executor completes the same query afterwards.
-  const auto result = Pipeline::on(executor).run_hdbscan(points);
+  const auto result = hdbscan::hdbscan(executor, points);
   EXPECT_EQ(result.labels.size(), static_cast<std::size_t>(points.size()));
 }
 
@@ -121,12 +121,12 @@ TEST(ChaosSeams, LaunchFaultUnwindsCleanly) {
   // budget, so the query actually reaches run_chunks even on small machines.
   const spatial::PointSet points = data::gaussian_blobs(5000, 2, 3, 0.05, 0.1, 29);
   const exec::Executor executor(exec::default_backend(), 4);
-  (void)Pipeline::on(executor).run_hdbscan(points);  // warm the arena
+  (void)hdbscan::hdbscan(executor, points);  // warm the arena
   {
     const ScopedFailpoint armed("exec.run_chunks", {failpoint::Kind::error, 0, 1});
-    EXPECT_THROW((void)Pipeline::on(executor).run_hdbscan(points), failpoint::InjectedFault);
+    EXPECT_THROW((void)hdbscan::hdbscan(executor, points), failpoint::InjectedFault);
   }
-  const auto result = Pipeline::on(executor).run_hdbscan(points);
+  const auto result = hdbscan::hdbscan(executor, points);
   EXPECT_EQ(result.labels.size(), static_cast<std::size_t>(points.size()));
 }
 

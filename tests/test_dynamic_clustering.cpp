@@ -294,7 +294,7 @@ TEST(DynamicClustering, IdsSurviveCompactionAndRejectDoubleErase) {
 
 TEST(DynamicClustering, UpdatesRekeyHdbscanArtifacts) {
   const exec::Executor executor(exec::default_backend());
-  dyn::DynamicClustering stream = Pipeline::on(executor).dynamic();
+  dyn::DynamicClustering stream(executor);
   stream.insert(data::gaussian_blobs(500, 2, 4, 0.04, 0.1, 13));
 
   hdbscan::HdbscanOptions options;

@@ -11,11 +11,12 @@
 #include "pandora/dendrogram/analysis.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/dendrogram/union_find_dendrogram.hpp"
+#include "pandora/dyn/dynamic_clustering.hpp"
 #include "pandora/graph/mst.hpp"
 #include "pandora/graph/tree.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
 #include "pandora/obs/metrics.hpp"
-#include "pandora/pipeline.hpp"
+#include "pandora/spatial/kdtree.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -159,6 +160,31 @@ TEST(FailureInjection, HdbscanRejectsBadOptionsBeforeAnyWork) {
                                                     no_pts),
       std::invalid_argument);
 
+  // Non-finite coordinates fail by name on every points overload, before the
+  // content hash, the cache lookup and the tree build.
+  const auto expect_non_finite = [](auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite coordinate at point"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    spatial::PointSet poisoned = points;
+    poisoned.at(117, 1) = bad;
+    expect_non_finite([&] { (void)hdbscan::hdbscan(executor, poisoned); });
+    expect_non_finite(
+        [&] { (void)hdbscan::hdbscan_sweep_min_pts(executor, poisoned, std::array{2, 3}); });
+    expect_non_finite([&] {
+      (void)hdbscan::hdbscan_sweep_min_cluster_size(executor, poisoned,
+                                                    std::array<index_t, 2>{5, 10});
+    });
+  }
+
   EXPECT_EQ(misses(), misses_before);
   EXPECT_EQ(tree_builds.count(), builds_before);
 }
@@ -180,24 +206,31 @@ TEST(FailureInjection, NonFinitePointCoordinatesRejected) {
   EXPECT_NO_THROW(spatial::validate_points(points));
 }
 
-TEST(FailureInjection, PipelineValidationRejectsNonFinitePoints) {
+TEST(FailureInjection, HdbscanRejectsNonFinitePoints) {
   spatial::PointSet points(2, 8);
   for (index_t i = 0; i < 8; ++i) points.at(i, 0) = static_cast<double>(i);
+  // The tree indexes `points` by reference; poisoning them after the build
+  // hands the caller's-tree overloads a NaN without sorting one.
+  const spatial::KdTree tree(points);
   points.at(5, 1) = std::numeric_limits<double>::quiet_NaN();
-  const auto pipeline = Pipeline::on(exec::default_executor()).with_validation();
-  EXPECT_THROW((void)pipeline.run_hdbscan(points), std::invalid_argument);
-  const std::vector<index_t> sizes{2, 3};
-  EXPECT_THROW((void)pipeline.sweep_min_cluster_size(points, sizes), std::invalid_argument);
-  // Validation is opt-in: without it the NaN still surfaces as an error, but
-  // from an internal progress check deep in EMST construction instead of a
-  // message naming the offending point and dimension.
+  const exec::Executor& executor = exec::default_executor();
+  // The message names the offending point and dimension, where a NaN that
+  // reached the kernels would surface from a progress check deep in EMST
+  // construction.
   try {
-    (void)pipeline.run_hdbscan(points);
-    FAIL() << "validated path must throw";
+    (void)hdbscan::hdbscan(executor, points);
+    FAIL() << "a NaN coordinate must throw";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("non-finite coordinate"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("non-finite coordinate at point 5, dim 1"),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_THROW((void)Pipeline::on(exec::default_executor()).run_hdbscan(points),
+  const std::vector<index_t> sizes{2, 3};
+  EXPECT_THROW((void)hdbscan::hdbscan_sweep_min_cluster_size(executor, points, sizes),
+               std::invalid_argument);
+  // The caller's-tree overloads check the points the tree indexes.
+  EXPECT_THROW((void)hdbscan::hdbscan(executor, tree), std::invalid_argument);
+  EXPECT_THROW((void)hdbscan::hdbscan_sweep_min_pts(executor, tree, std::array{2}),
                std::invalid_argument);
 }
 

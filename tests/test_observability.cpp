@@ -295,19 +295,20 @@ TEST(Observability, WarmPipelineWithTracingAndMetricsAllocatesNothing) {
   const index_t nv = 20000;
   const graph::EdgeList tree = make_tree(Topology::random_attach, nv, 11, 0);
   const exec::Executor executor(exec::default_backend(), 4);
-  const auto pipeline = Pipeline::on(executor);
 
   obs::TraceRecorder recorder;
   const exec::ScopedTrace trace(executor, &recorder);
 
   dendrogram::Dendrogram out;
-  pipeline.build_dendrogram_into(tree, nv, out);  // warm: arena + ring claims
-  pipeline.build_dendrogram_into(tree, nv, out);  // settles OpenMP team state
+  // Warm-up: the first run claims arena blocks and trace rings, the second
+  // settles OpenMP team state.
+  dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
+  dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
 
   recorder.clear();  // keep only the measured call's spans
   {
     const AllocationCounterScope scope;
-    pipeline.build_dendrogram_into(tree, nv, out);
+    dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
     EXPECT_EQ(scope.count(), 0u)
         << "tracing + metrics must not break the zero-heap steady state";
   }

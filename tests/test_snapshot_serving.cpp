@@ -2,9 +2,7 @@
 // reader-pinned epochs under concurrent writer churn (the CI gcc-tsan matrix
 // entry race-checks the stress test), each snapshot's one kd-tree and
 // queries that make no ArtifactCache lookup, RCU-style reclaim when the last
-// reader drains (the gcc-sanitize / ASan entry leak-checks it), the Pipeline
-// front door, and the snapshot-backed wave driver where writers never block
-// readers.
+// reader drains (the gcc-sanitize / ASan entry leak-checks it).
 
 #include <gtest/gtest.h>
 
@@ -20,8 +18,6 @@
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/obs/metrics.hpp"
-#include "pandora/pipeline.hpp"
-#include "pandora/serve/batch_executor.hpp"
 #include "pandora/snapshot/published_clustering.hpp"
 #include "pandora/snapshot/snapshot.hpp"
 
@@ -130,7 +126,7 @@ TEST(SnapshotServing, ReaderQueriesMatchColdRebuildWithoutCacheLookups) {
 
 // Every snapshot front door runs on the snapshot's tree and consults no
 // ArtifactCache, with caching on, and stays bit-identical to cold runs.
-TEST(SnapshotServing, SnapshotSweepsAndPipelineMakeNoCacheLookups) {
+TEST(SnapshotServing, SnapshotSweepsMakeNoCacheLookups) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);
   published.insert(data::gaussian_blobs(400, 2, 3, 0.04, 0.1, 31));
@@ -168,15 +164,6 @@ TEST(SnapshotServing, SnapshotSweepsAndPipelineMakeNoCacheLookups) {
     EXPECT_EQ(by_size.mst, expected.mst);
     EXPECT_EQ(by_size.dendrogram->parent, expected.dendrogram.parent);
   }
-
-  before = CacheTraffic{};
-  const hdbscan::HdbscanResult via_pipeline = Pipeline::on_snapshot(reader, *snap)
-                                                  .with_min_pts(3)
-                                                  .with_min_cluster_size(8)
-                                                  .run_hdbscan();
-  expect_no_cache_lookups(before, "Pipeline::on_snapshot(...).run_hdbscan()");
-  expect_bit_identical(via_pipeline, hdbscan::hdbscan(cold, snap->points(), stress_options()),
-                       snap->epoch());
 }
 
 // The benchmark's hdbscan_hacc contract: a direct call on fresh points looks
@@ -358,124 +345,6 @@ TEST(SnapshotServing, RetiredSnapshotReclaimedWhenLastReaderDrains) {
   pinned.reset();
   EXPECT_TRUE(watch.expired()) << "no hidden reference keeps a retired snapshot alive";
   EXPECT_TRUE(tree.expired()) << "the retired epoch's kd-tree was freed with it";
-}
-
-TEST(SnapshotServing, PipelineOnSnapshotFrontDoor) {
-  const exec::Executor writer_exec(exec::serial_backend());
-  snapshot::PublishedClustering published = Pipeline::on(writer_exec).published();
-  published.insert(data::gaussian_blobs(400, 2, 3, 0.04, 0.1, 13));
-  const snapshot::SnapshotPtr snap = published.acquire();
-
-  const exec::Executor reader(exec::serial_backend());
-  const hdbscan::HdbscanResult via_pipeline = Pipeline::on_snapshot(reader, *snap)
-                                                  .with_min_pts(3)
-                                                  .with_min_cluster_size(8)
-                                                  .run_hdbscan();
-  const hdbscan::HdbscanResult direct = snap->hdbscan(reader, stress_options());
-  EXPECT_EQ(via_pipeline.labels, direct.labels);
-  EXPECT_EQ(via_pipeline.num_clusters, direct.num_clusters);
-
-  const std::array<int, 2> mpts = {2, 4};
-  const auto sweep = Pipeline::on_snapshot(reader, *snap).sweep_min_pts(mpts);
-  ASSERT_EQ(sweep.size(), 2u);
-  const exec::Executor cold(exec::serial_backend());
-  hdbscan::HdbscanOptions base;
-  base.min_pts = 4;
-  expect_bit_identical(sweep[1], hdbscan::hdbscan(cold, snap->points(), base), snap->epoch());
-}
-
-// Writers never block readers, witnessed structurally: a reader query that
-// refuses to finish until the wave's own update has published can only
-// complete because the update runs concurrently with the queries (a driver
-// that ran updates exclusively between waves would deadlock here).
-TEST(SnapshotServing, SnapshotWaveUpdatesRunConcurrentlyWithQueries) {
-  const exec::Executor writer_exec(exec::serial_backend());
-  snapshot::PublishedClustering published(writer_exec);
-  published.insert(data::gaussian_blobs(200, 2, 3, 0.05, 0.1, 17));
-  const std::uint64_t epoch_before = published.published_epoch();
-
-  const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2});
-
-  std::atomic<int> queries_ran{0};
-  std::atomic<bool> pinned{false};
-  std::vector<serve::BatchExecutor::SnapshotWave> waves(1);
-  waves[0].queries.push_back(serve::BatchExecutor::SnapshotJob{
-      [&](const exec::Executor& exec, const snapshot::Snapshot& snap) {
-        pinned.store(true);  // run_waves pins `snap` before calling in
-        // The pinned epoch stays valid and queryable throughout...
-        (void)snap.hdbscan(exec, stress_options());
-        // ...while we wait for the concurrent update's publish to land.
-        while (published.published_epoch() == epoch_before) std::this_thread::yield();
-        EXPECT_EQ(snap.epoch(), epoch_before) << "the pinned snapshot never moves";
-        queries_ran.fetch_add(1);
-      },
-      /*size_hint=*/16});
-  waves[0].update = [&pinned](snapshot::PublishedClustering& stream) {
-    // A query pins at admission, so an update that published before the
-    // query started would hand it the new epoch.
-    while (!pinned.load()) std::this_thread::yield();
-    stream.insert(data::gaussian_blobs(40, 2, 3, 0.05, 0.1, 18));
-  };
-  batch.run_waves(published, waves);
-
-  EXPECT_EQ(queries_ran.load(), 1);
-  EXPECT_EQ(published.published_epoch(), epoch_before + 1);
-  EXPECT_EQ(published.acquire()->size(), 240);
-}
-
-TEST(SnapshotServing, SnapshotWaveResultsMatchPinnedEpochRebuilds) {
-  const exec::Executor writer_exec(exec::serial_backend());
-  snapshot::PublishedClustering published(writer_exec);
-  published.insert(data::gaussian_blobs(300, 2, 3, 0.04, 0.1, 23));
-
-  const exec::Executor parent(exec::default_backend(), 2);
-  serve::BatchExecutor batch(parent, {.num_slots = 2});
-
-  constexpr int kWaves = 3;
-  constexpr int kQueriesPerWave = 4;
-  struct Observation {
-    std::uint64_t epoch = 0;
-    /// Copy of the pinned epoch's frozen points, for the offline rebuild
-    /// (the snapshot itself dies when the wave's readers drain).
-    std::shared_ptr<const spatial::PointSet> points;
-    hdbscan::HdbscanResult result;
-  };
-  std::vector<Observation> observed(kWaves * kQueriesPerWave);
-
-  std::vector<serve::BatchExecutor::SnapshotWave> waves(kWaves);
-  for (int w = 0; w < kWaves; ++w) {
-    for (int q = 0; q < kQueriesPerWave; ++q) {
-      Observation& slot = observed[static_cast<std::size_t>(w * kQueriesPerWave + q)];
-      waves[static_cast<std::size_t>(w)].queries.push_back(serve::BatchExecutor::SnapshotJob{
-          [&slot](const exec::Executor& exec, const snapshot::Snapshot& snap) {
-            slot.epoch = snap.epoch();
-            slot.points = std::make_shared<const spatial::PointSet>(snap.points());
-            slot.result = snap.hdbscan(exec, stress_options());
-          },
-          /*size_hint=*/16});
-    }
-    waves[static_cast<std::size_t>(w)].update = [w](snapshot::PublishedClustering& stream) {
-      stream.insert(data::gaussian_blobs(25, 2, 3, 0.04, 0.1, 200 + w));
-    };
-  }
-  batch.run_waves(published, waves);
-  EXPECT_EQ(published.published_epoch(), 1u + kWaves);
-
-  // Queries of one wave may straddle the concurrent publish and so observe
-  // different epochs — each must still be bit-identical to a cold rebuild
-  // over the points frozen at the epoch it pinned.
-  std::map<std::uint64_t, hdbscan::HdbscanResult> cold_by_epoch;
-  const exec::Executor cold(exec::serial_backend());
-  for (const Observation& obs : observed) {
-    ASSERT_NE(obs.points, nullptr);
-    auto it = cold_by_epoch.find(obs.epoch);
-    if (it == cold_by_epoch.end()) {
-      it = cold_by_epoch.emplace(obs.epoch, hdbscan::hdbscan(cold, *obs.points, stress_options()))
-               .first;
-    }
-    expect_bit_identical(obs.result, it->second, obs.epoch);
-  }
 }
 
 }  // namespace

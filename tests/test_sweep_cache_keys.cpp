@@ -161,8 +161,10 @@ TEST(Sweeps, MinClusterSizeSweepMatchesIndependentRuns) {
   const exec::Executor executor(exec::default_backend(), 4);
   const std::array<index_t, 3> sizes = {3, 10, 40};
 
+  hdbscan::HdbscanOptions base;
+  base.min_pts = 4;
   const hdbscan::MinClusterSizeSweep sweep =
-      Pipeline::on(executor).with_min_pts(4).sweep_min_cluster_size(points, sizes);
+      hdbscan::hdbscan_sweep_min_cluster_size(executor, points, sizes, base);
   ASSERT_EQ(sweep.entries.size(), sizes.size());
 
   // Ground truth from an executor with caching disabled: nothing can alias.
@@ -191,8 +193,10 @@ TEST(Sweeps, MinPtsSweepMatchesIndependentRuns) {
   const exec::Executor executor(exec::default_backend(), 4);
   const std::array<int, 3> mpts = {2, 4, 8};
 
+  hdbscan::HdbscanOptions base;
+  base.min_cluster_size = 10;
   const std::vector<hdbscan::HdbscanResult> sweep =
-      Pipeline::on(executor).with_min_cluster_size(10).sweep_min_pts(points, mpts);
+      hdbscan::hdbscan_sweep_min_pts(executor, points, mpts, base);
   ASSERT_EQ(sweep.size(), mpts.size());
 
   const exec::Executor reference(exec::default_backend(), 4);

@@ -11,7 +11,7 @@
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/exec/failpoint.hpp"
-#include "pandora/pipeline.hpp"
+#include "pandora/hdbscan/hdbscan.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -33,16 +33,17 @@ TEST_P(ArenaBothSpaces, SecondIdenticalPipelineRunAllocatesNothing) {
   // A 4-thread budget forces the parallel code path even on small machines
   // (the serial backend grants 1 regardless).
   const exec::Executor executor(GetParam(), 4);
-  const auto pipeline = Pipeline::on(executor);
 
   dendrogram::Dendrogram out;
-  pipeline.build_dendrogram_into(tree, nv, out);  // warm-up: sizes the arena
-  pipeline.build_dendrogram_into(tree, nv, out);  // settles OpenMP team state
-  const dendrogram::Dendrogram reference = out;   // copy for the equality check
+  // Warm-up: the first run sizes the arena, the second settles OpenMP team
+  // state.
+  dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
+  dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
+  const dendrogram::Dendrogram reference = out;  // copy for the equality check
 
   executor.workspace().reset_stats();
   const AllocationCounterScope scope;
-  pipeline.build_dendrogram_into(tree, nv, out);
+  dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
   EXPECT_EQ(scope.count(), 0u)
       << "the steady-state pipeline must not touch the heap at all";
   EXPECT_EQ(executor.workspace().stats().misses, 0u);
@@ -60,11 +61,11 @@ TEST(Arena, LargerQueryAfterSmallerGrowsAndStaysCorrect) {
   const graph::EdgeList small_tree = make_tree(Topology::random_attach, 4000, 5, 0);
   const graph::EdgeList big_tree = make_tree(Topology::random_attach, 50000, 6, 0);
   const exec::Executor executor(exec::default_backend(), 4);
-  const auto pipeline = Pipeline::on(executor);
 
   dendrogram::Dendrogram out;
-  pipeline.build_dendrogram_into(small_tree, 4000, out);
-  pipeline.build_dendrogram_into(big_tree, 50000, out);  // growth happens here
+  dendrogram::pandora_dendrogram_into(executor, small_tree, 4000, {}, out);
+  // Growth happens here.
+  dendrogram::pandora_dendrogram_into(executor, big_tree, 50000, {}, out);
 
   // Correctness against a cold executor.
   const exec::Executor fresh(exec::default_backend(), 4);
@@ -72,15 +73,15 @@ TEST(Arena, LargerQueryAfterSmallerGrowsAndStaysCorrect) {
   EXPECT_EQ(out.parent, expected.parent);
   EXPECT_EQ(out.edge_order, expected.edge_order);
 
-  pipeline.build_dendrogram_into(big_tree, 50000, out);  // settle
+  dendrogram::pandora_dendrogram_into(executor, big_tree, 50000, {}, out);  // settle
   const AllocationCounterScope scope;
-  pipeline.build_dendrogram_into(big_tree, 50000, out);
+  dendrogram::pandora_dendrogram_into(executor, big_tree, 50000, {}, out);
   EXPECT_EQ(scope.count(), 0u);
 
   // And shrinking back reuses the big blocks rather than allocating small
   // ones (the size-class search serves smaller requests from larger classes).
   executor.workspace().reset_stats();
-  pipeline.build_dendrogram_into(small_tree, 4000, out);
+  dendrogram::pandora_dendrogram_into(executor, small_tree, 4000, {}, out);
   EXPECT_EQ(executor.workspace().stats().misses, 0u);
   const auto expected_small = dendrogram::pandora_dendrogram(fresh, small_tree, 4000);
   EXPECT_EQ(out.parent, expected_small.parent);
@@ -96,21 +97,21 @@ TEST(Arena, InjectedFaultMidPipelineReleasesEveryLease) {
   const index_t nv = 30000;
   const graph::EdgeList tree = make_tree(Topology::random_attach, nv, 9, 0);
   const exec::Executor executor(exec::default_backend(), 4);
-  const auto pipeline = Pipeline::on(executor);
 
   dendrogram::Dendrogram out;
-  pipeline.build_dendrogram_into(tree, nv, out);  // warm-up: sizes the arena
-  pipeline.build_dendrogram_into(tree, nv, out);
+  // Warm-up: sizes the arena.
+  dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
+  dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
   const dendrogram::Dendrogram reference = out;
 
   exec::failpoint::arm("exec.run_chunks", {exec::failpoint::Kind::error, 2, 1});
-  EXPECT_THROW(pipeline.build_dendrogram_into(tree, nv, out),
+  EXPECT_THROW(dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out),
                exec::failpoint::InjectedFault);
   exec::failpoint::disarm("exec.run_chunks");
 
   executor.workspace().reset_stats();
   const AllocationCounterScope scope;
-  pipeline.build_dendrogram_into(tree, nv, out);
+  dendrogram::pandora_dendrogram_into(executor, tree, nv, {}, out);
   EXPECT_EQ(scope.count(), 0u)
       << "an aborted run leaked leases: the rerun had to allocate";
   EXPECT_EQ(executor.workspace().stats().misses, 0u);
@@ -123,16 +124,19 @@ TEST(Arena, CancelledQueryReleasesEveryLease) {
   // unwinds with Cancelled leaves the arena whole and reusable.
   const spatial::PointSet points = data::gaussian_blobs(4000, 2, 4, 0.05, 0.05, 13);
   const exec::Executor executor(exec::default_backend(), 4);
-  const auto pipeline = Pipeline::on(executor).with_min_pts(3);
-  const auto reference = pipeline.run_hdbscan(points);  // warm-up
+  hdbscan::HdbscanOptions options;
+  options.min_pts = 3;
+  const auto reference = hdbscan::hdbscan(executor, points, options);  // warm-up
 
-  EXPECT_THROW(
-      (void)Pipeline::on(executor).with_min_pts(3).with_deadline(std::chrono::nanoseconds(1))
-          .run_hdbscan(points),
-      Cancelled);
+  {
+    const exec::CancellationToken deadline =
+        exec::CancellationToken::after(std::chrono::nanoseconds(1));
+    const exec::ScopedCancellation scope(executor, &deadline);
+    EXPECT_THROW((void)hdbscan::hdbscan(executor, points, options), Cancelled);
+  }
 
   executor.workspace().reset_stats();
-  const auto rerun = pipeline.run_hdbscan(points);
+  const auto rerun = hdbscan::hdbscan(executor, points, options);
   EXPECT_EQ(executor.workspace().stats().misses, 0u);
   EXPECT_EQ(rerun.labels, reference.labels);
 }
@@ -142,10 +146,12 @@ TEST(Arena, RepeatedHdbscanReusesScratch) {
   // queries on one executor lease everything from the arena.
   const spatial::PointSet points = data::gaussian_blobs(4000, 2, 4, 0.05, 0.05, 11);
   const exec::Executor executor(exec::default_backend(), 4);
-  const auto pipeline = Pipeline::on(executor).with_min_pts(3).with_min_cluster_size(20);
-  const auto first = pipeline.run_hdbscan(points);
+  hdbscan::HdbscanOptions options;
+  options.min_pts = 3;
+  options.min_cluster_size = 20;
+  const auto first = hdbscan::hdbscan(executor, points, options);
   executor.workspace().reset_stats();
-  const auto second = pipeline.run_hdbscan(points);
+  const auto second = hdbscan::hdbscan(executor, points, options);
   EXPECT_EQ(executor.workspace().stats().misses, 0u)
       << "repeated identical hdbscan queries must reuse every leased buffer";
   EXPECT_EQ(first.labels, second.labels);
