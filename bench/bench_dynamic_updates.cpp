@@ -1,19 +1,23 @@
 // Streaming updates vs from-scratch rebuilds: the dyn:: subsystem's reason
-// to exist, measured.  Two scenarios:
+// to exist, measured.  Every row compares an update with the full cold
+// pipeline a static deployment would run for the same change (kd-tree
+// build, Borůvka EMST, edge sort, PANDORA):
 //
 //  * single-insert: a warm DynamicClustering at n=50k (scaled) absorbing one
 //    point per sample — incremental EMST repair + delta merge + PANDORA
-//    replay — against the full cold pipeline a static deployment would run
-//    for the same change (kd-tree build, Borůvka EMST, edge sort, PANDORA).
-//    The CI gate requires update >= 3x faster (median, self-relative, so it
-//    holds on any host).
-//  * churn-1pct: 1% of the points erased and as many inserted per sample, as
-//    two batches — the erase path (splinter + component-restricted re-join)
-//    plus a batch insert, against the same cold rebuild.  Churn batches lose
-//    to the rebuild: about 0.5–0.65x at n=50k on a 4-vCPU host, about 0.7x
-//    serial (reported, not gated).
+//    replay.  The CI gate requires update >= 3x faster (median,
+//    self-relative, so it holds on any host).
+//  * batch-insert-{0.1,1,5}pct and batch-erase-1pct: the stream at n takes
+//    a batch of that fraction of n (drawn from its own distribution) and
+//    then erases as many of its oldest points; the insert and the erase are
+//    timed separately.  The rows are reported, not gated, with their
+//    update/rebuild ratio in the JSON, so the crossover with the rebuild is
+//    a recorded number.  At n=50k on a shared 4-vCPU host every row beats
+//    the rebuild: the 1% insert runs at about 0.55–0.6x of the rebuild's
+//    time at 4 threads (0.4x serial), the 1% erase at about 0.65x (0.45x),
+//    and the 5% insert, the closest, at about 0.9x (0.6–0.7x).
 //
-// Every sample leaves the stream a valid exact EMST (asserted once at the
+// Every scenario leaves the stream a valid exact EMST (asserted once at the
 // end against a reference build), so the numbers measure correct work.
 
 #include <algorithm>
@@ -48,7 +52,7 @@ double rebuild_once(const spatial::PointSet& points) {
 void report(const char* scenario, index_t n, const bench::Measurement& update,
             const bench::Measurement& rebuild, bench::JsonReport& json) {
   const double speedup = update.median() > 0 ? rebuild.median() / update.median() : 0.0;
-  std::printf("%-13s | n %7lld | update %9.3fms  rebuild %9.3fms | %6.2fx\n", scenario,
+  std::printf("%-19s | n %7lld | update %9.3fms  rebuild %9.3fms | %6.2fx\n", scenario,
               static_cast<long long>(n), 1e3 * update.median(), 1e3 * rebuild.median(),
               speedup);
   // Cumulative ArtifactCache counters from the obs:: registry: how much the
@@ -61,6 +65,8 @@ void report(const char* scenario, index_t n, const bench::Measurement& update,
       .timing("update", update)
       .timing("rebuild", rebuild)
       .field("update_speedup", speedup)
+      .field("update_rebuild_ratio",
+             rebuild.median() > 0 ? update.median() / rebuild.median() : 0.0)
       .field("cache_hits",
              static_cast<std::int64_t>(reg.counter_value("pandora_cache_hits_total")))
       .field("cache_misses",
@@ -82,6 +88,58 @@ void check_exact(const dyn::DynamicClustering& stream) {
   }
 }
 
+/// One batch scenario's samples: inserts, erases and cold rebuilds at the
+/// stream's steady size `n`.
+struct BatchTimes {
+  index_t n = 0;
+  bench::Measurement insert, erase, rebuild;
+};
+
+/// A warm stream at n = 50k (scaled) absorbing batches of `fraction` x n
+/// points drawn from its own distribution (the points arrive in slices of
+/// one generated pool, as a streaming corpus would) and erasing as many of
+/// its oldest points after each, so every insert and every erase starts
+/// from n points.  Each sample times one insert and one erase.
+BatchTimes run_batches(const exec::Executor& executor, double fraction, int samples) {
+  const index_t n = bench::scaled(50000);
+  const index_t batch =
+      std::max<index_t>(static_cast<index_t>(static_cast<double>(n) * fraction), 1);
+  const spatial::PointSet pool =
+      data::gaussian_blobs(n + batch * (samples + 1), 2, 16, 0.03, 0.1, 4048);
+  const auto slice = [&](index_t begin, index_t count) {
+    spatial::PointSet out(2, count);
+    std::copy_n(pool.coords().begin() + 2 * static_cast<std::ptrdiff_t>(begin), 2 * count,
+                out.coords().begin());
+    return out;
+  };
+  dyn::DynamicClustering stream(executor);
+  std::vector<index_t> live = stream.insert(slice(0, n));
+  index_t cursor = n;
+  BatchTimes times;
+  const auto step = [&](bool timed) {
+    Timer insert_timer;
+    const std::vector<index_t> fresh = stream.insert(slice(cursor, batch));
+    const double insert_seconds = insert_timer.seconds();
+    cursor += batch;
+    live.insert(live.end(), fresh.begin(), fresh.end());
+    const std::vector<index_t> victims(live.begin(), live.begin() + batch);
+    live.erase(live.begin(), live.begin() + batch);
+    Timer erase_timer;
+    stream.erase(victims);
+    const double erase_seconds = erase_timer.seconds();
+    if (timed) {
+      times.insert.samples.push_back(insert_seconds);
+      times.erase.samples.push_back(erase_seconds);
+    }
+  };
+  step(false);  // warm: arena blocks, kd index, replay buffers
+  for (int s = 0; s < samples; ++s) step(true);
+  times.n = stream.size();
+  times.rebuild = bench::measure(samples, [&] { (void)rebuild_once(stream.points()); });
+  check_exact(stream);
+  return times;
+}
+
 }  // namespace
 
 int main() {
@@ -90,7 +148,7 @@ int main() {
   bench::JsonReport json("dynamic_updates");
   const exec::Executor executor(exec::default_backend());
 
-  std::printf("%-13s | %9s | %42s | %7s\n", "scenario", "points", "median wall", "speedup");
+  std::printf("%-19s | %9s | %42s | %7s\n", "scenario", "points", "median wall", "speedup");
 
   constexpr int kSamples = 7;
 
@@ -116,34 +174,29 @@ int main() {
     report("single-insert", stream.size(), update, rebuild, json);
   }
 
-  // --- 1% churn batches ----------------------------------------------------
-  {
-    const index_t n = bench::scaled(50000);
-    const index_t churn = std::max<index_t>(n / 100, 1);
-    dyn::DynamicClustering stream(executor);
-    std::vector<index_t> live = stream.insert(data::gaussian_blobs(n, 2, 16, 0.03, 0.1, 4048));
-    std::uint64_t round = 0;
-    const auto churn_once = [&] {
-      // Erase the oldest `churn` ids, insert as many fresh points.
-      const std::vector<index_t> victims(live.begin(), live.begin() + churn);
-      live.erase(live.begin(), live.begin() + churn);
-      stream.erase(victims);
-      const std::vector<index_t> fresh =
-          stream.insert(data::uniform_points(churn, 2, 5000 + round++));
-      live.insert(live.end(), fresh.begin(), fresh.end());
-    };
-    churn_once();  // warm
-    const bench::Measurement update = bench::measure(kSamples, churn_once);
-    const bench::Measurement rebuild =
-        bench::measure(kSamples, [&] { (void)rebuild_once(stream.points()); });
-    check_exact(stream);
-    report("churn-1pct", stream.size(), update, rebuild, json);
+  // --- batch inserts and erases -------------------------------------------
+  // Per batch size: the fraction of n, its insert row, and its erase row
+  // (nullptr: not reported).
+  const struct {
+    double fraction;
+    const char* insert_row;
+    const char* erase_row;
+  } batches[] = {{0.001, "batch-insert-0.1pct", nullptr},
+                 {0.01, "batch-insert-1pct", "batch-erase-1pct"},
+                 {0.05, "batch-insert-5pct", nullptr}};
+  for (const auto& row : batches) {
+    const BatchTimes times = run_batches(executor, row.fraction, kSamples);
+    if (row.insert_row != nullptr)
+      report(row.insert_row, times.n, times.insert, times.rebuild, json);
+    if (row.erase_row != nullptr) report(row.erase_row, times.n, times.erase, times.rebuild, json);
   }
 
   std::printf(
       "\nExpected shape: single-insert update >= 3x faster than the cold rebuild\n"
-      "(the CI self-relative gate).  Churn batches lose to the rebuild — the\n"
-      "erase path rebuilds the kd index and pays one full Borůvka query round —\n"
-      "so churn-1pct reads below 1x (reported, not gated).\n");
+      "(the CI self-relative gate).  Batch rows are reported, not gated: inserts\n"
+      "repair only the edges a path through the batch could displace, so the\n"
+      "0.1%% and 1%% inserts and the 1%% erase (kd-index rebuild plus one\n"
+      "component-restricted query round) read well above 1x, and the 5%% insert\n"
+      "reads closest to it.\n");
   return 0;
 }

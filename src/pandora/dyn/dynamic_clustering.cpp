@@ -1,6 +1,8 @@
 #include "pandora/dyn/dynamic_clustering.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -55,6 +57,120 @@ constexpr int kLeafSize = 32;
 /// kd index is rebuilt (amortised O(log n) per insert).  Erases always
 /// rebuild (compaction moves the indexed coordinates).
 constexpr double kIndexRebuildFraction = 0.125;
+
+/// Relative slack for comparing a distance against w when the two came from
+/// kernels that may sum the same squares in another order.
+constexpr double kRoundingSlack = 1e-9;
+
+/// The squared radius that covers every squared distance whose rounded
+/// square root is at most `w`, with kRoundingSlack on top: a non-strict test
+/// against it never loses a tie to rounding.
+double covering_sq(double w) {
+  return std::nextafter(w * w * (1 + kRoundingSlack), std::numeric_limits<double>::infinity());
+}
+
+/// `tree.knn_batch` over `count` row-major coordinate rows, in parallel
+/// chunks; hands each row's min(k, tree size) nearest points, ascending, to
+/// `emit(row, nearest)`.
+template <class Emit>
+void probe_rows(const exec::Executor& exec, const spatial::KdTree& tree, const double* rows,
+                index_t count, int k, const Emit& emit) {
+  constexpr index_t kProbeChunk = 128;
+  const auto k_eff = static_cast<std::size_t>(std::min<index_t>(k, tree.size()));
+  const auto dim = static_cast<std::size_t>(tree.points().dim());
+  const int num_chunks = static_cast<int>((count + kProbeChunk - 1) / kProbeChunk);
+  auto probe_chunk = [&](int c) {
+    // thread_local: the batch result buffer keeps its capacity across
+    // chunks and batches, so the steady-state probe allocates nothing (the
+    // arena cannot lease a std::vector).
+    thread_local std::vector<spatial::Neighbor> nearest;
+    const index_t lo = static_cast<index_t>(c) * kProbeChunk;
+    const index_t hi = std::min<index_t>(count, lo + kProbeChunk);
+    tree.knn_batch(rows + static_cast<std::size_t>(lo) * dim, hi - lo, k, nearest);
+    for (index_t j = lo; j < hi; ++j)
+      emit(j, std::span<const spatial::Neighbor>(
+                  nearest.data() + static_cast<std::size_t>(j - lo) * k_eff, k_eff));
+  };
+  exec.run_chunks(num_chunks, exec.num_threads(), probe_chunk);
+}
+
+/// The per-edge insert certificate: clears `keep[i]` for every maintained
+/// edge i of weight w that a path through the batch might displace, i.e.
+/// whose two child clusters in `dendrogram` (the maintained tree's) are both
+/// reachable: some point of the child has its nearest new point within w
+/// (`nearest_new[v]` is that distance per vertex), and some new point q with
+/// d2(q) <= w lies within w of the child's bounding box.  `d2_sq` holds the
+/// new points' squared 2nd-nearest-neighbour distances by batch-tree rank,
+/// and `notes` their per-node minima (annotate_min_core).  Every test is
+/// non-strict with a rounding margin, so rounding only ever adds doubtful
+/// edges.
+void mark_doubtful_edges(const exec::Executor& exec, const dendrogram::Dendrogram& dendrogram,
+                         const spatial::PointSet& points, std::span<const double> nearest_new,
+                         const spatial::KdTree& batch_tree, std::span<const double> d2_sq,
+                         const spatial::KdTreeAnnotations& notes, std::span<char> keep) {
+  const index_t num_edges = dendrogram.num_edges;
+  if (num_edges == 0) return;
+  const auto dim = static_cast<std::size_t>(points.dim());
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  exec::Workspace& workspace = exec.workspace();
+  // The two children of every edge node, its box and its points' nearest
+  // new point, in one bottom-up pass: vertices fold into their parents
+  // first, then edges in descending order, since a child always sorts after
+  // its parent (parent[e] < e).
+  auto child_lease = workspace.take<index_t>(2 * num_edges, kNone);
+  const std::span<index_t> child = child_lease.span();
+  const size_type box_size = static_cast<size_type>(num_edges) * points.dim();
+  auto lo_lease = workspace.take<double>(box_size, kInfinity);
+  const std::span<double> lo = lo_lease.span();
+  auto hi_lease = workspace.take<double>(box_size, -kInfinity);
+  const std::span<double> hi = hi_lease.span();
+  auto near_lease = workspace.take<double>(num_edges, kInfinity);
+  const std::span<double> near = near_lease.span();
+  const auto adopt = [&](index_t node, double nearest) {
+    const auto p = static_cast<std::size_t>(dendrogram.parent[static_cast<std::size_t>(node)]);
+    child[2 * p + (child[2 * p] == kNone ? 0 : 1)] = node;
+    near[p] = std::min(near[p], nearest);
+    return p * dim;
+  };
+  for (index_t v = 0; v < dendrogram.num_vertices; ++v) {
+    const std::size_t base =
+        adopt(dendrogram.vertex_node(v), nearest_new[static_cast<std::size_t>(v)]);
+    const std::span<const double> x = points.point(v);
+    for (std::size_t d = 0; d < dim; ++d) {
+      lo[base + d] = std::min(lo[base + d], x[d]);
+      hi[base + d] = std::max(hi[base + d], x[d]);
+    }
+  }
+  for (index_t e = num_edges - 1; e > 0; --e) {
+    const std::size_t base = adopt(e, near[static_cast<std::size_t>(e)]);
+    const std::size_t from = static_cast<std::size_t>(e) * dim;
+    for (std::size_t d = 0; d < dim; ++d) {
+      lo[base + d] = std::min(lo[base + d], lo[from + d]);
+      hi[base + d] = std::max(hi[base + d], hi[from + d]);
+    }
+  }
+
+  exec::parallel_for(exec, num_edges, [&](size_type ei) {
+    const auto e = static_cast<std::size_t>(ei);
+    const double w = dendrogram.weight[e];
+    const double radius_sq = covering_sq(w);
+    const auto reachable = [&](index_t node) {
+      if (dendrogram.is_vertex_node(node)) {
+        const index_t v = node - num_edges;
+        if (nearest_new[static_cast<std::size_t>(v)] > w * (1 + kRoundingSlack)) return false;
+        const std::span<const double> x = points.point(v);
+        return batch_tree.any_near_box(x, x, radius_sq, d2_sq, notes);
+      }
+      if (near[static_cast<std::size_t>(node)] > w * (1 + kRoundingSlack)) return false;
+      const std::size_t base = static_cast<std::size_t>(node) * dim;
+      return batch_tree.any_near_box(std::span<const double>(lo).subspan(base, dim),
+                                     std::span<const double>(hi).subspan(base, dim), radius_sq,
+                                     d2_sq, notes);
+    };
+    if (reachable(child[2 * e]) && reachable(child[2 * e + 1]))
+      keep[static_cast<std::size_t>(dendrogram.edge_order[e])] = 0;
+  });
+}
 
 }  // namespace
 
@@ -150,15 +266,22 @@ index_t DynamicClustering::insert(std::span<const double> coords) {
 /// Exact incremental repair (see the class comment).  The candidate graph is
 /// the maintained tree plus the implicit stars of the new points; its MST is
 /// the true EMST of the enlarged set (any absent edge is beaten by an
-/// existing path, so the cycle property discards it).  Cheap pre-merge: a
-/// maintained edge can only be displaced by a path through a new point q,
-/// which uses two distinct edges at q, the heavier one at least q's
-/// 2nd-nearest-neighbour distance — so every maintained edge at or below
-/// min_q d2(q) is certainly kept and its endpoints start pre-merged.  The
-/// remaining "doubtful" edges and the stars then go through Borůvka rounds:
+/// existing path, so the cycle property discards it).  A maintained edge of
+/// weight w can only be displaced by a path of candidate edges lighter than
+/// w through new points.  Its first new point q is reached from one child
+/// cluster of the edge's dendrogram node and its last one reaches the other,
+/// each over two distinct path edges, so its 2nd-nearest-neighbour distance
+/// d2(q) is below w.  Every other maintained edge is pre-merged:
+///  * batches above kBatchTreeThreshold test this per edge
+///    (mark_doubtful_edges);
+///  * smaller batches keep one global threshold, min_q d2(q), below which no
+///    edge is doubtful — cheaper than the certificate for a handful of points.
+/// The doubtful edges and the stars then go through Borůvka rounds:
 /// established points scan their doubtful edges and probe the batch, new
-/// points probe the kd index (coordinate queries: they are not indexed yet)
-/// and scan the unindexed tail.
+/// points probe the kd index (coordinate queries: they are not indexed yet),
+/// scan the unindexed tail and probe the batch.  With a batch tree, a point
+/// queries only once its cached nearest star partner has joined its
+/// component, bounded by the component's running minimum.
 void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
                                             std::vector<char>& keep,
                                             graph::EdgeList& added) {
@@ -166,92 +289,141 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   const spatial::PointSet& points = *points_;
   exec::Workspace& workspace = exec_->workspace();
 
-  // --- safety threshold: min over new points of their d2 ------------------
-  // Parallel over the batch (a churn batch probes m x (tail + m) distances);
-  // the tiny per-point probe vector is the only allocation.
-  double w_safe = std::numeric_limits<double>::infinity();
+  // Optional kd-tree over just the batch, so points can probe "nearest new
+  // point in another component" in O(log m) instead of O(m).  Its min-core
+  // annotation holds the new points' squared d2 for the certificate's box
+  // queries.
+  spatial::PointSet batch_points;
+  std::unique_ptr<spatial::KdTree> batch_tree;
+  spatial::KdTreeAnnotations batch_notes;
+  if (m > kBatchTreeThreshold) {
+    batch_points = spatial::PointSet(points.dim(), m);
+    std::copy(points.coords().begin() +
+                  static_cast<std::size_t>(n_before) * static_cast<std::size_t>(points.dim()),
+              points.coords().end(), batch_points.coords().begin());
+    batch_tree = std::make_unique<spatial::KdTree>(*exec_, batch_points, kLeafSize);
+  }
+
+  // With a batch tree, every point keeps its nearest star partner (a new
+  // point for an established point, any other point for a new one) and a
+  // lower bound on its foreign stars' weights (`star_floor`, raised when a
+  // bounded query proves more).  While the nearest partner is foreign it is
+  // the point's exact star candidate, and no query runs.  Components only
+  // merge, so the foreign set only shrinks and both stay valid across
+  // rounds.  Established points' nearest new points also filter the
+  // certificate.
+  const index_t num_tracked = batch_tree ? n : 0;
+  auto nearest_lease = workspace.take_uninit<Candidate>(num_tracked);
+  const std::span<Candidate> nearest = nearest_lease.span();
+  auto star_floor_lease = workspace.take_uninit<double>(num_tracked);
+  const std::span<double> star_floor = star_floor_lease.span();
+  auto pending_lease = workspace.take<char>(num_tracked, 0);
+  const std::span<char> pending = pending_lease.span();
+  const auto track_nearest = [&](index_t p, const spatial::Neighbor& nb) {
+    const Candidate star{std::sqrt(nb.squared_distance), nb.index, kNone};
+    nearest[static_cast<std::size_t>(p)] = star;
+    star_floor[static_cast<std::size_t>(p)] = star.weight;
+  };
+  if (batch_tree) {
+    probe_rows(*exec_, *batch_tree, points.point(0).data(), n_before, 1,
+               [&](index_t p, std::span<const spatial::Neighbor> near) {
+                 track_nearest(p, {near[0].squared_distance, n_before + near[0].index});
+               });
+  }
+
+  // --- nearest and 2nd-nearest other point of every new point -------------
+  // The two nearest indexed points (coordinate queries: the batch is not
+  // indexed yet), the two nearest other batch points (the batch tree's
+  // indexed kNN, or a scan) and a scan of the unindexed tail.  Neighbours
+  // are (squared distance, slot) pairs.
+  auto d2_lease = workspace.take_uninit<double>(m);
+  const std::span<double> d2_sq = d2_lease.span();
   {
-    auto bound_lease = workspace.take_uninit<double>(m);
-    const std::span<double> bound = bound_lease.span();
-    // Batched index probe pre-pass: the batch rows are contiguous row-major
-    // in the point set, so one knn_batch sweep per chunk probes every new
-    // point's two nearest INDEXED neighbours (coordinate queries — the batch
-    // is not indexed yet).  Slots stay +inf where the index has fewer than
-    // two points; offering +inf below is a no-op.
-    auto knn_lease = workspace.take<double>(static_cast<size_type>(m) * 2,
-                                            std::numeric_limits<double>::infinity());
-    const std::span<double> knn_sq = knn_lease.span();
+    auto near_lease = workspace.take<spatial::Neighbor>(static_cast<size_type>(m) * 4,
+                                                        spatial::Neighbor{});
+    const std::span<spatial::Neighbor> near = near_lease.span();  // 2 indexed, 2 batch
     if (indexed_ > 0) {
-      const auto k_eff = static_cast<index_t>(std::min<index_t>(2, indexed_));
-      constexpr index_t kProbeChunk = 128;
-      const int num_chunks = static_cast<int>((m + kProbeChunk - 1) / kProbeChunk);
-      auto probe_body = [&](int c) {
-        // thread_local: the batch result buffer keeps its capacity across
-        // chunks and batches, so the steady-state probe allocates nothing
-        // (the arena cannot lease a std::vector).
-        static thread_local std::vector<spatial::Neighbor> probe;
-        const index_t lo = static_cast<index_t>(c) * kProbeChunk;
-        const index_t hi = std::min<index_t>(m, lo + kProbeChunk);
-        tree_->knn_batch(points.point(n_before + lo).data(), hi - lo, 2, probe);
-        for (index_t j = lo; j < hi; ++j)
-          for (index_t t = 0; t < k_eff; ++t)
-            knn_sq[static_cast<std::size_t>(j) * 2 + static_cast<std::size_t>(t)] =
-                probe[static_cast<std::size_t>(j - lo) * static_cast<std::size_t>(k_eff) +
-                      static_cast<std::size_t>(t)]
-                    .squared_distance;
-      };
-      exec_->run_chunks(num_chunks, exec_->num_threads(), probe_body);
+      probe_rows(*exec_, *tree_, points.point(n_before).data(), m, 2,
+                 [&](index_t j, std::span<const spatial::Neighbor> found) {
+                   std::copy(found.begin(), found.end(),
+                             near.begin() + static_cast<std::ptrdiff_t>(j) * 4);
+                 });
+    }
+    if (batch_tree) {
+      const std::span<const index_t> batch_id_of_rank = batch_tree->tree_order();
+      exec::parallel_for(*exec_, m, [&](size_type r) {
+        thread_local std::vector<spatial::Neighbor> found;
+        batch_tree->knn(static_cast<index_t>(r), 2, found);
+        const auto j = static_cast<std::size_t>(batch_id_of_rank[static_cast<std::size_t>(r)]);
+        for (std::size_t t = 0; t < found.size(); ++t)
+          near[j * 4 + 2 + t] = {found[t].squared_distance, n_before + found[t].index};
+      });
     }
     exec::parallel_for(*exec_, m, [&](size_type j) {
       const index_t q = n_before + static_cast<index_t>(j);
-      double d1_sq = std::numeric_limits<double>::infinity();
-      double d2_sq = std::numeric_limits<double>::infinity();
-      const auto offer = [&](double sq) {
-        if (sq < d1_sq) {
-          d2_sq = d1_sq;
-          d1_sq = sq;
-        } else if (sq < d2_sq) {
-          d2_sq = sq;
+      spatial::Neighbor first, second;
+      const auto offer = [&](const spatial::Neighbor& nb) {
+        if (nb.index == kNone) return;
+        if (nb < first) {
+          second = first;
+          first = nb;
+        } else if (nb < second) {
+          second = nb;
         }
       };
-      offer(knn_sq[static_cast<std::size_t>(j) * 2]);
-      offer(knn_sq[static_cast<std::size_t>(j) * 2 + 1]);
-      for (index_t p = indexed_; p < n; ++p) {  // unindexed tail + other new
-        if (p == q) continue;
-        offer(points.squared_distance(q, p));
-      }
+      for (std::size_t t = 0; t < 4; ++t) offer(near[static_cast<std::size_t>(j) * 4 + t]);
+      for (index_t p = indexed_; p < (batch_tree ? n_before : n); ++p)  // tail (+ batch)
+        if (p != q) offer({points.squared_distance(q, p), p});
       // With a single other point d2 degenerates to d1 (still safe: a
       // 2-point set has no displaceable maintained edges of lower weight).
-      bound[static_cast<std::size_t>(j)] =
-          d2_sq < std::numeric_limits<double>::infinity() ? d2_sq : d1_sq;
+      d2_sq[static_cast<std::size_t>(j)] =
+          second.index != kNone ? second.squared_distance : first.squared_distance;
+      if (batch_tree) track_nearest(q, first);
     });
-    for (index_t j = 0; j < m; ++j)
-      w_safe = std::min(w_safe, std::sqrt(bound[static_cast<std::size_t>(j)]));
   }
 
-  // --- pre-merge the safe maintained edges --------------------------------
+  // --- pre-merge the maintained edges no path through the batch displaces --
   const auto e_old = static_cast<size_type>(edges_.size());
-  keep.assign(static_cast<std::size_t>(e_old), 0);
+  keep.assign(static_cast<std::size_t>(e_old), 1);
+  double w_safe = std::numeric_limits<double>::infinity();
+  if (batch_tree) {
+    auto rank_d2_lease = workspace.take_uninit<double>(m);
+    const std::span<double> rank_d2_sq = rank_d2_lease.span();
+    const std::span<const index_t> batch_id_of_rank = batch_tree->tree_order();
+    exec::parallel_for(*exec_, m, [&](size_type r) {
+      rank_d2_sq[static_cast<std::size_t>(r)] =
+          d2_sq[static_cast<std::size_t>(batch_id_of_rank[static_cast<std::size_t>(r)])];
+    });
+    batch_tree->annotate_min_core(*exec_, rank_d2_sq, batch_notes);
+    mark_doubtful_edges(*exec_, dendrogram_, points,
+                        star_floor.first(static_cast<std::size_t>(n_before)), *batch_tree,
+                        rank_d2_sq, batch_notes, keep);
+  } else {
+    for (const double sq : d2_sq) w_safe = std::min(w_safe, std::sqrt(sq));
+  }
   auto uf_lease = workspace.take_uninit<index_t>(n);
   graph::ConcurrentUnionFindView uf(uf_lease.span());
   exec::parallel_for(*exec_, n, [&](size_type x) {
     uf_lease[static_cast<std::size_t>(x)] = static_cast<index_t>(x);
   });
   index_t components = n;
-  std::vector<index_t> doubtful;
+  auto doubtful_lease = workspace.take_uninit<index_t>(e_old);
+  size_type num_doubtful = 0;
   for (size_type i = 0; i < e_old; ++i) {
     const graph::WeightedEdge& e = edges_[static_cast<std::size_t>(i)];
-    if (e.weight <= w_safe) {
-      keep[static_cast<std::size_t>(i)] = 1;
+    if (keep[static_cast<std::size_t>(i)] != 0 && e.weight <= w_safe) {
       uf.unite(e.u, e.v);
       --components;
     } else {
-      doubtful.push_back(static_cast<index_t>(i));
+      keep[static_cast<std::size_t>(i)] = 0;
+      doubtful_lease[static_cast<std::size_t>(num_doubtful++)] = static_cast<index_t>(i);
     }
   }
+  const std::span<const index_t> doubtful = doubtful_lease.span().first(
+      static_cast<std::size_t>(num_doubtful));
+  stats_.doubtful_edges += static_cast<std::uint64_t>(num_doubtful);
 
   // CSR adjacency over the doubtful edges only.
-  const auto num_doubtful = static_cast<size_type>(doubtful.size());
   auto adj_offset_lease = workspace.take<index_t>(n + 1, 0);
   const std::span<index_t> adj_offset = adj_offset_lease.span();
   for (const index_t i : doubtful) {
@@ -273,19 +445,6 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     }
   }
 
-  // Optional kd-tree over just the batch, so established points can probe
-  // "nearest new point in another component" in O(log m) instead of O(m).
-  spatial::PointSet batch_points;
-  std::unique_ptr<spatial::KdTree> batch_tree;
-  spatial::KdTreeAnnotations batch_notes;
-  if (m > kBatchTreeThreshold) {
-    batch_points = spatial::PointSet(points.dim(), m);
-    std::copy(points.coords().begin() +
-                  static_cast<std::size_t>(n_before) * static_cast<std::size_t>(points.dim()),
-              points.coords().end(), batch_points.coords().begin());
-    batch_tree = std::make_unique<spatial::KdTree>(*exec_, batch_points, kLeafSize);
-  }
-
   // --- Borůvka rounds over the implicit candidate graph -------------------
   constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
   constexpr index_t kUnset = std::numeric_limits<index_t>::max();
@@ -304,13 +463,44 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   auto batch_component_lease = workspace.take_uninit<index_t>(batch_tree ? m : 0);
   const std::span<index_t> batch_component = batch_component_lease.span();
 
-  std::vector<index_t> roots;
-  roots.reserve(static_cast<std::size_t>(components));
+  // p's lightest star to another component within `radius_sq` (kNone
+  // partner when there is none): a new point's star spans every live point —
+  // the index by coordinates, the unindexed tail and the batch — and an
+  // established point's spans the batch.
+  const auto foreign_star = [&](index_t p, index_t c, double radius_sq) {
+    Candidate best;
+    const auto offer = [&](double sq, index_t partner) {
+      const Candidate cand{std::sqrt(sq), partner, kNone};
+      if (sq <= radius_sq && cand.better_than(best)) best = cand;
+    };
+    if (p >= n_before) {
+      if (indexed_ > 0) {
+        const spatial::Neighbor nb = tree_->nearest_other_component(
+            points.point(p), c, index_component, notes_, radius_sq);
+        if (nb.index != kNone) offer(nb.squared_distance, nb.index);
+      }
+      for (index_t t = indexed_; t < n_before; ++t)
+        if (component[static_cast<std::size_t>(t)] != c) offer(points.squared_distance(p, t), t);
+    }
+    if (batch_tree) {
+      const spatial::Neighbor nb = batch_tree->nearest_other_component(
+          points.point(p), c, batch_component, batch_notes, radius_sq);
+      if (nb.index != kNone) offer(nb.squared_distance, n_before + nb.index);
+    } else {
+      for (index_t q = n_before; q < n; ++q)
+        if (component[static_cast<std::size_t>(q)] != c) offer(points.squared_distance(p, q), q);
+    }
+    return best;
+  };
+
+  auto roots_lease = workspace.take_uninit<index_t>(components);
+  index_t num_roots = 0;
   for (index_t x = 0; x < n; ++x)
-    if (uf.find(x) == x) roots.push_back(x);
+    if (uf.find(x) == x) roots_lease[static_cast<std::size_t>(num_roots++)] = x;
 
   while (components > 1) {
     ++stats_.boruvka_rounds;
+    const std::span<index_t> roots = roots_lease.span().first(static_cast<std::size_t>(num_roots));
     exec::parallel_for(*exec_, n, [&](size_type x) {
       component[static_cast<std::size_t>(x)] = uf.find(static_cast<index_t>(x));
     });
@@ -331,7 +521,8 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
       batch_tree->annotate_components(*exec_, batch_component, batch_notes);
     }
 
-    // Phase 1: every point proposes its best incident candidate edge.  A
+    // Phase 1a: every point with a cheap exact candidate — its best incident
+    // candidate edge — proposes it and seeds its component's minimum.  A
     // previous round's candidate whose partner is still foreign remains the
     // exact per-point minimum (every candidate source — doubtful edges,
     // batch stars, index stars — only shrinks as components merge), so only
@@ -339,12 +530,15 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     exec::parallel_for(*exec_, n, [&](size_type pi) {
       const auto p = static_cast<index_t>(pi);
       const index_t c = component[static_cast<std::size_t>(p)];
+      const auto seed = [&](double weight) {
+        exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
+                               exec::order_preserving_bits(weight));
+      };
       {
         const Candidate& cached = candidate[static_cast<std::size_t>(p)];
         if (cached.partner != kNone &&
             component[static_cast<std::size_t>(cached.partner)] != c) {
-          exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
-                                 exec::order_preserving_bits(cached.weight));
+          seed(cached.weight);
           return;
         }
       }
@@ -360,53 +554,63 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
         const Candidate cand{e.weight, other, i};
         if (cand.better_than(best)) best = cand;
       }
-      if (p < n_before) {
-        // Established point: nearest batch point in another component.
-        if (batch_tree) {
-          const spatial::Neighbor nb = batch_tree->nearest_other_component(
-              points.point(p), c, batch_component, batch_notes);
-          if (nb.index != kNone) {
-            const Candidate cand{std::sqrt(nb.squared_distance), n_before + nb.index, kNone};
-            if (cand.better_than(best)) best = cand;
-          }
-        } else {
-          for (index_t q = n_before; q < n; ++q) {
-            if (component[static_cast<std::size_t>(q)] == c) continue;
-            const Candidate cand{std::sqrt(points.squared_distance(p, q)), q, kNone};
-            if (cand.better_than(best)) best = cand;
-          }
-        }
-      } else {
-        // New point: its star spans every live point — probe the index by
-        // coordinates, scan the unindexed tail and the rest of the batch.
-        if (indexed_ > 0) {
-          const spatial::Neighbor nb =
-              tree_->nearest_other_component(points.point(p), c, index_component, notes_);
-          if (nb.index != kNone) {
-            const Candidate cand{std::sqrt(nb.squared_distance), nb.index, kNone};
-            if (cand.better_than(best)) best = cand;
-          }
-        }
-        const index_t tail_end = batch_tree ? n_before : n;
-        for (index_t t = indexed_; t < tail_end; ++t) {
-          if (t == p || component[static_cast<std::size_t>(t)] == c) continue;
-          const Candidate cand{std::sqrt(points.squared_distance(p, t)), t, kNone};
-          if (cand.better_than(best)) best = cand;
-        }
-        if (batch_tree) {
-          const spatial::Neighbor nb = batch_tree->nearest_other_component(
-              points.point(p), c, batch_component, batch_notes);
-          if (nb.index != kNone) {
-            const Candidate cand{std::sqrt(nb.squared_distance), n_before + nb.index, kNone};
-            if (cand.better_than(best)) best = cand;
-          }
-        }
+      if (!batch_tree) {
+        const Candidate star = foreign_star(p, c, std::numeric_limits<double>::infinity());
+        if (star.better_than(best)) best = star;
+      } else if (const Candidate& near = nearest[static_cast<std::size_t>(p)];
+                 component[static_cast<std::size_t>(near.partner)] != c) {
+        if (near.better_than(best)) best = near;
+      } else if (!(best.weight < star_floor[static_cast<std::size_t>(p)])) {
+        // A foreign star might beat the maintained edges: phase 1b queries.
+        // The edge candidate still bounds p's from above, so it may seed the
+        // component's minimum.
+        pending[static_cast<std::size_t>(p)] = 1;
       }
       candidate[static_cast<std::size_t>(p)] = best;
-      if (best.partner != kNone)
-        exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
-                               exec::order_preserving_bits(best.weight));
+      if (best.partner != kNone) seed(best.weight);
     });
+
+    // Phase 1b: each pending point queries its foreign stars, bounded by its
+    // component's running minimum r (cf. spatial::emst): a candidate heavier
+    // than r can never win phase 2.  Ties at r are still found (the radius
+    // covers r's rounding), so every point attaining the final minimum holds
+    // its exact candidate.  Finding nothing proves every foreign star
+    // heavier than r, as does a star floor above r, which skips the query;
+    // then the maintained-edge candidate is exact if it is within r, and
+    // otherwise p cannot attain the minimum and proposes nothing this round.
+    if (batch_tree) {
+      constexpr index_t kQueriesPerChunk = 256;
+      const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
+      auto query_chunk = [&](int chunk) {
+        const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
+        const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
+        for (index_t p = lo; p < hi; ++p) {
+          if (pending[static_cast<std::size_t>(p)] == 0) continue;
+          pending[static_cast<std::size_t>(p)] = 0;
+          const index_t c = component[static_cast<std::size_t>(p)];
+          Candidate& cand = candidate[static_cast<std::size_t>(p)];
+          std::uint64_t& slot = best_weight[static_cast<std::size_t>(c)];
+          const std::uint64_t bound =
+              std::atomic_ref<std::uint64_t>(slot).load(std::memory_order_relaxed);
+          // kInf bit-casts to a NaN, not +inf.
+          const double r = bound == kInf ? std::numeric_limits<double>::infinity()
+                                         : std::bit_cast<double>(bound);
+          double& floor = star_floor[static_cast<std::size_t>(p)];
+          if (floor <= r) {
+            const Candidate star = foreign_star(p, c, covering_sq(r));
+            if (star.partner != kNone) {
+              if (star.better_than(cand)) cand = star;
+              exec::atomic_fetch_min(slot, exec::order_preserving_bits(cand.weight));
+              continue;
+            }
+            floor = r;
+          }
+          if (!(cand.weight <= r)) cand.partner = kNone;
+        }
+      };
+      exec_->run_chunks(num_chunks, exec_->num_threads(), query_chunk);
+    }
+
     // Phase 2: among weight ties, the smallest proposing point id wins (cf.
     // spatial::emst — exact lexicographic minimum without a wide CAS).
     exec::parallel_for(*exec_, n, [&](size_type pi) {
@@ -435,14 +639,13 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     }
     PANDORA_EXPECT(components < before, "incremental Borůvka made no progress");
 
-    std::vector<index_t> next_roots;
-    next_roots.reserve(roots.size() / 2 + 1);
+    // The surviving roots keep their order, compacted in place.
+    num_roots = 0;
     for (const index_t r : roots) {
-      if (uf.find(r) == r) next_roots.push_back(r);
+      if (uf.find(r) == r) roots_lease[static_cast<std::size_t>(num_roots++)] = r;
       best_weight[static_cast<std::size_t>(r)] = kInf;
       best_point[static_cast<std::size_t>(r)] = kUnset;
     }
-    roots.swap(next_roots);
   }
 }
 

@@ -39,6 +39,7 @@ struct UpdateStats {
   std::uint64_t edges_added = 0;      ///< EMST edges created by updates
   std::uint64_t edges_removed = 0;    ///< EMST edges displaced or dropped
   std::uint64_t boruvka_rounds = 0;   ///< insert-repair rounds across all updates
+  std::uint64_t doubtful_edges = 0;   ///< maintained edges inserts could not pre-merge
   std::uint64_t index_rebuilds = 0;   ///< kd-index rebuilds (tail overflow / erase)
 };
 
@@ -68,12 +69,18 @@ struct ArtifactBundle {
 ///   auto clusters = stream.hdbscan({.min_pts = 4});
 ///
 /// **Updates.**  `insert` appends points and repairs the tree with a
-/// cycle-property pass: a kd-tree kNN probe around every new point yields a
-/// safety threshold (no maintained edge at or below the new points' 2nd-
-/// nearest-neighbour distance can be displaced), the edges above it plus the
-/// new points' implicit star edges then go through Borůvka rounds over
-/// workspace-leased scratch — equivalently, the heaviest edge on every cycle
-/// the candidate edges create is dropped.  `erase` removes points, splinters
+/// cycle-property pass.  A maintained edge of weight w can only be displaced
+/// by a path of lighter edges through new points; the first and last new
+/// points on it lie within w of the two child clusters of the edge's
+/// dendrogram node and have a 2nd-nearest-neighbour distance below w.  A
+/// batch of more than 32 points checks this per edge (a certificate over
+/// per-cluster bounding boxes and a kd-tree over the batch); smaller batches
+/// use one threshold, the batch's smallest 2nd-nearest-neighbour distance.
+/// Every other edge is kept, and the doubtful ones plus the new points'
+/// implicit star edges go through Borůvka rounds over workspace-leased
+/// scratch, whose star queries are bounded by each component's running
+/// minimum — equivalently, the heaviest edge on every cycle the candidate
+/// edges create is dropped.  `erase` removes points, splinters
 /// the tree into the surviving components (every surviving edge provably
 /// stays in the new MST) and re-joins them through the component-restricted
 /// Borůvka entry of `spatial::emst`.  Both paths are *exact*: after any

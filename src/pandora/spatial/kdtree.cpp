@@ -419,14 +419,58 @@ Neighbor KdTree::nearest_other_component(index_t q, index_t my_component,
 
 Neighbor KdTree::nearest_other_component(std::span<const double> query, index_t my_component,
                                          std::span<const index_t> component,
-                                         const KdTreeAnnotations& notes) const {
-  Neighbor best;
-  if (size() == 0) return best;
+                                         const KdTreeAnnotations& notes,
+                                         double radius_sq) const {
+  if (size() == 0) return {};
   // An out-of-index coordinate query scores exactly like an indexed one: the
   // leaf scan's squared distance is the score.
+  Neighbor best = within_radius(radius_sq);
   EuclideanScore score{};
   search(query.data(), best, my_component, component, notes, score);
-  return best;
+  return found_or_none(best);
+}
+
+bool KdTree::any_near_box(std::span<const double> lo, std::span<const double> hi,
+                          double radius_sq, std::span<const double> core_sq,
+                          const KdTreeAnnotations& notes) const {
+  if (size() == 0) return false;
+  const std::size_t n = perm_.size();
+  // Squared gap between [lo, hi] and the interval [a, b] on one axis.
+  const auto gap_sq = [&](int d, double a, double b) {
+    const double gap = b < lo[static_cast<std::size_t>(d)]   ? lo[static_cast<std::size_t>(d)] - b
+                       : a > hi[static_cast<std::size_t>(d)] ? a - hi[static_cast<std::size_t>(d)]
+                                                             : 0.0;
+    return gap * gap;
+  };
+  std::vector<Deferred>& stack = descent_stack();
+  stack.push_back({0, 0.0});
+  while (!stack.empty()) {
+    const index_t node = stack.back().node;
+    stack.pop_back();
+    if (notes.node_min_core[static_cast<std::size_t>(node)] > radius_sq) continue;
+    const std::size_t base = static_cast<std::size_t>(node) * static_cast<std::size_t>(dim_);
+    double box_sq = 0;
+    for (int d = 0; d < dim_; ++d)
+      box_sq += gap_sq(d, box_lo_[base + static_cast<std::size_t>(d)],
+                       box_hi_[base + static_cast<std::size_t>(d)]);
+    if (box_sq > radius_sq) continue;
+    const Node& nd = nodes_[static_cast<std::size_t>(node)];
+    if (nd.left != kNone) {
+      stack.push_back({nd.right, 0.0});
+      stack.push_back({nd.left, 0.0});
+      continue;
+    }
+    for (index_t i = nd.begin; i < nd.end; ++i) {
+      if (core_sq[static_cast<std::size_t>(i)] > radius_sq) continue;
+      double point_sq = 0;
+      for (int d = 0; d < dim_; ++d) {
+        const double c = columns_[static_cast<std::size_t>(d) * n + static_cast<std::size_t>(i)];
+        point_sq += gap_sq(d, c, c);
+      }
+      if (point_sq <= radius_sq) return true;
+    }
+  }
+  return false;
 }
 
 namespace {

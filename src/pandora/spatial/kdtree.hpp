@@ -146,13 +146,24 @@ class KdTree {
 
   /// As above for an arbitrary coordinate query outside the index: nearest
   /// indexed point whose `component[]` differs from `my_component` (pass
-  /// `kNone` as `my_component` to consider every indexed point).  The
-  /// dynamic subsystem's Borůvka rounds issue these for points appended
-  /// after the index was built.
-  [[nodiscard]] Neighbor nearest_other_component(std::span<const double> query,
-                                                 index_t my_component,
-                                                 std::span<const index_t> component,
-                                                 const KdTreeAnnotations& notes) const;
+  /// `kNone` as `my_component` to consider every indexed point), within
+  /// `radius_sq` under the indexed overload's contract.  The dynamic
+  /// subsystem's Borůvka rounds issue these for points appended after the
+  /// index was built, and against the batch tree of an insert.
+  [[nodiscard]] Neighbor nearest_other_component(
+      std::span<const double> query, index_t my_component, std::span<const index_t> component,
+      const KdTreeAnnotations& notes,
+      double radius_sq = std::numeric_limits<double>::infinity()) const;
+
+  /// Whether some point with `core_sq[rank] <= radius_sq` lies within
+  /// squared distance `radius_sq` of the axis-aligned box [lo, hi] (distance
+  /// 0 inside it).  `notes` must hold annotate_min_core's per-node minima of
+  /// the same `core_sq`; they prune whole subtrees.  Both comparisons are
+  /// non-strict.  The dynamic subsystem's insert certificate asks this of
+  /// the boxes of dendrogram clusters.
+  [[nodiscard]] bool any_near_box(std::span<const double> lo, std::span<const double> hi,
+                                  double radius_sq, std::span<const double> core_sq,
+                                  const KdTreeAnnotations& notes) const;
 
   /// As above under the mutual-reachability metric
   /// d_mreach(p,q) = max(core(p), core(q), d(p,q)) with *squared* core

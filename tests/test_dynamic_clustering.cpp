@@ -227,6 +227,136 @@ TEST(DynamicClustering, DuplicateDistancesAndDuplicatePoints) {
   expect_equivalent_to_rebuild(stream);
 }
 
+/// A batch large enough for the batch-tree path (and its per-edge
+/// certificate), whatever the insert's other points are.
+constexpr index_t kBatch = 40;
+
+TEST(DynamicClustering, BatchInsertDisplacesAFarAwayChainEdge) {
+  // Two elongated clusters, A along y = 0 and B along y = 3, joined at their
+  // far ends (x = 10) by a chain whose heaviest edge (2.0) sits at x = 14.
+  // A new point between the near ends (x = 0) bridges A and B with two 1.5
+  // edges, so the chain's heaviest edge must leave the tree although it lies
+  // about 14 away from every new point.
+  spatial::PointSet base(2, 0);
+  const auto add = [&](double x, double y) {
+    base.coords().push_back(x);
+    base.coords().push_back(y);
+  };
+  for (int i = 0; i <= 100; ++i) add(0.1 * i, 0.0);                // A
+  for (int i = 0; i <= 100; ++i) add(0.1 * i, 3.0);                // B
+  for (int k = 1; k <= 8; ++k) add(10.0 + 0.5 * k, 0.0);           // chain, A side
+  add(14.0, 0.5);
+  add(14.0, 1.0);
+  for (int k = 0; k < 8; ++k) add(14.0 - 0.5 * k, 3.0);            // chain, B side
+
+  const exec::Executor executor(exec::default_backend());
+  dyn::DynamicClustering stream(executor);
+  stream.insert(base);
+  const auto has_weight = [&](double w) {
+    return std::any_of(stream.emst().begin(), stream.emst().end(),
+                       [&](const graph::WeightedEdge& e) { return e.weight == w; });
+  };
+  ASSERT_TRUE(has_weight(2.0));
+
+  // The bridge point plus a far-away line of points that fills the batch.
+  spatial::PointSet batch(2, kBatch);
+  batch.at(0, 0) = 0.0;
+  batch.at(0, 1) = 1.5;
+  for (index_t i = 1; i < kBatch; ++i) {
+    batch.at(i, 0) = 100.0 + static_cast<double>(i);
+    batch.at(i, 1) = 100.0;
+  }
+  stream.insert(batch);
+  expect_equivalent_to_rebuild(stream);
+  EXPECT_FALSE(has_weight(2.0)) << "the displaced chain edge survived the insert";
+  EXPECT_GT(stream.stats().doubtful_edges, 0u);
+}
+
+TEST(DynamicClustering, BatchInsertsOnGridWithDuplicates) {
+  // Batch inserts above the batch-tree threshold into a grid: duplicates of
+  // grid points, points on grid midpoints (exact distance ties with the
+  // grid edges) and duplicates of the new points themselves.
+  const exec::Executor executor(exec::default_backend());
+  dyn::DynamicClustering stream(executor);
+  const int side = 12;
+  spatial::PointSet grid(2, side * side);
+  for (int x = 0; x < side; ++x)
+    for (int y = 0; y < side; ++y) {
+      grid.at(x * side + y, 0) = x;
+      grid.at(x * side + y, 1) = y;
+    }
+  const std::vector<index_t> grid_ids = stream.insert(grid);
+  expect_equivalent_to_rebuild(stream);
+
+  for (int round = 0; round < 3; ++round) {
+    spatial::PointSet batch(2, kBatch + round * 10);
+    for (index_t i = 0; i < batch.size(); ++i) {
+      const auto cell = static_cast<int>((i * 5 + round * 7) % (side * side));
+      const double half = i % 3 == 0 ? 0.5 : 0.0;  // a midpoint or a duplicate
+      batch.at(i, 0) = cell / side + half;
+      batch.at(i, 1) = cell % side;
+    }
+    for (index_t i = batch.size() / 2; i < batch.size(); i += 4) {  // in-batch duplicates
+      batch.at(i, 0) = batch.at(i - 1, 0);
+      batch.at(i, 1) = batch.at(i - 1, 1);
+    }
+    stream.insert(batch);
+    expect_equivalent_to_rebuild(stream);
+    const auto stripe = static_cast<std::size_t>(round) * 9;
+    stream.erase(std::span<const index_t>(grid_ids).subspan(stripe, 9));
+    expect_equivalent_to_rebuild(stream);
+  }
+}
+
+TEST(DynamicClustering, BatchInsertsInThreeAndFiveDimensions) {
+  for (const int dim : {3, 5}) {
+    const exec::Executor executor(exec::default_backend());
+    dyn::DynamicClustering stream(executor);
+    const spatial::PointSet pool =
+        data::gaussian_blobs(1400, dim, 6, 0.05, 0.1, static_cast<std::uint64_t>(dim));
+    std::vector<index_t> ids = stream.insert(slice_points(pool, 0, 600));
+    index_t cursor = 600;
+    for (const index_t count : {kBatch, index_t{100}, index_t{250}}) {
+      stream.insert(slice_points(pool, cursor, count));
+      cursor += count;
+      expect_equivalent_to_rebuild(stream);
+      stream.erase(std::span<const index_t>(ids).first(20));
+      ids.erase(ids.begin(), ids.begin() + 20);
+      expect_equivalent_to_rebuild(stream);
+    }
+  }
+}
+
+TEST(DynamicClustering, BatchInsertCertificateLeavesFewEdgesDoubtful) {
+  // A 1% batch from the same distribution as the 50k maintained points: the
+  // per-edge certificate must pre-merge all but a few of the maintained
+  // edges, and the repaired dendrogram is the cold rebuild's, parent for
+  // parent (the input has no distance ties).  A global threshold leaves
+  // nearly all of them doubtful; the certificate leaves 1.8%, and testing
+  // only one child of each edge would leave 2.8% or 14%, so the bound is
+  // 2.5%.
+  const index_t n = 50000;
+  const index_t m = 500;
+  const spatial::PointSet pool = data::gaussian_blobs(n + m, 2, 8, 0.03, 0.1, 21);
+  const exec::Executor executor(exec::default_backend());
+  dyn::DynamicClustering stream(executor);
+  stream.insert(slice_points(pool, 0, n));
+  const std::uint64_t before = stream.stats().doubtful_edges;
+  stream.insert(slice_points(pool, n, m));
+  const std::uint64_t doubtful = stream.stats().doubtful_edges - before;
+  EXPECT_GT(doubtful, 0u);
+  EXPECT_LT(doubtful, static_cast<std::uint64_t>(n - 1) / 40);
+
+  const exec::Executor reference(exec::default_backend());
+  const spatial::KdTree tree(reference, stream.points());
+  const graph::EdgeList rebuilt = spatial::euclidean_mst(reference, stream.points(), tree);
+  EXPECT_EQ(weight_signature(stream.emst()), weight_signature(rebuilt));
+  const dendrogram::Dendrogram cold =
+      dendrogram::pandora_dendrogram(reference, rebuilt, stream.size());
+  EXPECT_EQ(stream.dendrogram().parent, cold.parent);
+  EXPECT_EQ(stream.dendrogram().weight, cold.weight);
+}
+
 TEST(DynamicClustering, DeterministicAcrossRepeats) {
   const spatial::PointSet pool = data::uniform_points(300, 2, 42);
   const auto run_once = [&] {

@@ -116,6 +116,85 @@ TEST(KdTree, NearestOtherComponentHonorsFilterAndAnnotation) {
   }
 }
 
+TEST(KdTree, CoordinateAndIndexedComponentQueriesAgreeUnderARadius) {
+  // The coordinate overload answers like the indexed one from the same
+  // point's coordinates, radius contract included: a candidate tying the
+  // radius is found, and with the radius just below it nothing is (kNone).
+  // A lattice makes most nearest distances exact ties.
+  PointSet points(2, 400);
+  for (index_t i = 0; i < 400; ++i) {
+    points.at(i, 0) = static_cast<double>(i % 20);
+    points.at(i, 1) = static_cast<double>(i / 20) * 1.5;
+  }
+  std::vector<index_t> component(400);
+  for (index_t i = 0; i < 400; ++i) component[static_cast<std::size_t>(i)] = (i / 7) % 5;
+  for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+    const exec::Executor executor(backend);
+    const KdTree tree(executor, points);
+    const pandora::testing::RankOf rank_of(tree);
+    const std::vector<index_t> ranked = by_rank(tree, component);
+    spatial::KdTreeAnnotations notes;
+    tree.annotate_components(executor, ranked, notes);
+    for (index_t q = 0; q < 400; q += 3) {
+      const index_t mine = component[static_cast<std::size_t>(q)];
+      const Neighbor indexed = tree.nearest_other_component(rank_of(q), mine, ranked, notes);
+      ASSERT_NE(indexed.index, kNone);
+      const double radius = indexed.squared_distance;
+      for (const double r : {std::numeric_limits<double>::infinity(), radius}) {
+        const Neighbor by_coords = tree.nearest_other_component(points.point(q), mine, ranked,
+                                                                notes, r);
+        EXPECT_EQ(by_coords.index, indexed.index) << backend->name() << " q=" << q;
+        EXPECT_EQ(by_coords.squared_distance, indexed.squared_distance);
+        EXPECT_EQ(tree.nearest_other_component(rank_of(q), mine, ranked, notes, r).index,
+                  indexed.index);
+      }
+      const double below = std::nextafter(radius, 0.0);
+      EXPECT_EQ(tree.nearest_other_component(points.point(q), mine, ranked, notes, below).index,
+                kNone)
+          << backend->name() << " q=" << q;
+      EXPECT_EQ(tree.nearest_other_component(rank_of(q), mine, ranked, notes, below).index,
+                kNone);
+    }
+  }
+}
+
+TEST(KdTree, AnyNearBoxMatchesBruteForce) {
+  // The box query against a brute-force scan, with radii set to exact
+  // lattice distances so ties sit on the boundary of the non-strict tests.
+  PointSet points(2, 300);
+  std::vector<double> core_sq(300);
+  for (index_t i = 0; i < 300; ++i) {
+    points.at(i, 0) = static_cast<double>(i % 15);
+    points.at(i, 1) = static_cast<double>(i / 15);
+    core_sq[static_cast<std::size_t>(i)] = static_cast<double>((i * 7) % 11);
+  }
+  for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+    const exec::Executor executor(backend);
+    const KdTree tree(executor, points, 4);
+    const std::vector<double> ranked = by_rank(tree, core_sq);
+    spatial::KdTreeAnnotations notes;
+    tree.annotate_min_core(executor, ranked, notes);
+    for (int c = 0; c < 60; ++c) {
+      const std::array<double, 2> lo{-3.0 + 0.5 * (c % 9), -2.0 + 0.75 * (c % 13)};
+      const std::array<double, 2> hi{lo[0] + 0.25 * (c % 5), lo[1] + (c % 3)};
+      for (const double radius_sq : {0.0, 1.0, 2.0, 4.0, 5.0, 9.0}) {
+        bool expected = false;
+        for (index_t i = 0; i < 300 && !expected; ++i) {
+          double sq = 0;
+          for (int d = 0; d < 2; ++d) {
+            const double x = points.at(i, d);
+            const double gap = x < lo[d] ? lo[d] - x : (x > hi[d] ? x - hi[d] : 0.0);
+            sq += gap * gap;
+          }
+          expected = sq <= radius_sq && core_sq[static_cast<std::size_t>(i)] <= radius_sq;
+        }
+        EXPECT_EQ(tree.any_near_box(lo, hi, radius_sq, ranked, notes), expected)
+            << backend->name() << " box " << c << " radius_sq " << radius_sq;
+      }
+    }
+  }
+}
+
 TEST(KdTree, NearestOtherComponentMreachMatchesBruteForce) {
   const PointSet points = data::gaussian_blobs(300, 3, 5, 0.05, 0.1, 9);
   const KdTree tree(points);
