@@ -17,6 +17,11 @@
 //    time at 4 threads (0.4x serial), the 1% erase at about 0.65x (0.45x),
 //    and the 5% insert, the closest, at about 0.9x (0.6–0.7x).
 //
+// Every insert row, one point or 2,500, runs the same repair: a kd-tree over
+// the batch, the per-edge certificate and bounded star queries.  At
+// PANDORA_BENCH_SCALE=0.02 (n = 1000) the 1% insert (10 points) reads about
+// 2.3–2.6x faster than the rebuild at 4 threads (3.7–3.9x serial).
+//
 // Every scenario leaves the stream a valid exact EMST (asserted once at the
 // end against a reference build), so the numbers measure correct work.
 

@@ -45,10 +45,6 @@ struct Candidate {
   }
 };
 
-/// Brute-force cutoff: below this many batch points, scanning them beats
-/// building and annotating a kd-tree over the batch.
-constexpr index_t kBatchTreeThreshold = 32;
-
 /// Leaf size of the maintained kd index (and of the per-batch trees).
 constexpr int kLeafSize = 32;
 
@@ -271,17 +267,14 @@ index_t DynamicClustering::insert(std::span<const double> coords) {
 /// w through new points.  Its first new point q is reached from one child
 /// cluster of the edge's dendrogram node and its last one reaches the other,
 /// each over two distinct path edges, so its 2nd-nearest-neighbour distance
-/// d2(q) is below w.  Every other maintained edge is pre-merged:
-///  * batches above kBatchTreeThreshold test this per edge
-///    (mark_doubtful_edges);
-///  * smaller batches keep one global threshold, min_q d2(q), below which no
-///    edge is doubtful — cheaper than the certificate for a handful of points.
-/// The doubtful edges and the stars then go through Borůvka rounds:
-/// established points scan their doubtful edges and probe the batch, new
-/// points probe the kd index (coordinate queries: they are not indexed yet),
-/// scan the unindexed tail and probe the batch.  With a batch tree, a point
-/// queries only once its cached nearest star partner has joined its
-/// component, bounded by the component's running minimum.
+/// d2(q) is below w.  mark_doubtful_edges tests this per edge, for a batch of
+/// any size, and every other maintained edge is pre-merged.  The doubtful
+/// edges and the stars then go through Borůvka rounds: established points
+/// scan their doubtful edges and probe the batch tree, new points probe the
+/// kd index (coordinate queries: they are not indexed yet), scan the
+/// unindexed tail and probe the batch tree.  A point queries only once its
+/// cached nearest star partner has joined its component, bounded by the
+/// component's running minimum.
 void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
                                             std::vector<char>& keep,
                                             graph::EdgeList& added) {
@@ -289,53 +282,44 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   const spatial::PointSet& points = *points_;
   exec::Workspace& workspace = exec_->workspace();
 
-  // Optional kd-tree over just the batch, so points can probe "nearest new
-  // point in another component" in O(log m) instead of O(m).  Its min-core
-  // annotation holds the new points' squared d2 for the certificate's box
-  // queries.
-  spatial::PointSet batch_points;
-  std::unique_ptr<spatial::KdTree> batch_tree;
+  // A kd-tree over just the batch, so points can probe "nearest new point in
+  // another component" in O(log m).  Its min-core annotation holds the new
+  // points' squared d2 for the certificate's box queries.
+  spatial::PointSet batch_points(points.dim(), m);
+  std::copy(points.coords().begin() +
+                static_cast<std::size_t>(n_before) * static_cast<std::size_t>(points.dim()),
+            points.coords().end(), batch_points.coords().begin());
+  const spatial::KdTree batch_tree(*exec_, batch_points, kLeafSize);
   spatial::KdTreeAnnotations batch_notes;
-  if (m > kBatchTreeThreshold) {
-    batch_points = spatial::PointSet(points.dim(), m);
-    std::copy(points.coords().begin() +
-                  static_cast<std::size_t>(n_before) * static_cast<std::size_t>(points.dim()),
-              points.coords().end(), batch_points.coords().begin());
-    batch_tree = std::make_unique<spatial::KdTree>(*exec_, batch_points, kLeafSize);
-  }
 
-  // With a batch tree, every point keeps its nearest star partner (a new
-  // point for an established point, any other point for a new one) and a
-  // lower bound on its foreign stars' weights (`star_floor`, raised when a
-  // bounded query proves more).  While the nearest partner is foreign it is
-  // the point's exact star candidate, and no query runs.  Components only
-  // merge, so the foreign set only shrinks and both stay valid across
-  // rounds.  Established points' nearest new points also filter the
-  // certificate.
-  const index_t num_tracked = batch_tree ? n : 0;
-  auto nearest_lease = workspace.take_uninit<Candidate>(num_tracked);
+  // Every point keeps its nearest star partner (a new point for an
+  // established point, any other point for a new one) and a lower bound on
+  // its foreign stars' weights (`star_floor`, raised when a bounded query
+  // proves more).  While the nearest partner is foreign it is the point's
+  // exact star candidate, and no query runs.  Components only merge, so the
+  // foreign set only shrinks and both stay valid across rounds.  Established
+  // points' nearest new points also filter the certificate.
+  auto nearest_lease = workspace.take_uninit<Candidate>(n);
   const std::span<Candidate> nearest = nearest_lease.span();
-  auto star_floor_lease = workspace.take_uninit<double>(num_tracked);
+  auto star_floor_lease = workspace.take_uninit<double>(n);
   const std::span<double> star_floor = star_floor_lease.span();
-  auto pending_lease = workspace.take<char>(num_tracked, 0);
+  auto pending_lease = workspace.take<char>(n, 0);
   const std::span<char> pending = pending_lease.span();
   const auto track_nearest = [&](index_t p, const spatial::Neighbor& nb) {
     const Candidate star{std::sqrt(nb.squared_distance), nb.index, kNone};
     nearest[static_cast<std::size_t>(p)] = star;
     star_floor[static_cast<std::size_t>(p)] = star.weight;
   };
-  if (batch_tree) {
-    probe_rows(*exec_, *batch_tree, points.point(0).data(), n_before, 1,
-               [&](index_t p, std::span<const spatial::Neighbor> near) {
-                 track_nearest(p, {near[0].squared_distance, n_before + near[0].index});
-               });
-  }
+  probe_rows(*exec_, batch_tree, points.point(0).data(), n_before, 1,
+             [&](index_t p, std::span<const spatial::Neighbor> near) {
+               track_nearest(p, {near[0].squared_distance, n_before + near[0].index});
+             });
 
   // --- nearest and 2nd-nearest other point of every new point -------------
   // The two nearest indexed points (coordinate queries: the batch is not
   // indexed yet), the two nearest other batch points (the batch tree's
-  // indexed kNN, or a scan) and a scan of the unindexed tail.  Neighbours
-  // are (squared distance, slot) pairs.
+  // indexed kNN) and a scan of the unindexed tail.  Neighbours are (squared
+  // distance, slot) pairs.
   auto d2_lease = workspace.take_uninit<double>(m);
   const std::span<double> d2_sq = d2_lease.span();
   {
@@ -349,16 +333,14 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
                              near.begin() + static_cast<std::ptrdiff_t>(j) * 4);
                  });
     }
-    if (batch_tree) {
-      const std::span<const index_t> batch_id_of_rank = batch_tree->tree_order();
-      exec::parallel_for(*exec_, m, [&](size_type r) {
-        thread_local std::vector<spatial::Neighbor> found;
-        batch_tree->knn(static_cast<index_t>(r), 2, found);
-        const auto j = static_cast<std::size_t>(batch_id_of_rank[static_cast<std::size_t>(r)]);
-        for (std::size_t t = 0; t < found.size(); ++t)
-          near[j * 4 + 2 + t] = {found[t].squared_distance, n_before + found[t].index};
-      });
-    }
+    const std::span<const index_t> batch_id_of_rank = batch_tree.tree_order();
+    exec::parallel_for(*exec_, m, [&](size_type r) {
+      thread_local std::vector<spatial::Neighbor> found;
+      batch_tree.knn(static_cast<index_t>(r), 2, found);
+      const auto j = static_cast<std::size_t>(batch_id_of_rank[static_cast<std::size_t>(r)]);
+      for (std::size_t t = 0; t < found.size(); ++t)
+        near[j * 4 + 2 + t] = {found[t].squared_distance, n_before + found[t].index};
+    });
     exec::parallel_for(*exec_, m, [&](size_type j) {
       const index_t q = n_before + static_cast<index_t>(j);
       spatial::Neighbor first, second;
@@ -372,34 +354,31 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
         }
       };
       for (std::size_t t = 0; t < 4; ++t) offer(near[static_cast<std::size_t>(j) * 4 + t]);
-      for (index_t p = indexed_; p < (batch_tree ? n_before : n); ++p)  // tail (+ batch)
-        if (p != q) offer({points.squared_distance(q, p), p});
+      for (index_t p = indexed_; p < n_before; ++p)  // unindexed tail
+        offer({points.squared_distance(q, p), p});
       // With a single other point d2 degenerates to d1 (still safe: a
       // 2-point set has no displaceable maintained edges of lower weight).
       d2_sq[static_cast<std::size_t>(j)] =
           second.index != kNone ? second.squared_distance : first.squared_distance;
-      if (batch_tree) track_nearest(q, first);
+      track_nearest(q, first);
     });
   }
 
   // --- pre-merge the maintained edges no path through the batch displaces --
   const auto e_old = static_cast<size_type>(edges_.size());
   keep.assign(static_cast<std::size_t>(e_old), 1);
-  double w_safe = std::numeric_limits<double>::infinity();
-  if (batch_tree) {
+  {
     auto rank_d2_lease = workspace.take_uninit<double>(m);
     const std::span<double> rank_d2_sq = rank_d2_lease.span();
-    const std::span<const index_t> batch_id_of_rank = batch_tree->tree_order();
+    const std::span<const index_t> batch_id_of_rank = batch_tree.tree_order();
     exec::parallel_for(*exec_, m, [&](size_type r) {
       rank_d2_sq[static_cast<std::size_t>(r)] =
           d2_sq[static_cast<std::size_t>(batch_id_of_rank[static_cast<std::size_t>(r)])];
     });
-    batch_tree->annotate_min_core(*exec_, rank_d2_sq, batch_notes);
+    batch_tree.annotate_min_core(*exec_, rank_d2_sq, batch_notes);
     mark_doubtful_edges(*exec_, dendrogram_, points,
-                        star_floor.first(static_cast<std::size_t>(n_before)), *batch_tree,
+                        star_floor.first(static_cast<std::size_t>(n_before)), batch_tree,
                         rank_d2_sq, batch_notes, keep);
-  } else {
-    for (const double sq : d2_sq) w_safe = std::min(w_safe, std::sqrt(sq));
   }
   auto uf_lease = workspace.take_uninit<index_t>(n);
   graph::ConcurrentUnionFindView uf(uf_lease.span());
@@ -411,7 +390,7 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   size_type num_doubtful = 0;
   for (size_type i = 0; i < e_old; ++i) {
     const graph::WeightedEdge& e = edges_[static_cast<std::size_t>(i)];
-    if (keep[static_cast<std::size_t>(i)] != 0 && e.weight <= w_safe) {
+    if (keep[static_cast<std::size_t>(i)] != 0) {
       uf.unite(e.u, e.v);
       --components;
     } else {
@@ -460,7 +439,7 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   // gathers the slot-indexed array into the index's and the batch tree's.
   auto index_component_lease = workspace.take_uninit<index_t>(indexed_);
   const std::span<index_t> index_component = index_component_lease.span();
-  auto batch_component_lease = workspace.take_uninit<index_t>(batch_tree ? m : 0);
+  auto batch_component_lease = workspace.take_uninit<index_t>(m);
   const std::span<index_t> batch_component = batch_component_lease.span();
 
   // p's lightest star to another component within `radius_sq` (kNone
@@ -482,14 +461,9 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
       for (index_t t = indexed_; t < n_before; ++t)
         if (component[static_cast<std::size_t>(t)] != c) offer(points.squared_distance(p, t), t);
     }
-    if (batch_tree) {
-      const spatial::Neighbor nb = batch_tree->nearest_other_component(
-          points.point(p), c, batch_component, batch_notes, radius_sq);
-      if (nb.index != kNone) offer(nb.squared_distance, n_before + nb.index);
-    } else {
-      for (index_t q = n_before; q < n; ++q)
-        if (component[static_cast<std::size_t>(q)] != c) offer(points.squared_distance(p, q), q);
-    }
+    const spatial::Neighbor nb = batch_tree.nearest_other_component(
+        points.point(p), c, batch_component, batch_notes, radius_sq);
+    if (nb.index != kNone) offer(nb.squared_distance, n_before + nb.index);
     return best;
   };
 
@@ -512,14 +486,12 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
       });
       tree_->annotate_components(*exec_, index_component, notes_);
     }
-    if (batch_tree) {
-      const std::span<const index_t> batch_slot_of_rank = batch_tree->tree_order();
-      exec::parallel_for(*exec_, m, [&](size_type r) {
-        batch_component[static_cast<std::size_t>(r)] = component[static_cast<std::size_t>(
-            n_before + batch_slot_of_rank[static_cast<std::size_t>(r)])];
-      });
-      batch_tree->annotate_components(*exec_, batch_component, batch_notes);
-    }
+    const std::span<const index_t> batch_slot_of_rank = batch_tree.tree_order();
+    exec::parallel_for(*exec_, m, [&](size_type r) {
+      batch_component[static_cast<std::size_t>(r)] = component[static_cast<std::size_t>(
+          n_before + batch_slot_of_rank[static_cast<std::size_t>(r)])];
+    });
+    batch_tree.annotate_components(*exec_, batch_component, batch_notes);
 
     // Phase 1a: every point with a cheap exact candidate — its best incident
     // candidate edge — proposes it and seeds its component's minimum.  A
@@ -554,11 +526,8 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
         const Candidate cand{e.weight, other, i};
         if (cand.better_than(best)) best = cand;
       }
-      if (!batch_tree) {
-        const Candidate star = foreign_star(p, c, std::numeric_limits<double>::infinity());
-        if (star.better_than(best)) best = star;
-      } else if (const Candidate& near = nearest[static_cast<std::size_t>(p)];
-                 component[static_cast<std::size_t>(near.partner)] != c) {
+      if (const Candidate& near = nearest[static_cast<std::size_t>(p)];
+          component[static_cast<std::size_t>(near.partner)] != c) {
         if (near.better_than(best)) best = near;
       } else if (!(best.weight < star_floor[static_cast<std::size_t>(p)])) {
         // A foreign star might beat the maintained edges: phase 1b queries.
@@ -578,38 +547,36 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     // heavier than r, as does a star floor above r, which skips the query;
     // then the maintained-edge candidate is exact if it is within r, and
     // otherwise p cannot attain the minimum and proposes nothing this round.
-    if (batch_tree) {
-      constexpr index_t kQueriesPerChunk = 256;
-      const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
-      auto query_chunk = [&](int chunk) {
-        const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
-        const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
-        for (index_t p = lo; p < hi; ++p) {
-          if (pending[static_cast<std::size_t>(p)] == 0) continue;
-          pending[static_cast<std::size_t>(p)] = 0;
-          const index_t c = component[static_cast<std::size_t>(p)];
-          Candidate& cand = candidate[static_cast<std::size_t>(p)];
-          std::uint64_t& slot = best_weight[static_cast<std::size_t>(c)];
-          const std::uint64_t bound =
-              std::atomic_ref<std::uint64_t>(slot).load(std::memory_order_relaxed);
-          // kInf bit-casts to a NaN, not +inf.
-          const double r = bound == kInf ? std::numeric_limits<double>::infinity()
-                                         : std::bit_cast<double>(bound);
-          double& floor = star_floor[static_cast<std::size_t>(p)];
-          if (floor <= r) {
-            const Candidate star = foreign_star(p, c, covering_sq(r));
-            if (star.partner != kNone) {
-              if (star.better_than(cand)) cand = star;
-              exec::atomic_fetch_min(slot, exec::order_preserving_bits(cand.weight));
-              continue;
-            }
-            floor = r;
+    constexpr index_t kQueriesPerChunk = 256;
+    const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
+    auto query_chunk = [&](int chunk) {
+      const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
+      const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
+      for (index_t p = lo; p < hi; ++p) {
+        if (pending[static_cast<std::size_t>(p)] == 0) continue;
+        pending[static_cast<std::size_t>(p)] = 0;
+        const index_t c = component[static_cast<std::size_t>(p)];
+        Candidate& cand = candidate[static_cast<std::size_t>(p)];
+        std::uint64_t& slot = best_weight[static_cast<std::size_t>(c)];
+        const std::uint64_t bound =
+            std::atomic_ref<std::uint64_t>(slot).load(std::memory_order_relaxed);
+        // kInf bit-casts to a NaN, not +inf.
+        const double r = bound == kInf ? std::numeric_limits<double>::infinity()
+                                       : std::bit_cast<double>(bound);
+        double& floor = star_floor[static_cast<std::size_t>(p)];
+        if (floor <= r) {
+          const Candidate star = foreign_star(p, c, covering_sq(r));
+          if (star.partner != kNone) {
+            if (star.better_than(cand)) cand = star;
+            exec::atomic_fetch_min(slot, exec::order_preserving_bits(cand.weight));
+            continue;
           }
-          if (!(cand.weight <= r)) cand.partner = kNone;
+          floor = r;
         }
-      };
-      exec_->run_chunks(num_chunks, exec_->num_threads(), query_chunk);
-    }
+        if (!(cand.weight <= r)) cand.partner = kNone;
+      }
+    };
+    exec_->run_chunks(num_chunks, exec_->num_threads(), query_chunk);
 
     // Phase 2: among weight ties, the smallest proposing point id wins (cf.
     // spatial::emst — exact lexicographic minimum without a wide CAS).

@@ -72,15 +72,14 @@ struct ArtifactBundle {
 /// cycle-property pass.  A maintained edge of weight w can only be displaced
 /// by a path of lighter edges through new points; the first and last new
 /// points on it lie within w of the two child clusters of the edge's
-/// dendrogram node and have a 2nd-nearest-neighbour distance below w.  A
-/// batch of more than 32 points checks this per edge (a certificate over
-/// per-cluster bounding boxes and a kd-tree over the batch); smaller batches
-/// use one threshold, the batch's smallest 2nd-nearest-neighbour distance.
-/// Every other edge is kept, and the doubtful ones plus the new points'
-/// implicit star edges go through Borůvka rounds over workspace-leased
-/// scratch, whose star queries are bounded by each component's running
-/// minimum — equivalently, the heaviest edge on every cycle the candidate
-/// edges create is dropped.  `erase` removes points, splinters
+/// dendrogram node and have a 2nd-nearest-neighbour distance below w.  Every
+/// batch, one point or thousands, checks this per edge: a certificate over
+/// per-cluster bounding boxes and a kd-tree over the batch.  Every other edge
+/// is kept, and the doubtful ones plus the new points' implicit star edges
+/// go through Borůvka rounds over workspace-leased scratch, whose star
+/// queries go to the kd index, its unindexed tail and the batch tree,
+/// bounded by each component's running minimum — equivalently, the heaviest
+/// edge on every cycle the candidate edges create is dropped.  `erase` removes points, splinters
 /// the tree into the surviving components (every surviving edge provably
 /// stays in the new MST) and re-joins them through the component-restricted
 /// Borůvka entry of `spatial::emst`.  Both paths are *exact*: after any
@@ -203,8 +202,10 @@ class DynamicClustering {
   void rebuild_from_scratch();
 
   /// Exact incremental EMST repair for the batch appended at slots
-  /// [n_before, n_before + m); fills `keep` (per maintained edge) and
-  /// `added`.
+  /// [n_before, n_before + m), any m >= 1: builds a kd-tree over the batch,
+  /// pre-merges every maintained edge the per-edge certificate clears, and
+  /// runs Borůvka rounds over the doubtful edges and the batch's stars.
+  /// Fills `keep` (per maintained edge) and `added`.
   void repair_after_insert(index_t n_before, index_t m, std::vector<char>& keep,
                            graph::EdgeList& added);
 

@@ -5,7 +5,6 @@
 
 #include "pandora/common/expect.hpp"
 #include "pandora/dendrogram/pandora.hpp"
-#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/spatial/emst.hpp"
 #include "pandora/spatial/kdtree.hpp"
@@ -80,20 +79,17 @@ void build_mr_mst(const exec::Executor& exec, const spatial::PointSet& points,
                 : spatial::mutual_reachability_mst(exec, points, tree, core_distances_out, &seeds);
 }
 
-/// The dendrogram of `mst`; a caching query sorts through the SortedEdges
-/// cache.
+/// The PANDORA dendrogram of `mst`; a caching query sorts through the
+/// SortedEdges cache.
 dendrogram::Dendrogram build_dendrogram(const exec::Executor& exec, const graph::EdgeList& mst,
-                                        index_t num_vertices, DendrogramAlgorithm algorithm,
-                                        bool caching) {
+                                        index_t num_vertices, bool caching) {
   const std::shared_ptr<const dendrogram::SortedEdges> sorted = [&] {
     const exec::ScopedPhase phase(exec, "sort");
     if (caching) return dendrogram::sorted_edges_cached(exec, mst, num_vertices);
     return std::make_shared<const dendrogram::SortedEdges>(
         dendrogram::sort_edges(exec, mst, num_vertices));
   }();
-  return algorithm == DendrogramAlgorithm::pandora
-             ? dendrogram::pandora_dendrogram(exec, *sorted)
-             : dendrogram::union_find_dendrogram(exec, *sorted);
+  return dendrogram::pandora_dendrogram(exec, *sorted);
 }
 
 /// The pipeline body behind both hdbscan() overloads and the mpts sweeps.
@@ -113,8 +109,8 @@ HdbscanResult run_hdbscan(const exec::Executor& exec, const spatial::PointSet& p
   const spatial::KdTree& tree = resolve_tree(exec, points, source, holder);
   build_mr_mst(exec, points, tree, options.min_pts, source.key, result.core_distances,
                result.mst);
-  result.dendrogram = build_dendrogram(exec, result.mst, points.size(),
-                                       options.dendrogram_algorithm, source.key.has_value());
+  result.dendrogram =
+      build_dendrogram(exec, result.mst, points.size(), source.key.has_value());
   result.condensed_tree =
       build_condensed_tree(exec, result.dendrogram, options.min_cluster_size);
 
@@ -141,11 +137,11 @@ MinClusterSizeSweep run_sweep_min_cluster_size(const exec::Executor& exec,
   const spatial::KdTree& tree = resolve_tree(exec, points, source, holder);
   build_mr_mst(exec, points, tree, base.min_pts, source.key, sweep.core_distances, sweep.mst);
 
-  if (source.key && base.dendrogram_algorithm == DendrogramAlgorithm::pandora) {
+  if (source.key) {
     sweep.dendrogram = dendrogram::pandora_dendrogram_cached(exec, sweep.mst, points.size());
   } else {
-    sweep.dendrogram = std::make_shared<const dendrogram::Dendrogram>(build_dendrogram(
-        exec, sweep.mst, points.size(), base.dendrogram_algorithm, source.key.has_value()));
+    sweep.dendrogram = std::make_shared<const dendrogram::Dendrogram>(
+        build_dendrogram(exec, sweep.mst, points.size(), false));
   }
 
   sweep.entries.reserve(min_cluster_sizes.size());

@@ -18,17 +18,9 @@ class KdTree;
 
 namespace pandora::hdbscan {
 
-/// Which dendrogram construction the pipeline uses — the axis of the paper's
-/// Figure 1 / Figure 15 comparisons.
-enum class DendrogramAlgorithm {
-  pandora,     ///< this paper (parallel tree contraction)
-  union_find,  ///< bottom-up union-find baseline (UnionFind-MT [46])
-};
-
 struct HdbscanOptions {
   int min_pts = 2;                  ///< the paper's "mpts" (default 2, Section 6.5)
   index_t min_cluster_size = 5;     ///< condensed-tree shedding threshold
-  DendrogramAlgorithm dendrogram_algorithm = DendrogramAlgorithm::pandora;
   bool allow_single_cluster = false;
   ClusterSelectionMethod cluster_selection_method = ClusterSelectionMethod::excess_of_mass;
   double cluster_selection_epsilon = 0.0;  ///< see ExtractOptions
@@ -41,9 +33,8 @@ struct HdbscanResult {
   CondensedTree condensed_tree;
   std::vector<index_t> labels;            ///< per point; kNone = noise
   index_t num_clusters = 0;
-  /// Phases: "tree_build", "core_distance", "mst", "sort"/"contraction"/
-  /// "expansion" (or "dendrogram" for the union-find baseline), "condense",
-  /// "extract".  hdbscan() installs this as the Executor's PhaseTimes sink
+  /// Phases: "tree_build", "core_distance", "mst", "sort", "contraction",
+  /// "expansion", "condense", "extract".  hdbscan() installs this as the Executor's PhaseTimes sink
   /// for the duration of the call; the caller's own sink does not see them.
   PhaseTimes times;
 };

@@ -146,6 +146,12 @@ TEST(DynamicClustering, ErasesMatchRebuildDownToTinyN) {
   EXPECT_EQ(stream.size(), 1);
   EXPECT_EQ(stream.dendrogram().num_edges, 0);
 
+  // One point inserted beside the last one: a 1-point batch tree over a
+  // stream with no maintained edges.
+  const std::array<double, 3> one{0.5, 0.25, 0.75};
+  remaining.push_back(stream.insert(std::span<const double>(one.data(), one.size())));
+  expect_equivalent_to_rebuild(stream);
+
   // ... and to zero: the stream must come back up from empty.
   stream.erase(remaining);
   EXPECT_EQ(stream.size(), 0);
@@ -221,14 +227,31 @@ TEST(DynamicClustering, DuplicateDistancesAndDuplicatePoints) {
     expect_equivalent_to_rebuild(stream);
   }
 
+  // A batch of 3 coincident new points (zero 2nd-nearest-neighbour
+  // distances inside the batch), then a batch of duplicates of grid points.
+  spatial::PointSet coincident(2, 3);
+  for (index_t i = 0; i < 3; ++i) {
+    coincident.at(i, 0) = 1.5;
+    coincident.at(i, 1) = 4.5;
+  }
+  stream.insert(coincident);
+  expect_equivalent_to_rebuild(stream);
+  spatial::PointSet grid_dups(2, 5);
+  for (index_t i = 0; i < 5; ++i) {
+    grid_dups.at(i, 0) = grid.at(i * 9, 0);
+    grid_dups.at(i, 1) = grid.at(i * 9, 1);
+  }
+  stream.insert(grid_dups);
+  expect_equivalent_to_rebuild(stream);
+
   // Erase a stripe of the grid; survivors include the duplicates.
   std::vector<index_t> victims(grid_ids.begin(), grid_ids.begin() + side);
   stream.erase(victims);
   expect_equivalent_to_rebuild(stream);
 }
 
-/// A batch large enough for the batch-tree path (and its per-edge
-/// certificate), whatever the insert's other points are.
+/// The multi-point batches below: more than one leaf (32 points) of the
+/// insert's batch tree, so its searches and box queries descend past a leaf.
 constexpr index_t kBatch = 40;
 
 TEST(DynamicClustering, BatchInsertDisplacesAFarAwayChainEdge) {
@@ -273,8 +296,7 @@ TEST(DynamicClustering, BatchInsertDisplacesAFarAwayChainEdge) {
 }
 
 TEST(DynamicClustering, BatchInsertsOnGridWithDuplicates) {
-  // Batch inserts above the batch-tree threshold into a grid: duplicates of
-  // grid points, points on grid midpoints (exact distance ties with the
+  // Batch inserts into a grid: duplicates of grid points, points on grid midpoints (exact distance ties with the
   // grid edges) and duplicates of the new points themselves.
   const exec::Executor executor(exec::default_backend());
   dyn::DynamicClustering stream(executor);
@@ -328,33 +350,42 @@ TEST(DynamicClustering, BatchInsertsInThreeAndFiveDimensions) {
 }
 
 TEST(DynamicClustering, BatchInsertCertificateLeavesFewEdgesDoubtful) {
-  // A 1% batch from the same distribution as the 50k maintained points: the
-  // per-edge certificate must pre-merge all but a few of the maintained
-  // edges, and the repaired dendrogram is the cold rebuild's, parent for
-  // parent (the input has no distance ties).  A global threshold leaves
-  // nearly all of them doubtful; the certificate leaves 1.8%, and testing
-  // only one child of each edge would leave 2.8% or 14%, so the bound is
-  // 2.5%.
+  // Batches of 1 to 500 points from the same distribution as the 50k
+  // maintained points: the per-edge certificate must pre-merge all but a
+  // few of the maintained edges, and the repaired dendrogram is the cold
+  // rebuild's, parent for parent (the input has no distance ties).  The
+  // 500-point batch leaves 1.8% doubtful, and testing only one child of
+  // each edge would leave 2.8% or 14%, so its bound is 2.5%.  Batches of 1,
+  // 10 and 32 points leave 2, 15 and 57 edges (under 0.12%); one global
+  // 2nd-nearest-neighbour threshold for the whole batch left 20%, 72% and
+  // 96%, so their bound is 1%.
   const index_t n = 50000;
-  const index_t m = 500;
-  const spatial::PointSet pool = data::gaussian_blobs(n + m, 2, 8, 0.03, 0.1, 21);
-  const exec::Executor executor(exec::default_backend());
-  dyn::DynamicClustering stream(executor);
-  stream.insert(slice_points(pool, 0, n));
-  const std::uint64_t before = stream.stats().doubtful_edges;
-  stream.insert(slice_points(pool, n, m));
-  const std::uint64_t doubtful = stream.stats().doubtful_edges - before;
-  EXPECT_GT(doubtful, 0u);
-  EXPECT_LT(doubtful, static_cast<std::uint64_t>(n - 1) / 40);
-
+  const spatial::PointSet pool = data::gaussian_blobs(n + 500, 2, 8, 0.03, 0.1, 21);
   const exec::Executor reference(exec::default_backend());
-  const spatial::KdTree tree(reference, stream.points());
-  const graph::EdgeList rebuilt = spatial::euclidean_mst(reference, stream.points(), tree);
-  EXPECT_EQ(weight_signature(stream.emst()), weight_signature(rebuilt));
-  const dendrogram::Dendrogram cold =
-      dendrogram::pandora_dendrogram(reference, rebuilt, stream.size());
-  EXPECT_EQ(stream.dendrogram().parent, cold.parent);
-  EXPECT_EQ(stream.dendrogram().weight, cold.weight);
+  for (const index_t m : {index_t{1}, index_t{10}, index_t{32}, index_t{500}}) {
+    SCOPED_TRACE(::testing::Message() << "batch of " << m);
+    const exec::Executor executor(exec::default_backend());
+    dyn::DynamicClustering stream(executor);
+    stream.insert(slice_points(pool, 0, n));
+    const std::uint64_t before = stream.stats().doubtful_edges;
+    stream.insert(slice_points(pool, n, m));
+    const std::uint64_t doubtful = stream.stats().doubtful_edges - before;
+    const auto maintained = static_cast<std::uint64_t>(n - 1);
+    if (m > 32) {
+      EXPECT_GT(doubtful, 0u);
+      EXPECT_LT(doubtful, maintained / 40);
+    } else {
+      EXPECT_LT(doubtful, maintained / 100);
+    }
+
+    const spatial::KdTree tree(reference, stream.points());
+    const graph::EdgeList rebuilt = spatial::euclidean_mst(reference, stream.points(), tree);
+    EXPECT_EQ(weight_signature(stream.emst()), weight_signature(rebuilt));
+    const dendrogram::Dendrogram cold =
+        dendrogram::pandora_dendrogram(reference, rebuilt, stream.size());
+    EXPECT_EQ(stream.dendrogram().parent, cold.parent);
+    EXPECT_EQ(stream.dendrogram().weight, cold.weight);
+  }
 }
 
 TEST(DynamicClustering, DeterministicAcrossRepeats) {

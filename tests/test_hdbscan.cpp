@@ -6,13 +6,13 @@
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/dendrogram/analysis.hpp"
+#include "pandora/dendrogram/union_find_dendrogram.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
 
 namespace {
 
 using namespace pandora;
 using hdbscan::CondensedTree;
-using hdbscan::DendrogramAlgorithm;
 using hdbscan::HdbscanOptions;
 using hdbscan::HdbscanResult;
 using spatial::PointSet;
@@ -60,18 +60,16 @@ TEST(Hdbscan, RecoversThreeWellSeparatedBlobs) {
 }
 
 TEST(Hdbscan, PandoraAndUnionFindPipelinesAgreeExactly) {
+  // The pipeline's PANDORA dendrogram against the union-find baseline built
+  // from the same mutual-reachability MST.
   const PointSet points = data::gaussian_blobs(1500, 3, 8, 0.03, 0.05, 31);
   for (const int min_pts : {2, 4, 8}) {
-    HdbscanOptions a;
-    a.min_pts = min_pts;
-    a.dendrogram_algorithm = DendrogramAlgorithm::pandora;
-    HdbscanOptions b = a;
-    b.dendrogram_algorithm = DendrogramAlgorithm::union_find;
-    const HdbscanResult ra = hdbscan::hdbscan(exec::default_executor(), points, a);
-    const HdbscanResult rb = hdbscan::hdbscan(exec::default_executor(), points, b);
-    ASSERT_EQ(ra.dendrogram.parent, rb.dendrogram.parent) << "min_pts=" << min_pts;
-    ASSERT_EQ(ra.labels, rb.labels) << "min_pts=" << min_pts;
-    ASSERT_EQ(ra.num_clusters, rb.num_clusters);
+    HdbscanOptions options;
+    options.min_pts = min_pts;
+    const HdbscanResult result = hdbscan::hdbscan(exec::default_executor(), points, options);
+    const dendrogram::Dendrogram baseline =
+        dendrogram::union_find_dendrogram(exec::default_executor(), result.mst, points.size());
+    ASSERT_EQ(result.dendrogram.parent, baseline.parent) << "min_pts=" << min_pts;
   }
 }
 
