@@ -14,14 +14,24 @@
 // per-mpts core distances.  The "rebuild" columns force caching off — what
 // this bench necessarily did before the spatial cache hooks existed — and the
 // "replay" columns run the same per-mpts preparation on a warm cache, leaving
-// only the genuinely mpts-dependent EMST to rebuild.
+// only the genuinely mpts-dependent EMST to rebuild.  The "shared pass" row
+// times the library's mpts sweep on one kd-tree (hdbscan_sweep_min_pts: one
+// kNN pass at the largest mpts, each value's core distances derived from it
+// and its EMST seeded with its lists) against one hdbscan() query per value
+// on the same tree, each running its own seeded kNN pass — both the summed
+// "core_distance" and "mst" phases, caching off.  CI requires the sweep to
+// beat the per-value queries and to run exactly one kNN pass.
 
-#include <optional>
+#include <array>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "bench_common.hpp"
-#include "pandora/hdbscan/core_distance.hpp"
+#include "pandora/obs/metrics.hpp"
 #include "pandora/pipeline.hpp"
 
 using namespace pandora;
@@ -62,6 +72,37 @@ PrepareTimes prepare(const exec::Executor& executor, const spatial::PointSet& po
   return times;
 }
 
+constexpr std::array<int, 4> kMinPts = {2, 4, 8, 16};
+
+std::uint64_t knn_passes() {
+  return obs::registry().counter_value("pandora_knn_passes_total");
+}
+
+/// The summed "core_distance" and "mst" phases of a sweep's results.
+double preparation_seconds(const std::vector<hdbscan::HdbscanResult>& results) {
+  double seconds = 0;
+  for (const hdbscan::HdbscanResult& result : results)
+    seconds += result.times.get("core_distance") + result.times.get("mst");
+  return seconds;
+}
+
+/// Every value of kMinPts on `tree`: through the library's sweep (one
+/// neighbour pass store for the whole sweep) or, when `shared` is false, as
+/// one hdbscan() query per value with a store of its own.
+std::vector<hdbscan::HdbscanResult> run_sweep(const exec::Executor& executor,
+                                              const spatial::KdTree& tree, bool shared) {
+  if (shared) {
+    hdbscan::SharedNeighborPass passes;
+    return hdbscan::hdbscan_sweep_min_pts(executor, tree, passes, kMinPts);
+  }
+  std::vector<hdbscan::HdbscanResult> results;
+  for (const int mpts : kMinPts) {
+    hdbscan::SharedNeighborPass passes;
+    results.push_back(hdbscan::hdbscan(executor, tree, passes, {.min_pts = mpts}));
+  }
+  return results;
+}
+
 void run_dataset(const exec::Executor& executor, const std::string& name,
                  bench::JsonReport& json) {
   std::printf("\n--- %s ---\n", name.c_str());
@@ -71,7 +112,8 @@ void run_dataset(const exec::Executor& executor, const std::string& name,
   const spatial::PointSet points = data::make_dataset(name, n, 2024);
   double first_uf = 0, last_uf = 0, first_pandora = 0, last_pandora = 0;
   double rebuild_total = 0, replay_total = 0;
-  for (const int mpts : {2, 4, 8, 16}) {
+  graph::EdgeList last_mst;
+  for (const int mpts : kMinPts) {
     // Rebuild path: caching off, every phase computed from scratch (the
     // cold-construction columns of the figure).  Median-of-3 like every
     // other measurement the CI regression gate consumes.
@@ -91,6 +133,7 @@ void run_dataset(const exec::Executor& executor, const std::string& name,
     replay_total += m_replay_prepare.median();
 
     const graph::EdgeList& mst = rebuild.mst;
+    last_mst = mst;
 
     // Cold dendrogram construction comparison (SortedEdges cache off so
     // repeats sort).
@@ -146,6 +189,44 @@ void run_dataset(const exec::Executor& executor, const std::string& name,
   std::printf("sweep preparation, all mpts: rebuild %.0fms vs cache replay %.0fms (%.2fx)\n",
               1e3 * rebuild_total, 1e3 * replay_total,
               replay_total > 0 ? rebuild_total / replay_total : 0.0);
+
+  // The shared-pass row: median of 3 alternating runs of each sweep.
+  executor.set_artifact_caching(false);
+  const spatial::KdTree tree(executor, points, 32);
+  bench::Measurement m_shared, m_per_value;
+  std::uint64_t shared_passes = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const std::uint64_t before = knn_passes();
+    const std::vector<hdbscan::HdbscanResult> shared = run_sweep(executor, tree, true);
+    shared_passes = knn_passes() - before;
+    const std::vector<hdbscan::HdbscanResult> per_value = run_sweep(executor, tree, false);
+    for (std::size_t i = 0; i < kMinPts.size(); ++i) {
+      if (shared[i].mst != per_value[i].mst || shared[i].labels != per_value[i].labels) {
+        std::fprintf(stderr, "%s: the shared-pass sweep differs from per-value queries at "
+                     "mpts %d\n", name.c_str(), kMinPts[i]);
+        std::exit(1);
+      }
+    }
+    if (shared.back().mst != last_mst) {
+      std::fprintf(stderr, "%s: the shared-pass EMST differs from the rebuild path's\n",
+                   name.c_str());
+      std::exit(1);
+    }
+    m_shared.samples.push_back(preparation_seconds(shared));
+    m_per_value.samples.push_back(preparation_seconds(per_value));
+  }
+  std::printf("sweep core distances + EMSTs on one tree: one kNN pass per value %.0fms vs "
+              "one shared kNN pass %.0fms (%.2fx, %llu pass)\n",
+              1e3 * m_per_value.median(), 1e3 * m_shared.median(),
+              m_shared.median() > 0 ? m_per_value.median() / m_shared.median() : 0.0,
+              static_cast<unsigned long long>(shared_passes));
+  json.field("dataset", name)
+      .field("scenario", std::string("shared_pass"))
+      .field("n", points.size())
+      .field("prepare_shared_pass_seconds", m_shared.median())
+      .field("prepare_pass_per_value_seconds", m_per_value.median())
+      .field("shared_pass_knn_passes", static_cast<std::int64_t>(shared_passes));
+  json.end_row();
 }
 
 }  // namespace
@@ -162,6 +243,7 @@ int main() {
       "grows 1.6-2.4x across the sweep vs 1.1-1.5x for Pandora, so the end-to-end\n"
       "advantage of the Pandora pipeline widens with mpts.  Sweep mode: replayed\n"
       "preparation beats the rebuild path (the kd-tree and core distances are cache\n"
-      "hits; only the mpts-dependent EMST is rebuilt).\n");
+      "hits; only the mpts-dependent EMST is rebuilt).  On one tree, the mpts sweep's\n"
+      "one shared kNN pass beats one kNN pass per value.\n");
   return 0;
 }

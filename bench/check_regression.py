@@ -33,7 +33,13 @@ Two kinds of checks:
      (writers publish snapshots; they never block readers).  Skipped below
      4 threads like the batch gate.
    * ``--fig15-json``: per dataset, the summed cache-replay preparation must
-     beat the summed rebuild preparation.
+     beat the summed rebuild preparation.  And on one kd-tree, the library's
+     mpts sweep must run exactly one kNN pass (``shared_pass_knn_passes``)
+     and its summed core-distance and EMST phases
+     (``prepare_shared_pass_seconds``) must beat those of one ``hdbscan()``
+     query per value, each with its own kNN pass
+     (``prepare_pass_per_value_seconds``).  A dataset without its shared-pass
+     row fails the gate.
    * ``--distance-json``: bench_distance_kernels' SoA batch kernels must show
      the SIMD dispatch beating the scalar reference by
      ``--min-distance-speedup`` (median across the Table 2 dimensionality
@@ -257,8 +263,12 @@ def check_fig15_gate(path: pathlib.Path) -> list[str]:
     report = load(path)
     rebuild: dict[str, float] = {}
     replay: dict[str, float] = {}
+    shared: dict[str, dict] = {}
     for row in report.get("rows", []):
         dataset = row.get("dataset", "?")
+        if row.get("scenario") == "shared_pass":
+            shared[dataset] = row
+            continue
         rebuild[dataset] = rebuild.get(dataset, 0.0) + row.get("prepare_rebuild_seconds", 0.0)
         replay[dataset] = replay.get(dataset, 0.0) + row.get("prepare_replay_seconds", 0.0)
     if not rebuild:
@@ -272,6 +282,23 @@ def check_fig15_gate(path: pathlib.Path) -> list[str]:
             failures.append(
                 f"fig15 {dataset}: cache replay ({replay_total * 1e3:.1f}ms) did not beat "
                 f"rebuild ({rebuild_total * 1e3:.1f}ms)")
+        row = shared.get(dataset)
+        if row is None or "prepare_pass_per_value_seconds" not in row:
+            failures.append(f"fig15 {dataset}: no shared_pass row with "
+                            "prepare_pass_per_value_seconds — stale bench binary?")
+            continue
+        one = row.get("prepare_shared_pass_seconds", 0.0)
+        per_value = row["prepare_pass_per_value_seconds"]
+        passes = row.get("shared_pass_knn_passes", -1)
+        print(f"fig15 gate: {dataset} sweep core+mst one kNN pass per value "
+              f"{per_value * 1e3:.1f}ms vs one shared kNN pass {one * 1e3:.1f}ms "
+              f"({passes} pass)")
+        if passes != 1:
+            failures.append(f"fig15 {dataset}: the mpts sweep ran {passes} kNN passes, not 1")
+        if not one < per_value:
+            failures.append(
+                f"fig15 {dataset}: the shared kNN pass ({one * 1e3:.1f}ms) did not beat "
+                f"one pass per value ({per_value * 1e3:.1f}ms)")
     return failures
 
 
@@ -346,7 +373,8 @@ def main() -> int:
                              "churning writer (default 1.5; snapshot publication "
                              "must keep writers off the reader path)")
     parser.add_argument("--fig15-json", type=pathlib.Path,
-                        help="BENCH_fig15.json for the sweep replay-beats-rebuild gate")
+                        help="BENCH_fig15.json for the sweep replay-beats-rebuild and "
+                             "one-shared-kNN-pass gates")
     parser.add_argument("--dynamic-json", type=pathlib.Path,
                         help="BENCH_dynamic_updates.json for the update-vs-rebuild gate")
     parser.add_argument("--min-dynamic-speedup", type=float, default=3.0)

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -42,8 +43,8 @@ namespace pandora::hdbscan {
 /// The cross-call core-distance cache: returns the per-point core distances
 /// at `min_pts`, reusing the copy stored in the Executor's ArtifactCache when
 /// the point-set fingerprint AND `min_pts` match — two different `min_pts`
-/// values over the same points derive distinct keys and never alias, which is
-/// what makes repeated mpts sweeps replays rather than rebuilds.  Entries
+/// values over the same points derive distinct keys and never alias, so
+/// repeated direct `hdbscan()` calls at several mpts replay.  Entries
 /// remember the PointSet object they were computed over (cf. kdtree_cached);
 /// mutated or different point sets miss.  With
 /// `Executor::set_artifact_caching(false)` every call recomputes.
@@ -56,5 +57,77 @@ namespace pandora::hdbscan {
     const exec::Executor& exec, const spatial::PointSet& points, const spatial::KdTree& tree,
     int min_pts, std::optional<std::uint64_t> fingerprint = std::nullopt,
     spatial::NeighborLists* seeds = nullptr);
+
+/// One kNN pass over a kd-tree, prepared for every `min_pts` up to a bound:
+/// only the core distances and the MR-MST depend on mpts, so an mpts sweep,
+/// or a snapshot's readers at different mpts, need one neighbour pass, not
+/// one each (cuSLINK's point: one kNN graph serves every Borůvka round).
+///
+/// The pass holds `tree`'s rank-space neighbour lists (see
+/// spatial::NeighborLists) at L = min(max(max_min_pts - 1, kMinListLength),
+/// n - 1).  It serves every `min_pts` whose k = min(min_pts - 1, n - 1) is at
+/// most L: core(p) is the distance to list entry k - 1, and the whole list is
+/// the MST's seed certificate at any mpts (every point outside it lies beyond
+/// its fence).  Core distances, MST edges and their order are therefore
+/// bit-identical to `core_distances(..., min_pts, &seeds)` and the MST built
+/// on those seeds.  `max_min_pts` = 1 runs no kNN pass and holds no list.
+///
+/// `tree` is kept by reference and must outlive the pass.  The pass is
+/// immutable: concurrent queries may share one.
+class NeighborPass {
+ public:
+  NeighborPass(const exec::Executor& exec, const spatial::KdTree& tree, int max_min_pts);
+
+  [[nodiscard]] const spatial::KdTree& tree() const noexcept { return *tree_; }
+  [[nodiscard]] const spatial::NeighborLists& lists() const noexcept { return lists_; }
+
+  /// Whether the lists are long enough for `min_pts`.
+  [[nodiscard]] bool serves(int min_pts) const;
+
+  /// The core distances at `min_pts` (which the pass must serve), indexed by
+  /// point id: sqrt(tree.squared_distance(r, list[r][k - 1])) scattered from
+  /// rank r to its id.  Computed here, in the library, because the tree's
+  /// inline pair distance matches the kNN leaf scan only under the library's
+  /// -ffp-contract=off (see KdTree::squared_distance).
+  [[nodiscard]] std::vector<double> core_distances(const exec::Executor& exec,
+                                                   int min_pts) const;
+
+ private:
+  const spatial::KdTree* tree_;
+  spatial::NeighborLists lists_;
+};
+
+/// The longest NeighborPass any query over one kd-tree has asked for, shared
+/// by concurrent queries behind a mutex — what the tree-taking `hdbscan()`
+/// and sweep overloads take their pass from, and so what a snapshot's
+/// readers at different mpts share.  Thread-safe.
+class SharedNeighborPass {
+ public:
+  /// A pass over `tree` that serves `min_pts`.  The held pass when it
+  /// serves; otherwise this computes one at max(min_pts, fetch_min_pts) on
+  /// `exec` and holds it in place of the shorter one.  Computations run one
+  /// at a time: a concurrent query that needs a pass waits for the running
+  /// one rather than run its own, then takes it if it serves.  Callers keep
+  /// the returned pass alive through the `shared_ptr`, even once it is
+  /// replaced.
+  [[nodiscard]] std::shared_ptr<const NeighborPass> get(const exec::Executor& exec,
+                                                        const spatial::KdTree& tree,
+                                                        int min_pts, int fetch_min_pts);
+
+  /// Drops the held pass and holds none from now on: every later `get`
+  /// computes a private pass, without waiting for other queries.  Never
+  /// waits for a pass being computed (a snapshot's publisher calls it).
+  void release();
+
+ private:
+  /// Held by the one query computing a pass.  `mutex_` is taken only
+  /// briefly, never across a computation, so `release` and the queries the
+  /// held pass serves never wait on one.
+  std::mutex compute_mutex_;
+  /// Guards `pass_` and `released_`, for pointer work only.
+  std::mutex mutex_;
+  std::shared_ptr<const NeighborPass> pass_;
+  bool released_ = false;
+};
 
 }  // namespace pandora::hdbscan

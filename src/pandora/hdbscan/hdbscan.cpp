@@ -1,5 +1,6 @@
 #include "pandora/hdbscan/hdbscan.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -38,9 +39,16 @@ void expect_valid(const spatial::PointSet& points, std::span<const int> min_pts_
 /// consults no ArtifactCache.  Otherwise the query takes the tree and every
 /// later artifact through the executor's cache, keyed on `key`, the points'
 /// content hash (empty with caching off: nothing is looked up).
+///
+/// `passes` (when set) is where the query takes its kNN pass; a pass it
+/// computes there serves every mpts up to `pass_min_pts` (an mpts sweep's
+/// largest value).  A keyed artifact after the core distances still goes
+/// through the cache.
 struct TreeSource {
   const spatial::KdTree* tree = nullptr;
   std::optional<std::uint64_t> key;
+  SharedNeighborPass* passes = nullptr;
+  int pass_min_pts = 0;
 };
 
 /// The source of a direct call: one content hash serves the whole call.
@@ -61,22 +69,34 @@ const spatial::KdTree& resolve_tree(const exec::Executor& exec, const spatial::P
 }
 
 /// Core distances and the mutual-reachability EMST at `min_pts`.  The core
-/// pass hands its kNN lists to the MST as seeds for Borůvka's rounds (empty
+/// distances come from a neighbour pass — `source.passes`'s, or a private
+/// one when the query has neither a pass store nor a cache key — or, for a
+/// keyed query without a pass store, through the core-distance cache.  The
+/// kNN lists behind them go to the MST as seeds for Borůvka's rounds (none
 /// on a core-distance cache hit).  A cached artifact is copied out: one O(n)
-/// memcpy, far below the pass it replaces.
+/// memcpy, far below the pass it replaces.  The "core_distance" phase
+/// includes computing the pass when this query is the one that computes it.
 void build_mr_mst(const exec::Executor& exec, const spatial::PointSet& points,
-                  const spatial::KdTree& tree, int min_pts, std::optional<std::uint64_t> key,
+                  const spatial::KdTree& tree, int min_pts, const TreeSource& source,
                   std::vector<double>& core_distances_out, graph::EdgeList& mst_out) {
+  const std::optional<std::uint64_t>& key = source.key;
   spatial::NeighborLists seeds;
+  std::shared_ptr<const NeighborPass> pass;
   {
     const exec::ScopedPhase phase(exec, "core_distance");
-    core_distances_out = key ? *core_distances_cached(exec, points, tree, min_pts, key, &seeds)
-                             : core_distances(exec, points, tree, min_pts, &seeds);
+    if (source.passes != nullptr)
+      pass = source.passes->get(exec, tree, min_pts, source.pass_min_pts);
+    else if (!key)
+      pass = std::make_shared<const NeighborPass>(exec, tree, min_pts);
+    core_distances_out = pass != nullptr
+                             ? pass->core_distances(exec, min_pts)
+                             : *core_distances_cached(exec, points, tree, min_pts, key, &seeds);
   }
+  const spatial::NeighborLists* lists = pass != nullptr ? &pass->lists() : &seeds;
   const exec::ScopedPhase phase(exec, "mst");
   mst_out = key ? *spatial::mutual_reachability_mst_cached(exec, points, tree, core_distances_out,
-                                                           min_pts, key, &seeds)
-                : spatial::mutual_reachability_mst(exec, points, tree, core_distances_out, &seeds);
+                                                           min_pts, key, lists)
+                : spatial::mutual_reachability_mst(exec, points, tree, core_distances_out, lists);
 }
 
 /// The PANDORA dendrogram of `mst`; a caching query sorts through the
@@ -107,8 +127,7 @@ HdbscanResult run_hdbscan(const exec::Executor& exec, const spatial::PointSet& p
 
   std::shared_ptr<const spatial::KdTree> holder;
   const spatial::KdTree& tree = resolve_tree(exec, points, source, holder);
-  build_mr_mst(exec, points, tree, options.min_pts, source.key, result.core_distances,
-               result.mst);
+  build_mr_mst(exec, points, tree, options.min_pts, source, result.core_distances, result.mst);
   result.dendrogram =
       build_dendrogram(exec, result.mst, points.size(), source.key.has_value());
   result.condensed_tree =
@@ -135,7 +154,7 @@ MinClusterSizeSweep run_sweep_min_cluster_size(const exec::Executor& exec,
   MinClusterSizeSweep sweep;
   std::shared_ptr<const spatial::KdTree> holder;
   const spatial::KdTree& tree = resolve_tree(exec, points, source, holder);
-  build_mr_mst(exec, points, tree, base.min_pts, source.key, sweep.core_distances, sweep.mst);
+  build_mr_mst(exec, points, tree, base.min_pts, source, sweep.core_distances, sweep.mst);
 
   if (source.key) {
     sweep.dendrogram = dendrogram::pandora_dendrogram_cached(exec, sweep.mst, points.size());
@@ -159,21 +178,29 @@ MinClusterSizeSweep run_sweep_min_cluster_size(const exec::Executor& exec,
   return sweep;
 }
 
-/// The body behind both mpts sweeps: one pipeline per value.  Through the
-/// cache, the kd-tree replays after the first value, while the core
-/// distances and EMST depend on mpts and are rebuilt (under distinct,
-/// never-aliasing cache keys).
+/// The body behind both mpts sweeps: one kd-tree (the caller's, or taken
+/// through the cache) and one neighbour pass at the largest value, computed
+/// by the first value's query unless `source.passes` already holds one long
+/// enough; then one pipeline per value on them.  Only the core distances
+/// and the EMST depend on mpts, and both come from the pass; with a cache
+/// key, each value's EMST and sorted edges still replay from the cache.
 std::vector<HdbscanResult> run_sweep_min_pts(const exec::Executor& exec,
                                              const spatial::PointSet& points,
                                              const TreeSource& source,
                                              std::span<const int> min_pts_values,
                                              const HdbscanOptions& base) {
   std::vector<HdbscanResult> results;
+  if (min_pts_values.empty()) return results;
+  std::shared_ptr<const spatial::KdTree> holder;
+  SharedNeighborPass own;
+  const TreeSource shared{&resolve_tree(exec, points, source, holder), source.key,
+                          source.passes != nullptr ? source.passes : &own,
+                          *std::max_element(min_pts_values.begin(), min_pts_values.end())};
   results.reserve(min_pts_values.size());
   for (const int min_pts : min_pts_values) {
     HdbscanOptions options = base;
     options.min_pts = min_pts;
-    results.push_back(run_hdbscan(exec, points, source, options));
+    results.push_back(run_hdbscan(exec, points, shared, options));
   }
   return results;
 }
@@ -187,9 +214,9 @@ HdbscanResult hdbscan(const exec::Executor& exec, const spatial::PointSet& point
 }
 
 HdbscanResult hdbscan(const exec::Executor& exec, const spatial::KdTree& tree,
-                      const HdbscanOptions& options) {
+                      SharedNeighborPass& passes, const HdbscanOptions& options) {
   expect_valid(tree.points(), {&options.min_pts, 1}, {&options.min_cluster_size, 1});
-  return run_hdbscan(exec, tree.points(), {&tree, std::nullopt}, options);
+  return run_hdbscan(exec, tree.points(), {&tree, std::nullopt, &passes}, options);
 }
 
 MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
@@ -203,10 +230,11 @@ MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
 
 MinClusterSizeSweep hdbscan_sweep_min_cluster_size(const exec::Executor& exec,
                                                    const spatial::KdTree& tree,
+                                                   SharedNeighborPass& passes,
                                                    std::span<const index_t> min_cluster_sizes,
                                                    const HdbscanOptions& base) {
   expect_valid(tree.points(), {&base.min_pts, 1}, min_cluster_sizes);
-  return run_sweep_min_cluster_size(exec, tree.points(), {&tree, std::nullopt},
+  return run_sweep_min_cluster_size(exec, tree.points(), {&tree, std::nullopt, &passes},
                                     min_cluster_sizes, base);
 }
 
@@ -220,10 +248,12 @@ std::vector<HdbscanResult> hdbscan_sweep_min_pts(const exec::Executor& exec,
 
 std::vector<HdbscanResult> hdbscan_sweep_min_pts(const exec::Executor& exec,
                                                  const spatial::KdTree& tree,
+                                                 SharedNeighborPass& passes,
                                                  std::span<const int> min_pts_values,
                                                  const HdbscanOptions& base) {
   expect_valid(tree.points(), min_pts_values, {&base.min_cluster_size, 1});
-  return run_sweep_min_pts(exec, tree.points(), {&tree, std::nullopt}, min_pts_values, base);
+  return run_sweep_min_pts(exec, tree.points(), {&tree, std::nullopt, &passes}, min_pts_values,
+                           base);
 }
 
 }  // namespace pandora::hdbscan

@@ -10,11 +10,9 @@
 #include "pandora/exec/executor.hpp"
 #include "pandora/graph/edge.hpp"
 #include "pandora/hdbscan/condensed_tree.hpp"
+#include "pandora/hdbscan/core_distance.hpp"
+#include "pandora/spatial/kdtree.hpp"
 #include "pandora/spatial/point_set.hpp"
-
-namespace pandora::spatial {
-class KdTree;
-}  // namespace pandora::spatial
 
 namespace pandora::hdbscan {
 
@@ -46,8 +44,8 @@ struct HdbscanResult {
 /// first call; with artifact caching on (the default) the kd-tree, the
 /// per-mpts core distances and the per-mpts mutual-reachability EMST also
 /// replay from the Executor's ArtifactCache, so repeated queries against one
-/// point set — and mpts sweeps, which share the tree — skip the
-/// corresponding phases entirely.
+/// point set skip the corresponding phases entirely.  With caching off the
+/// query computes its kNN pass as a private NeighborPass.
 ///
 /// Every entry point below throws std::invalid_argument before any work —
 /// hashing, tree build or cache lookup — when the point set is empty, a
@@ -58,10 +56,16 @@ struct HdbscanResult {
                                     const HdbscanOptions& options = {});
 
 /// As above, over the points `tree` indexes, on that tree — the snapshot
-/// tier's path.  Such a query consults no ArtifactCache: every artifact
-/// after the tree depends on mpts, so the tree is the one worth sharing, and
-/// the caller owns it.  `times` then has no "tree_build" phase.
+/// tier's path.  Such a query consults no ArtifactCache: the caller owns the
+/// tree, and `times` has no "tree_build" phase.  The query takes its kNN
+/// pass from `passes`, the caller's store for this tree: the held pass when
+/// it serves `options.min_pts`, else one computed at that mpts, which
+/// `passes` then holds (see SharedNeighborPass, core_distance.hpp).  Queries
+/// at different mpts that share one store so share one kNN pass; the query
+/// that computes it reports its cost under "core_distance".  The results do
+/// not depend on which pass a query takes.
 [[nodiscard]] HdbscanResult hdbscan(const exec::Executor& exec, const spatial::KdTree& tree,
+                                    SharedNeighborPass& passes,
                                     const HdbscanOptions& options = {});
 
 /// A `min_cluster_size` sweep over one point set: the pipeline runs once up
@@ -90,23 +94,35 @@ struct MinClusterSizeSweep {
     const exec::Executor& exec, const spatial::PointSet& points,
     std::span<const index_t> min_cluster_sizes, const HdbscanOptions& base = {});
 
-/// As above, on a caller's tree, consulting no ArtifactCache (see `hdbscan`).
+/// As above, on a caller's tree, consulting no ArtifactCache, with the kNN
+/// pass taken from `passes` (see `hdbscan`).
 [[nodiscard]] MinClusterSizeSweep hdbscan_sweep_min_cluster_size(
-    const exec::Executor& exec, const spatial::KdTree& tree,
+    const exec::Executor& exec, const spatial::KdTree& tree, SharedNeighborPass& passes,
     std::span<const index_t> min_cluster_sizes, const HdbscanOptions& base = {});
 
 /// An mpts sweep over one point set: one full pipeline per `min_pts` value
-/// (results aligned with `min_pts_values`), sharing the kd-tree through the
-/// ArtifactCache — only the core distances and the mutual-reachability EMST,
-/// which genuinely depend on mpts, are rebuilt per value.  Two sweep values
-/// derive distinct core-distance cache keys and never alias.
+/// (results aligned with `min_pts_values`, which may be unsorted or
+/// repeated) on one kd-tree and ONE kNN pass.  Only the core distances and
+/// the mutual-reachability EMST depend on mpts: the first value's query runs
+/// the pass at the sweep's largest value (and reports it under
+/// "core_distance"), and every value derives its core distances from it and
+/// hands the pass's lists to its EMST as seeds (see NeighborPass).  Every
+/// result is bit-identical to a per-value `hdbscan()` call.  The kd-tree is
+/// taken through the ArtifactCache (built once with caching off), and no
+/// result's `times` has a "tree_build" phase.  With caching on, each value's
+/// EMST and sorted edges replay from the cache as in `hdbscan()`, so a
+/// repeated sweep runs its one kNN pass and replays the rest of the
+/// preparation.
 [[nodiscard]] std::vector<HdbscanResult> hdbscan_sweep_min_pts(
     const exec::Executor& exec, const spatial::PointSet& points,
     std::span<const int> min_pts_values, const HdbscanOptions& base = {});
 
-/// As above, on a caller's tree, consulting no ArtifactCache (see `hdbscan`).
+/// As above, on a caller's tree, consulting no ArtifactCache, with the kNN
+/// pass taken from `passes` (see `hdbscan`): each value takes the pass held
+/// there when it serves that value, and a pass the sweep computes there
+/// serves its largest value, so the sweep runs at most one kNN pass.
 [[nodiscard]] std::vector<HdbscanResult> hdbscan_sweep_min_pts(
-    const exec::Executor& exec, const spatial::KdTree& tree,
+    const exec::Executor& exec, const spatial::KdTree& tree, SharedNeighborPass& passes,
     std::span<const int> min_pts_values, const HdbscanOptions& base = {});
 
 }  // namespace pandora::hdbscan

@@ -53,14 +53,16 @@ void PublishedClustering::publish() {
   const exec::ScopedSpan span(stream_.executor(), "snapshot.publish");
   const Timer timer;
   PANDORA_FAILPOINT("snapshot.materialise");
-  SnapshotPtr next = std::make_shared<const Snapshot>(stream_.capture_artifacts());
+  std::shared_ptr<Snapshot> next = std::make_shared<Snapshot>(stream_.capture_artifacts());
   PANDORA_FAILPOINT("snapshot.publish");
   {
     const std::lock_guard<std::mutex> lock(current_mutex_);
     current_.swap(next);
   }
-  // `next` now holds the retired snapshot: if no reader pins it, it and its
-  // artifacts are freed here, outside the lock.
+  // `next` now holds the retired snapshot: its neighbour pass goes now, and
+  // if no reader pins it, it and its artifacts are freed here, outside the
+  // lock.
+  if (next != nullptr) next->retire();
   next.reset();
   publishes_metric().inc();
   publish_latency_metric().observe(timer.seconds());

@@ -37,10 +37,13 @@ namespace pandora::snapshot {
 /// replay), then *materialize the successor snapshot off to the side* (deep
 /// copies — readers' snapshots share nothing with the stream) and publish it
 /// with a single pointer swap.  Readers mid-query keep their pinned epochs;
-/// the retired snapshot — artifacts and its kd-tree — is reclaimed when its
-/// last reader drains (RCU-style).  Memory cost: at most
-/// `1 + max-in-flight-readers` epochs resident, each with its bundle and at
-/// most one kd-tree; per-query artifacts die with their query.
+/// the retired snapshot drops its neighbour pass at once, and its artifacts
+/// and kd-tree are reclaimed when its last reader drains (RCU-style).
+/// Memory cost: at most `1 + max-in-flight-readers` epochs resident, each
+/// with its bundle and at most one kd-tree; only the published snapshot
+/// keeps a neighbour pass, and a pass replaced or dropped lives on only in
+/// the queries still running on it; other per-query artifacts die with
+/// their query.
 ///
 /// Thread-safety: one writer thread at a time (like `dyn::`); `acquire` /
 /// `published_epoch` are safe from any thread concurrently with the writer.
@@ -100,7 +103,7 @@ class PublishedClustering {
   /// Guards only the `current_` pointer: held for the copy in `acquire` and
   /// the swap in `publish`, never while clustering work runs.
   mutable std::mutex current_mutex_;
-  SnapshotPtr current_;
+  std::shared_ptr<Snapshot> current_;
 };
 
 }  // namespace pandora::snapshot

@@ -51,20 +51,23 @@ std::shared_ptr<const spatial::KdTree> Snapshot::tree(const exec::Executor& exec
 
 pandora::hdbscan::HdbscanResult Snapshot::hdbscan(
     const exec::Executor& exec, const pandora::hdbscan::HdbscanOptions& options) const {
-  return pandora::hdbscan::hdbscan(exec, *tree(exec), options);
+  return pandora::hdbscan::hdbscan(exec, *tree(exec), passes_, options);
 }
 
 pandora::hdbscan::MinClusterSizeSweep Snapshot::sweep_min_cluster_size(
     const exec::Executor& exec, std::span<const index_t> min_cluster_sizes,
     const pandora::hdbscan::HdbscanOptions& base) const {
-  return pandora::hdbscan::hdbscan_sweep_min_cluster_size(exec, *tree(exec), min_cluster_sizes,
-                                                          base);
+  return pandora::hdbscan::hdbscan_sweep_min_cluster_size(exec, *tree(exec), passes_,
+                                                          min_cluster_sizes, base);
 }
 
 std::vector<pandora::hdbscan::HdbscanResult> Snapshot::sweep_min_pts(
     const exec::Executor& exec, std::span<const int> min_pts_values,
     const pandora::hdbscan::HdbscanOptions& base) const {
-  return pandora::hdbscan::hdbscan_sweep_min_pts(exec, *tree(exec), min_pts_values, base);
+  return pandora::hdbscan::hdbscan_sweep_min_pts(exec, *tree(exec), passes_, min_pts_values,
+                                                 base);
 }
+
+void Snapshot::retire() { passes_.release(); }
 
 }  // namespace pandora::snapshot

@@ -12,6 +12,7 @@
 #include "pandora/dyn/dynamic_clustering.hpp"
 #include "pandora/exec/executor.hpp"
 #include "pandora/graph/edge.hpp"
+#include "pandora/hdbscan/core_distance.hpp"
 #include "pandora/hdbscan/hdbscan.hpp"
 #include "pandora/spatial/kdtree.hpp"
 #include "pandora/spatial/point_set.hpp"
@@ -24,9 +25,11 @@
 /// `epoch()`.  Readers run full queries against it — HDBSCAN*,
 /// `min_cluster_size` / mpts sweeps (`Snapshot::hdbscan`, ...) — with
 /// complete intra-query parallelism and never take a lock a writer holds:
-/// everything a query reads is immutable.  The one artifact readers share is the
-/// snapshot's kd-tree, built once; everything after it depends on mpts and
-/// is computed per query, with no ArtifactCache lookup.
+/// everything a query reads is immutable.  Readers share two artifacts: the
+/// snapshot's kd-tree, built once, and its neighbour pass, the longest kNN
+/// pass any of them has asked for, from which a query at any smaller mpts
+/// derives its core distances and MST seeds.  Everything after that depends
+/// on mpts and is computed per query, with no ArtifactCache lookup.
 ///
 /// `snapshot::PublishedClustering` (published_clustering.hpp) is the front
 /// door that owns the writer side and swaps the current-snapshot pointer.
@@ -35,9 +38,12 @@ namespace pandora::snapshot {
 /// An immutable, epoch-consistent bundle of clustering artifacts.
 ///
 /// Lifecycle (RCU-style): readers hold a `SnapshotPtr` (shared_ptr refcount
-/// = the reader count); the publisher drops its reference when a successor
-/// is published, so the snapshot — and with it the deep-copied artifacts and
-/// its kd-tree — is reclaimed exactly when the last reader drains.
+/// = the reader count); the publisher retires the snapshot and drops its
+/// reference when a successor is published, so the snapshot — and with it
+/// the deep-copied artifacts and its kd-tree — is reclaimed exactly when the
+/// last reader drains.  Retiring drops the neighbour pass at once: queries
+/// that already hold it keep it, and later queries on a retired snapshot
+/// compute a private pass each.
 ///
 /// Thread-safety: all query methods are const and safe to call from many
 /// reader threads concurrently, **each with its own Executor** (the usual
@@ -72,21 +78,36 @@ class Snapshot {
   /// N redundant ones), and held for the snapshot's lifetime.
   [[nodiscard]] std::shared_ptr<const spatial::KdTree> tree(const exec::Executor& exec) const;
 
-  /// Full HDBSCAN* against the pinned epoch, on `tree()`.  Bit-identical to
-  /// a cold `hdbscan::hdbscan(exec, snapshot.points(), options)`.
+  /// Full HDBSCAN* against the pinned epoch, on `tree()` and the snapshot's
+  /// neighbour pass.  The pass is taken as it is when it serves
+  /// `options.min_pts`; otherwise this query computes one at its mpts
+  /// (concurrent readers that need one wait for it rather than run their
+  /// own; the publisher never waits), reports it under "core_distance", and
+  /// the snapshot keeps it in place of the shorter one.  So readers asking 9..2 in that order run one
+  /// kNN pass, and 2..9 run three (list lengths 6, 7, 8; see NeighborPass).
+  /// Bit-identical to a cold `hdbscan::hdbscan(exec, snapshot.points(),
+  /// options)`.
   [[nodiscard]] pandora::hdbscan::HdbscanResult hdbscan(
       const exec::Executor& exec, const pandora::hdbscan::HdbscanOptions& options = {}) const;
 
-  /// `min_cluster_size` sweep at the pinned epoch, on `tree()` (see
-  /// hdbscan_sweep_min_cluster_size).
+  /// `min_cluster_size` sweep at the pinned epoch, on `tree()` and the
+  /// neighbour pass, as `hdbscan` (see hdbscan_sweep_min_cluster_size).
   [[nodiscard]] pandora::hdbscan::MinClusterSizeSweep sweep_min_cluster_size(
       const exec::Executor& exec, std::span<const index_t> min_cluster_sizes,
       const pandora::hdbscan::HdbscanOptions& base = {}) const;
 
-  /// mpts sweep at the pinned epoch, on `tree()` (see hdbscan_sweep_min_pts).
+  /// mpts sweep at the pinned epoch, on `tree()` and the neighbour pass: a
+  /// pass this sweep computes serves its largest value, and the snapshot
+  /// keeps it (see hdbscan_sweep_min_pts).
   [[nodiscard]] std::vector<pandora::hdbscan::HdbscanResult> sweep_min_pts(
       const exec::Executor& exec, std::span<const int> min_pts_values,
       const pandora::hdbscan::HdbscanOptions& base = {}) const;
+
+  /// Drops the neighbour pass and keeps none from now on (see the
+  /// lifecycle above).  `PublishedClustering::publish` calls it on the
+  /// snapshot it replaces, so a retired epoch pinned by slow readers holds
+  /// its bundle and tree, not its kNN lists.
+  void retire();
 
   /// The frozen bundle itself — what `PublishedClustering::recover()` feeds
   /// back into `dyn::DynamicClustering::restore()` to roll a poisoned writer
@@ -97,6 +118,7 @@ class Snapshot {
   dyn::ArtifactBundle bundle_;
   mutable std::once_flag tree_once_;
   mutable std::shared_ptr<const spatial::KdTree> tree_;
+  mutable pandora::hdbscan::SharedNeighborPass passes_;
 };
 
 /// How readers hold a snapshot: the refcount is the reader pin.

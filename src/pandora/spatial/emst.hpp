@@ -73,11 +73,12 @@ namespace pandora::spatial {
 /// distances (Section 6.5).  This is the "MST construction" phase of the
 /// paper's Figure 1/15 pipeline.
 ///
-/// `seeds`, when given, must be the neighbour lists that
-/// `hdbscan::core_distances` filled on `tree` while computing
-/// `core_distances` (rank-indexed, see NeighborLists): each point's L
-/// nearest neighbours, L = max(minPts - 1, kMinListLength), and its
-/// fence F(p), the squared distance of the (L+1)-th neighbour.  They resolve
+/// `seeds`, when given, must be neighbour lists of `tree` (rank-indexed,
+/// see NeighborLists): each point's L nearest neighbours and its fence F(p),
+/// the squared distance of the (L+1)-th neighbour.  Any L is a valid
+/// certificate: those `hdbscan::core_distances` filled while computing
+/// `core_distances` (L = max(minPts - 1, kMinListLength)), or the longer
+/// lists of an `hdbscan::NeighborPass` fetched at a larger minPts.  They resolve
 /// candidates without tree queries in every round — the kNN-graph start of
 /// cuSLINK, kept exact by a cut certificate.  Every point outside p's list
 /// scores >= F*(p) = max(core(p)^2, F(p)).  In each round, a point without a

@@ -200,7 +200,12 @@ class KdTree {
 
   /// Squared distance between the points at ranks `a` and `b`, read from the
   /// tree's coordinate copy; bit-identical to the distance a leaf scan or
-  /// `PointSet::squared_distance` computes for the same pair.
+  /// `PointSet::squared_distance` computes for the same pair.  That holds
+  /// only where this inline body is compiled with the library's
+  /// -ffp-contract=off: a caller built with contraction on (GCC's default
+  /// with an FMA target, e.g. -march=native) may fuse the multiply-add and
+  /// round differently.  Anything that must match the kNN pass bit for bit
+  /// calls it from a library source file (see hdbscan::NeighborPass).
   [[nodiscard]] double squared_distance(index_t a, index_t b) const {
     // Ascending d with plain adds, as every distance kernel accumulates.
     const std::size_t n = perm_.size();

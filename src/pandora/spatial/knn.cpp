@@ -5,8 +5,20 @@
 #include <limits>
 
 #include "pandora/common/expect.hpp"
+#include "pandora/obs/metrics.hpp"
 
 namespace pandora::spatial {
+
+namespace {
+
+/// kNN passes run (calls with k > 0): an mpts sweep runs one, and a
+/// snapshot's readers share theirs (see hdbscan::NeighborPass).
+obs::Counter& passes_metric() {
+  static obs::Counter& metric = obs::registry().counter("pandora_knn_passes_total");
+  return metric;
+}
+
+}  // namespace
 
 std::vector<double> kth_neighbor_distances(const exec::Executor& exec, const PointSet& points,
                                            const KdTree& tree, int k, NeighborLists* lists) {
@@ -14,7 +26,9 @@ std::vector<double> kth_neighbor_distances(const exec::Executor& exec, const Poi
   PANDORA_EXPECT(tree.size() == n, "the kd-tree must index exactly the query points");
   std::vector<double> result(static_cast<std::size_t>(n), 0.0);
   if (lists != nullptr) *lists = NeighborLists{};
-  if (k <= 0 || n <= 1) return result;
+  if (k <= 0) return result;
+  passes_metric().inc();
+  if (n <= 1) return result;
 
   // Queries run in rank order so consecutive searches touch the same nodes
   // and leaf columns while they are cache-hot, and every chunk writes its own

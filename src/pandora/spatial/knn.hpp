@@ -46,7 +46,8 @@ struct NeighborLists {
 /// point's L nearest neighbours and its fence (see NeighborLists); the returned
 /// distances are unchanged (the k-nearest set under the total
 /// (distance, id) order is a prefix of the (L+1)-nearest one).  `lists` is
-/// left empty when k <= 0 or n <= 1.
+/// left empty when k <= 0 or n <= 1.  Each call with k > 0 counts one pass
+/// in `pandora_knn_passes_total` (obs registry).
 [[nodiscard]] std::vector<double> kth_neighbor_distances(const exec::Executor& exec,
                                                          const PointSet& points,
                                                          const KdTree& tree, int k,

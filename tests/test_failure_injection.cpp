@@ -229,8 +229,9 @@ TEST(FailureInjection, HdbscanRejectsNonFinitePoints) {
   EXPECT_THROW((void)hdbscan::hdbscan_sweep_min_cluster_size(executor, points, sizes),
                std::invalid_argument);
   // The caller's-tree overloads check the points the tree indexes.
-  EXPECT_THROW((void)hdbscan::hdbscan(executor, tree), std::invalid_argument);
-  EXPECT_THROW((void)hdbscan::hdbscan_sweep_min_pts(executor, tree, std::array{2}),
+  hdbscan::SharedNeighborPass passes;
+  EXPECT_THROW((void)hdbscan::hdbscan(executor, tree, passes), std::invalid_argument);
+  EXPECT_THROW((void)hdbscan::hdbscan_sweep_min_pts(executor, tree, passes, std::array{2}),
                std::invalid_argument);
 }
 

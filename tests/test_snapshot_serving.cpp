@@ -1,7 +1,7 @@
 // The snapshot:: epoch-published serving tier: publish/acquire lifecycle,
 // reader-pinned epochs under concurrent writer churn (the CI gcc-tsan matrix
-// entry race-checks the stress test), each snapshot's one kd-tree and
-// queries that make no ArtifactCache lookup, RCU-style reclaim when the last
+// entry race-checks the stress tests), each snapshot's one kd-tree and
+// shared neighbour pass, queries that make no ArtifactCache lookup, RCU-style reclaim when the last
 // reader drains (the gcc-sanitize / ASan entry leak-checks it).
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "pandora/data/point_generators.hpp"
@@ -312,6 +313,80 @@ TEST(SnapshotServing, ConcurrentReadersObserveConsistentPinnedEpochs) {
                  .first;
       }
       expect_bit_identical(obs.result, it->second, obs.snap->epoch());
+      ++total;
+    }
+  }
+  EXPECT_GT(total, 0u) << "readers must have completed queries during the churn";
+}
+
+// Readers at distinct mpts share each snapshot's neighbour pass — one may
+// replace it with a longer pass while others still run on the old one —
+// while the writer publishes successors and retires (drops the pass of) the
+// epochs they pin.  The gcc-tsan entry race-checks the pass's mutex and the
+// retirement; every result must match a cold run at its epoch and mpts.
+TEST(SnapshotServing, ConcurrentReadersAtDistinctMptsShareOneNeighborPass) {
+  const exec::Executor writer_exec;  // default backend: the writer may be parallel
+  snapshot::PublishedClustering published(writer_exec);
+  published.insert(data::gaussian_blobs(300, 2, 3, 0.04, 0.1, 31));
+
+  constexpr int kReaders = 4;
+  constexpr int kWriterRounds = 10;
+  std::atomic<bool> writer_done{false};
+
+  struct Observation {
+    snapshot::SnapshotPtr snap;
+    int min_pts = 0;
+    hdbscan::HdbscanResult result;
+  };
+  std::vector<std::vector<Observation>> observed(kReaders);
+
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const exec::Executor reader(exec::serial_backend());
+      for (int i = 0; !writer_done.load(std::memory_order_acquire); ++i) {
+        Observation obs;
+        obs.snap = published.acquire();
+        // Distinct across the readers at every step, rotating through 2..9
+        // so passes are both reused and replaced by longer ones.
+        obs.min_pts = 2 + (2 * r + i) % 8;
+        hdbscan::HdbscanOptions options = stress_options();
+        options.min_pts = obs.min_pts;
+        obs.result = obs.snap->hdbscan(reader, options);
+        observed[static_cast<std::size_t>(r)].push_back(std::move(obs));
+      }
+    });
+  }
+
+  std::deque<std::vector<index_t>> live_batches;
+  for (int round = 0; round < kWriterRounds; ++round) {
+    live_batches.push_back(
+        published.insert(data::gaussian_blobs(20, 2, 3, 0.04, 0.1, 200 + round)));
+    if (live_batches.size() > 3) {
+      published.erase(live_batches.front());
+      live_batches.pop_front();
+    }
+  }
+  writer_done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  std::map<std::pair<std::uint64_t, int>, hdbscan::HdbscanResult> cold_by_query;
+  const exec::Executor cold(exec::serial_backend());
+  cold.set_artifact_caching(false);
+  std::size_t total = 0;
+  for (const auto& reader_observations : observed) {
+    for (const Observation& obs : reader_observations) {
+      const std::pair<std::uint64_t, int> key{obs.snap->epoch(), obs.min_pts};
+      auto it = cold_by_query.find(key);
+      if (it == cold_by_query.end()) {
+        hdbscan::HdbscanOptions options = stress_options();
+        options.min_pts = obs.min_pts;
+        it = cold_by_query.emplace(key, hdbscan::hdbscan(cold, obs.snap->points(), options))
+                 .first;
+      }
+      expect_bit_identical(obs.result, it->second, obs.snap->epoch());
+      EXPECT_EQ(obs.result.mst, it->second.mst) << "epoch " << key.first << " mpts " << key.second;
       ++total;
     }
   }
