@@ -5,12 +5,15 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "pandora/common/expect.hpp"
 #include "pandora/common/timer.hpp"
 #include "pandora/dendrogram/pandora.hpp"
 #include "pandora/exec/failpoint.hpp"
 #include "pandora/exec/parallel.hpp"
+#include "pandora/exec/scan.hpp"
 #include "pandora/exec/sort.hpp"
 #include "pandora/graph/union_find.hpp"
 #include "pandora/obs/metrics.hpp"
@@ -50,9 +53,17 @@ constexpr int kLeafSize = 32;
 
 /// Inserted points are appended to an unindexed tail and brute-forced by
 /// queries until the tail exceeds this fraction of the point count, when the
-/// kd index is rebuilt (amortised O(log n) per insert).  Erases always
-/// rebuild (compaction moves the indexed coordinates).
+/// kd index is rebuilt (amortised O(log n) per insert).  Erases patch the
+/// index instead (the erased points leave their leaves, the tail joins
+/// them) until the points erased or absorbed since the last build exceed
+/// the same fraction, which bounds how far the kept splits drift from
+/// balanced, or until `KdTree::patch` refuses an emptied or overfull leaf.
 constexpr double kIndexRebuildFraction = 0.125;
+
+/// The tail or drift a kd index of `n` points tolerates before a rebuild.
+double index_budget(index_t n) {
+  return std::max(64.0, kIndexRebuildFraction * static_cast<double>(n));
+}
 
 /// Relative slack for comparing a distance against w when the two came from
 /// kernels that may sum the same squares in another order.
@@ -112,7 +123,11 @@ void mark_doubtful_edges(const exec::Executor& exec, const dendrogram::Dendrogra
   // The two children of every edge node, its box and its points' nearest
   // new point, in one bottom-up pass: vertices fold into their parents
   // first, then edges in descending order, since a child always sorts after
-  // its parent (parent[e] < e).
+  // its parent (parent[e] < e).  The pass stays serial: a parallel
+  // bottom-up walk (the second child to arrive folds the parent) and a
+  // parallel child claim with a serial pull both measured slower at 4
+  // threads on 50k points, as each chains dependent cache misses that this
+  // pass's sequential sweeps overlap.
   auto child_lease = workspace.take<index_t>(2 * num_edges, kNone);
   const std::span<index_t> child = child_lease.span();
   const size_type box_size = static_cast<size_type>(num_edges) * points.dim();
@@ -174,12 +189,35 @@ DynamicClustering::DynamicClustering(const exec::Executor& exec)
     : exec_(&exec), points_(std::make_unique<spatial::PointSet>()) {}
 
 void DynamicClustering::rebuild_index() {
+  const exec::ScopedSpan span(*exec_, "dyn.index");
   tree_ = std::make_unique<spatial::KdTree>(*exec_, *points_, kLeafSize);
   indexed_ = points_->size();
+  drift_ = 0;
   ++stats_.index_rebuilds;
 }
 
+void DynamicClustering::reindex_after_erase(std::span<const index_t> remap) {
+  // Stable compaction: the surviving indexed slots come first, then the
+  // surviving tail, which the patch absorbs.
+  const index_t n = points_->size();
+  const index_t survivors = exec::parallel_sum(
+      *exec_, indexed_, index_t{0},
+      [&](size_type s) { return remap[static_cast<std::size_t>(s)] != kNone ? 1 : 0; });
+  const index_t drift = drift_ + (indexed_ - survivors) + (n - survivors);
+  if (static_cast<double>(drift) <= index_budget(n)) {
+    const exec::ScopedSpan span(*exec_, "dyn.index");
+    if (tree_->patch(*exec_, remap.first(static_cast<std::size_t>(indexed_)))) {
+      indexed_ = n;
+      drift_ = drift;
+      ++stats_.index_patches;
+      return;
+    }
+  }
+  rebuild_index();
+}
+
 void DynamicClustering::replay_dendrogram() {
+  const exec::ScopedSpan span(*exec_, "dyn.replay");
   dendrogram::pandora_dendrogram_into(*exec_, sorted_, {}, dendrogram_);
 }
 
@@ -245,8 +283,7 @@ std::vector<index_t> DynamicClustering::insert(const spatial::PointSet& batch) {
 
   // Amortised index maintenance: queries brute-force the unindexed tail
   // until it outgrows its budget.
-  const auto tail = static_cast<double>(points_->size() - indexed_);
-  if (tail > std::max(64.0, kIndexRebuildFraction * static_cast<double>(points_->size())))
+  if (static_cast<double>(points_->size() - indexed_) > index_budget(points_->size()))
     rebuild_index();
   insert_metric().observe(timer.seconds());
   return ids;
@@ -274,7 +311,8 @@ index_t DynamicClustering::insert(std::span<const double> coords) {
 /// kd index (coordinate queries: they are not indexed yet), scan the
 /// unindexed tail and probe the batch tree.  A point queries only once its
 /// cached nearest star partner has joined its component, bounded by the
-/// component's running minimum.
+/// component's running minimum.  The indexed points find their nearest new
+/// points a kd-index leaf at a time (`KdTree::nearest_in`).
 void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
                                             std::vector<char>& keep,
                                             graph::EdgeList& added) {
@@ -303,16 +341,32 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   const std::span<Candidate> nearest = nearest_lease.span();
   auto star_floor_lease = workspace.take_uninit<double>(n);
   const std::span<double> star_floor = star_floor_lease.span();
-  auto pending_lease = workspace.take<char>(n, 0);
+  auto pending_lease = workspace.take_uninit<char>(n);
   const std::span<char> pending = pending_lease.span();
+  exec::parallel_for(*exec_, n, [&](size_type p) { pending[static_cast<std::size_t>(p)] = 0; });
   const auto track_nearest = [&](index_t p, const spatial::Neighbor& nb) {
     const Candidate star{std::sqrt(nb.squared_distance), nb.index, kNone};
     nearest[static_cast<std::size_t>(p)] = star;
     star_floor[static_cast<std::size_t>(p)] = star.weight;
   };
-  probe_rows(*exec_, batch_tree, points.point(0).data(), n_before, 1,
-             [&](index_t p, std::span<const spatial::Neighbor> near) {
-               track_nearest(p, {near[0].squared_distance, n_before + near[0].index});
+
+  std::optional<exec::ScopedSpan> certificate_span;
+  certificate_span.emplace(*exec_, "dyn.certificate");
+  // The indexed points find their nearest new points a kd-index leaf at a
+  // time; the unindexed tail probes the batch tree point by point.
+  {
+    auto found_lease = workspace.take_uninit<spatial::Neighbor>(indexed_);
+    tree_->nearest_in(*exec_, batch_tree, found_lease.span());
+    const std::span<const index_t> slot_of_rank = tree_->tree_order();
+    exec::parallel_for(*exec_, indexed_, [&](size_type r) {
+      const spatial::Neighbor& nb = found_lease[static_cast<std::size_t>(r)];
+      track_nearest(slot_of_rank[static_cast<std::size_t>(r)],
+                    {nb.squared_distance, n_before + nb.index});
+    });
+  }
+  probe_rows(*exec_, batch_tree, points.point(indexed_).data(), n_before - indexed_, 1,
+             [&](index_t j, std::span<const spatial::Neighbor> near) {
+               track_nearest(indexed_ + j, {near[0].squared_distance, n_before + near[0].index});
              });
 
   // --- nearest and 2nd-nearest other point of every new point -------------
@@ -380,48 +434,72 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
                         star_floor.first(static_cast<std::size_t>(n_before)), batch_tree,
                         rank_d2_sq, batch_notes, keep);
   }
+  certificate_span.reset();
+
+  // In parallel: the union-find hooks larger roots under smaller ones, so
+  // the unions reach the same roots in any order, and the doubtful edges,
+  // the CSR adjacency over them and the roots are compacted by prefix sums.
+  // A maintained edge always joins two components (the edges form a tree).
+  std::optional<exec::ScopedSpan> premerge_span;
+  premerge_span.emplace(*exec_, "dyn.premerge");
   auto uf_lease = workspace.take_uninit<index_t>(n);
   graph::ConcurrentUnionFindView uf(uf_lease.span());
   exec::parallel_for(*exec_, n, [&](size_type x) {
     uf_lease[static_cast<std::size_t>(x)] = static_cast<index_t>(x);
   });
-  index_t components = n;
-  auto doubtful_lease = workspace.take_uninit<index_t>(e_old);
-  size_type num_doubtful = 0;
-  for (size_type i = 0; i < e_old; ++i) {
+  auto position_lease = workspace.take_uninit<index_t>(std::max<size_type>(e_old, n) + 1);
+  const auto positions = [&](size_type count) {
+    return position_lease.span().first(static_cast<std::size_t>(count) + 1);
+  };
+  exec::parallel_for(*exec_, e_old, [&](size_type i) {
     const graph::WeightedEdge& e = edges_[static_cast<std::size_t>(i)];
-    if (keep[static_cast<std::size_t>(i)] != 0) {
-      uf.unite(e.u, e.v);
-      --components;
-    } else {
-      keep[static_cast<std::size_t>(i)] = 0;
-      doubtful_lease[static_cast<std::size_t>(num_doubtful++)] = static_cast<index_t>(i);
-    }
-  }
-  const std::span<const index_t> doubtful = doubtful_lease.span().first(
-      static_cast<std::size_t>(num_doubtful));
+    const bool kept = keep[static_cast<std::size_t>(i)] != 0;
+    if (kept) uf.unite(e.u, e.v);
+    position_lease[static_cast<std::size_t>(i)] = kept ? 0 : 1;
+  });
+  position_lease[static_cast<std::size_t>(e_old)] = 0;
+  const size_type num_doubtful = exec::exclusive_scan<index_t>(
+      *exec_, std::span<const index_t>(positions(e_old)), positions(e_old));
+  auto doubtful_lease = workspace.take_uninit<index_t>(num_doubtful);
+  const std::span<index_t> doubtful = doubtful_lease.span();
+  exec::parallel_for(*exec_, e_old, [&](size_type i) {
+    if (keep[static_cast<std::size_t>(i)] == 0)
+      doubtful[static_cast<std::size_t>(position_lease[static_cast<std::size_t>(i)])] =
+          static_cast<index_t>(i);
+  });
+  index_t components = n - static_cast<index_t>(e_old - num_doubtful);
   stats_.doubtful_edges += static_cast<std::uint64_t>(num_doubtful);
 
-  // CSR adjacency over the doubtful edges only.
-  auto adj_offset_lease = workspace.take<index_t>(n + 1, 0);
+  // CSR adjacency over the doubtful edges only.  Each point's entries land
+  // in claim order; a point has at most one edge to any other point, so
+  // the order cannot decide a candidate.
+  auto adj_offset_lease = workspace.take_uninit<index_t>(n + 1);
   const std::span<index_t> adj_offset = adj_offset_lease.span();
-  for (const index_t i : doubtful) {
-    ++adj_offset[static_cast<std::size_t>(edges_[static_cast<std::size_t>(i)].u) + 1];
-    ++adj_offset[static_cast<std::size_t>(edges_[static_cast<std::size_t>(i)].v) + 1];
-  }
-  for (index_t x = 0; x < n; ++x)
-    adj_offset[static_cast<std::size_t>(x) + 1] += adj_offset[static_cast<std::size_t>(x)];
+  exec::parallel_for(*exec_, n + 1,
+                     [&](size_type x) { adj_offset[static_cast<std::size_t>(x)] = 0; });
+  exec::parallel_for(*exec_, num_doubtful, [&](size_type a) {
+    const graph::WeightedEdge& e =
+        edges_[static_cast<std::size_t>(doubtful[static_cast<std::size_t>(a)])];
+    exec::atomic_fetch_add(adj_offset[static_cast<std::size_t>(e.u)], index_t{1});
+    exec::atomic_fetch_add(adj_offset[static_cast<std::size_t>(e.v)], index_t{1});
+  });
+  (void)exec::exclusive_scan<index_t>(*exec_, std::span<const index_t>(adj_offset), adj_offset);
   auto adj_edge_lease = workspace.take_uninit<index_t>(2 * num_doubtful);
   const std::span<index_t> adj_edge = adj_edge_lease.span();
   {
     auto cursor_lease = workspace.take_uninit<index_t>(n);
     const std::span<index_t> cursor = cursor_lease.span();
-    std::copy(adj_offset.begin(), adj_offset.begin() + n, cursor.begin());
-    for (const index_t i : doubtful) {
+    exec::parallel_for(*exec_, n, [&](size_type x) {
+      cursor[static_cast<std::size_t>(x)] = adj_offset[static_cast<std::size_t>(x)];
+    });
+    exec::parallel_for(*exec_, num_doubtful, [&](size_type a) {
+      const index_t i = doubtful[static_cast<std::size_t>(a)];
       const graph::WeightedEdge& e = edges_[static_cast<std::size_t>(i)];
-      adj_edge[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.u)]++)] = i;
-      adj_edge[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.v)]++)] = i;
-    }
+      adj_edge[static_cast<std::size_t>(
+          exec::atomic_fetch_add(cursor[static_cast<std::size_t>(e.u)], index_t{1}))] = i;
+      adj_edge[static_cast<std::size_t>(
+          exec::atomic_fetch_add(cursor[static_cast<std::size_t>(e.v)], index_t{1}))] = i;
+    });
   }
 
   // --- Borůvka rounds over the implicit candidate graph -------------------
@@ -429,12 +507,17 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   constexpr index_t kUnset = std::numeric_limits<index_t>::max();
   auto component_lease = workspace.take_uninit<index_t>(n);
   const std::span<index_t> component = component_lease.span();
-  auto best_weight_lease = workspace.take<std::uint64_t>(n, kInf);
+  auto best_weight_lease = workspace.take_uninit<std::uint64_t>(n);
   const std::span<std::uint64_t> best_weight = best_weight_lease.span();
-  auto best_point_lease = workspace.take<index_t>(n, kUnset);
+  auto best_point_lease = workspace.take_uninit<index_t>(n);
   const std::span<index_t> best_point = best_point_lease.span();
-  auto candidate_lease = workspace.take<Candidate>(n, Candidate{});
+  auto candidate_lease = workspace.take_uninit<Candidate>(n);
   const std::span<Candidate> candidate = candidate_lease.span();
+  exec::parallel_for(*exec_, n, [&](size_type x) {
+    best_weight[static_cast<std::size_t>(x)] = kInf;
+    best_point[static_cast<std::size_t>(x)] = kUnset;
+    candidate[static_cast<std::size_t>(x)] = Candidate{};
+  });
   // The kd-trees read components in their own rank order: each round
   // gathers the slot-indexed array into the index's and the batch tree's.
   auto index_component_lease = workspace.take_uninit<index_t>(indexed_);
@@ -467,11 +550,21 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     return best;
   };
 
+  // The roots in ascending order, compacted by a prefix sum over root flags.
+  exec::parallel_for(*exec_, n, [&](size_type x) {
+    position_lease[static_cast<std::size_t>(x)] = uf.find(static_cast<index_t>(x)) == x ? 1 : 0;
+  });
+  position_lease[static_cast<std::size_t>(n)] = 0;
+  index_t num_roots =
+      exec::exclusive_scan<index_t>(*exec_, std::span<const index_t>(positions(n)), positions(n));
+  PANDORA_EXPECT(num_roots == components, "pre-merge left an unexpected component count");
   auto roots_lease = workspace.take_uninit<index_t>(components);
-  index_t num_roots = 0;
-  for (index_t x = 0; x < n; ++x)
-    if (uf.find(x) == x) roots_lease[static_cast<std::size_t>(num_roots++)] = x;
-
+  exec::parallel_for(*exec_, n, [&](size_type x) {
+    const auto at = static_cast<std::size_t>(x);
+    if (position_lease[at] != position_lease[at + 1]) roots_lease[position_lease[at]] = x;
+  });
+  premerge_span.reset();
+  const exec::ScopedSpan rounds_span(*exec_, "dyn.rounds");
   while (components > 1) {
     ++stats_.boruvka_rounds;
     const std::span<index_t> roots = roots_lease.span().first(static_cast<std::size_t>(num_roots));
@@ -547,34 +640,94 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     // heavier than r, as does a star floor above r, which skips the query;
     // then the maintained-edge candidate is exact if it is within r, and
     // otherwise p cannot attain the minimum and proposes nothing this round.
-    constexpr index_t kQueriesPerChunk = 256;
-    const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
-    auto query_chunk = [&](int chunk) {
-      const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
-      const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
-      for (index_t p = lo; p < hi; ++p) {
-        if (pending[static_cast<std::size_t>(p)] == 0) continue;
-        pending[static_cast<std::size_t>(p)] = 0;
-        const index_t c = component[static_cast<std::size_t>(p)];
-        Candidate& cand = candidate[static_cast<std::size_t>(p)];
-        std::uint64_t& slot = best_weight[static_cast<std::size_t>(c)];
-        const std::uint64_t bound =
-            std::atomic_ref<std::uint64_t>(slot).load(std::memory_order_relaxed);
-        // kInf bit-casts to a NaN, not +inf.
-        const double r = bound == kInf ? std::numeric_limits<double>::infinity()
-                                       : std::bit_cast<double>(bound);
-        double& floor = star_floor[static_cast<std::size_t>(p)];
-        if (floor <= r) {
-          const Candidate star = foreign_star(p, c, covering_sq(r));
-          if (star.partner != kNone) {
-            if (star.better_than(cand)) cand = star;
-            exec::atomic_fetch_min(slot, exec::order_preserving_bits(cand.weight));
-            continue;
-          }
-          floor = r;
+    //
+    // The indexed points go a kd-index leaf at a time: when a leaf lies in
+    // one component c and two or more of its pending points would query,
+    // one box test against the batch comes first, and when no foreign new
+    // point lies within c's running minimum r of the leaf's box, each of
+    // those queries would find nothing, so each point takes r as its floor
+    // exactly as its empty query would.  The tail and the new points follow
+    // in slot order.
+    const auto radius_of = [&](index_t c) {
+      const std::uint64_t bound =
+          std::atomic_ref<std::uint64_t>(best_weight[static_cast<std::size_t>(c)])
+              .load(std::memory_order_relaxed);
+      // kInf bit-casts to a NaN, not +inf.
+      return bound == kInf ? std::numeric_limits<double>::infinity() : std::bit_cast<double>(bound);
+    };
+    const auto settle = [&](index_t p, double r) {
+      pending[static_cast<std::size_t>(p)] = 0;
+      Candidate& cand = candidate[static_cast<std::size_t>(p)];
+      if (!(cand.weight <= r)) cand.partner = kNone;
+    };
+    const auto resolve = [&](index_t p) {
+      const index_t c = component[static_cast<std::size_t>(p)];
+      const double r = radius_of(c);
+      double& floor = star_floor[static_cast<std::size_t>(p)];
+      if (floor <= r) {
+        const Candidate star = foreign_star(p, c, covering_sq(r));
+        if (star.partner != kNone) {
+          // The exact foreign minimum: every foreign star, now and after
+          // later merges, weighs at least as much.
+          floor = star.weight;
+          pending[static_cast<std::size_t>(p)] = 0;
+          Candidate& cand = candidate[static_cast<std::size_t>(p)];
+          if (star.better_than(cand)) cand = star;
+          exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
+                                 exec::order_preserving_bits(cand.weight));
+          return;
         }
-        if (!(cand.weight <= r)) cand.partner = kNone;
+        floor = r;
       }
+      settle(p, r);
+    };
+    const std::span<const spatial::KdTree::Leaf> leaves = tree_->leaves();
+    const std::span<const index_t> slot_of_rank = tree_->tree_order();
+    const auto leaf_answered = [&](const spatial::KdTree::Leaf& leaf, index_t c) {
+      const double r = radius_of(c);
+      if (r == std::numeric_limits<double>::infinity()) return false;
+      int querying = 0;
+      for (index_t rank = leaf.begin; rank < leaf.end && querying < 2; ++rank) {
+        const auto p = static_cast<std::size_t>(slot_of_rank[static_cast<std::size_t>(rank)]);
+        querying += pending[p] != 0 && star_floor[p] <= r ? 1 : 0;
+      }
+      if (querying < 2 || batch_tree.any_foreign_near_box(tree_->box_lo(leaf), tree_->box_hi(leaf),
+                                                          c, batch_component, {}, batch_notes,
+                                                          covering_sq(r)))
+        return false;
+      for (index_t rank = leaf.begin; rank < leaf.end; ++rank) {
+        const index_t p = slot_of_rank[static_cast<std::size_t>(rank)];
+        if (pending[static_cast<std::size_t>(p)] == 0) continue;
+        double& floor = star_floor[static_cast<std::size_t>(p)];
+        floor = std::max(floor, r);
+        settle(p, r);
+      }
+      return true;
+    };
+    constexpr std::size_t kLeavesPerChunk = 8;
+    constexpr index_t kQueriesPerChunk = 256;
+    const int leaf_chunks =
+        static_cast<int>((leaves.size() + kLeavesPerChunk - 1) / kLeavesPerChunk);
+    const int num_chunks =
+        leaf_chunks + static_cast<int>((n - indexed_ + kQueriesPerChunk - 1) / kQueriesPerChunk);
+    auto query_chunk = [&](int chunk) {
+      if (chunk < leaf_chunks) {
+        const std::size_t first = static_cast<std::size_t>(chunk) * kLeavesPerChunk;
+        for (const spatial::KdTree::Leaf& leaf :
+             leaves.subspan(first, std::min(kLeavesPerChunk, leaves.size() - first))) {
+          const index_t shared = notes_.node_component[static_cast<std::size_t>(leaf.node)];
+          if (shared != kNone && leaf_answered(leaf, shared)) continue;
+          for (index_t rank = leaf.begin; rank < leaf.end; ++rank) {
+            const index_t p = slot_of_rank[static_cast<std::size_t>(rank)];
+            if (pending[static_cast<std::size_t>(p)] != 0) resolve(p);
+          }
+        }
+        return;
+      }
+      const index_t lo = indexed_ + static_cast<index_t>(chunk - leaf_chunks) * kQueriesPerChunk;
+      const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
+      for (index_t p = lo; p < hi; ++p)
+        if (pending[static_cast<std::size_t>(p)] != 0) resolve(p);
     };
     exec_->run_chunks(num_chunks, exec_->num_threads(), query_chunk);
 
@@ -648,6 +801,7 @@ void DynamicClustering::erase(std::span<const index_t> ids) {
     sorted_ = {};
     tree_.reset();
     indexed_ = 0;
+    drift_ = 0;
     replay_dendrogram();
     healthy_ = true;
     erase_metric().observe(timer.seconds());
@@ -656,9 +810,12 @@ void DynamicClustering::erase(std::span<const index_t> ids) {
 
   // Stable slot compaction: survivors keep their relative order, so the
   // rebuilt-from-scratch reference over points() sees the same point order.
+  // In place and serial (a slot only moves down); `coords()` is fetched once,
+  // as each call invalidates the SoA mirror.
   auto remap_lease = workspace.take_uninit<index_t>(n_old);
   const std::span<index_t> remap = remap_lease.span();
-  const int dim = points_->dim();
+  const auto dim = static_cast<std::size_t>(points_->dim());
+  std::vector<double>& coords = points_->coords();
   index_t next_slot = 0;
   for (index_t s = 0; s < n_old; ++s) {
     if (alive[static_cast<std::size_t>(s)] == 0) {
@@ -668,39 +825,44 @@ void DynamicClustering::erase(std::span<const index_t> ids) {
     const index_t d = next_slot++;
     remap[static_cast<std::size_t>(s)] = d;
     if (d != s) {
-      std::copy_n(points_->coords().begin() +
-                      static_cast<std::size_t>(s) * static_cast<std::size_t>(dim),
-                  static_cast<std::size_t>(dim),
-                  points_->coords().begin() +
-                      static_cast<std::size_t>(d) * static_cast<std::size_t>(dim));
+      std::copy_n(coords.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(s) * dim),
+                  dim,
+                  coords.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(d) * dim));
       id_of_slot_[static_cast<std::size_t>(d)] = id_of_slot_[static_cast<std::size_t>(s)];
     }
   }
-  points_->coords().resize(static_cast<std::size_t>(n_new) * static_cast<std::size_t>(dim));
+  coords.resize(static_cast<std::size_t>(n_new) * dim);
   id_of_slot_.resize(static_cast<std::size_t>(n_new));
-  for (index_t s = 0; s < n_new; ++s)
-    slot_of_id_[static_cast<std::size_t>(id_of_slot_[static_cast<std::size_t>(s)])] = s;
+  exec::parallel_for(*exec_, n_new, [&](size_type s) {
+    slot_of_id_[static_cast<std::size_t>(id_of_slot_[static_cast<std::size_t>(s)])] =
+        static_cast<index_t>(s);
+  });
 
-  // Compaction moved the indexed coordinates: rebuild the kd index now (it
-  // is also what re-joining the splinters queries).
-  rebuild_index();
+  // Compaction moved the indexed coordinates: re-index now (the splinter
+  // join below queries the index).
+  reindex_after_erase(remap);
 
   // Splinter: every surviving edge provably stays in the new EMST (erasing
   // points removes paths, never adds them), so the survivors' components
   // only need minimum-weight re-joining — the component-restricted Borůvka
-  // entry of spatial::emst.
+  // entry of spatial::emst.  The union-find hooks larger roots under
+  // smaller ones, so the concurrent unions reach the same roots in any
+  // order.
   const auto e_old = static_cast<size_type>(edges_.size());
-  std::vector<char> keep(static_cast<std::size_t>(e_old), 0);
+  std::vector<char> keep(static_cast<std::size_t>(e_old));
   graph::ConcurrentUnionFind uf(n_new);
-  for (size_type i = 0; i < e_old; ++i) {
-    graph::WeightedEdge& e = edges_[static_cast<std::size_t>(i)];
+  exec::parallel_for(*exec_, e_old, [&](size_type i) {
+    const graph::WeightedEdge& e = edges_[static_cast<std::size_t>(i)];
     const index_t u = remap[static_cast<std::size_t>(e.u)];
     const index_t v = remap[static_cast<std::size_t>(e.v)];
-    if (u == kNone || v == kNone) continue;
-    keep[static_cast<std::size_t>(i)] = 1;
-    uf.unite(u, v);
+    keep[static_cast<std::size_t>(i)] = u != kNone && v != kNone ? 1 : 0;
+    if (keep[static_cast<std::size_t>(i)] != 0) uf.unite(u, v);
+  });
+  graph::EdgeList added;
+  {
+    const exec::ScopedSpan join_span(*exec_, "dyn.join");
+    added = spatial::join_components_emst(*exec_, *points_, *tree_, uf);
   }
-  graph::EdgeList added = spatial::join_components_emst(*exec_, *points_, *tree_, uf);
 
   finish_update(keep, added, remap, n_new);
   healthy_ = true;
@@ -745,6 +907,7 @@ hdbscan::HdbscanResult DynamicClustering::hdbscan(const hdbscan::HdbscanOptions&
 
 ArtifactBundle DynamicClustering::capture_artifacts() const {
   PANDORA_EXPECT(healthy_, "stream poisoned by an earlier failed update");
+  const exec::ScopedSpan span(*exec_, "dyn.capture");
   ArtifactBundle bundle;
   bundle.epoch = epoch_;
   bundle.points = std::make_shared<const spatial::PointSet>(*points_);

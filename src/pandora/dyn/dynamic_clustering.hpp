@@ -40,7 +40,8 @@ struct UpdateStats {
   std::uint64_t edges_removed = 0;    ///< EMST edges displaced or dropped
   std::uint64_t boruvka_rounds = 0;   ///< insert-repair rounds across all updates
   std::uint64_t doubtful_edges = 0;   ///< maintained edges inserts could not pre-merge
-  std::uint64_t index_rebuilds = 0;   ///< kd-index rebuilds (tail overflow / erase)
+  std::uint64_t index_rebuilds = 0;   ///< kd-index builds (bulk load, tail or drift overflow)
+  std::uint64_t index_patches = 0;    ///< erases that patched the kd index instead
 };
 
 /// One epoch of a stream, captured as an immutable unit: deep copies of the
@@ -79,11 +80,15 @@ struct ArtifactBundle {
 /// go through Borůvka rounds over workspace-leased scratch, whose star
 /// queries go to the kd index, its unindexed tail and the batch tree,
 /// bounded by each component's running minimum — equivalently, the heaviest
-/// edge on every cycle the candidate edges create is dropped.  `erase` removes points, splinters
-/// the tree into the surviving components (every surviving edge provably
-/// stays in the new MST) and re-joins them through the component-restricted
-/// Borůvka entry of `spatial::emst`.  Both paths are *exact*: after any
-/// update the maintained tree is a true EMST of the live points.
+/// edge on every cycle the candidate edges create is dropped.  `erase`
+/// removes points, patches the kd index (`KdTree::patch`: the erased points
+/// leave their leaves and the unindexed tail joins them; a rebuild once the
+/// points erased or absorbed since the last build pass a fraction of n, or
+/// a leaf would be left empty or overfull), splinters the tree into the
+/// surviving components (every surviving edge provably stays in the new
+/// MST) and re-joins them through the component-restricted Borůvka entry of
+/// `spatial::emst`.  Both paths are *exact*: after any update the maintained
+/// tree is a true EMST of the live points.
 ///
 /// **Dendrogram replay.**  Updates renumber the surviving edges, merge the
 /// small sorted delta into the maintained `SortedEdges` run
@@ -215,6 +220,11 @@ class DynamicClustering {
                      std::span<const index_t> vertex_remap, index_t num_vertices);
 
   void rebuild_index();
+  /// Re-indexes after an erase compacted the slots (`remap`: old slot ->
+  /// new slot or kNone): patches the kd index, or rebuilds it when the
+  /// patch is refused (a leaf left empty or overfull) or the drift budget
+  /// is spent.
+  void reindex_after_erase(std::span<const index_t> remap);
   void replay_dendrogram();
 
   const exec::Executor* exec_;
@@ -233,6 +243,7 @@ class DynamicClustering {
 
   std::unique_ptr<spatial::KdTree> tree_;  ///< over slots [0, indexed_)
   index_t indexed_ = 0;
+  index_t drift_ = 0;                      ///< points erased or absorbed since the last build
   spatial::KdTreeAnnotations notes_;       ///< reused across Borůvka rounds
 
   std::uint64_t epoch_ = 0;

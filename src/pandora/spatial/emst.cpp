@@ -88,22 +88,37 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const KdTree& tree,
   constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();
   exec::Workspace& workspace = exec.workspace();
   const std::span<const index_t> id_of = tree.tree_order();
-  std::vector<index_t> component(static_cast<std::size_t>(n));  // per rank: its label
+  // Per-call scratch is leased from the executor's arena, and the parallel
+  // passes below give it its first touch.
+  auto component_lease = workspace.take_uninit<index_t>(n);  // per rank: its label
+  const std::span<index_t> component = component_lease.span();
   index_t live = initial_components(exec, tree, seed, component);
   // Per label: the component's minimum score bits, and its winner, the
   // smallest (id, rank) key among the points attaining that minimum.
-  std::vector<std::uint64_t> best_weight(static_cast<std::size_t>(live), kInf);
-  std::vector<std::uint64_t> best_point(static_cast<std::size_t>(live), kInf);
+  auto best_weight_lease = workspace.take_uninit<std::uint64_t>(live);
+  const std::span<std::uint64_t> best_weight = best_weight_lease.span();
+  auto best_point_lease = workspace.take_uninit<std::uint64_t>(live);
+  const std::span<std::uint64_t> best_point = best_point_lease.span();
   // Per label during the hook: the label its winner's partner carries (then
   // the label the component takes next round), and its set in the hook's
   // union-find.
-  std::vector<index_t> target(static_cast<std::size_t>(live));
-  std::vector<index_t> parent(static_cast<std::size_t>(live));
+  auto target_lease = workspace.take_uninit<index_t>(live);
+  const std::span<index_t> target = target_lease.span();
+  auto parent_lease = workspace.take_uninit<index_t>(live);
+  const std::span<index_t> parent = parent_lease.span();
+  exec::parallel_for(exec, live, [&](size_type c) {
+    best_weight[static_cast<std::size_t>(c)] = kInf;
+    best_point[static_cast<std::size_t>(c)] = kInf;
+  });
   // Per rank: its exact (score, id) candidate, or — with index kNone — a
   // lower bound on every foreign (other-component) score of the point in
   // the score slot.  Components only merge, so a point's foreign set only
   // shrinks and the bound stays valid across rounds.
-  std::vector<Neighbor> point_best(static_cast<std::size_t>(n), Neighbor{0.0, kNone});
+  auto point_best_lease = workspace.take_uninit<Neighbor>(n);
+  const std::span<Neighbor> point_best = point_best_lease.span();
+  exec::parallel_for(exec, n, [&](size_type p) {
+    point_best[static_cast<std::size_t>(p)] = Neighbor{0.0, kNone};
+  });
   // Room for one proposed edge per component: phase 3 writes the proposals
   // behind the accepted edges and compacts them in place.
   mst.reserve(static_cast<std::size_t>(live));
@@ -227,37 +242,75 @@ graph::EdgeList boruvka_emst(const exec::Executor& exec, const KdTree& tree,
     // already exceeds the radius cannot attain the minimum and skips its
     // query; a query finding nothing within the radius proves every foreign
     // score exceeds it, so the radius becomes the point's lower bound.  Both
-    // keep kNone and are reconsidered next round.  Queries walk the ranks in
-    // order so neighbouring queries tighten each other's radius early.
-    constexpr index_t kQueriesPerChunk = 256;
-    const int num_chunks = static_cast<int>((n + kQueriesPerChunk - 1) / kQueriesPerChunk);
+    // keep kNone and are reconsidered next round.  Queries walk the leaves
+    // in rank order so neighbouring queries tighten each other's radius
+    // early.
+    //
+    // A leaf whose points all belong to one component c first takes one box
+    // test against c's running minimum r when two or more of its points
+    // would query: when no foreign point can score within r of the leaf's
+    // box (Euclidean gap, raised by the core distances under mutual
+    // reachability), each of those queries would find nothing, so each
+    // point stores r as its bound, exactly as its empty query would.
+    constexpr std::size_t kLeavesPerChunk = 8;
+    const std::span<const KdTree::Leaf> leaves = tree.leaves();
+    const int num_chunks =
+        static_cast<int>((leaves.size() + kLeavesPerChunk - 1) / kLeavesPerChunk);
     obs::Counter& queries = queries_metric(mst.empty());
+    const auto radius_of = [&](index_t c) {
+      const std::uint64_t bound =
+          std::atomic_ref<std::uint64_t>(best_weight[static_cast<std::size_t>(c)])
+              .load(std::memory_order_relaxed);
+      // kInf bit-casts to a NaN, not +inf.
+      return bound == kInf ? std::numeric_limits<double>::infinity() : std::bit_cast<double>(bound);
+    };
+    const auto leaf_answered = [&](const KdTree::Leaf& leaf, index_t c) {
+      const double radius_sq = radius_of(c);
+      if (radius_sq == std::numeric_limits<double>::infinity()) return false;
+      const auto querying = [&](index_t p) {
+        const Neighbor& best = point_best[static_cast<std::size_t>(p)];
+        return best.index == kNone && best.squared_distance <= radius_sq;
+      };
+      int count = 0;
+      for (index_t p = leaf.begin; p < leaf.end && count < 2; ++p) count += querying(p) ? 1 : 0;
+      if (count < 2) return false;
+      // Under mutual reachability every score from the leaf is at least its
+      // smallest core distance.
+      const std::span<const double> leaf_core_sq = use_mreach ? core_sq : std::span<const double>{};
+      if ((!use_mreach || notes.node_min_core[static_cast<std::size_t>(leaf.node)] <= radius_sq) &&
+          tree.any_foreign_near_box(tree.box_lo(leaf), tree.box_hi(leaf), c, component,
+                                    leaf_core_sq, notes, radius_sq))
+        return false;
+      for (index_t p = leaf.begin; p < leaf.end; ++p)
+        if (querying(p)) point_best[static_cast<std::size_t>(p)].squared_distance = radius_sq;
+      return true;
+    };
     auto query_chunk = [&](int chunk) {
-      const index_t lo = static_cast<index_t>(chunk) * kQueriesPerChunk;
-      const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
+      const std::size_t first = static_cast<std::size_t>(chunk) * kLeavesPerChunk;
       std::uint64_t issued = 0;
-      for (index_t p = lo; p < hi; ++p) {
-        const index_t c = component[static_cast<std::size_t>(p)];
-        Neighbor& best = point_best[static_cast<std::size_t>(p)];
-        if (c == passive || best.index != kNone) continue;
-        std::uint64_t& slot = best_weight[static_cast<std::size_t>(c)];
-        const std::uint64_t bound =
-            std::atomic_ref<std::uint64_t>(slot).load(std::memory_order_relaxed);
-        // kInf bit-casts to a NaN, not +inf.
-        const double radius_sq =
-            bound == kInf ? std::numeric_limits<double>::infinity() : std::bit_cast<double>(bound);
-        if (best.squared_distance > radius_sq) continue;
-        ++issued;
-        const Neighbor nb =
-            use_mreach
-                ? tree.nearest_other_component_mreach(p, c, component, core_sq, notes, radius_sq)
-                : tree.nearest_other_component(p, c, component, notes, radius_sq);
-        if (nb.index == kNone) {
-          best.squared_distance = radius_sq;
-          continue;
+      for (const KdTree::Leaf& leaf :
+           leaves.subspan(first, std::min(kLeavesPerChunk, leaves.size() - first))) {
+        const index_t shared = notes.node_component[static_cast<std::size_t>(leaf.node)];
+        if (shared != kNone && (shared == passive || leaf_answered(leaf, shared))) continue;
+        for (index_t p = leaf.begin; p < leaf.end; ++p) {
+          const index_t c = component[static_cast<std::size_t>(p)];
+          Neighbor& best = point_best[static_cast<std::size_t>(p)];
+          if (c == passive || best.index != kNone) continue;
+          const double radius_sq = radius_of(c);
+          if (best.squared_distance > radius_sq) continue;
+          ++issued;
+          const Neighbor nb =
+              use_mreach
+                  ? tree.nearest_other_component_mreach(p, c, component, core_sq, notes, radius_sq)
+                  : tree.nearest_other_component(p, c, component, notes, radius_sq);
+          if (nb.index == kNone) {
+            best.squared_distance = radius_sq;
+            continue;
+          }
+          best = nb;
+          exec::atomic_fetch_min(best_weight[static_cast<std::size_t>(c)],
+                                 exec::order_preserving_bits(nb.squared_distance));
         }
-        best = nb;
-        exec::atomic_fetch_min(slot, exec::order_preserving_bits(nb.squared_distance));
       }
       if (issued > 0) queries.inc(issued);
     };

@@ -22,8 +22,11 @@ namespace pandora::spatial {
 /// earlier round still points outside its component reuses it; every other
 /// point queries its nearest neighbour outside its component, bounded as in
 /// [39] by the component's running minimum, so subtrees that cannot beat
-/// the best edge found so far are pruned.  Queries walk the kd-tree's leaf
-/// order in dynamically scheduled chunks.  The bound only drops candidates
+/// the best edge found so far are pruned.  Queries walk the kd-tree's leaves
+/// in dynamically scheduled chunks; a leaf inside one component first takes
+/// one box test against that component's minimum, and when nothing foreign
+/// lies within it, its points store the minimum as their bound, exactly as
+/// their empty queries would.  The bound only drops candidates
 /// that cannot win (ties at the bound are kept), so the edges and their
 /// order are those of unbounded queries.  Deterministic under distance ties
 /// and across backends.

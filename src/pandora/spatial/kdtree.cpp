@@ -8,6 +8,7 @@
 #include "pandora/common/expect.hpp"
 #include "pandora/exec/fingerprint.hpp"
 #include "pandora/exec/parallel.hpp"
+#include "pandora/exec/scan.hpp"
 #include "pandora/spatial/distance.hpp"
 
 namespace pandora::spatial {
@@ -109,9 +110,19 @@ KdTree::KdTree(const PointSet& points, int leaf_size, const exec::Executor* exec
     build_subtree(s.id, s.begin, s.end, keys);
   };
   if (!level.empty()) run(level.size(), build_level);
+  index_leaves();
+}
 
-  for (const Node& nd : nodes_)
-    if (nd.left == kNone) max_leaf_count_ = std::max(max_leaf_count_, nd.end - nd.begin);
+void KdTree::index_leaves() {
+  // Preorder visits the leaves left to right, i.e. in rank order.
+  leaves_.clear();
+  max_leaf_count_ = 0;
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    const Node& nd = nodes_[id];
+    if (nd.left != kNone) continue;
+    leaves_.push_back({static_cast<index_t>(id), nd.begin, nd.end});
+    max_leaf_count_ = std::max(max_leaf_count_, nd.end - nd.begin);
+  }
 }
 
 void KdTree::build_subtree(index_t id, index_t begin, index_t end, SplitKeys& keys) {
@@ -430,29 +441,34 @@ Neighbor KdTree::nearest_other_component(std::span<const double> query, index_t 
   return found_or_none(best);
 }
 
-bool KdTree::any_near_box(std::span<const double> lo, std::span<const double> hi,
-                          double radius_sq, std::span<const double> core_sq,
-                          const KdTreeAnnotations& notes) const {
-  if (size() == 0) return false;
+namespace {
+
+/// Squared gap between the box [lo, hi] and the interval [a, b] on axis d.
+/// For a point x in [lo, hi] and a <= b, the gap never exceeds the rounded
+/// |x[d] - a| or |x[d] - b| (rounding is monotone), so a sum of these in
+/// ascending d never exceeds a kernel's squared distance.
+double axis_gap_sq(const double* lo, const double* hi, int d, double a, double b) {
+  const double gap = b < lo[d] ? lo[d] - b : a > hi[d] ? a - hi[d] : 0.0;
+  return gap * gap;
+}
+
+}  // namespace
+
+template <class NodeOk, class PointOk>
+bool KdTree::any_near(const double* lo, const double* hi, double radius_sq,
+                      const NodeOk& node_ok, const PointOk& point_ok) const {
   const std::size_t n = perm_.size();
-  // Squared gap between [lo, hi] and the interval [a, b] on one axis.
-  const auto gap_sq = [&](int d, double a, double b) {
-    const double gap = b < lo[static_cast<std::size_t>(d)]   ? lo[static_cast<std::size_t>(d)] - b
-                       : a > hi[static_cast<std::size_t>(d)] ? a - hi[static_cast<std::size_t>(d)]
-                                                             : 0.0;
-    return gap * gap;
-  };
   std::vector<Deferred>& stack = descent_stack();
   stack.push_back({0, 0.0});
   while (!stack.empty()) {
     const index_t node = stack.back().node;
     stack.pop_back();
-    if (notes.node_min_core[static_cast<std::size_t>(node)] > radius_sq) continue;
+    if (!node_ok(node)) continue;
     const std::size_t base = static_cast<std::size_t>(node) * static_cast<std::size_t>(dim_);
     double box_sq = 0;
     for (int d = 0; d < dim_; ++d)
-      box_sq += gap_sq(d, box_lo_[base + static_cast<std::size_t>(d)],
-                       box_hi_[base + static_cast<std::size_t>(d)]);
+      box_sq += axis_gap_sq(lo, hi, d, box_lo_[base + static_cast<std::size_t>(d)],
+                            box_hi_[base + static_cast<std::size_t>(d)]);
     if (box_sq > radius_sq) continue;
     const Node& nd = nodes_[static_cast<std::size_t>(node)];
     if (nd.left != kNone) {
@@ -461,16 +477,239 @@ bool KdTree::any_near_box(std::span<const double> lo, std::span<const double> hi
       continue;
     }
     for (index_t i = nd.begin; i < nd.end; ++i) {
-      if (core_sq[static_cast<std::size_t>(i)] > radius_sq) continue;
       double point_sq = 0;
       for (int d = 0; d < dim_; ++d) {
         const double c = columns_[static_cast<std::size_t>(d) * n + static_cast<std::size_t>(i)];
-        point_sq += gap_sq(d, c, c);
+        point_sq += axis_gap_sq(lo, hi, d, c, c);
       }
-      if (point_sq <= radius_sq) return true;
+      if (point_sq <= radius_sq && point_ok(i)) return true;
     }
   }
   return false;
+}
+
+bool KdTree::any_near_box(std::span<const double> lo, std::span<const double> hi,
+                          double radius_sq, std::span<const double> core_sq,
+                          const KdTreeAnnotations& notes) const {
+  if (size() == 0) return false;
+  return any_near(
+      lo.data(), hi.data(), radius_sq,
+      [&](index_t node) {
+        return notes.node_min_core[static_cast<std::size_t>(node)] <= radius_sq;
+      },
+      [&](index_t i) { return core_sq[static_cast<std::size_t>(i)] <= radius_sq; });
+}
+
+bool KdTree::any_foreign_near_box(std::span<const double> lo, std::span<const double> hi,
+                                  index_t my_component, std::span<const index_t> component,
+                                  std::span<const double> core_sq, const KdTreeAnnotations& notes,
+                                  double radius_sq) const {
+  if (size() == 0) return false;
+  const bool mreach = !core_sq.empty();
+  return any_near(
+      lo.data(), hi.data(), radius_sq,
+      [&](index_t node) {
+        const auto at = static_cast<std::size_t>(node);
+        return notes.node_component[at] != my_component &&
+               (!mreach || notes.node_min_core[at] <= radius_sq);
+      },
+      [&](index_t i) {
+        const auto at = static_cast<std::size_t>(i);
+        return component[at] != my_component && (!mreach || core_sq[at] <= radius_sq);
+      });
+}
+
+void KdTree::nearest_in(const exec::Executor& exec, const KdTree& other,
+                        std::span<Neighbor> out) const {
+  PANDORA_EXPECT(out.size() == perm_.size(), "one result per point required");
+  PANDORA_EXPECT(other.dim_ == dim_, "both trees must share the dimensionality");
+  if (other.size() == 0) {
+    exec::parallel_for(exec, size(), [&](size_type r) { out[static_cast<std::size_t>(r)] = {}; });
+    return;
+  }
+  const auto dim = static_cast<std::size_t>(dim_);
+  const std::size_t n = perm_.size();
+  const std::size_t other_n = other.perm_.size();
+  constexpr std::size_t kLeavesPerChunk = 8;
+  const int num_chunks = static_cast<int>((leaves_.size() + kLeavesPerChunk - 1) / kLeavesPerChunk);
+  auto per_chunk = [&](int chunk) {
+    // thread_local: a warm thread's leaves allocate nothing.
+    thread_local std::vector<double> x;          // the leaf's points, row-major
+    thread_local std::vector<double> candidates;  // candidate coordinates, row-major
+    thread_local std::vector<index_t> candidate_rank;
+    thread_local std::vector<Neighbor> first;
+    const std::size_t begin_leaf = static_cast<std::size_t>(chunk) * kLeavesPerChunk;
+    for (const Leaf& leaf : std::span<const Leaf>(leaves_).subspan(
+             begin_leaf, std::min(kLeavesPerChunk, leaves_.size() - begin_leaf))) {
+      const auto count = static_cast<std::size_t>(leaf.end - leaf.begin);
+      x.resize(count * dim);
+      for (std::size_t i = 0; i < count; ++i)
+        for (std::size_t d = 0; d < dim; ++d)
+          x[i * dim + d] = columns_[d * n + static_cast<std::size_t>(leaf.begin) + i];
+      other.knn(std::span<const double>(x.data(), dim), 1, first);
+      const std::span<const double> q0 = other.points().point(first.front().index);
+      double radius_sq = 0;
+      for (std::size_t i = 0; i < count; ++i)
+        radius_sq = std::max(radius_sq,
+                             distance::squared_distance(x.data() + i * dim, q0.data(), dim_));
+      candidate_rank.clear();
+      const std::size_t base = static_cast<std::size_t>(leaf.node) * dim;
+      (void)other.any_near(
+          box_lo_.data() + base, box_hi_.data() + base, radius_sq, [](index_t) { return true; },
+          [&](index_t rank) {
+            candidate_rank.push_back(rank);
+            return false;
+          });
+      candidates.resize(candidate_rank.size() * dim);
+      for (std::size_t c = 0; c < candidate_rank.size(); ++c)
+        for (std::size_t d = 0; d < dim; ++d)
+          candidates[c * dim + d] =
+              other.columns_[d * other_n + static_cast<std::size_t>(candidate_rank[c])];
+      for (std::size_t i = 0; i < count; ++i) {
+        Neighbor best;
+        for (std::size_t c = 0; c < candidate_rank.size(); ++c) {
+          const double sq =
+              distance::squared_distance(x.data() + i * dim, candidates.data() + c * dim, dim_);
+          const Neighbor cand{sq, other.perm_[static_cast<std::size_t>(candidate_rank[c])],
+                              candidate_rank[c]};
+          if (cand < best) best = cand;
+        }
+        out[static_cast<std::size_t>(leaf.begin) + i] = best;
+      }
+    }
+  };
+  exec.run_chunks(num_chunks, exec.num_threads(), per_chunk);
+}
+
+bool KdTree::patch(const exec::Executor& exec, std::span<const index_t> remap) {
+  const index_t n_old = size();
+  PANDORA_EXPECT(static_cast<index_t>(remap.size()) == n_old, "one remap entry per indexed point");
+  if (n_old == 0) return false;
+  const index_t n_new = points_->size();
+  const auto num_leaves = static_cast<size_type>(leaves_.size());
+  exec::Workspace& workspace = exec.workspace();
+
+  // Survivors per leaf, and the leaf every absorbed point descends to.
+  auto count_lease = workspace.take<index_t>(num_leaves + 1, 0);
+  const std::span<index_t> count = count_lease.span();
+  exec::parallel_for(exec, num_leaves, [&](size_type l) {
+    const Leaf& leaf = leaves_[static_cast<std::size_t>(l)];
+    index_t kept = 0;
+    for (index_t r = leaf.begin; r < leaf.end; ++r)
+      kept += remap[static_cast<std::size_t>(perm_[static_cast<std::size_t>(r)])] != kNone ? 1 : 0;
+    count[static_cast<std::size_t>(l)] = kept;
+  });
+  const index_t survivors = exec::parallel_sum(
+      exec, num_leaves, index_t{0},
+      [&](size_type l) { return count[static_cast<std::size_t>(l)]; });
+  PANDORA_EXPECT(survivors <= n_new, "more survivors than points");
+  const index_t absorbed = n_new - survivors;
+  auto leaf_of_lease = workspace.take_uninit<index_t>(absorbed);
+  const std::span<index_t> leaf_of = leaf_of_lease.span();
+  exec::parallel_for(exec, absorbed, [&](size_type j) {
+    const std::span<const double> x = points_->point(survivors + static_cast<index_t>(j));
+    index_t node = 0;
+    for (const Node* nd = &nodes_[0]; nd->left != kNone;
+         nd = &nodes_[static_cast<std::size_t>(node)])
+      node = x[static_cast<std::size_t>(nd->split_dim)] <= nd->split_value ? nd->left : nd->right;
+    leaf_of[static_cast<std::size_t>(j)] = static_cast<index_t>(
+        std::lower_bound(leaves_.begin(), leaves_.end(), node,
+                         [](const Leaf& leaf, index_t id) { return leaf.node < id; }) -
+        leaves_.begin());
+  });
+  // Absorbed points per leaf, in id order: a counting sort (the absorbed
+  // tail is a fraction of the points, and the pass only counts).
+  auto absorbed_offset_lease = workspace.take<index_t>(num_leaves + 1, 0);
+  const std::span<index_t> absorbed_offset = absorbed_offset_lease.span();
+  for (const index_t l : leaf_of) ++absorbed_offset[static_cast<std::size_t>(l)];
+  // No leaf may be left empty (annotations read every leaf's first point)
+  // or grow past twice the leaf size a build makes: points inserted outside
+  // the indexed region would otherwise pile into one edge leaf, which every
+  // query reaching it scans point by point.
+  for (size_type l = 0; l < num_leaves; ++l) {
+    const index_t size =
+        count[static_cast<std::size_t>(l)] + absorbed_offset[static_cast<std::size_t>(l)];
+    if (size == 0 || size > 2 * leaf_size_) return false;
+  }
+  exec::parallel_for(exec, num_leaves, [&](size_type l) {
+    count[static_cast<std::size_t>(l)] += absorbed_offset[static_cast<std::size_t>(l)];
+  });
+  (void)exec::exclusive_scan<index_t>(exec, std::span<const index_t>(count), count);
+  (void)exec::exclusive_scan<index_t>(exec, std::span<const index_t>(absorbed_offset),
+                                      absorbed_offset);
+  auto absorbed_lease = workspace.take_uninit<index_t>(absorbed);
+  const std::span<index_t> absorbed_ids = absorbed_lease.span();
+  {
+    auto cursor_lease = workspace.take_uninit<index_t>(num_leaves);
+    const std::span<index_t> cursor = cursor_lease.span();
+    std::copy_n(absorbed_offset.begin(), num_leaves, cursor.begin());
+    for (index_t j = 0; j < absorbed; ++j)
+      absorbed_ids[static_cast<std::size_t>(cursor[static_cast<std::size_t>(
+          leaf_of[static_cast<std::size_t>(j)])]++)] = survivors + j;
+  }
+
+  // Each leaf writes its survivors in rank order, then its absorbed points
+  // in id order, into the new rank order.
+  std::vector<index_t> perm(static_cast<std::size_t>(n_new));
+  std::vector<double> columns(static_cast<std::size_t>(n_new) * static_cast<std::size_t>(dim_));
+  const auto old_stride = static_cast<std::size_t>(n_old);
+  const auto new_stride = static_cast<std::size_t>(n_new);
+  exec::parallel_for(exec, num_leaves, [&](size_type li) {
+    const auto l = static_cast<std::size_t>(li);
+    Leaf& leaf = leaves_[l];
+    auto at = static_cast<std::size_t>(count[l]);
+    for (index_t r = leaf.begin; r < leaf.end; ++r) {
+      const index_t id = remap[static_cast<std::size_t>(perm_[static_cast<std::size_t>(r)])];
+      if (id == kNone) continue;
+      perm[at] = id;
+      for (int d = 0; d < dim_; ++d)
+        columns[static_cast<std::size_t>(d) * new_stride + at] =
+            columns_[static_cast<std::size_t>(d) * old_stride + static_cast<std::size_t>(r)];
+      ++at;
+    }
+    for (index_t a = absorbed_offset[l]; a < absorbed_offset[l + 1]; ++a) {
+      const index_t id = absorbed_ids[static_cast<std::size_t>(a)];
+      const std::span<const double> x = points_->point(id);
+      perm[at] = id;
+      for (int d = 0; d < dim_; ++d)
+        columns[static_cast<std::size_t>(d) * new_stride + at] = x[static_cast<std::size_t>(d)];
+      ++at;
+    }
+    leaf.begin = count[l];
+    leaf.end = static_cast<index_t>(at);
+  });
+  perm_ = std::move(perm);
+  columns_ = std::move(columns);
+
+  // Leaves take their new ranges and tight boxes; internal nodes fold their
+  // children's, bottom-up (children have larger ids than their parent).
+  exec::parallel_for(exec, num_leaves, [&](size_type l) {
+    const Leaf& leaf = leaves_[static_cast<std::size_t>(l)];
+    Node& nd = nodes_[static_cast<std::size_t>(leaf.node)];
+    nd.begin = leaf.begin;
+    nd.end = leaf.end;
+    update_box(leaf.node);
+  });
+  const auto dim = static_cast<std::size_t>(dim_);
+  for (auto id = static_cast<std::ptrdiff_t>(nodes_.size()) - 1; id >= 0; --id) {
+    Node& nd = nodes_[static_cast<std::size_t>(id)];
+    if (nd.left == kNone) continue;
+    const Node& left = nodes_[static_cast<std::size_t>(nd.left)];
+    const Node& right = nodes_[static_cast<std::size_t>(nd.right)];
+    nd.begin = left.begin;
+    nd.end = right.end;
+    const std::size_t base = static_cast<std::size_t>(id) * dim;
+    const std::size_t l = static_cast<std::size_t>(nd.left) * dim;
+    const std::size_t r = static_cast<std::size_t>(nd.right) * dim;
+    for (std::size_t d = 0; d < dim; ++d) {
+      box_lo_[base + d] = std::min(box_lo_[l + d], box_lo_[r + d]);
+      box_hi_[base + d] = std::max(box_hi_[l + d], box_hi_[r + d]);
+    }
+  }
+  max_leaf_count_ = 0;
+  for (const Leaf& leaf : leaves_)
+    max_leaf_count_ = std::max(max_leaf_count_, leaf.end - leaf.begin);
+  return true;
 }
 
 namespace {

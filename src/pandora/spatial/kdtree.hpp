@@ -69,7 +69,8 @@ struct KdTreeAnnotations {
 /// split then permutes its range of each column along with the ids, so
 /// boxes and median selections read contiguous memory.
 ///
-/// The tree is immutable after construction; all queries are const.  Round
+/// All queries are const, and only `patch` (the dynamic subsystem's
+/// re-index after erases, on a tree it owns) changes a built tree.  Round
 /// state lives in a caller-owned `KdTreeAnnotations` (see above), which is
 /// what lets a cached tree serve concurrent batch queries.
 ///
@@ -177,6 +178,70 @@ class KdTree {
       std::span<const double> core_sq, const KdTreeAnnotations& notes,
       double radius_sq = std::numeric_limits<double>::infinity()) const;
 
+  /// A leaf: its node id (the index into KdTreeAnnotations' per-node
+  /// arrays) and its rank range [begin, end).
+  struct Leaf {
+    index_t node = kNone;
+    index_t begin = 0, end = 0;
+  };
+
+  /// The leaves in rank order; their ranges tile [0, size()).
+  [[nodiscard]] std::span<const Leaf> leaves() const { return leaves_; }
+
+  /// The tight bounding box of a leaf: its low and high corner.
+  [[nodiscard]] std::span<const double> box_lo(const Leaf& leaf) const {
+    return {box_lo_.data() + static_cast<std::size_t>(leaf.node) * static_cast<std::size_t>(dim_),
+            static_cast<std::size_t>(dim_)};
+  }
+  [[nodiscard]] std::span<const double> box_hi(const Leaf& leaf) const {
+    return {box_hi_.data() + static_cast<std::size_t>(leaf.node) * static_cast<std::size_t>(dim_),
+            static_cast<std::size_t>(dim_)};
+  }
+
+  /// Whether some point outside `my_component` lies within squared gap
+  /// `radius_sq` of the box [lo, hi] (distance 0 inside it) and, with
+  /// `core_sq` non-empty (rank-indexed squared core distances), has a core
+  /// distance within it too.  `notes` must hold the components (and, with
+  /// `core_sq`, annotate_min_core's minima of it).  The gap never exceeds
+  /// the kernels' distance from a point inside the box, so false proves that
+  /// a component query from any point in the box, bounded by `radius_sq`,
+  /// finds nothing: Borůvka rounds answer a whole leaf's queries with one
+  /// such test.
+  [[nodiscard]] bool any_foreign_near_box(std::span<const double> lo, std::span<const double> hi,
+                                          index_t my_component,
+                                          std::span<const index_t> component,
+                                          std::span<const double> core_sq,
+                                          const KdTreeAnnotations& notes,
+                                          double radius_sq) const;
+
+  /// The nearest point of `other` to every point of this tree, rank-indexed
+  /// (`index` names the point of `other`, `rank` its rank there; a kNone
+  /// neighbour when `other` is empty).  Exact under the (squared distance,
+  /// id) order, with the kernels' distances, so each equals `other.knn(x, 1)`
+  /// for the point's coordinates x.  One leaf at a time: the nearest point q0
+  /// to the leaf's first point bounds every other point's nearest distance by
+  /// its distance to q0, so the leaf's points compare only the points of
+  /// `other` within the largest such distance of the leaf's box.  The
+  /// dynamic subsystem's insert finds every established point's nearest new
+  /// point this way.
+  void nearest_in(const exec::Executor& exec, const KdTree& other, std::span<Neighbor> out) const;
+
+  /// Re-indexes the tree in O(n) after its PointSet was compacted in place:
+  /// `remap[id]` (one entry per indexed id) is the new id of indexed point
+  /// `id`, or kNone when it was erased.  Surviving indexed points must take
+  /// the new ids [0, k); the PointSet's points [k, points().size()) are
+  /// absorbed into the leaves their coordinates descend to (at a split value
+  /// itself, the left).  Every split is kept, so every point still satisfies
+  /// its ancestors' splits; ranges, tight boxes, `tree_order()` and the
+  /// coordinate columns are recomputed.  Queries break ties on id, never on
+  /// rank, so a patched tree answers every query exactly as a tree built
+  /// over the same points.  Returns false, leaving the tree unchanged, when
+  /// a leaf would be left empty (annotations read every leaf's first point)
+  /// or would hold more than twice the build's leaf size (absorbed points
+  /// far outside the indexed region all descend to one edge leaf): the
+  /// caller rebuilds instead.
+  [[nodiscard]] bool patch(const exec::Executor& exec, std::span<const index_t> remap);
+
   /// Records into `notes`, per node, the component id shared by all points
   /// below it (or kNone if mixed); `component` is rank-indexed.  Call once
   /// per Borůvka round.
@@ -270,12 +335,24 @@ class KdTree {
   /// Squared distance from `query` to the node's bounding box.
   [[nodiscard]] double box_squared_distance(index_t node, const double* query) const;
 
+  /// Shared body of the box queries: whether some point within squared gap
+  /// `radius_sq` of the box [lo, hi] passes `point_ok(rank)`, descending
+  /// only into nodes that pass `node_ok(node)`.  `point_ok` sees every
+  /// point within the gap until one passes.
+  template <class NodeOk, class PointOk>
+  [[nodiscard]] bool any_near(const double* lo, const double* hi, double radius_sq,
+                              const NodeOk& node_ok, const PointOk& point_ok) const;
+
+  /// Lists the leaves in rank order and sizes the leaf scratch.
+  void index_leaves();
+
   const PointSet* points_ = nullptr;
   int dim_ = 0;
   int leaf_size_ = 32;
   index_t max_leaf_count_ = 0;          ///< widest leaf (scratch sizing)
   std::vector<index_t> perm_;           ///< rank -> point id, partitioned by node ranges
   std::vector<Node> nodes_;             ///< nodes_[0] is the root
+  std::vector<Leaf> leaves_;            ///< leaves in rank order
   std::vector<double> box_lo_, box_hi_; ///< per node * dim bounding boxes
   /// Rank-ordered coordinate columns: coordinate d of the point at rank r is
   /// columns_[d * n + r].  A leaf [begin, end) is then the dimension-blocked

@@ -498,7 +498,111 @@ TEST(DynamicClustering, UpdateStatsTrackTheIncrementalPath) {
 
   stream.erase(std::array{stream.id_at(0)});
   EXPECT_EQ(stats.points_erased, 1u);
-  EXPECT_EQ(stats.index_rebuilds, 2u);  // erase compaction rebuilds
+  EXPECT_EQ(stats.index_patches, 1u) << "an erase within the drift budget patches the index";
+  EXPECT_EQ(stats.index_rebuilds, 1u);
+
+  // 2 points drifted so far; 70 more pass the 64-point budget.
+  std::vector<index_t> victims;
+  for (index_t slot = 0; slot < 70; ++slot) victims.push_back(stream.id_at(slot));
+  stream.erase(victims);
+  EXPECT_EQ(stats.index_patches, 1u);
+  EXPECT_EQ(stats.index_rebuilds, 2u) << "crossing the drift budget rebuilds the index";
+  expect_equivalent_to_rebuild(stream);
+}
+
+TEST(DynamicClustering, AlternatingChurnPatchesAndRebuildsTheIndex) {
+  // 40 alternating 1% inserts and erases on blobs with duplicate points:
+  // the erases patch the kd index, cross the drift budget (12.5% of n)
+  // several times, and one erase clears a spatial ball that empties a leaf.
+  // Every update must match a cold rebuild, on both backends, and the two
+  // backends must maintain the same tree edge for edge.
+  constexpr index_t kInitial = 1600;
+  constexpr index_t kBatch = 16;
+  spatial::PointSet pool = data::gaussian_blobs(kInitial + 20 * kBatch, 2, 6, 0.04, 0.1, 71);
+  for (index_t i = 0; i < pool.size(); i += 9)  // duplicate points
+    for (int d = 0; d < 2; ++d) pool.at(i, d) = pool.at(i / 3, d);
+  std::vector<graph::EdgeList> trees[2];
+  int backend_index = 0;
+  for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+    const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
+    dyn::DynamicClustering stream(executor);
+    std::vector<index_t> live = stream.insert(slice_points(pool, 0, kInitial));
+    index_t cursor = kInitial;
+    const dyn::UpdateStats& stats = stream.stats();
+
+    // A ball of the 150 points nearest to one point: within the drift
+    // budget (200), so only an emptied leaf can make this erase rebuild.
+    {
+      const std::span<const double> center = stream.points().point(0);
+      std::vector<std::pair<double, index_t>> by_distance;
+      for (index_t s = 0; s < stream.size(); ++s)
+        by_distance.emplace_back(stream.points().squared_distance(center, s), stream.id_at(s));
+      std::sort(by_distance.begin(), by_distance.end());
+      std::vector<index_t> ball;
+      for (std::size_t i = 0; i < 150; ++i) ball.push_back(by_distance[i].second);
+      std::erase_if(live, [&](index_t id) {
+        return std::find(ball.begin(), ball.end(), id) != ball.end();
+      });
+      stream.erase(ball);
+      EXPECT_EQ(stats.index_rebuilds, 2u) << "the ball empties a leaf, so the erase rebuilds";
+      EXPECT_EQ(stats.index_patches, 0u);
+      expect_equivalent_to_rebuild(stream);
+    }
+
+    for (int round = 0; round < 40; ++round) {
+      if (round % 2 == 0) {
+        const std::vector<index_t> ids = stream.insert(slice_points(pool, cursor, kBatch));
+        cursor += kBatch;
+        live.insert(live.end(), ids.begin(), ids.end());
+      } else {
+        const std::vector<index_t> victims(live.begin(), live.begin() + kBatch);
+        live.erase(live.begin(), live.begin() + kBatch);
+        stream.erase(victims);
+      }
+      expect_equivalent_to_rebuild(stream);
+      trees[backend_index].push_back(stream.emst());
+    }
+    EXPECT_GE(stats.index_patches, 10u) << backend->name();
+    EXPECT_GE(stats.index_rebuilds, 2u + 2u) << backend->name() << ": the budget was crossed twice";
+    ++backend_index;
+  }
+  ASSERT_EQ(trees[0].size(), trees[1].size());
+  for (std::size_t i = 0; i < trees[0].size(); ++i) {
+    ASSERT_EQ(trees[0][i].size(), trees[1][i].size());
+    for (std::size_t e = 0; e < trees[0][i].size(); ++e) {
+      ASSERT_EQ(trees[0][i][e].u, trees[1][i][e].u) << "update " << i << " edge " << e;
+      ASSERT_EQ(trees[0][i][e].v, trees[1][i][e].v);
+      ASSERT_EQ(trees[0][i][e].weight, trees[1][i][e].weight);
+    }
+  }
+}
+
+TEST(DynamicClustering, EraseAfterInsertsOutsideTheIndexRebuildsIt) {
+  // A tight cluster inserted far outside the indexed unit square stays in
+  // the unindexed tail (100 points, under the 262-point budget); the next
+  // erase would absorb it all into the corner leaf, so the patch refuses
+  // and the index is rebuilt.  In-distribution churn then patches again.
+  for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+    const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
+    dyn::DynamicClustering stream(executor);
+    (void)stream.insert(data::uniform_points(2000, 2, 81));
+    const dyn::UpdateStats& stats = stream.stats();
+    spatial::PointSet far = data::uniform_points(100, 2, 82);
+    for (index_t i = 0; i < far.size(); ++i)
+      for (int d = 0; d < 2; ++d) far.at(i, d) = 3.0 + 0.1 * far.at(i, d);
+    (void)stream.insert(far);
+    EXPECT_EQ(stats.index_rebuilds, 1u) << backend->name();
+    stream.erase(std::array{stream.id_at(0)});
+    EXPECT_EQ(stats.index_patches, 0u) << backend->name();
+    EXPECT_EQ(stats.index_rebuilds, 2u) << backend->name() << ": the corner leaf would overfill";
+    expect_equivalent_to_rebuild(stream);
+
+    (void)stream.insert(data::uniform_points(20, 2, 83));
+    stream.erase(std::array{stream.id_at(1)});
+    EXPECT_EQ(stats.index_patches, 1u) << backend->name();
+    EXPECT_EQ(stats.index_rebuilds, 2u) << backend->name();
+    expect_equivalent_to_rebuild(stream);
+  }
 }
 
 }  // namespace

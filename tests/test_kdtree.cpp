@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "pandora/data/point_generators.hpp"
 #include "pandora/exec/fingerprint.hpp"
@@ -516,6 +518,256 @@ TEST(KdTree, PruningUnderTiesMatchesBruteForceOnLattice) {
             << where << " q=" << q;
       }
     }
+  }
+}
+
+/// What a tree answers, by point id and independent of its leaf order: for
+/// every id q, its 7 nearest neighbours by rank and by coordinates, its
+/// nearest point in another component (components id mod 3) by rank and by
+/// coordinates, at an unbounded and at a tight radius, the same under mutual
+/// reachability (squared core distances 1e-3 * (id mod 7)), and whether a
+/// box around it holds a point within two radii.
+std::vector<std::pair<double, index_t>> patch_answers(const exec::Executor& executor,
+                                                      const KdTree& tree) {
+  const PointSet& points = tree.points();
+  const index_t n = points.size();
+  std::vector<index_t> component(static_cast<std::size_t>(n));
+  std::vector<double> core_sq(static_cast<std::size_t>(n));
+  for (index_t p = 0; p < n; ++p) {
+    component[static_cast<std::size_t>(p)] = p % 3;
+    core_sq[static_cast<std::size_t>(p)] = 1e-3 * static_cast<double>(p % 7);
+  }
+  const pandora::testing::RankOf rank_of(tree);
+  const std::vector<index_t> ranked = by_rank(tree, component);
+  const std::vector<double> ranked_core_sq = by_rank(tree, core_sq);
+  spatial::KdTreeAnnotations notes;
+  tree.annotate_components(executor, ranked, notes);
+  tree.annotate_min_core(executor, ranked_core_sq, notes);
+  std::vector<std::pair<double, index_t>> answers;
+  const auto record = [&](const Neighbor& nb) {
+    answers.emplace_back(nb.squared_distance, nb.index);
+  };
+  std::vector<Neighbor> found;
+  for (index_t q = 0; q < n; ++q) {
+    const index_t rank = rank_of(q);
+    const index_t mine = component[static_cast<std::size_t>(q)];
+    tree.knn(rank, 7, found);
+    std::for_each(found.begin(), found.end(), record);
+    tree.knn(points.point(q), 7, found);
+    std::for_each(found.begin(), found.end(), record);
+    const Neighbor nearest = tree.nearest_other_component(rank, mine, ranked, notes);
+    record(nearest);
+    record(tree.nearest_other_component(points.point(q), mine, ranked, notes));
+    record(tree.nearest_other_component(rank, mine, ranked, notes,
+                                        std::nextafter(nearest.squared_distance, -1.0)));
+    const Neighbor mreach =
+        tree.nearest_other_component_mreach(rank, mine, ranked, ranked_core_sq, notes);
+    record(mreach);
+    record(tree.nearest_other_component_mreach(rank, mine, ranked, ranked_core_sq, notes,
+                                               mreach.squared_distance));
+    const std::span<const double> x = points.point(q);
+    const std::array<double, 2> lo{x[0] - 0.01, x[1]};
+    const std::array<double, 2> hi{x[0], x[1] + 0.02};
+    for (const double radius_sq : {0.0, 1e-4, 4e-3})
+      answers.emplace_back(radius_sq, tree.any_near_box(lo, hi, radius_sq, ranked_core_sq, notes));
+  }
+  return answers;
+}
+
+TEST(KdTree, PatchAnswersLikeAFreshBuild) {
+  // Erase every fifth indexed point, append new
+  // points, compact the set in place as dyn:: does, patch, and compare every
+  // answer with a tree freshly built over the same points.
+  struct Input {
+    std::string name;
+    PointSet points;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"uniform", data::uniform_points(1500, 2, 31)});
+  {
+    PointSet blobs = data::gaussian_blobs(1500, 2, 6, 0.03, 0.1, 32);
+    for (index_t i = 0; i < blobs.size(); i += 7)  // duplicate points
+      for (int d = 0; d < 2; ++d) blobs.at(i, d) = blobs.at(i / 2, d);
+    inputs.push_back({"blobs with duplicates", std::move(blobs)});
+  }
+  inputs.push_back({"tie-heavy grid", pandora::testing::tie_heavy_grid()});
+  for (const Input& input : inputs) {
+    const index_t total = input.points.size();
+    const index_t indexed = total - total / 10;  // the rest is appended after the erase
+    for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+      const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
+      PointSet points(2, indexed);
+      std::copy_n(input.points.coords().begin(), 2 * indexed, points.coords().begin());
+      KdTree tree(executor, points, 32);  // ~20-point leaves: a fifth never empties one
+      std::vector<index_t> remap(static_cast<std::size_t>(indexed));
+      std::vector<double> compacted;
+      index_t next = 0;
+      for (index_t i = 0; i < indexed; ++i) {
+        const bool erased = i % 5 == 0;
+        remap[static_cast<std::size_t>(i)] = erased ? kNone : next++;
+        if (!erased)
+          compacted.insert(compacted.end(), points.point(i).begin(), points.point(i).end());
+      }
+      compacted.insert(compacted.end(), input.points.coords().begin() + 2 * indexed,
+                       input.points.coords().end());
+      points.coords() = std::move(compacted);
+      ASSERT_TRUE(tree.patch(executor, remap)) << input.name << " on " << backend->name();
+      ASSERT_EQ(tree.size(), points.size());
+      const KdTree fresh(executor, points, 32);
+      EXPECT_EQ(patch_answers(executor, tree), patch_answers(executor, fresh))
+          << input.name << " on " << backend->name();
+      // The leaves tile the ranks, and every rank holds one point.
+      index_t covered = 0;
+      for (const KdTree::Leaf& leaf : tree.leaves()) {
+        ASSERT_EQ(leaf.begin, covered);
+        ASSERT_LT(leaf.begin, leaf.end);
+        covered = leaf.end;
+      }
+      EXPECT_EQ(covered, points.size());
+      std::vector<index_t> order(tree.tree_order().begin(), tree.tree_order().end());
+      std::sort(order.begin(), order.end());
+      for (index_t r = 0; r < points.size(); ++r) ASSERT_EQ(order[static_cast<std::size_t>(r)], r);
+    }
+  }
+}
+
+/// Erases the flagged indexed points, appends `tail`, compacts the set in
+/// place as dyn:: does, and expects the patch to refuse and leave the tree's
+/// rank order, leaves and answers as they were.
+void expect_patch_refused(const exec::Executor& executor, PointSet& points, KdTree& tree,
+                          const std::vector<char>& erased, std::span<const double> tail,
+                          const std::string& where) {
+  const index_t n = tree.size();
+  const std::vector<index_t> order_before(tree.tree_order().begin(), tree.tree_order().end());
+  const std::vector<KdTree::Leaf> leaves_before(tree.leaves().begin(), tree.leaves().end());
+  std::vector<std::pair<double, index_t>> before;
+  std::vector<Neighbor> found;
+  for (index_t r = 0; r < n; ++r) {
+    tree.knn(r, 5, found);
+    for (const Neighbor& nb : found) before.emplace_back(nb.squared_distance, nb.index);
+  }
+  std::vector<index_t> remap(static_cast<std::size_t>(n));
+  std::vector<double> compacted;
+  index_t next = 0;
+  for (index_t i = 0; i < n; ++i) {
+    const bool gone = erased[static_cast<std::size_t>(i)] != 0;
+    remap[static_cast<std::size_t>(i)] = gone ? kNone : next++;
+    if (!gone) compacted.insert(compacted.end(), points.point(i).begin(), points.point(i).end());
+  }
+  compacted.insert(compacted.end(), tail.begin(), tail.end());
+  points.coords() = std::move(compacted);
+  EXPECT_FALSE(tree.patch(executor, remap)) << where;
+  EXPECT_EQ(std::vector<index_t>(tree.tree_order().begin(), tree.tree_order().end()),
+            order_before)
+      << where;
+  ASSERT_EQ(tree.leaves().size(), leaves_before.size()) << where;
+  for (std::size_t l = 0; l < leaves_before.size(); ++l) {
+    EXPECT_EQ(tree.leaves()[l].begin, leaves_before[l].begin) << where;
+    EXPECT_EQ(tree.leaves()[l].end, leaves_before[l].end) << where;
+  }
+  std::vector<std::pair<double, index_t>> after;
+  for (index_t r = 0; r < n; ++r) {
+    tree.knn(r, 5, found);
+    for (const Neighbor& nb : found) after.emplace_back(nb.squared_distance, nb.index);
+  }
+  EXPECT_EQ(after, before) << where;
+}
+
+TEST(KdTree, PatchThatWouldEmptyALeafChangesNothing) {
+  for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+    const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
+    PointSet points = data::uniform_points(500, 2, 33);
+    KdTree tree(executor, points, 8);
+    // Erase every point of the third leaf, and every tenth point elsewhere.
+    const KdTree::Leaf victim = tree.leaves()[2];
+    std::vector<char> erased(500, 0);
+    for (index_t r = victim.begin; r < victim.end; ++r)
+      erased[static_cast<std::size_t>(tree.tree_order()[static_cast<std::size_t>(r)])] = 1;
+    for (index_t i = 0; i < 500; i += 10) erased[static_cast<std::size_t>(i)] = 1;
+    expect_patch_refused(executor, points, tree, erased, {}, backend->name());
+  }
+}
+
+TEST(KdTree, PatchThatWouldOverfillALeafChangesNothing) {
+  // 20 appended points in a tight cluster far outside the unit square all
+  // descend to the corner leaf, which would then hold more than twice the
+  // leaf size of 8.
+  for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+    const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
+    PointSet points = data::uniform_points(500, 2, 36);
+    KdTree tree(executor, points, 8);
+    std::vector<char> erased(500, 0);
+    erased[7] = 1;
+    std::vector<double> tail;
+    for (int j = 0; j < 20; ++j) {
+      tail.push_back(3.0 + 1e-3 * j);
+      tail.push_back(3.0 - 1e-3 * j);
+    }
+    expect_patch_refused(executor, points, tree, erased, tail, backend->name());
+  }
+}
+
+TEST(KdTree, LeafAtATimeQueriesMatchBruteForce) {
+  // any_foreign_near_box over a leaf's box may only say "nothing foreign in
+  // range" when a brute-force scan agrees for every point of the leaf.
+  const exec::Executor executor(exec::openmp_backend());
+  const PointSet points = data::gaussian_blobs(600, 2, 4, 0.05, 0.1, 34);
+  const KdTree tree(executor, points, 8);
+  std::vector<index_t> component(600);
+  std::vector<double> core_sq(600);
+  for (index_t p = 0; p < 600; ++p) {
+    component[static_cast<std::size_t>(p)] = points.at(p, 0) < 0.5 ? 0 : 1 + p % 2;
+    core_sq[static_cast<std::size_t>(p)] = 1e-4 * static_cast<double>(p % 5);
+  }
+  const std::vector<index_t> ranked = by_rank(tree, component);
+  const std::vector<double> ranked_core_sq = by_rank(tree, core_sq);
+  spatial::KdTreeAnnotations notes;
+  tree.annotate_components(executor, ranked, notes);
+  tree.annotate_min_core(executor, ranked_core_sq, notes);
+  int proved_empty = 0;
+  for (const KdTree::Leaf& leaf : tree.leaves()) {
+    const index_t mine = ranked[static_cast<std::size_t>(leaf.begin)];
+    for (const bool mreach : {false, true}) {
+      for (const double radius_sq : {1e-5, 1e-4, 1e-3, 1e-2}) {
+        const std::span<const double> leaf_core_sq =
+            mreach ? std::span<const double>(ranked_core_sq) : std::span<const double>{};
+        const bool near = tree.any_foreign_near_box(tree.box_lo(leaf), tree.box_hi(leaf), mine,
+                                                    ranked, leaf_core_sq, notes, radius_sq);
+        if (near) continue;
+        ++proved_empty;
+        for (index_t r = leaf.begin; r < leaf.end; ++r) {
+          const index_t p = tree.tree_order()[static_cast<std::size_t>(r)];
+          for (index_t q = 0; q < 600; ++q) {
+            if (component[static_cast<std::size_t>(q)] == component[static_cast<std::size_t>(p)])
+              continue;
+            double score = points.squared_distance(p, q);
+            if (mreach)
+              score = std::max({score, core_sq[static_cast<std::size_t>(p)],
+                                core_sq[static_cast<std::size_t>(q)]});
+            ASSERT_GT(score, radius_sq) << "p=" << p << " q=" << q;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(proved_empty, 0);
+
+  // nearest_in: every point's nearest point of another tree, against
+  // brute force, with the (distance, id) tie break on duplicated points.
+  PointSet others = data::uniform_points(40, 2, 35);
+  for (int d = 0; d < 2; ++d) others.at(39, d) = others.at(3, d);
+  const KdTree other_tree(executor, others, 8);
+  std::vector<Neighbor> found(static_cast<std::size_t>(tree.size()));
+  tree.nearest_in(executor, other_tree, found);
+  for (index_t r = 0; r < tree.size(); ++r) {
+    const index_t p = tree.tree_order()[static_cast<std::size_t>(r)];
+    Neighbor expected;
+    for (index_t q = 0; q < others.size(); ++q)
+      expected = std::min(expected, Neighbor{others.squared_distance(points.point(p), q), q});
+    const Neighbor& got = found[static_cast<std::size_t>(r)];
+    ASSERT_EQ(got.index, expected.index) << "point " << p;
+    ASSERT_EQ(got.squared_distance, expected.squared_distance);
+    ASSERT_EQ(other_tree.tree_order()[static_cast<std::size_t>(got.rank)], expected.index);
   }
 }
 
