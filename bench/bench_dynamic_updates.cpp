@@ -16,11 +16,17 @@
 //    the rebuild: the 1% insert runs at about 0.45–0.5x of the rebuild's
 //    time at 4 threads (0.34–0.48x serial), the 1% erase at about 0.34x
 //    (0.28–0.35x), and the 5% insert, the closest, at about 0.9x (0.6–0.7x).
-//    The erase row also reports how its erases kept the kd index (patched
-//    or rebuilt); the --dynamic-json gate fails when every one rebuilt.
+//    The insert and erase rows also report how their timed updates kept the
+//    kd index (patched or rebuilt); the --dynamic-json gate fails when every
+//    1% insert, or every 1% erase, rebuilt it.
+//  * batch-insert-far: the stream at n takes 6% of n (3,000 points at
+//    n=50k) at (5, 5) + 0.1·U, far outside its blobs in the unit square.
+//    Reported, not gated: the kd-index patch refuses the batch (it would
+//    overfill the corner leaf), so every one of these inserts rebuilds it.
 //
-// Every insert row, one point or 2,500, runs the same repair: a kd-tree over
-// the batch, the per-edge certificate and bounded star queries.  At
+// Every insert row, one point or 3,000, runs the same repair: the batch
+// joins the kd index, then a kd-tree over the batch, the per-edge
+// certificate and bounded star queries.  At
 // PANDORA_BENCH_SCALE=0.02 (n = 1000) the 1% insert (10 points) reads about
 // 2.3–2.6x faster than the rebuild at 4 threads (3.7–3.9x serial).
 //
@@ -56,9 +62,17 @@ double rebuild_once(const spatial::PointSet& points) {
   return timer.seconds();
 }
 
-/// How a scenario's timed erases kept the kd index: patched or rebuilt.
+/// How a scenario's timed updates of one kind kept the kd index: patched
+/// or rebuilt.
 struct IndexCounts {
-  std::int64_t erases = 0, patches = 0, rebuilds = 0;
+  const char* kind = "";  ///< "inserts" or "erases": the JSON key and label
+  std::int64_t updates = 0, patches = 0, rebuilds = 0;
+
+  void count(const dyn::UpdateStats& before, const dyn::UpdateStats& after) {
+    ++updates;
+    patches += static_cast<std::int64_t>(after.index_patches - before.index_patches);
+    rebuilds += static_cast<std::int64_t>(after.index_rebuilds - before.index_rebuilds);
+  }
 };
 
 void report(const char* scenario, index_t n, const bench::Measurement& update,
@@ -87,10 +101,10 @@ void report(const char* scenario, index_t n, const bench::Measurement& update,
       .field("cache_evictions",
              static_cast<std::int64_t>(reg.counter_value("pandora_cache_evictions_total")));
   if (index != nullptr) {
-    std::printf("%-19s   %lld erases: %lld index patches, %lld rebuilds\n", "",
-                static_cast<long long>(index->erases), static_cast<long long>(index->patches),
-                static_cast<long long>(index->rebuilds));
-    json.field("erases", index->erases)
+    std::printf("%-19s   %lld %s: %lld index patches, %lld rebuilds\n", "",
+                static_cast<long long>(index->updates), index->kind,
+                static_cast<long long>(index->patches), static_cast<long long>(index->rebuilds));
+    json.field(index->kind, index->updates)
         .field("index_patches", index->patches)
         .field("index_rebuilds", index->rebuilds);
   }
@@ -114,7 +128,7 @@ void check_exact(const dyn::DynamicClustering& stream) {
 struct BatchTimes {
   index_t n = 0;
   bench::Measurement insert, erase, rebuild;
-  IndexCounts index;  ///< over the timed erases
+  IndexCounts insert_index{"inserts"}, erase_index{"erases"};  ///< over the timed updates
 };
 
 /// A warm stream at n = 50k (scaled) absorbing batches of `fraction` x n
@@ -139,6 +153,7 @@ BatchTimes run_batches(const exec::Executor& executor, double fraction, int samp
   index_t cursor = n;
   BatchTimes times;
   const auto step = [&](bool timed) {
+    const dyn::UpdateStats before_insert = stream.stats();
     Timer insert_timer;
     const std::vector<index_t> fresh = stream.insert(slice(cursor, batch));
     const double insert_seconds = insert_timer.seconds();
@@ -146,22 +161,53 @@ BatchTimes run_batches(const exec::Executor& executor, double fraction, int samp
     live.insert(live.end(), fresh.begin(), fresh.end());
     const std::vector<index_t> victims(live.begin(), live.begin() + batch);
     live.erase(live.begin(), live.begin() + batch);
-    const dyn::UpdateStats before = stream.stats();
+    const dyn::UpdateStats before_erase = stream.stats();
     Timer erase_timer;
     stream.erase(victims);
     const double erase_seconds = erase_timer.seconds();
     if (timed) {
       times.insert.samples.push_back(insert_seconds);
       times.erase.samples.push_back(erase_seconds);
-      ++times.index.erases;
-      times.index.patches +=
-          static_cast<std::int64_t>(stream.stats().index_patches - before.index_patches);
-      times.index.rebuilds +=
-          static_cast<std::int64_t>(stream.stats().index_rebuilds - before.index_rebuilds);
+      times.insert_index.count(before_insert, before_erase);
+      times.erase_index.count(before_erase, stream.stats());
     }
   };
   step(false);  // warm: arena blocks, kd index, replay buffers
   for (int s = 0; s < samples; ++s) step(true);
+  times.n = stream.size();
+  times.rebuild = bench::measure(samples, [&] { (void)rebuild_once(stream.points()); });
+  check_exact(stream);
+  return times;
+}
+
+/// A warm stream of n = 50k (scaled) blobs in the unit square taking a
+/// batch of 6% of n (3,000 points at n = 50k) at (5, 5) + 0.1·U, far from
+/// every point it holds.  Each sample erases the previous far batch
+/// (untimed) and times the insert of the next, so every timed insert starts
+/// from the n blobs.
+BatchTimes run_far_inserts(const exec::Executor& executor, int samples) {
+  const index_t n = bench::scaled(50000);
+  const index_t batch = std::max<index_t>(n * 3 / 50, 1);
+  spatial::PointSet far = data::uniform_points(batch * (samples + 1), 2, 5050);
+  for (double& x : far.coords()) x = 5.0 + 0.1 * x;
+  dyn::DynamicClustering stream(executor);
+  (void)stream.insert(data::gaussian_blobs(n, 2, 16, 0.03, 0.1, 4048));
+  const auto slice = [&](index_t begin) {
+    spatial::PointSet out(2, batch);
+    std::copy_n(far.coords().begin() + 2 * static_cast<std::ptrdiff_t>(begin), 2 * batch,
+                out.coords().begin());
+    return out;
+  };
+  BatchTimes times;
+  std::vector<index_t> previous = stream.insert(slice(0));  // warm
+  for (int s = 1; s <= samples; ++s) {
+    stream.erase(previous);
+    const dyn::UpdateStats before = stream.stats();
+    Timer timer;
+    previous = stream.insert(slice(s * batch));
+    times.insert.samples.push_back(timer.seconds());
+    times.insert_index.count(before, stream.stats());
+  }
   times.n = stream.size();
   times.rebuild = bench::measure(samples, [&] { (void)rebuild_once(stream.points()); });
   check_exact(stream);
@@ -215,9 +261,13 @@ int main() {
   for (const auto& row : batches) {
     const BatchTimes times = run_batches(executor, row.fraction, kSamples);
     if (row.insert_row != nullptr)
-      report(row.insert_row, times.n, times.insert, times.rebuild, json);
+      report(row.insert_row, times.n, times.insert, times.rebuild, json, &times.insert_index);
     if (row.erase_row != nullptr)
-      report(row.erase_row, times.n, times.erase, times.rebuild, json, &times.index);
+      report(row.erase_row, times.n, times.erase, times.rebuild, json, &times.erase_index);
+  }
+  {
+    const BatchTimes times = run_far_inserts(executor, kSamples);
+    report("batch-insert-far", times.n, times.insert, times.rebuild, json, &times.insert_index);
   }
 
   std::printf(
@@ -226,7 +276,8 @@ int main() {
       "repair only the edges a path through the batch could displace, so the\n"
       "0.1%% and 1%% inserts and the 1%% erase (kd-index patch plus a\n"
       "component-restricted join) read well above 1x, and the 5%% insert reads\n"
-      "closest to it.  The 1%% erases patch the kd index and rebuild it only\n"
-      "when the drift budget runs out (the --dynamic-json gate checks the counts).\n");
+      "closest to it.  The 1%% inserts and erases patch the kd index and rebuild\n"
+      "it only when the drift budget runs out (the --dynamic-json gate checks the\n"
+      "counts); the far batch is refused by the patch and rebuilds it.\n");
   return 0;
 }

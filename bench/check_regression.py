@@ -52,9 +52,10 @@ Two kinds of checks:
      churn scenario is reported but not gated: its update-vs-rebuild ratio
      hovers near 1x and swings +/-40% run-to-run on shared single-core
      runners, so a hard gate would only measure host noise.  The
-     ``batch-erase-1pct`` row must report its index patch and rebuild counts,
-     and fails when every one of its steady 1% erases rebuilt the kd index
-     instead of patching it (counts, not timings, so it cannot flake).
+     ``batch-insert-1pct`` and ``batch-erase-1pct`` rows must report their
+     index patch and rebuild counts, and each fails when every one of its
+     steady 1% updates rebuilt the kd index instead of patching it (counts,
+     not timings, so it cannot flake).
 
 Every loaded artifact is also schema-checked, including the embedded
 ``metrics`` object (the obs:: registry snapshot bench_common.hpp writes into
@@ -316,18 +317,19 @@ def check_dynamic_gate(path: pathlib.Path, min_speedup: float) -> list[str]:
               f"{row.get('rebuild_median', 0.0) * 1e3:.2f}ms ({speedup:.2f}x)")
         if row.get("scenario") == "single-insert" and row.get("n", 0) >= 50000:
             gated_row = row
-    erase_row = next((row for row in report.get("rows", [])
-                      if row.get("scenario") == "batch-erase-1pct"), None)
-    if erase_row is None or "index_rebuilds" not in erase_row:
-        failures.append(f"{path.name}: no batch-erase-1pct row with index patch/rebuild counts")
-    else:
-        erases = erase_row.get("erases", 0)
-        rebuilds = erase_row.get("index_rebuilds", 0)
-        print(f"dynamic gate: batch-erase-1pct {erases} erases, "
-              f"{erase_row.get('index_patches', 0)} index patches, {rebuilds} rebuilds")
-        if erases == 0 or rebuilds >= erases:
-            failures.append(f"dynamic batch-erase-1pct: {rebuilds} of {erases} erases rebuilt "
-                            "the kd index (1% erases must patch it until the drift budget runs out)")
+    for scenario, kind in (("batch-insert-1pct", "inserts"), ("batch-erase-1pct", "erases")):
+        row = next((row for row in report.get("rows", [])
+                    if row.get("scenario") == scenario), None)
+        if row is None or "index_rebuilds" not in row:
+            failures.append(f"{path.name}: no {scenario} row with index patch/rebuild counts")
+            continue
+        updates = row.get(kind, 0)
+        rebuilds = row.get("index_rebuilds", 0)
+        print(f"dynamic gate: {scenario} {updates} {kind}, "
+              f"{row.get('index_patches', 0)} index patches, {rebuilds} rebuilds")
+        if updates == 0 or rebuilds >= updates:
+            failures.append(f"dynamic {scenario}: {rebuilds} of {updates} {kind} rebuilt the kd "
+                            f"index (1% {kind} must patch it until the drift budget runs out)")
     if gated_row is None:
         failures.append(f"{path.name}: no single-insert row at n >= 50000 "
                         "(the acceptance scale) — run without PANDORA_BENCH_SCALE < 1")

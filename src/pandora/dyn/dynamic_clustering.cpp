@@ -51,16 +51,14 @@ struct Candidate {
 /// Leaf size of the maintained kd index (and of the per-batch trees).
 constexpr int kLeafSize = 32;
 
-/// Inserted points are appended to an unindexed tail and brute-forced by
-/// queries until the tail exceeds this fraction of the point count, when the
-/// kd index is rebuilt (amortised O(log n) per insert).  Erases patch the
-/// index instead (the erased points leave their leaves, the tail joins
-/// them) until the points erased or absorbed since the last build exceed
-/// the same fraction, which bounds how far the kept splits drift from
-/// balanced, or until `KdTree::patch` refuses an emptied or overfull leaf.
+/// Every update patches the kd index (`KdTree::patch`: erased points leave
+/// their leaves, inserted points descend to theirs) until the points erased
+/// or inserted since the last build exceed this fraction of the point
+/// count, which bounds how far the kept splits drift from balanced, or until
+/// the patch refuses an emptied or overfull leaf; then the index is rebuilt.
 constexpr double kIndexRebuildFraction = 0.125;
 
-/// The tail or drift a kd index of `n` points tolerates before a rebuild.
+/// The drift a kd index of `n` points tolerates before a rebuild.
 double index_budget(index_t n) {
   return std::max(64.0, kIndexRebuildFraction * static_cast<double>(n));
 }
@@ -74,31 +72,6 @@ constexpr double kRoundingSlack = 1e-9;
 /// against it never loses a tie to rounding.
 double covering_sq(double w) {
   return std::nextafter(w * w * (1 + kRoundingSlack), std::numeric_limits<double>::infinity());
-}
-
-/// `tree.knn_batch` over `count` row-major coordinate rows, in parallel
-/// chunks; hands each row's min(k, tree size) nearest points, ascending, to
-/// `emit(row, nearest)`.
-template <class Emit>
-void probe_rows(const exec::Executor& exec, const spatial::KdTree& tree, const double* rows,
-                index_t count, int k, const Emit& emit) {
-  constexpr index_t kProbeChunk = 128;
-  const auto k_eff = static_cast<std::size_t>(std::min<index_t>(k, tree.size()));
-  const auto dim = static_cast<std::size_t>(tree.points().dim());
-  const int num_chunks = static_cast<int>((count + kProbeChunk - 1) / kProbeChunk);
-  auto probe_chunk = [&](int c) {
-    // thread_local: the batch result buffer keeps its capacity across
-    // chunks and batches, so the steady-state probe allocates nothing (the
-    // arena cannot lease a std::vector).
-    thread_local std::vector<spatial::Neighbor> nearest;
-    const index_t lo = static_cast<index_t>(c) * kProbeChunk;
-    const index_t hi = std::min<index_t>(count, lo + kProbeChunk);
-    tree.knn_batch(rows + static_cast<std::size_t>(lo) * dim, hi - lo, k, nearest);
-    for (index_t j = lo; j < hi; ++j)
-      emit(j, std::span<const spatial::Neighbor>(
-                  nearest.data() + static_cast<std::size_t>(j - lo) * k_eff, k_eff));
-  };
-  exec.run_chunks(num_chunks, exec.num_threads(), probe_chunk);
 }
 
 /// The per-edge insert certificate: clears `keep[i]` for every maintained
@@ -191,23 +164,16 @@ DynamicClustering::DynamicClustering(const exec::Executor& exec)
 void DynamicClustering::rebuild_index() {
   const exec::ScopedSpan span(*exec_, "dyn.index");
   tree_ = std::make_unique<spatial::KdTree>(*exec_, *points_, kLeafSize);
-  indexed_ = points_->size();
   drift_ = 0;
   ++stats_.index_rebuilds;
 }
 
-void DynamicClustering::reindex_after_erase(std::span<const index_t> remap) {
-  // Stable compaction: the surviving indexed slots come first, then the
-  // surviving tail, which the patch absorbs.
+void DynamicClustering::reindex(std::span<const index_t> remap, index_t survivors) {
   const index_t n = points_->size();
-  const index_t survivors = exec::parallel_sum(
-      *exec_, indexed_, index_t{0},
-      [&](size_type s) { return remap[static_cast<std::size_t>(s)] != kNone ? 1 : 0; });
-  const index_t drift = drift_ + (indexed_ - survivors) + (n - survivors);
+  const index_t drift = drift_ + (tree_->size() - survivors) + (n - survivors);
   if (static_cast<double>(drift) <= index_budget(n)) {
     const exec::ScopedSpan span(*exec_, "dyn.index");
-    if (tree_->patch(*exec_, remap.first(static_cast<std::size_t>(indexed_)))) {
-      indexed_ = n;
+    if (tree_->patch(*exec_, remap)) {
       drift_ = drift;
       ++stats_.index_patches;
       return;
@@ -275,16 +241,20 @@ std::vector<index_t> DynamicClustering::insert(const spatial::PointSet& batch) {
     return ids;
   }
 
+  // The batch joins the kd index before the repair, whose queries all go
+  // to it: an identity remap over the indexed slots, the batch absorbed.
+  {
+    auto identity_lease = exec_->workspace().take_uninit<index_t>(n_before);
+    exec::parallel_for(*exec_, n_before, [&](size_type s) {
+      identity_lease[static_cast<std::size_t>(s)] = static_cast<index_t>(s);
+    });
+    reindex(identity_lease.span(), n_before);
+  }
   std::vector<char> keep;
   graph::EdgeList added;
   repair_after_insert(n_before, m, keep, added);
   finish_update(keep, added, {}, points_->size());
   healthy_ = true;
-
-  // Amortised index maintenance: queries brute-force the unindexed tail
-  // until it outgrows its budget.
-  if (static_cast<double>(points_->size() - indexed_) > index_budget(points_->size()))
-    rebuild_index();
   insert_metric().observe(timer.seconds());
   return ids;
 }
@@ -307,12 +277,11 @@ index_t DynamicClustering::insert(std::span<const double> coords) {
 /// d2(q) is below w.  mark_doubtful_edges tests this per edge, for a batch of
 /// any size, and every other maintained edge is pre-merged.  The doubtful
 /// edges and the stars then go through Borůvka rounds: established points
-/// scan their doubtful edges and probe the batch tree, new points probe the
-/// kd index (coordinate queries: they are not indexed yet), scan the
-/// unindexed tail and probe the batch tree.  A point queries only once its
+/// scan their doubtful edges and probe the batch tree, new points query the
+/// kd index, which holds every live point.  A point queries only once its
 /// cached nearest star partner has joined its component, bounded by the
-/// component's running minimum.  The indexed points find their nearest new
-/// points a kd-index leaf at a time (`KdTree::nearest_in`).
+/// component's running minimum.  The established points find their nearest
+/// new points a kd-index leaf at a time (`KdTree::nearest_in`).
 void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
                                             std::vector<char>& keep,
                                             graph::EdgeList& added) {
@@ -352,69 +321,28 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
 
   std::optional<exec::ScopedSpan> certificate_span;
   certificate_span.emplace(*exec_, "dyn.certificate");
-  // The indexed points find their nearest new points a kd-index leaf at a
-  // time; the unindexed tail probes the batch tree point by point.
-  {
-    auto found_lease = workspace.take_uninit<spatial::Neighbor>(indexed_);
-    tree_->nearest_in(*exec_, batch_tree, found_lease.span());
-    const std::span<const index_t> slot_of_rank = tree_->tree_order();
-    exec::parallel_for(*exec_, indexed_, [&](size_type r) {
-      const spatial::Neighbor& nb = found_lease[static_cast<std::size_t>(r)];
-      track_nearest(slot_of_rank[static_cast<std::size_t>(r)],
-                    {nb.squared_distance, n_before + nb.index});
-    });
-  }
-  probe_rows(*exec_, batch_tree, points.point(indexed_).data(), n_before - indexed_, 1,
-             [&](index_t j, std::span<const spatial::Neighbor> near) {
-               track_nearest(indexed_ + j, {near[0].squared_distance, n_before + near[0].index});
-             });
-
-  // --- nearest and 2nd-nearest other point of every new point -------------
-  // The two nearest indexed points (coordinate queries: the batch is not
-  // indexed yet), the two nearest other batch points (the batch tree's
-  // indexed kNN) and a scan of the unindexed tail.  Neighbours are (squared
-  // distance, slot) pairs.
+  // By rank: every established point's nearest new point, a kd-index leaf
+  // at a time, and every new point's two nearest other points, a kNN query
+  // on the index.  Neighbours are (squared distance, slot) pairs.
+  const std::span<const index_t> slot_of_rank = tree_->tree_order();
   auto d2_lease = workspace.take_uninit<double>(m);
   const std::span<double> d2_sq = d2_lease.span();
   {
-    auto near_lease = workspace.take<spatial::Neighbor>(static_cast<size_type>(m) * 4,
-                                                        spatial::Neighbor{});
-    const std::span<spatial::Neighbor> near = near_lease.span();  // 2 indexed, 2 batch
-    if (indexed_ > 0) {
-      probe_rows(*exec_, *tree_, points.point(n_before).data(), m, 2,
-                 [&](index_t j, std::span<const spatial::Neighbor> found) {
-                   std::copy(found.begin(), found.end(),
-                             near.begin() + static_cast<std::ptrdiff_t>(j) * 4);
-                 });
-    }
-    const std::span<const index_t> batch_id_of_rank = batch_tree.tree_order();
-    exec::parallel_for(*exec_, m, [&](size_type r) {
+    auto found_lease = workspace.take_uninit<spatial::Neighbor>(n);
+    tree_->nearest_in(*exec_, batch_tree, found_lease.span());
+    exec::parallel_for(*exec_, n, [&](size_type r) {
+      const index_t p = slot_of_rank[static_cast<std::size_t>(r)];
+      if (p < n_before) {
+        const spatial::Neighbor& nb = found_lease[static_cast<std::size_t>(r)];
+        track_nearest(p, {nb.squared_distance, n_before + nb.index});
+        return;
+      }
       thread_local std::vector<spatial::Neighbor> found;
-      batch_tree.knn(static_cast<index_t>(r), 2, found);
-      const auto j = static_cast<std::size_t>(batch_id_of_rank[static_cast<std::size_t>(r)]);
-      for (std::size_t t = 0; t < found.size(); ++t)
-        near[j * 4 + 2 + t] = {found[t].squared_distance, n_before + found[t].index};
-    });
-    exec::parallel_for(*exec_, m, [&](size_type j) {
-      const index_t q = n_before + static_cast<index_t>(j);
-      spatial::Neighbor first, second;
-      const auto offer = [&](const spatial::Neighbor& nb) {
-        if (nb.index == kNone) return;
-        if (nb < first) {
-          second = first;
-          first = nb;
-        } else if (nb < second) {
-          second = nb;
-        }
-      };
-      for (std::size_t t = 0; t < 4; ++t) offer(near[static_cast<std::size_t>(j) * 4 + t]);
-      for (index_t p = indexed_; p < n_before; ++p)  // unindexed tail
-        offer({points.squared_distance(q, p), p});
+      tree_->knn(static_cast<index_t>(r), 2, found);
       // With a single other point d2 degenerates to d1 (still safe: a
       // 2-point set has no displaceable maintained edges of lower weight).
-      d2_sq[static_cast<std::size_t>(j)] =
-          second.index != kNone ? second.squared_distance : first.squared_distance;
-      track_nearest(q, first);
+      d2_sq[static_cast<std::size_t>(p - n_before)] = found.back().squared_distance;
+      track_nearest(p, found.front());
     });
   }
 
@@ -520,34 +448,24 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
   });
   // The kd-trees read components in their own rank order: each round
   // gathers the slot-indexed array into the index's and the batch tree's.
-  auto index_component_lease = workspace.take_uninit<index_t>(indexed_);
+  auto index_component_lease = workspace.take_uninit<index_t>(n);
   const std::span<index_t> index_component = index_component_lease.span();
   auto batch_component_lease = workspace.take_uninit<index_t>(m);
   const std::span<index_t> batch_component = batch_component_lease.span();
 
   // p's lightest star to another component within `radius_sq` (kNone
-  // partner when there is none): a new point's star spans every live point —
-  // the index by coordinates, the unindexed tail and the batch — and an
-  // established point's spans the batch.
-  const auto foreign_star = [&](index_t p, index_t c, double radius_sq) {
-    Candidate best;
-    const auto offer = [&](double sq, index_t partner) {
-      const Candidate cand{std::sqrt(sq), partner, kNone};
-      if (sq <= radius_sq && cand.better_than(best)) best = cand;
-    };
-    if (p >= n_before) {
-      if (indexed_ > 0) {
-        const spatial::Neighbor nb = tree_->nearest_other_component(
-            points.point(p), c, index_component, notes_, radius_sq);
-        if (nb.index != kNone) offer(nb.squared_distance, nb.index);
-      }
-      for (index_t t = indexed_; t < n_before; ++t)
-        if (component[static_cast<std::size_t>(t)] != c) offer(points.squared_distance(p, t), t);
-    }
-    const spatial::Neighbor nb = batch_tree.nearest_other_component(
-        points.point(p), c, batch_component, batch_notes, radius_sq);
-    if (nb.index != kNone) offer(nb.squared_distance, n_before + nb.index);
-    return best;
+  // partner when there is none), p at kd-index rank `rank`: a new point's
+  // star spans every live point, one query on the index, and an established
+  // point's spans the batch.
+  const auto foreign_star = [&](index_t p, index_t rank, index_t c, double radius_sq) {
+    const bool is_new = p >= n_before;
+    const spatial::Neighbor nb =
+        is_new ? tree_->nearest_other_component(rank, c, index_component, notes_, radius_sq)
+               : batch_tree.nearest_other_component(points.point(p), c, batch_component,
+                                                    batch_notes, radius_sq);
+    if (nb.index == kNone) return Candidate{};
+    return Candidate{std::sqrt(nb.squared_distance), is_new ? nb.index : n_before + nb.index,
+                     kNone};
   };
 
   // The roots in ascending order, compacted by a prefix sum over root flags.
@@ -571,14 +489,11 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     exec::parallel_for(*exec_, n, [&](size_type x) {
       component[static_cast<std::size_t>(x)] = uf.find(static_cast<index_t>(x));
     });
-    if (indexed_ > 0) {
-      const std::span<const index_t> slot_of_rank = tree_->tree_order();
-      exec::parallel_for(*exec_, indexed_, [&](size_type r) {
-        index_component[static_cast<std::size_t>(r)] =
-            component[static_cast<std::size_t>(slot_of_rank[static_cast<std::size_t>(r)])];
-      });
-      tree_->annotate_components(*exec_, index_component, notes_);
-    }
+    exec::parallel_for(*exec_, n, [&](size_type r) {
+      index_component[static_cast<std::size_t>(r)] =
+          component[static_cast<std::size_t>(slot_of_rank[static_cast<std::size_t>(r)])];
+    });
+    tree_->annotate_components(*exec_, index_component, notes_);
     const std::span<const index_t> batch_slot_of_rank = batch_tree.tree_order();
     exec::parallel_for(*exec_, m, [&](size_type r) {
       batch_component[static_cast<std::size_t>(r)] = component[static_cast<std::size_t>(
@@ -641,13 +556,14 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
     // then the maintained-edge candidate is exact if it is within r, and
     // otherwise p cannot attain the minimum and proposes nothing this round.
     //
-    // The indexed points go a kd-index leaf at a time: when a leaf lies in
-    // one component c and two or more of its pending points would query,
-    // one box test against the batch comes first, and when no foreign new
-    // point lies within c's running minimum r of the leaf's box, each of
-    // those queries would find nothing, so each point takes r as its floor
-    // exactly as its empty query would.  The tail and the new points follow
-    // in slot order.
+    // The points go a kd-index leaf at a time: when a leaf lies in one
+    // component c and two or more of its pending established points would
+    // query, one box test against the batch comes first, and when no foreign
+    // new point lies within c's running minimum r of the leaf's box, each of
+    // those queries would find nothing, so each of them takes r as its floor
+    // exactly as its empty query would.  The box test proves nothing for a
+    // new point, whose star spans the index: the leaf's pending new points
+    // query in rank order with the rest.
     const auto radius_of = [&](index_t c) {
       const std::uint64_t bound =
           std::atomic_ref<std::uint64_t>(best_weight[static_cast<std::size_t>(c)])
@@ -660,12 +576,12 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
       Candidate& cand = candidate[static_cast<std::size_t>(p)];
       if (!(cand.weight <= r)) cand.partner = kNone;
     };
-    const auto resolve = [&](index_t p) {
+    const auto resolve = [&](index_t p, index_t rank) {
       const index_t c = component[static_cast<std::size_t>(p)];
       const double r = radius_of(c);
       double& floor = star_floor[static_cast<std::size_t>(p)];
       if (floor <= r) {
-        const Candidate star = foreign_star(p, c, covering_sq(r));
+        const Candidate star = foreign_star(p, rank, c, covering_sq(r));
         if (star.partner != kNone) {
           // The exact foreign minimum: every foreign star, now and after
           // later merges, weighs at least as much.
@@ -682,52 +598,42 @@ void DynamicClustering::repair_after_insert(index_t n_before, index_t m,
       settle(p, r);
     };
     const std::span<const spatial::KdTree::Leaf> leaves = tree_->leaves();
-    const std::span<const index_t> slot_of_rank = tree_->tree_order();
-    const auto leaf_answered = [&](const spatial::KdTree::Leaf& leaf, index_t c) {
+    const auto settle_established = [&](const spatial::KdTree::Leaf& leaf, index_t c) {
       const double r = radius_of(c);
-      if (r == std::numeric_limits<double>::infinity()) return false;
+      if (r == std::numeric_limits<double>::infinity()) return;
       int querying = 0;
       for (index_t rank = leaf.begin; rank < leaf.end && querying < 2; ++rank) {
-        const auto p = static_cast<std::size_t>(slot_of_rank[static_cast<std::size_t>(rank)]);
-        querying += pending[p] != 0 && star_floor[p] <= r ? 1 : 0;
+        const index_t p = slot_of_rank[static_cast<std::size_t>(rank)];
+        if (p < n_before && pending[static_cast<std::size_t>(p)] != 0 &&
+            star_floor[static_cast<std::size_t>(p)] <= r)
+          ++querying;
       }
       if (querying < 2 || batch_tree.any_foreign_near_box(tree_->box_lo(leaf), tree_->box_hi(leaf),
                                                           c, batch_component, {}, batch_notes,
                                                           covering_sq(r)))
-        return false;
+        return;
       for (index_t rank = leaf.begin; rank < leaf.end; ++rank) {
         const index_t p = slot_of_rank[static_cast<std::size_t>(rank)];
-        if (pending[static_cast<std::size_t>(p)] == 0) continue;
+        if (p >= n_before || pending[static_cast<std::size_t>(p)] == 0) continue;
         double& floor = star_floor[static_cast<std::size_t>(p)];
         floor = std::max(floor, r);
         settle(p, r);
       }
-      return true;
     };
     constexpr std::size_t kLeavesPerChunk = 8;
-    constexpr index_t kQueriesPerChunk = 256;
-    const int leaf_chunks =
-        static_cast<int>((leaves.size() + kLeavesPerChunk - 1) / kLeavesPerChunk);
     const int num_chunks =
-        leaf_chunks + static_cast<int>((n - indexed_ + kQueriesPerChunk - 1) / kQueriesPerChunk);
+        static_cast<int>((leaves.size() + kLeavesPerChunk - 1) / kLeavesPerChunk);
     auto query_chunk = [&](int chunk) {
-      if (chunk < leaf_chunks) {
-        const std::size_t first = static_cast<std::size_t>(chunk) * kLeavesPerChunk;
-        for (const spatial::KdTree::Leaf& leaf :
-             leaves.subspan(first, std::min(kLeavesPerChunk, leaves.size() - first))) {
-          const index_t shared = notes_.node_component[static_cast<std::size_t>(leaf.node)];
-          if (shared != kNone && leaf_answered(leaf, shared)) continue;
-          for (index_t rank = leaf.begin; rank < leaf.end; ++rank) {
-            const index_t p = slot_of_rank[static_cast<std::size_t>(rank)];
-            if (pending[static_cast<std::size_t>(p)] != 0) resolve(p);
-          }
+      const std::size_t first = static_cast<std::size_t>(chunk) * kLeavesPerChunk;
+      for (const spatial::KdTree::Leaf& leaf :
+           leaves.subspan(first, std::min(kLeavesPerChunk, leaves.size() - first))) {
+        const index_t shared = notes_.node_component[static_cast<std::size_t>(leaf.node)];
+        if (shared != kNone) settle_established(leaf, shared);
+        for (index_t rank = leaf.begin; rank < leaf.end; ++rank) {
+          const index_t p = slot_of_rank[static_cast<std::size_t>(rank)];
+          if (pending[static_cast<std::size_t>(p)] != 0) resolve(p, rank);
         }
-        return;
       }
-      const index_t lo = indexed_ + static_cast<index_t>(chunk - leaf_chunks) * kQueriesPerChunk;
-      const index_t hi = std::min<index_t>(n, lo + kQueriesPerChunk);
-      for (index_t p = lo; p < hi; ++p)
-        if (pending[static_cast<std::size_t>(p)] != 0) resolve(p);
     };
     exec_->run_chunks(num_chunks, exec_->num_threads(), query_chunk);
 
@@ -800,7 +706,6 @@ void DynamicClustering::erase(std::span<const index_t> ids) {
     edges_.clear();
     sorted_ = {};
     tree_.reset();
-    indexed_ = 0;
     drift_ = 0;
     replay_dendrogram();
     healthy_ = true;
@@ -840,7 +745,7 @@ void DynamicClustering::erase(std::span<const index_t> ids) {
 
   // Compaction moved the indexed coordinates: re-index now (the splinter
   // join below queries the index).
-  reindex_after_erase(remap);
+  reindex(remap, n_new);
 
   // Splinter: every surviving edge provably stays in the new EMST (erasing
   // points removes paths, never adds them), so the survivors' components
@@ -945,7 +850,6 @@ void DynamicClustering::restore(const ArtifactBundle& bundle) {
     rebuild_index();
   } else {
     tree_.reset();
-    indexed_ = 0;
   }
 
   // A fresh epoch, never the bundle's: the failed update already burned

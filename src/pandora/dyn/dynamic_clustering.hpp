@@ -40,8 +40,8 @@ struct UpdateStats {
   std::uint64_t edges_removed = 0;    ///< EMST edges displaced or dropped
   std::uint64_t boruvka_rounds = 0;   ///< insert-repair rounds across all updates
   std::uint64_t doubtful_edges = 0;   ///< maintained edges inserts could not pre-merge
-  std::uint64_t index_rebuilds = 0;   ///< kd-index builds (bulk load, tail or drift overflow)
-  std::uint64_t index_patches = 0;    ///< erases that patched the kd index instead
+  std::uint64_t index_rebuilds = 0;   ///< kd-index builds (bulk load, refused patch, drift)
+  std::uint64_t index_patches = 0;    ///< updates that patched the kd index instead
 };
 
 /// One epoch of a stream, captured as an immutable unit: deep copies of the
@@ -69,7 +69,11 @@ struct ArtifactBundle {
 ///   const auto& dendrogram = stream.dendrogram(); // current, slot-indexed
 ///   auto clusters = stream.hdbscan({.min_pts = 4});
 ///
-/// **Updates.**  `insert` appends points and repairs the tree with a
+/// **Updates.**  Every update first patches the kd index, which holds every
+/// live point (`KdTree::patch`: erased points leave their leaves, inserted
+/// points descend to theirs; a rebuild once the points erased or inserted
+/// since the last build pass a fraction of n, or a leaf would be left empty
+/// or overfull).  `insert` appends points and repairs the tree with a
 /// cycle-property pass.  A maintained edge of weight w can only be displaced
 /// by a path of lighter edges through new points; the first and last new
 /// points on it lie within w of the two child clusters of the edge's
@@ -78,17 +82,14 @@ struct ArtifactBundle {
 /// per-cluster bounding boxes and a kd-tree over the batch.  Every other edge
 /// is kept, and the doubtful ones plus the new points' implicit star edges
 /// go through Borůvka rounds over workspace-leased scratch, whose star
-/// queries go to the kd index, its unindexed tail and the batch tree,
-/// bounded by each component's running minimum — equivalently, the heaviest
-/// edge on every cycle the candidate edges create is dropped.  `erase`
-/// removes points, patches the kd index (`KdTree::patch`: the erased points
-/// leave their leaves and the unindexed tail joins them; a rebuild once the
-/// points erased or absorbed since the last build pass a fraction of n, or
-/// a leaf would be left empty or overfull), splinters the tree into the
-/// surviving components (every surviving edge provably stays in the new
-/// MST) and re-joins them through the component-restricted Borůvka entry of
-/// `spatial::emst`.  Both paths are *exact*: after any update the maintained
-/// tree is a true EMST of the live points.
+/// queries go to the kd index (new points) and the batch tree (established
+/// points), bounded by each component's running minimum — equivalently, the
+/// heaviest edge on every cycle the candidate edges create is dropped.
+/// `erase` removes points, splinters the tree into the surviving components
+/// (every surviving edge provably stays in the new MST) and re-joins them
+/// through the component-restricted Borůvka entry of `spatial::emst`.  Both
+/// paths are *exact*: after any update the maintained tree is a true EMST of
+/// the live points.
 ///
 /// **Dendrogram replay.**  Updates renumber the surviving edges, merge the
 /// small sorted delta into the maintained `SortedEdges` run
@@ -207,9 +208,10 @@ class DynamicClustering {
   void rebuild_from_scratch();
 
   /// Exact incremental EMST repair for the batch appended at slots
-  /// [n_before, n_before + m), any m >= 1: builds a kd-tree over the batch,
-  /// pre-merges every maintained edge the per-edge certificate clears, and
-  /// runs Borůvka rounds over the doubtful edges and the batch's stars.
+  /// [n_before, n_before + m), any m >= 1, which the kd index already holds:
+  /// builds a kd-tree over the batch, pre-merges every maintained edge the
+  /// per-edge certificate clears, and runs Borůvka rounds over the doubtful
+  /// edges and the batch's stars.
   /// Fills `keep` (per maintained edge) and `added`.
   void repair_after_insert(index_t n_before, index_t m, std::vector<char>& keep,
                            graph::EdgeList& added);
@@ -220,11 +222,12 @@ class DynamicClustering {
                      std::span<const index_t> vertex_remap, index_t num_vertices);
 
   void rebuild_index();
-  /// Re-indexes after an erase compacted the slots (`remap`: old slot ->
-  /// new slot or kNone): patches the kd index, or rebuilds it when the
-  /// patch is refused (a leaf left empty or overfull) or the drift budget
-  /// is spent.
-  void reindex_after_erase(std::span<const index_t> remap);
+  /// Re-indexes after an update (`remap`: indexed slot -> new slot or
+  /// kNone; the `survivors` take slots [0, survivors) and the slots after
+  /// them are an insert's batch): patches the kd index, or rebuilds it when
+  /// the patch is refused (a leaf left empty or overfull) or the drift
+  /// budget is spent.
+  void reindex(std::span<const index_t> remap, index_t survivors);
   void replay_dendrogram();
 
   const exec::Executor* exec_;
@@ -241,9 +244,8 @@ class DynamicClustering {
   dendrogram::SortedEdges sorted_scratch_;
   dendrogram::Dendrogram dendrogram_;
 
-  std::unique_ptr<spatial::KdTree> tree_;  ///< over slots [0, indexed_)
-  index_t indexed_ = 0;
-  index_t drift_ = 0;                      ///< points erased or absorbed since the last build
+  std::unique_ptr<spatial::KdTree> tree_;  ///< over every live slot
+  index_t drift_ = 0;                      ///< points erased or inserted since the last build
   spatial::KdTreeAnnotations notes_;       ///< reused across Borůvka rounds
 
   std::uint64_t epoch_ = 0;

@@ -329,27 +329,6 @@ void KdTree::knn(std::span<const double> query, int k, std::vector<Neighbor>& ou
   knn_search(query.data(), std::min<index_t>(k, size()), kNone, out);
 }
 
-void KdTree::knn_batch(std::span<const index_t> queries, int k, std::vector<Neighbor>& out) const {
-  thread_local std::vector<Neighbor> one;
-  out.clear();
-  for (const index_t q : queries) {
-    knn(q, k, one);
-    out.insert(out.end(), one.begin(), one.end());
-  }
-}
-
-void KdTree::knn_batch(const double* queries, index_t num_queries, int k,
-                       std::vector<Neighbor>& out) const {
-  thread_local std::vector<Neighbor> one;
-  out.clear();
-  for (index_t i = 0; i < num_queries; ++i) {
-    knn({queries + static_cast<std::size_t>(i) * static_cast<std::size_t>(dim_),
-         static_cast<std::size_t>(dim_)},
-        k, one);
-    out.insert(out.end(), one.begin(), one.end());
-  }
-}
-
 namespace {
 
 /// Plain Euclidean scoring for component queries: the leaf scan's batched

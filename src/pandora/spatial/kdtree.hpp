@@ -70,7 +70,7 @@ struct KdTreeAnnotations {
 /// boxes and median selections read contiguous memory.
 ///
 /// All queries are const, and only `patch` (the dynamic subsystem's
-/// re-index after erases, on a tree it owns) changes a built tree.  Round
+/// re-index after each update, on a tree it owns) changes a built tree.  Round
 /// state lives in a caller-owned `KdTreeAnnotations` (see above), which is
 /// what lets a cached tree serve concurrent batch queries.
 ///
@@ -105,27 +105,12 @@ class KdTree {
 
   /// k nearest indexed points to an arbitrary coordinate query (which need
   /// not be an indexed point), ascending; `out` is resized to min(k, n).
-  /// This is the entry the dynamic subsystem uses to probe the tree around a
-  /// point that is not (yet) part of the index.
+  /// `nearest_in` probes the other tree with this.
+  ///
+  /// Steady-state calls of either overload on a warm thread allocate nothing
+  /// beyond `out`'s capacity: each search keeps its k best in a fixed sorted
+  /// buffer and its deferred subtrees on a per-thread stack.
   void knn(std::span<const double> query, int k, std::vector<Neighbor>& out) const;
-
-  /// kNN for a batch of queries given by rank, one `knn` search each: `out` is
-  /// resized to `queries.size() * k_eff` with query i's neighbours ascending
-  /// at [i * k_eff, (i+1) * k_eff), k_eff = min(k, n-1) (each query point
-  /// excludes itself).  Results equal per-query `knn` — the k-nearest set
-  /// under the total (distance, index) order is unique.  Steady-state calls
-  /// on a warm thread allocate nothing beyond `out`'s capacity: each search
-  /// keeps its k best in a fixed sorted buffer and its deferred subtrees on
-  /// a per-thread stack.  Independent searches are deliberate: a group DFS
-  /// walking 16 queries together measured 1.2-1.4x slower on 50k-point
-  /// sets.
-  void knn_batch(std::span<const index_t> queries, int k, std::vector<Neighbor>& out) const;
-
-  /// As above for `num_queries` arbitrary row-major coordinate queries
-  /// (dim() doubles each, none excluded): k_eff = min(k, n).  The dynamic
-  /// subsystem's insert path probes whole batches through this.
-  void knn_batch(const double* queries, index_t num_queries, int k,
-                 std::vector<Neighbor>& out) const;
 
   /// Nearest point to the point at rank `q` under the Euclidean metric among
   /// points whose `component[]` (rank-indexed) differs from `my_component`.
@@ -149,8 +134,8 @@ class KdTree {
   /// indexed point whose `component[]` differs from `my_component` (pass
   /// `kNone` as `my_component` to consider every indexed point), within
   /// `radius_sq` under the indexed overload's contract.  The dynamic
-  /// subsystem's Borůvka rounds issue these for points appended after the
-  /// index was built, and against the batch tree of an insert.
+  /// subsystem's Borůvka rounds issue these from established points against
+  /// the batch tree of an insert.
   [[nodiscard]] Neighbor nearest_other_component(
       std::span<const double> query, index_t my_component, std::span<const index_t> component,
       const KdTreeAnnotations& notes,
@@ -226,14 +211,15 @@ class KdTree {
   /// point this way.
   void nearest_in(const exec::Executor& exec, const KdTree& other, std::span<Neighbor> out) const;
 
-  /// Re-indexes the tree in O(n) after its PointSet was compacted in place:
+  /// Re-indexes the tree in O(n) after its PointSet changed in place:
   /// `remap[id]` (one entry per indexed id) is the new id of indexed point
   /// `id`, or kNone when it was erased.  Surviving indexed points must take
-  /// the new ids [0, k); the PointSet's points [k, points().size()) are
-  /// absorbed into the leaves their coordinates descend to (at a split value
-  /// itself, the left).  Every split is kept, so every point still satisfies
-  /// its ancestors' splits; ranges, tight boxes, `tree_order()` and the
-  /// coordinate columns are recomputed.  Queries break ties on id, never on
+  /// the new ids [0, k); the PointSet's points [k, points().size()), e.g.
+  /// points appended after an identity remap, are absorbed into the leaves
+  /// their coordinates descend to (at a split value itself, the left).
+  /// Every split is kept, so every point still satisfies its ancestors'
+  /// splits; ranges, tight boxes, `tree_order()` and the coordinate columns
+  /// are recomputed.  Queries break ties on id, never on
   /// rank, so a patched tree answers every query exactly as a tree built
   /// over the same points.  Returns false, leaving the tree unchanged, when
   /// a leaf would be left empty (annotations read every leaf's first point)

@@ -1,5 +1,5 @@
 // The distance-kernel bit-identity contract (spatial/distance.hpp), the SoA
-// stores behind it, and the batched kd-tree probes wired onto it:
+// stores behind it, and the kd-tree probes wired onto it:
 //
 //  * scalar vs dispatched batch kernels agree BIT-FOR-BIT, including on
 //    negatives, signed zeros, denormals and infinities (compared through
@@ -11,8 +11,8 @@
 //    already discarded;
 //  * SoaStore hands out 64-byte-aligned, zero-padded dimension-major blocks
 //    and the PointSet mirror invalidates on mutable access;
-//  * KdTree::knn_batch returns bit-identical results to per-query knn, and a
-//    warm batched probe performs zero heap allocations.
+//  * warm per-query KdTree::knn probes (by rank and by coordinates) perform
+//    zero heap allocations.
 
 #include <bit>
 #include <cmath>
@@ -233,69 +233,21 @@ TEST(SoaStore, PointSetMirrorInvalidatesOnMutableAccess) {
   EXPECT_EQ(first->block(0)[1 * spatial::SoaStore::kLane + 2], 3.0);
 }
 
-TEST(KdTreeBatch, KnnBatchBitIdenticalToPerQueryKnn) {
-  for (const int dim : {2, 3, 5, 7}) {
-    const spatial::PointSet points =
-        data::uniform_points(500, dim, 1000 + static_cast<std::uint64_t>(dim));
-    const spatial::KdTree tree(points, /*leaf_size=*/8);
-    for (const int k : {1, 4, 16}) {
-      std::vector<spatial::Neighbor> batch_out;
-      tree.knn_batch(tree.tree_order(), k, batch_out);
-      const auto k_eff = static_cast<std::size_t>(std::min<index_t>(k, points.size() - 1));
-      ASSERT_EQ(batch_out.size(), static_cast<std::size_t>(points.size()) * k_eff);
-
-      std::vector<spatial::Neighbor> single;
-      for (std::size_t i = 0; i < tree.tree_order().size(); ++i) {
-        const index_t q = tree.tree_order()[i];
-        tree.knn(q, k, single);
-        ASSERT_EQ(single.size(), k_eff);
-        for (std::size_t t = 0; t < k_eff; ++t) {
-          ASSERT_EQ(batch_out[i * k_eff + t].index, single[t].index)
-              << "dim=" << dim << " k=" << k << " q=" << q << " t=" << t;
-          ASSERT_EQ(bits(batch_out[i * k_eff + t].squared_distance),
-                    bits(single[t].squared_distance))
-              << "dim=" << dim << " k=" << k << " q=" << q << " t=" << t;
-        }
-      }
-    }
-  }
-}
-
-TEST(KdTreeBatch, CoordinateOverloadMatchesCoordinateKnn) {
-  const int dim = 3;
-  const spatial::PointSet points = data::uniform_points(300, dim, 77);
-  const spatial::KdTree tree(points, /*leaf_size=*/8);
-  const spatial::PointSet queries = data::uniform_points(40, dim, 78);
-  const int k = 5;
-
-  std::vector<spatial::Neighbor> batch_out;
-  tree.knn_batch(queries.coords().data(), queries.size(), k, batch_out);
-  ASSERT_EQ(batch_out.size(), static_cast<std::size_t>(queries.size()) * k);
-
-  std::vector<spatial::Neighbor> single;
-  for (index_t i = 0; i < queries.size(); ++i) {
-    tree.knn(queries.point(i), k, single);
-    ASSERT_EQ(single.size(), static_cast<std::size_t>(k));
-    for (int t = 0; t < k; ++t) {
-      ASSERT_EQ(batch_out[static_cast<std::size_t>(i) * k + t].index,
-                single[static_cast<std::size_t>(t)].index);
-      ASSERT_EQ(bits(batch_out[static_cast<std::size_t>(i) * k + t].squared_distance),
-                bits(single[static_cast<std::size_t>(t)].squared_distance));
-    }
-  }
-}
-
-TEST(KdTreeBatch, WarmBatchedProbeAllocatesNothing) {
+TEST(KdTreeKnn, WarmQueriesAllocateNothing) {
   const spatial::PointSet points = data::uniform_points(2000, 3, 99);
   const spatial::KdTree tree(points, /*leaf_size=*/16);
-  const std::span<const index_t> order = tree.tree_order();
-  const std::span<const index_t> queries = order.subspan(0, 64);
+  const auto probe = [&](std::vector<spatial::Neighbor>& out) {
+    for (index_t r = 0; r < 64; ++r) {
+      tree.knn(r, 8, out);
+      tree.knn(points.point(r), 8, out);
+    }
+  };
 
   std::vector<spatial::Neighbor> out;
-  tree.knn_batch(queries, 8, out);  // warm: result capacity + thread_local scratch
-  tree.knn_batch(queries, 8, out);
+  probe(out);  // warm: result capacity + thread_local scratch
+  probe(out);
 
   pandora::testing::AllocationCounterScope scope;
-  tree.knn_batch(queries, 8, out);
-  EXPECT_EQ(scope.count(), 0u) << "warm batched probe must not touch the heap";
+  probe(out);
+  EXPECT_EQ(scope.count(), 0u) << "warm per-query kNN must not touch the heap";
 }

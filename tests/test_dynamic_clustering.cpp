@@ -494,25 +494,26 @@ TEST(DynamicClustering, UpdateStatsTrackTheIncrementalPath) {
   EXPECT_EQ(stats.points_inserted, 401u);
   EXPECT_GT(stats.boruvka_rounds, 0u) << "single insert must take the repair path";
   EXPECT_GT(stats.edges_added, 0u);
-  EXPECT_EQ(stats.index_rebuilds, 1u) << "a one-point tail must not rebuild the index";
+  EXPECT_EQ(stats.index_patches, 1u) << "a one-point insert patches the index";
+  EXPECT_EQ(stats.index_rebuilds, 1u);
 
   stream.erase(std::array{stream.id_at(0)});
   EXPECT_EQ(stats.points_erased, 1u);
-  EXPECT_EQ(stats.index_patches, 1u) << "an erase within the drift budget patches the index";
+  EXPECT_EQ(stats.index_patches, 2u) << "an erase within the drift budget patches the index";
   EXPECT_EQ(stats.index_rebuilds, 1u);
 
   // 2 points drifted so far; 70 more pass the 64-point budget.
   std::vector<index_t> victims;
   for (index_t slot = 0; slot < 70; ++slot) victims.push_back(stream.id_at(slot));
   stream.erase(victims);
-  EXPECT_EQ(stats.index_patches, 1u);
+  EXPECT_EQ(stats.index_patches, 2u);
   EXPECT_EQ(stats.index_rebuilds, 2u) << "crossing the drift budget rebuilds the index";
   expect_equivalent_to_rebuild(stream);
 }
 
 TEST(DynamicClustering, AlternatingChurnPatchesAndRebuildsTheIndex) {
   // 40 alternating 1% inserts and erases on blobs with duplicate points:
-  // the erases patch the kd index, cross the drift budget (12.5% of n)
+  // the updates patch the kd index, cross the drift budget (12.5% of n)
   // several times, and one erase clears a spatial ball that empties a leaf.
   // Every update must match a cold rebuild, on both backends, and the two
   // backends must maintain the same tree edge for edge.
@@ -577,11 +578,11 @@ TEST(DynamicClustering, AlternatingChurnPatchesAndRebuildsTheIndex) {
   }
 }
 
-TEST(DynamicClustering, EraseAfterInsertsOutsideTheIndexRebuildsIt) {
-  // A tight cluster inserted far outside the indexed unit square stays in
-  // the unindexed tail (100 points, under the 262-point budget); the next
-  // erase would absorb it all into the corner leaf, so the patch refuses
-  // and the index is rebuilt.  In-distribution churn then patches again.
+TEST(DynamicClustering, InsertOutsideTheIndexRebuildsIt) {
+  // A tight cluster inserted far outside the indexed unit square (100
+  // points, under the 262-point drift budget) would all descend to the
+  // corner leaf, so the patch refuses and the insert rebuilds the index.
+  // In-distribution churn then patches again.
   for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
     const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
     dyn::DynamicClustering stream(executor);
@@ -591,17 +592,48 @@ TEST(DynamicClustering, EraseAfterInsertsOutsideTheIndexRebuildsIt) {
     for (index_t i = 0; i < far.size(); ++i)
       for (int d = 0; d < 2; ++d) far.at(i, d) = 3.0 + 0.1 * far.at(i, d);
     (void)stream.insert(far);
-    EXPECT_EQ(stats.index_rebuilds, 1u) << backend->name();
-    stream.erase(std::array{stream.id_at(0)});
     EXPECT_EQ(stats.index_patches, 0u) << backend->name();
     EXPECT_EQ(stats.index_rebuilds, 2u) << backend->name() << ": the corner leaf would overfill";
     expect_equivalent_to_rebuild(stream);
 
     (void)stream.insert(data::uniform_points(20, 2, 83));
-    stream.erase(std::array{stream.id_at(1)});
     EXPECT_EQ(stats.index_patches, 1u) << backend->name();
+    stream.erase(std::array{stream.id_at(1)});
+    EXPECT_EQ(stats.index_patches, 2u) << backend->name();
     EXPECT_EQ(stats.index_rebuilds, 2u) << backend->name();
     expect_equivalent_to_rebuild(stream);
+  }
+}
+
+TEST(DynamicClustering, InsertOnlyStreamPatchesThenRebuilds) {
+  // Consecutive in-distribution inserts, no erases: each patches the kd
+  // index until the points inserted since the last build pass the drift
+  // budget (max(64, n / 8)), which rebuilds it, and patching resumes.
+  constexpr index_t kInitial = 1000;
+  constexpr index_t kBatch = 20;
+  constexpr int kInserts = 20;
+  const spatial::PointSet pool = data::uniform_points(kInitial + kInserts * kBatch, 2, 91);
+  for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+    const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
+    dyn::DynamicClustering stream(executor);
+    (void)stream.insert(slice_points(pool, 0, kInitial));
+    const dyn::UpdateStats& stats = stream.stats();
+    std::uint64_t patches = 0, rebuilds = 1;
+    index_t drift = 0;
+    for (int i = 0; i < kInserts; ++i) {
+      (void)stream.insert(slice_points(pool, kInitial + i * kBatch, kBatch));
+      drift += kBatch;
+      if (static_cast<double>(drift) > std::max(64.0, 0.125 * stream.size())) {
+        ++rebuilds;
+        drift = 0;
+      } else {
+        ++patches;
+      }
+      EXPECT_EQ(stats.index_patches, patches) << backend->name() << " insert " << i;
+      EXPECT_EQ(stats.index_rebuilds, rebuilds) << backend->name() << " insert " << i;
+      expect_equivalent_to_rebuild(stream);
+    }
+    EXPECT_GE(rebuilds, 2u + 1u) << backend->name() << ": the budget was crossed twice";
   }
 }
 

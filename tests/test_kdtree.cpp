@@ -575,9 +575,10 @@ std::vector<std::pair<double, index_t>> patch_answers(const exec::Executor& exec
 }
 
 TEST(KdTree, PatchAnswersLikeAFreshBuild) {
-  // Erase every fifth indexed point, append new
-  // points, compact the set in place as dyn:: does, patch, and compare every
-  // answer with a tree freshly built over the same points.
+  // Erase every fifth indexed point (or, as an insert does, none: an
+  // identity remap), append new points, compact the set in place as dyn::
+  // does, patch, and compare every answer with a tree freshly built over the
+  // same points.
   struct Input {
     std::string name;
     PointSet points;
@@ -595,38 +596,42 @@ TEST(KdTree, PatchAnswersLikeAFreshBuild) {
     const index_t total = input.points.size();
     const index_t indexed = total - total / 10;  // the rest is appended after the erase
     for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
-      const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
-      PointSet points(2, indexed);
-      std::copy_n(input.points.coords().begin(), 2 * indexed, points.coords().begin());
-      KdTree tree(executor, points, 32);  // ~20-point leaves: a fifth never empties one
-      std::vector<index_t> remap(static_cast<std::size_t>(indexed));
-      std::vector<double> compacted;
-      index_t next = 0;
-      for (index_t i = 0; i < indexed; ++i) {
-        const bool erased = i % 5 == 0;
-        remap[static_cast<std::size_t>(i)] = erased ? kNone : next++;
-        if (!erased)
-          compacted.insert(compacted.end(), points.point(i).begin(), points.point(i).end());
+      for (const index_t erase_every : {5, 0}) {
+        const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
+        const std::string where = input.name + " on " + backend->name() +
+                                  (erase_every == 0 ? ", nothing erased" : ", a fifth erased");
+        PointSet points(2, indexed);
+        std::copy_n(input.points.coords().begin(), 2 * indexed, points.coords().begin());
+        KdTree tree(executor, points, 32);  // ~20-point leaves: a fifth never empties one
+        std::vector<index_t> remap(static_cast<std::size_t>(indexed));
+        std::vector<double> compacted;
+        index_t next = 0;
+        for (index_t i = 0; i < indexed; ++i) {
+          const bool erased = erase_every > 0 && i % erase_every == 0;
+          remap[static_cast<std::size_t>(i)] = erased ? kNone : next++;
+          if (!erased)
+            compacted.insert(compacted.end(), points.point(i).begin(), points.point(i).end());
+        }
+        compacted.insert(compacted.end(), input.points.coords().begin() + 2 * indexed,
+                         input.points.coords().end());
+        points.coords() = std::move(compacted);
+        ASSERT_TRUE(tree.patch(executor, remap)) << where;
+        ASSERT_EQ(tree.size(), points.size());
+        const KdTree fresh(executor, points, 32);
+        EXPECT_EQ(patch_answers(executor, tree), patch_answers(executor, fresh)) << where;
+        // The leaves tile the ranks, and every rank holds one point.
+        index_t covered = 0;
+        for (const KdTree::Leaf& leaf : tree.leaves()) {
+          ASSERT_EQ(leaf.begin, covered);
+          ASSERT_LT(leaf.begin, leaf.end);
+          covered = leaf.end;
+        }
+        EXPECT_EQ(covered, points.size());
+        std::vector<index_t> order(tree.tree_order().begin(), tree.tree_order().end());
+        std::sort(order.begin(), order.end());
+        for (index_t r = 0; r < points.size(); ++r)
+          ASSERT_EQ(order[static_cast<std::size_t>(r)], r);
       }
-      compacted.insert(compacted.end(), input.points.coords().begin() + 2 * indexed,
-                       input.points.coords().end());
-      points.coords() = std::move(compacted);
-      ASSERT_TRUE(tree.patch(executor, remap)) << input.name << " on " << backend->name();
-      ASSERT_EQ(tree.size(), points.size());
-      const KdTree fresh(executor, points, 32);
-      EXPECT_EQ(patch_answers(executor, tree), patch_answers(executor, fresh))
-          << input.name << " on " << backend->name();
-      // The leaves tile the ranks, and every rank holds one point.
-      index_t covered = 0;
-      for (const KdTree::Leaf& leaf : tree.leaves()) {
-        ASSERT_EQ(leaf.begin, covered);
-        ASSERT_LT(leaf.begin, leaf.end);
-        covered = leaf.end;
-      }
-      EXPECT_EQ(covered, points.size());
-      std::vector<index_t> order(tree.tree_order().begin(), tree.tree_order().end());
-      std::sort(order.begin(), order.end());
-      for (index_t r = 0; r < points.size(); ++r) ASSERT_EQ(order[static_cast<std::size_t>(r)], r);
     }
   }
 }
