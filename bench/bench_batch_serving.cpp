@@ -199,11 +199,11 @@ void run_qos(const exec::Executor& executor, bench::JsonReport& json) {
 /// after every mutation.  Per-query reader latencies feed p50/p90 with and
 /// without the writer; the ratio (`reader_p90_degradation`) is the
 /// writers-never-block-readers claim as a number, gated by
-/// check_regression.py on hosts with >= 4 threads.
+/// check_regression.py, which needs a run with >= 4 threads.
 ///
 /// Snapshot queries consult no artifact cache: every query computes
-/// everything after the snapshot's kd-tree, which the first reader of each
-/// epoch builds and the epoch's other readers share.
+/// everything after the snapshot's kd-tree, the copy of the writer's kd
+/// index that the epoch's readers share (no reader builds one).
 void run_mixed_rw(bench::JsonReport& json) {
   constexpr int kReaders = 8;
   constexpr int kQueriesPerReader = 6;

@@ -25,13 +25,14 @@ Two kinds of checks:
 
 2. Self-relative serving gates (machine-independent):
    * ``--batch-json``: the small-uniform N=8 scenario of bench_batch_serving
-     must reach ``--min-batch-speedup`` (checked only when the run had >= 4
-     threads; query-level parallelism cannot show on fewer).
+     must reach ``--min-batch-speedup``.  The run must have had >= 4
+     threads (query-level parallelism cannot show on fewer); a JSON from a
+     smaller run fails the gate instead of skipping it.
    * ``--max-reader-degradation``: the mixed_rw scenario of
      bench_batch_serving (8 snapshot readers with vs without a churning
      writer) must keep reader p90 within that ratio of the writer-idle p90
-     (writers publish snapshots; they never block readers).  Skipped below
-     4 threads like the batch gate.
+     (writers publish snapshots; they never block readers).  Fails below 4
+     threads like the batch gate.
    * ``--fig15-json``: per dataset, the summed cache-replay preparation must
      beat the summed rebuild preparation.  And on one kd-tree, the library's
      mpts sweep must run exactly one kNN pass (``shared_pass_knn_passes``)
@@ -43,9 +44,10 @@ Two kinds of checks:
    * ``--distance-json``: bench_distance_kernels' SoA batch kernels must show
      the SIMD dispatch beating the scalar reference by
      ``--min-distance-speedup`` (median across the Table 2 dimensionality
-     rows).  Skipped when the artifact reports a runtime vector width < 4
+     rows).  Fails when the artifact reports a runtime vector width < 4
      (PANDORA_SIMD=OFF build, or a host without AVX2): there the dispatch IS
-     the scalar kernel and the two columns are identical by construction.
+     the scalar kernel and the two columns are identical by construction, so
+     the gate cannot measure what it claims.
    * ``--dynamic-json``: bench_dynamic_updates' single-insert scenario at
      n >= 50k must reach ``--min-dynamic-speedup`` (steady-state incremental
      update + dendrogram replay vs the full cold rebuild, same host).  The
@@ -230,9 +232,8 @@ def check_batch_gate(path: pathlib.Path, min_speedup: float) -> list[str]:
             continue
         speedup = row.get("batched_speedup", 0.0)
         if threads < 4:
-            print(f"batch gate: skipped (threads={threads} < 4); "
-                  f"observed speedup {speedup:.2f}x")
-            return []
+            return [f"batch gate cannot run: threads={threads} < 4 (observed speedup "
+                    f"{speedup:.2f}x); run bench_batch_serving with >= 4 threads"]
         print(f"batch gate: small-uniform N=8 speedup {speedup:.2f}x "
               f"(required {min_speedup:.2f}x, threads={threads})")
         if speedup < min_speedup:
@@ -249,9 +250,9 @@ def check_reader_gate(path: pathlib.Path, max_degradation: float) -> list[str]:
             continue
         degradation = row.get("reader_p90_degradation", 0.0)
         if threads < 4:
-            print(f"reader gate: skipped (threads={threads} < 4); "
-                  f"observed p90 degradation {degradation:.2f}x")
-            return []
+            return [f"reader gate cannot run: threads={threads} < 4 (observed p90 "
+                    f"degradation {degradation:.2f}x); run bench_batch_serving with >= 4 "
+                    "threads"]
         print(f"reader gate: mixed_rw reader p90 with writer "
               f"{row.get('reader_rw_p90', 0.0) * 1e3:.2f}ms vs without "
               f"{row.get('reader_ro_p90', 0.0) * 1e3:.2f}ms = {degradation:.2f}x "
@@ -355,9 +356,9 @@ def check_distance_gate(path: pathlib.Path, min_speedup: float) -> list[str]:
               f"width {row.get('simd_width', 1)})")
         speedups.append(speedup)
     if width < 4:
-        print(f"distance gate: skipped (runtime vector width {width} < 4; "
-              "scalar dispatch is the kernel under test)")
-        return []
+        return [f"distance gate cannot run: runtime vector width {width} < 4 (the scalar "
+                "dispatch is the kernel under test); run bench_distance_kernels from a "
+                "SIMD build on an AVX2 host"]
     median_speedup = statistics.median(speedups)
     print(f"distance gate: median SIMD speedup {median_speedup:.2f}x across "
           f"{len(speedups)} dims (required {min_speedup:.2f}x)")
@@ -397,7 +398,7 @@ def main() -> int:
     parser.add_argument("--min-dynamic-speedup", type=float, default=3.0)
     parser.add_argument("--distance-json", type=pathlib.Path,
                         help="BENCH_distance_kernels.json for the SIMD-vs-scalar "
-                             "kernel gate (skipped at runtime vector width < 4)")
+                             "kernel gate (fails at runtime vector width < 4)")
     parser.add_argument("--min-distance-speedup", type=float, default=1.2)
     args = parser.parse_args()
 

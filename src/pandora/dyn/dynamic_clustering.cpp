@@ -816,6 +816,8 @@ ArtifactBundle DynamicClustering::capture_artifacts() const {
   ArtifactBundle bundle;
   bundle.epoch = epoch_;
   bundle.points = std::make_shared<const spatial::PointSet>(*points_);
+  if (tree_ != nullptr)
+    bundle.tree = std::make_shared<const spatial::KdTree>(*tree_, *bundle.points);
   bundle.ids = std::make_shared<const std::vector<index_t>>(id_of_slot_);
   bundle.emst = std::make_shared<const graph::EdgeList>(edges_);
   bundle.sorted_edges = std::make_shared<const dendrogram::SortedEdges>(sorted_);

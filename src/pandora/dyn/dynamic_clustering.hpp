@@ -45,10 +45,10 @@ struct UpdateStats {
 };
 
 /// One epoch of a stream, captured as an immutable unit: deep copies of the
-/// live points and every maintained derived structure, all consistent with
-/// one `epoch()`.  This is what the snapshot tier freezes and publishes — the
-/// copies share nothing with the stream, so the writer may keep mutating
-/// while readers hold the bundle.
+/// live points, the kd index and every maintained derived structure, all
+/// consistent with one `epoch()`.  This is what the snapshot tier freezes and
+/// publishes — the copies share nothing with the stream, so the writer may
+/// keep mutating while readers hold the bundle.
 struct ArtifactBundle {
   std::uint64_t epoch = 0;
   std::shared_ptr<const spatial::PointSet> points;
@@ -56,6 +56,8 @@ struct ArtifactBundle {
   std::shared_ptr<const graph::EdgeList> emst;
   std::shared_ptr<const dendrogram::SortedEdges> sorted_edges;
   std::shared_ptr<const dendrogram::Dendrogram> dendrogram;
+  /// The stream's kd index, bound to `*points` (null when there are none).
+  std::shared_ptr<const spatial::KdTree> tree;
 };
 
 /// A mutable point set with stable ids, an incrementally maintained exact
@@ -184,7 +186,7 @@ class DynamicClustering {
   [[nodiscard]] hdbscan::HdbscanResult hdbscan(const hdbscan::HdbscanOptions& options = {}) const;
 
   /// Freezes the current epoch as an immutable `ArtifactBundle` (deep
-  /// copies: points, EMST, sorted run, dendrogram — one consistent unit).
+  /// copies: points, kd index, EMST, sorted run, dendrogram — one unit).
   /// O(n·d + E) copy cost; this is the "materialize the successor snapshot
   /// off to the side" step of `snapshot::PublishedClustering::publish`, so
   /// it runs on the writer thread without touching anything a reader holds.
@@ -192,11 +194,11 @@ class DynamicClustering {
   [[nodiscard]] ArtifactBundle capture_artifacts() const;
 
   /// Resets the stream to the state frozen in `bundle` (deep copies back:
-  /// points, stable-id map, EMST, sorted run, dendrogram), clears the poison
-  /// flag and *advances* the epoch — burned epoch numbers are never reused,
-  /// so a republished snapshot always orders after the failed one.  Accepts
-  /// any bundle captured from this stream or a compatible one; this is the
-  /// writer-recovery primitive behind `snapshot::PublishedClustering::recover()`.
+  /// points, id map, EMST, sorted run, dendrogram; the kd index is rebuilt),
+  /// clears the poison flag and *advances* the epoch — burned epoch numbers
+  /// are never reused, so a republished snapshot orders after the failed one.
+  /// Accepts any bundle captured from this stream or a compatible one; this is
+  /// the writer-recovery primitive behind `snapshot::PublishedClustering::recover()`.
   void restore(const ArtifactBundle& bundle);
 
   [[nodiscard]] const UpdateStats& stats() const { return stats_; }

@@ -48,6 +48,8 @@ obs::Histogram& run_metric(JobOutcome outcome) {
   }
 }
 
+constexpr std::size_t kAdaptiveMinSamples = 16;
+
 obs::Histogram& wait_metric() {
   static obs::Histogram& wait = obs::registry().histogram("pandora_serve_job_wait_seconds");
   return wait;
@@ -112,7 +114,7 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
     // online — "under pressure" means more other jobs pending than slots to
     // absorb them, "oversized" means the job's predicted run time (size hint
     // x the observed seconds-per-size-unit rate) exceeds the rolling p99 of
-    // completed-job latency (x headroom).  Until enough samples accumulate
+    // completed-job latency.  Until kAdaptiveMinSamples jobs have completed
     // the model abstains and everything is admitted.
     bool predicted_slow = false;
     if (qos.adaptive && !budget_spent && !oversized &&
@@ -120,12 +122,12 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
       const AdaptiveState& model = *adaptive_;
       const std::uint64_t total_ns = model.total_ns.load(std::memory_order_relaxed);
       const std::uint64_t total_size = model.total_size.load(std::memory_order_relaxed);
-      if (model.latency.count() >= qos.adaptive_min_samples && total_ns > 0 && total_size > 0) {
+      if (model.latency.count() >= kAdaptiveMinSamples && total_ns > 0 && total_size > 0) {
         const double seconds_per_unit =
             1e-9 * static_cast<double>(total_ns) / static_cast<double>(total_size);
         const double predicted =
             static_cast<double>(std::max<size_type>(jobs[j].size_hint, 1)) * seconds_per_unit;
-        predicted_slow = predicted > qos.adaptive_headroom * model.latency.quantile(0.99);
+        predicted_slow = predicted > model.latency.quantile(0.99);
       }
     }
     if (budget_spent || oversized || predicted_slow) {
@@ -135,15 +137,13 @@ std::vector<JobResult> BatchExecutor::run_jobs(std::span<Job> jobs) {
       return;
     }
 
-    // Per-job token: own deadline (job's, else the policy default), chained
-    // to the batch budget and the caller's token.  Stack-allocated — the
-    // scope guard uninstalls it before it dies.
+    // Per-job token: the job's own deadline, chained to the batch budget
+    // and the caller's token.  Stack-allocated — the scope guard uninstalls
+    // it before it dies.
     exec::CancellationToken job_token;
-    const std::chrono::nanoseconds deadline =
-        jobs[j].deadline.count() > 0 ? jobs[j].deadline : qos.job_deadline;
     bool cancellable = false;
-    if (deadline.count() > 0) {
-      job_token.set_deadline(exec::CancellationToken::clock::now() + deadline);
+    if (jobs[j].deadline.count() > 0) {
+      job_token.set_deadline(exec::CancellationToken::clock::now() + jobs[j].deadline);
       cancellable = true;
     }
     if (has_batch_budget) {

@@ -87,10 +87,6 @@ struct QosPolicy {
   /// `Cancelled`; jobs not yet started are shed.
   std::chrono::nanoseconds batch_budget{0};
 
-  /// Default per-job deadline, measured from the job's own start (0 = none).
-  /// A job's explicit `Job::deadline` takes precedence.
-  std::chrono::nanoseconds job_deadline{0};
-
   /// Shed jobs whose `size_hint` exceeds this while the batch is under
   /// pressure (0 = never shed by size).  Large queries monopolise the
   /// parent executor; under load, dropping one large query frees the whole
@@ -104,22 +100,14 @@ struct QosPolicy {
   /// Learn the shedding decision from observed latencies instead of the
   /// static `shed_above` / `pressure_threshold` knobs.  The executor keeps
   /// a log2 latency histogram of completed jobs plus a running
-  /// size-hint-to-seconds rate (both survive across batches); once
-  /// `adaptive_min_samples` jobs have completed ok, a job picked up while
-  /// more other jobs are pending than there are slots is shed when its
-  /// predicted run time (size_hint x observed seconds-per-unit) exceeds
-  /// `adaptive_headroom` x the rolling p99 of completed-job latency — i.e.
-  /// both thresholds are derived online, none of the static knobs need
-  /// tuning.  Composes with the static knobs: either can shed a job.
+  /// size-hint-to-seconds rate (both survive across batches); once 16 jobs
+  /// have completed ok (a cold server admits everything while it learns), a
+  /// job picked up while more other jobs are pending than there are slots is
+  /// shed when its predicted run time (size_hint x observed seconds-per-unit)
+  /// exceeds the rolling p99 of completed-job latency — i.e. both thresholds
+  /// are derived online, none of the static knobs need tuning.  Composes
+  /// with the static knobs: either can shed a job.
   bool adaptive = false;
-
-  /// Headroom multiplier on the rolling p99 before a predicted-slow job is
-  /// shed (> 1 sheds less eagerly).  Only meaningful with `adaptive`.
-  double adaptive_headroom = 1.0;
-
-  /// Completed-job samples required before adaptive shedding activates (a
-  /// cold server admits everything while it learns).
-  std::size_t adaptive_min_samples = 16;
 
   /// Under pressure, give up phase overlap so the small queries drain on
   /// the slots *before* the calling thread starts the large ones — large
@@ -156,8 +144,7 @@ class BatchExecutor {
   struct Job {
     std::function<void(const exec::Executor&)> run;
     size_type size_hint = 0;
-    /// Per-job deadline, measured from the job's start (0 = use the batch
-    /// policy's `QosPolicy::job_deadline`, or none).
+    /// Per-job deadline, measured from the job's start (0 = none).
     std::chrono::nanoseconds deadline{0};
     /// Caller-owned cancellation token observed while the job runs (nullptr
     /// = none).  Must outlive the batch call.

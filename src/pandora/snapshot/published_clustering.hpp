@@ -40,7 +40,8 @@ namespace pandora::snapshot {
 /// the retired snapshot drops its neighbour pass at once, and its artifacts
 /// and kd-tree are reclaimed when its last reader drains (RCU-style).
 /// Memory cost: at most `1 + max-in-flight-readers` epochs resident, each
-/// with its bundle and at most one kd-tree; only the published snapshot
+/// with its bundle, whose copy of the writer's kd index is the one kd-tree
+/// its readers query (no reader builds another); only the published snapshot
 /// keeps a neighbour pass, and a pass replaced or dropped lives on only in
 /// the queries still running on it; other per-query artifacts die with
 /// their query.

@@ -27,7 +27,8 @@ obs::Counter& epochs_reclaimed_metric() {
 
 Snapshot::Snapshot(dyn::ArtifactBundle bundle) : bundle_(std::move(bundle)) {
   PANDORA_EXPECT(bundle_.points != nullptr && bundle_.emst != nullptr &&
-                     bundle_.sorted_edges != nullptr && bundle_.dendrogram != nullptr,
+                     bundle_.sorted_edges != nullptr && bundle_.dendrogram != nullptr &&
+                     (bundle_.tree ? &bundle_.tree->points() == bundle_.points.get() : size() == 0),
                  "Snapshot requires a fully captured ArtifactBundle");
   live_epochs_metric().add(1);
 }
@@ -40,32 +41,27 @@ Snapshot::~Snapshot() {
   epochs_reclaimed_metric().inc();
 }
 
-std::shared_ptr<const spatial::KdTree> Snapshot::tree(const exec::Executor& exec) const {
-  PANDORA_EXPECT(size() > 0, "snapshot holds no points");
-  std::call_once(tree_once_, [&] {
-    const exec::ScopedPhase phase(exec, "tree_build");
-    tree_ = std::make_shared<const spatial::KdTree>(exec, *bundle_.points, /*leaf_size=*/32);
-  });
-  return tree_;
+const spatial::KdTree& Snapshot::tree() const {
+  PANDORA_EXPECT(bundle_.tree != nullptr, "snapshot holds no points");
+  return *bundle_.tree;
 }
 
 pandora::hdbscan::HdbscanResult Snapshot::hdbscan(
     const exec::Executor& exec, const pandora::hdbscan::HdbscanOptions& options) const {
-  return pandora::hdbscan::hdbscan(exec, *tree(exec), passes_, options);
+  return pandora::hdbscan::hdbscan(exec, tree(), passes_, options);
 }
 
 pandora::hdbscan::MinClusterSizeSweep Snapshot::sweep_min_cluster_size(
     const exec::Executor& exec, std::span<const index_t> min_cluster_sizes,
     const pandora::hdbscan::HdbscanOptions& base) const {
-  return pandora::hdbscan::hdbscan_sweep_min_cluster_size(exec, *tree(exec), passes_,
+  return pandora::hdbscan::hdbscan_sweep_min_cluster_size(exec, tree(), passes_,
                                                           min_cluster_sizes, base);
 }
 
 std::vector<pandora::hdbscan::HdbscanResult> Snapshot::sweep_min_pts(
     const exec::Executor& exec, std::span<const int> min_pts_values,
     const pandora::hdbscan::HdbscanOptions& base) const {
-  return pandora::hdbscan::hdbscan_sweep_min_pts(exec, *tree(exec), passes_, min_pts_values,
-                                                 base);
+  return pandora::hdbscan::hdbscan_sweep_min_pts(exec, tree(), passes_, min_pts_values, base);
 }
 
 void Snapshot::retire() { passes_.release(); }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -26,10 +25,11 @@
 /// `min_cluster_size` / mpts sweeps (`Snapshot::hdbscan`, ...) — with
 /// complete intra-query parallelism and never take a lock a writer holds:
 /// everything a query reads is immutable.  Readers share two artifacts: the
-/// snapshot's kd-tree, built once, and its neighbour pass, the longest kNN
-/// pass any of them has asked for, from which a query at any smaller mpts
-/// derives its core distances and MST seeds.  Everything after that depends
-/// on mpts and is computed per query, with no ArtifactCache lookup.
+/// snapshot's kd-tree (the writer's kd index, copied at publication) and its
+/// neighbour pass, the longest kNN pass any of them has asked for, from which
+/// a query at any smaller mpts derives its core distances and MST seeds.
+/// Everything after that depends on mpts and is computed per query, with no
+/// ArtifactCache lookup.
 ///
 /// `snapshot::PublishedClustering` (published_clustering.hpp) is the front
 /// door that owns the writer side and swaps the current-snapshot pointer.
@@ -72,11 +72,11 @@ class Snapshot {
     return *bundle_.dendrogram;
   }
 
-  /// The kd-tree over the snapshot's points, built lazily by the first
-  /// reader that needs it, on that reader's executor under the "tree_build"
-  /// phase (concurrent first readers block on one build rather than racing
-  /// N redundant ones), and held for the snapshot's lifetime.
-  [[nodiscard]] std::shared_ptr<const spatial::KdTree> tree(const exec::Executor& exec) const;
+  /// The kd-tree over the snapshot's points: the writer's kd index at this
+  /// epoch, which `capture_artifacts` copied into the bundle, so no reader
+  /// builds one (it answers every query as a fresh build, ties breaking on
+  /// id).  Throws std::invalid_argument on an empty snapshot.
+  [[nodiscard]] const spatial::KdTree& tree() const;
 
   /// Full HDBSCAN* against the pinned epoch, on `tree()` and the snapshot's
   /// neighbour pass.  The pass is taken as it is when it serves
@@ -116,8 +116,6 @@ class Snapshot {
 
  private:
   dyn::ArtifactBundle bundle_;
-  mutable std::once_flag tree_once_;
-  mutable std::shared_ptr<const spatial::KdTree> tree_;
   mutable pandora::hdbscan::SharedNeighborPass passes_;
 };
 

@@ -42,6 +42,11 @@ KdTree::KdTree(const exec::Executor& exec, const PointSet& points, int leaf_size
 
 KdTree::KdTree(const PointSet& points, int leaf_size) : KdTree(points, leaf_size, nullptr) {}
 
+KdTree::KdTree(const KdTree& index, const PointSet& points) : KdTree(index) {
+  PANDORA_EXPECT(points.size() == size() && points.dim() == dim_, "points unlike the index's");
+  points_ = &points;
+}
+
 KdTree::KdTree(const PointSet& points, int leaf_size, const exec::Executor* exec)
     : points_(&points), dim_(points.dim()), leaf_size_(std::max(leaf_size, 1)) {
   PANDORA_EXPECT(dim_ > 0, "points must have positive dimension");

@@ -94,6 +94,14 @@ class KdTree {
   /// Builds the same tree on the calling thread alone.
   explicit KdTree(const PointSet& points, int leaf_size = 32);
 
+  /// A copy of `index`, sharing no storage with it, bound to `points` (kept
+  /// by reference), which must equal `index.points()` (std::invalid_argument
+  /// if it differs in size or dimension): it then answers every query as
+  /// `index` does.  Snapshots publish dyn::'s index this way.  The plain
+  /// copy, which would stay bound to the source's points, is private.
+  KdTree(const KdTree& index, const PointSet& points);
+  KdTree& operator=(const KdTree&) = delete;
+
   /// k nearest neighbours of the point at rank `q`, excluding q itself,
   /// ascending; `out` is resized to min(k, n-1).  The search descends near child
   /// first; a far child is skipped when its split-plane bound
@@ -278,6 +286,7 @@ class KdTree {
   };
 
   KdTree(const PointSet& points, int leaf_size, const exec::Executor* exec);
+  KdTree(const KdTree&) = default;
 
   /// A median-selection key: the split coordinate, the point id (the tie
   /// break), and where in the node's range the point sat before the split.

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -633,6 +635,49 @@ TEST(KdTree, PatchAnswersLikeAFreshBuild) {
           ASSERT_EQ(order[static_cast<std::size_t>(r)], r);
       }
     }
+  }
+}
+
+TEST(KdTree, CopyBoundToEqualPointsAnswersAsItsSource) {
+  // A patched source (a fifth erased, a tenth appended), copied over a
+  // separate but equal PointSet, as a snapshot copies dyn::'s index.
+  for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+    const exec::Executor executor(backend, backend == exec::serial_backend() ? 1 : 4);
+    const PointSet all = data::gaussian_blobs(1500, 2, 6, 0.03, 0.1, 37);
+    const index_t indexed = 1350;
+    std::vector<std::pair<double, index_t>> source_answers;
+    std::unique_ptr<PointSet> copy_points;
+    std::unique_ptr<KdTree> copy;
+    {
+      PointSet points(2, indexed);
+      std::copy_n(all.coords().begin(), 2 * indexed, points.coords().begin());
+      KdTree source(executor, points, 32);
+      std::vector<index_t> remap(static_cast<std::size_t>(indexed));
+      std::vector<double> compacted;
+      index_t next = 0;
+      for (index_t i = 0; i < indexed; ++i) {
+        remap[static_cast<std::size_t>(i)] = i % 5 == 0 ? kNone : next++;
+        if (i % 5 != 0)
+          compacted.insert(compacted.end(), points.point(i).begin(), points.point(i).end());
+      }
+      compacted.insert(compacted.end(), all.coords().begin() + 2 * indexed, all.coords().end());
+      points.coords() = std::move(compacted);
+      ASSERT_TRUE(source.patch(executor, remap)) << backend->name();
+
+      copy_points = std::make_unique<PointSet>(points);
+      copy = std::make_unique<KdTree>(source, *copy_points);
+      EXPECT_EQ(&copy->points(), copy_points.get());
+      EXPECT_NE(copy->tree_order().data(), source.tree_order().data());
+      EXPECT_NE(copy->leaves().data(), source.leaves().data());
+      source_answers = patch_answers(executor, source);
+
+      PointSet shorter(2, points.size() - 1);
+      EXPECT_THROW((void)KdTree(source, shorter), std::invalid_argument) << backend->name();
+      PointSet wider(3, points.size());
+      EXPECT_THROW((void)KdTree(source, wider), std::invalid_argument) << backend->name();
+    }
+    // The source and its points are gone: the copy reads only its own.
+    EXPECT_EQ(patch_answers(executor, *copy), source_answers) << backend->name();
   }
 }
 

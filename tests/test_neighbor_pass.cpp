@@ -210,7 +210,6 @@ std::uint64_t query_snapshot_in_order(const exec::Executor& reader,
   snapshot::PublishedClustering published(writer);
   published.insert(tied_blobs(1200, 8));
   const snapshot::SnapshotPtr snap = published.acquire();
-  (void)snap->tree(reader);
   const std::uint64_t before = knn_passes();
   std::vector<hdbscan::HdbscanResult> results;
   for (const int min_pts : order) results.push_back(snap->hdbscan(reader, at(min_pts)));

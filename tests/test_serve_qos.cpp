@@ -82,17 +82,6 @@ TEST(ServeQos, PerJobDeadlineCancelsThatJobOnly) {
   EXPECT_EQ(results[1].outcome, JobOutcome::ok) << "the deadline is per-job, not per-batch";
 }
 
-TEST(ServeQos, PolicyDefaultDeadlineAppliesWhenJobHasNone) {
-  const exec::Executor parent;
-  BatchOptions options;
-  options.qos.job_deadline = 1ns;
-  BatchExecutor batch(parent, options);
-  const spatial::PointSet points = data::gaussian_blobs(3000, 3, 4, 0.05, 0.1, 13);
-  std::vector<BatchExecutor::Job> jobs(2, hdbscan_job(points));
-  const std::vector<JobResult> results = batch.run_jobs(jobs);
-  for (const JobResult& result : results) EXPECT_EQ(result.outcome, JobOutcome::cancelled);
-}
-
 TEST(ServeQos, CallerTokenCancelsItsJob) {
   const exec::Executor parent;
   BatchExecutor batch(parent, {});
@@ -237,7 +226,7 @@ TEST(ServeQos, AdaptivePolicyShedsSlowJobFloodThatStaticDefaultsAdmit) {
   BatchExecutor batch(parent, options);
 
   // Teach the model what normal looks like: ~200us jobs, comfortably past
-  // adaptive_min_samples.  A cold adaptive executor must admit everything.
+  // the 16 samples the model needs.  A cold adaptive executor must admit everything.
   std::vector<BatchExecutor::Job> warm(24, sleep_job(200));
   for (const JobResult& result : batch.run_jobs(warm))
     EXPECT_EQ(result.outcome, JobOutcome::ok) << "the model learns, it must not pre-shed";

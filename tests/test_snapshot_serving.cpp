@@ -1,7 +1,8 @@
 // The snapshot:: epoch-published serving tier: publish/acquire lifecycle,
 // reader-pinned epochs under concurrent writer churn (the CI gcc-tsan matrix
-// entry race-checks the stress tests), each snapshot's one kd-tree and
-// shared neighbour pass, queries that make no ArtifactCache lookup, RCU-style reclaim when the last
+// entry race-checks the stress tests), each snapshot's published kd-tree (the
+// writer's index, copied; no reader builds one) and shared neighbour pass,
+// queries that make no ArtifactCache lookup, RCU-style reclaim when the last
 // reader drains (the gcc-sanitize / ASan entry leak-checks it).
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -34,7 +36,7 @@ hdbscan::HdbscanOptions stress_options() {
 }
 
 /// The bit-identity contract: `result` (computed by a reader against a
-/// pinned snapshot, on the snapshot's shared kd-tree) must equal a cold
+/// pinned snapshot, on the snapshot's published kd-tree) must equal a cold
 /// rebuild over the same frozen points.
 void expect_bit_identical(const hdbscan::HdbscanResult& result,
                           const hdbscan::HdbscanResult& cold, std::uint64_t epoch) {
@@ -97,7 +99,8 @@ TEST(SnapshotServing, QueriesOnEmptySnapshotThrow) {
   const snapshot::SnapshotPtr empty = published.acquire();
   const exec::Executor reader(exec::serial_backend());
   EXPECT_THROW((void)empty->hdbscan(reader, stress_options()), std::invalid_argument);
-  EXPECT_THROW((void)empty->tree(reader), std::invalid_argument);
+  EXPECT_EQ(empty->bundle().tree, nullptr);
+  EXPECT_THROW((void)empty->tree(), std::invalid_argument);
 }
 
 TEST(SnapshotServing, ReaderQueriesMatchColdRebuildWithoutCacheLookups) {
@@ -106,8 +109,8 @@ TEST(SnapshotServing, ReaderQueriesMatchColdRebuildWithoutCacheLookups) {
   published.insert(data::gaussian_blobs(500, 2, 4, 0.03, 0.1, 11));
   const snapshot::SnapshotPtr snap = published.acquire();
 
-  // Reader b runs on the default (parallel) backend: its query reuses the
-  // tree reader a built serially and must still match the cold rebuild.
+  // Both readers run on the writer's published index, reader b on the
+  // default (parallel) backend, and must match the cold rebuild.
   const exec::Executor reader_a(exec::serial_backend());
   const exec::Executor reader_b(exec::default_backend());
   const CacheTraffic before;
@@ -115,8 +118,8 @@ TEST(SnapshotServing, ReaderQueriesMatchColdRebuildWithoutCacheLookups) {
   const hdbscan::HdbscanResult via_a = snap->hdbscan(reader_a, stress_options());
   const hdbscan::HdbscanResult via_b = snap->hdbscan(reader_b, stress_options());
   expect_no_cache_lookups(before, "Snapshot::hdbscan");
-  EXPECT_EQ(tree_builds() - builds_before, 1u) << "the second reader reuses the first one's tree";
-  EXPECT_EQ(snap->tree(reader_a), snap->tree(reader_b));
+  EXPECT_EQ(tree_builds(), builds_before) << "readers query the published index";
+  EXPECT_EQ(&snap->tree().points(), &snap->points());
 
   const exec::Executor cold(exec::serial_backend());
   const hdbscan::HdbscanResult rebuild = hdbscan::hdbscan(cold, snap->points(), stress_options());
@@ -179,59 +182,110 @@ TEST(SnapshotServing, DirectHdbscanOnFreshPointsMakesFourMisses) {
   EXPECT_EQ(after.hits - before.hits, 0u);
 }
 
-// Concurrent first queries on one snapshot block on a single tree build and
-// all get the same tree.
-TEST(SnapshotServing, ConcurrentFirstQueriesShareOneTree) {
-  const exec::Executor writer_exec(exec::serial_backend());
-  snapshot::PublishedClustering published(writer_exec);
-  published.insert(data::gaussian_blobs(2000, 2, 4, 0.03, 0.1, 19));
-  const snapshot::SnapshotPtr snap = published.acquire();
+// Concurrent first queries on a freshly published snapshot, on serial and
+// on parallel executors, build no tree: all run on the one the writer
+// published, bound to the snapshot's own points.
+TEST(SnapshotServing, ConcurrentFirstQueriesShareThePublishedTree) {
+  for (const auto& backend : {exec::serial_backend(), exec::openmp_backend()}) {
+    const exec::Executor writer_exec(exec::serial_backend());
+    snapshot::PublishedClustering published(writer_exec);
+    published.insert(data::gaussian_blobs(2000, 2, 4, 0.03, 0.1, 19));
+    const snapshot::SnapshotPtr snap = published.acquire();
 
-  constexpr int kReaders = 8;
-  std::vector<std::shared_ptr<const spatial::KdTree>> trees(kReaders);
-  std::vector<hdbscan::HdbscanResult> results(kReaders);
-  std::atomic<int> ready{0};
-  const std::uint64_t builds_before = tree_builds();
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      const exec::Executor reader(exec::serial_backend());
-      ready.fetch_add(1);
-      while (ready.load() < kReaders) std::this_thread::yield();
-      results[static_cast<std::size_t>(r)] = snap->hdbscan(reader, stress_options());
-      trees[static_cast<std::size_t>(r)] = snap->tree(reader);
-    });
-  }
-  for (std::thread& t : readers) t.join();
+    constexpr int kReaders = 8;
+    std::vector<const spatial::KdTree*> trees(kReaders);
+    std::vector<hdbscan::HdbscanResult> results(kReaders);
+    std::atomic<int> ready{0};
+    const std::uint64_t builds_before = tree_builds();
+    std::vector<std::thread> readers;
+    readers.reserve(kReaders);
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        const exec::Executor reader(backend, backend == exec::serial_backend() ? 1 : 2);
+        ready.fetch_add(1);
+        while (ready.load() < kReaders) std::this_thread::yield();
+        results[static_cast<std::size_t>(r)] = snap->hdbscan(reader, stress_options());
+        trees[static_cast<std::size_t>(r)] = &snap->tree();
+      });
+    }
+    for (std::thread& t : readers) t.join();
 
-  EXPECT_EQ(tree_builds() - builds_before, 1u);
-  for (int r = 0; r < kReaders; ++r) {
-    EXPECT_EQ(trees[static_cast<std::size_t>(r)], trees[0]) << "reader " << r;
-    EXPECT_EQ(results[static_cast<std::size_t>(r)].labels, results[0].labels) << "reader " << r;
+    EXPECT_EQ(tree_builds(), builds_before) << backend->name();
+    EXPECT_EQ(&snap->tree().points(), &snap->points()) << backend->name();
+    for (int r = 0; r < kReaders; ++r) {
+      EXPECT_EQ(trees[static_cast<std::size_t>(r)], &snap->tree()) << "reader " << r;
+      EXPECT_EQ(results[static_cast<std::size_t>(r)].labels, results[0].labels) << "reader " << r;
+    }
   }
 }
 
-// Epochs never share a tree: a reader of epoch e+1 builds its own, and
-// epoch e's stays as it was.
-TEST(SnapshotServing, SuccessorEpochBuildsItsOwnTree) {
+// Epochs never share a tree: epoch e+1 holds its own copy of the writer's
+// index, readers of it build none, and epoch e's stays as it was.
+TEST(SnapshotServing, SuccessorEpochHoldsItsOwnTree) {
   const exec::Executor writer_exec(exec::serial_backend());
   snapshot::PublishedClustering published(writer_exec);
   published.insert(data::gaussian_blobs(300, 2, 3, 0.04, 0.1, 41));
   const snapshot::SnapshotPtr older = published.acquire();
   const exec::Executor reader(exec::serial_backend());
-  (void)older->hdbscan(reader, stress_options());
-  const std::shared_ptr<const spatial::KdTree> older_tree = older->tree(reader);
+  const hdbscan::HdbscanResult older_result = older->hdbscan(reader, stress_options());
+  const spatial::KdTree* older_tree = &older->tree();
 
   published.insert(data::gaussian_blobs(20, 2, 3, 0.04, 0.1, 42));
   const snapshot::SnapshotPtr newer = published.acquire();
   ASSERT_EQ(newer->epoch(), older->epoch() + 1);
   const std::uint64_t builds_before = tree_builds();
   (void)newer->hdbscan(reader, stress_options());
-  EXPECT_EQ(tree_builds() - builds_before, 1u);
-  EXPECT_NE(newer->tree(reader), older_tree);
-  EXPECT_EQ(&newer->tree(reader)->points(), &newer->points());
-  EXPECT_EQ(older->tree(reader), older_tree);
+  EXPECT_EQ(tree_builds(), builds_before);
+  EXPECT_NE(&newer->tree(), older_tree);
+  EXPECT_EQ(&newer->tree().points(), &newer->points());
+  EXPECT_EQ(newer->tree().size(), 320);
+  EXPECT_EQ(&older->tree(), older_tree);
+  EXPECT_EQ(older->tree().size(), 300);
+  EXPECT_EQ(older->hdbscan(reader, stress_options()).labels, older_result.labels);
+}
+
+// Reads on the published index through a churning stream, whose index is
+// both patched and rebuilt: after every insert and every erase, queries at
+// mpts 2, 5 and 9 on serial and parallel readers are bit-identical to cold
+// runs, MST edge order included.
+TEST(SnapshotServing, ReadsOnThePublishedIndexMatchColdRunsThroughChurn) {
+  const exec::Executor writer_exec(exec::serial_backend());
+  snapshot::PublishedClustering published(writer_exec);
+  published.insert(data::gaussian_blobs(1000, 2, 4, 0.04, 0.1, 43));
+  const dyn::UpdateStats loaded = published.stream().stats();
+  const exec::Executor serial_reader(exec::serial_backend());
+  const exec::Executor parallel_reader(exec::openmp_backend(), 4);
+  const exec::Executor cold(exec::serial_backend());
+  cold.set_artifact_caching(false);
+
+  std::deque<std::vector<index_t>> live_batches;
+  for (int round = 0; round < 24; ++round) {
+    if (round % 2 == 0) {
+      live_batches.push_back(
+          published.insert(data::gaussian_blobs(60, 2, 4, 0.04, 0.1, 300 + round)));
+    } else {
+      // Erase the first half of the oldest live batch, or all of it.
+      std::vector<index_t>& oldest = live_batches.front();
+      const std::size_t count = round % 4 == 1 ? oldest.size() / 2 : oldest.size();
+      published.erase(std::span<const index_t>(oldest).first(count));
+      oldest.erase(oldest.begin(), oldest.begin() + static_cast<std::ptrdiff_t>(count));
+      if (oldest.empty()) live_batches.pop_front();
+    }
+    const snapshot::SnapshotPtr snap = published.acquire();
+    for (const int min_pts : {2, 5, 9}) {
+      hdbscan::HdbscanOptions options = stress_options();
+      options.min_pts = min_pts;
+      const hdbscan::HdbscanResult expected = hdbscan::hdbscan(cold, snap->points(), options);
+      for (const exec::Executor* reader : {&serial_reader, &parallel_reader}) {
+        const hdbscan::HdbscanResult result = snap->hdbscan(*reader, options);
+        expect_bit_identical(result, expected, snap->epoch());
+        EXPECT_EQ(result.mst, expected.mst) << "epoch " << snap->epoch() << " mpts " << min_pts;
+      }
+    }
+  }
+  const dyn::UpdateStats& churned = published.stream().stats();
+  EXPECT_GT(churned.index_patches, loaded.index_patches);
+  EXPECT_GT(churned.index_rebuilds, loaded.index_rebuilds);
 }
 
 // The TSan stress test (the gcc-tsan CI entry runs this suite): N reader
@@ -405,7 +459,7 @@ TEST(SnapshotServing, RetiredSnapshotReclaimedWhenLastReaderDrains) {
   std::weak_ptr<const snapshot::Snapshot> watch = pinned;
   const exec::Executor reader(exec::serial_backend());
   const hdbscan::HdbscanResult result = pinned->hdbscan(reader, stress_options());
-  const std::weak_ptr<const spatial::KdTree> tree = pinned->tree(reader);
+  const std::weak_ptr<const spatial::KdTree> tree = pinned->bundle().tree;
 
   // Publish a successor: the retired snapshot survives — its one reader
   // still holds it — and its kd-tree stays resident and readable.
@@ -414,7 +468,7 @@ TEST(SnapshotServing, RetiredSnapshotReclaimedWhenLastReaderDrains) {
   ASSERT_FALSE(tree.expired());
   const hdbscan::HdbscanResult again = pinned->hdbscan(reader, stress_options());
   EXPECT_EQ(again.labels, result.labels);
-  EXPECT_EQ(pinned->tree(reader), tree.lock()) << "the retired epoch keeps its one tree";
+  EXPECT_EQ(&pinned->tree(), tree.lock().get()) << "the retired epoch keeps its one tree";
 
   // Last reader drains: the snapshot dies, and its tree with it.
   pinned.reset();
